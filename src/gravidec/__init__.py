@@ -62,18 +62,13 @@ from .proper_time import (
     SchwarzschildWeakPotential,
     TabulatedPotential,
     TrajectoryPair,
-    WeakFieldTerms,
     gamma_coupling,
     internal_characteristic_function,
     proper_time_difference,
-    redshift_factor,
-    redshift_factor_excess,
     semiclassical_visibility,
-    weak_field_terms,
 )
 from .visibility import (
     SchwarzschildSpec,
-    SuperpositionConfig,
     VisibilityCurve,
     decoherence_time,
     exact_visibility,
@@ -81,7 +76,6 @@ from .visibility import (
     hawking_temperature,
     highT_visibility,
     proper_time_lab,
-    redshifted_frequency,
     decoherence_time_schwarzschild,
     visibility_curve,
 )
@@ -134,9 +128,6 @@ __all__ = [
     "power_law_cross_section",
     "proper_time_difference",
     "proper_time_lab",
-    "redshift_factor",
-    "redshift_factor_excess",
-    "redshifted_frequency",
     "regime_scan",
     "RegimeMap",
     "run_oracle_battery",
@@ -145,7 +136,6 @@ __all__ = [
     "SchwarzschildWeakPotential",
     "semiclassical_visibility",
     "SOLAR_MASS",
-    "SuperpositionConfig",
     "tabulated_emission_model",
     "TabulatedPotential",
     "tau_emission",
@@ -154,6 +144,4 @@ __all__ = [
     "two_point_unitary_oracle",
     "visibility_curve",
     "VisibilityCurve",
-    "weak_field_terms",
-    "WeakFieldTerms",
 ]

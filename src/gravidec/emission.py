@@ -148,7 +148,10 @@ def emission_rate_integral(model: EmissionModel, consts: PhysicalConstants) -> f
 
 def tau_emission(delta_x: float, model: EmissionModel, consts: PhysicalConstants) -> float:
     """Emission decoherence time 1 / (dx^2 * rate integral); inf when either is 0."""
-    integral = emission_rate_integral(model, consts)
+    return _tau_from_integral(delta_x, emission_rate_integral(model, consts))
+
+
+def _tau_from_integral(delta_x: float, integral: float) -> float:
     if delta_x == 0.0 or integral == 0.0:
         return math.inf
     return 1.0 / (delta_x**2 * integral)
@@ -189,8 +192,21 @@ def dominant_mechanism(
     Returns ``(flag, tau_dec, tau_em)`` with flag in MECHANISMS; a tie within
     BOUNDARY_RTOL relative is flagged "boundary".
     """
+    return _classify(
+        n_modes, temperature, delta_x, g, emission_rate_integral(model, consts), consts
+    )
+
+
+def _classify(
+    n_modes: float,
+    temperature: float,
+    delta_x: float,
+    g: float,
+    integral: float,
+    consts: PhysicalConstants,
+) -> tuple[str, float, float]:
     tau_dec = decoherence_time(n_modes, temperature, delta_x, g, consts)
-    tau_em = tau_emission(delta_x, model, consts)
+    tau_em = _tau_from_integral(delta_x, integral)
     return compare_timescales(tau_dec, tau_em), tau_dec, tau_em
 
 
@@ -216,17 +232,6 @@ class RegimeMap:
             if getattr(self, name).shape != shape:
                 raise DomainError(f"{name} must have shape {shape}")
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# regime map: axis1 = {self.axis1_kind} (m), axis2 = T (K)\n")
-            fh.write("axis1,axis2,tau_dec,tau_em,flag\n")
-            for i, a in enumerate(self.axis1):
-                for j, temp in enumerate(self.temperatures):
-                    fh.write(
-                        f"{float(a)!r},{float(temp)!r},{float(self.tau_dec[i, j])!r},"
-                        f"{float(self.tau_em[i, j])!r},{self.flags[i, j]}\n"
-                    )
-
 
 def regime_scan(
     axis1_kind: str,
@@ -246,8 +251,8 @@ def regime_scan(
     scans the separation at fixed ``n_modes``. The second axis is always
     temperature, and ``model_factory(T)`` supplies the emission model per
     column (thermal spectra move with T; a fixed tabulated model can ignore
-    the argument). Cells are independent; evaluation order never affects the
-    stored values.
+    the argument), whose rate integral is evaluated once for the column.
+    Cells are independent; evaluation order never affects the stored values.
     """
     axis1 = np.asarray(axis1, dtype=float)
     temperatures = np.asarray(temperatures, dtype=float)
@@ -270,10 +275,10 @@ def regime_scan(
     tau_e = np.empty_like(tau_d)
     flags = np.empty(tau_d.shape, dtype=object)
     for j, temp in enumerate(temperatures):
-        model = model_factory(float(temp))
+        integral = emission_rate_integral(model_factory(float(temp)), consts)
         for i in range(axis1.size):
-            flags[i, j], tau_d[i, j], tau_e[i, j] = dominant_mechanism(
-                n_of[i], float(temp), dx_of[i], g, model, consts
+            flags[i, j], tau_d[i, j], tau_e[i, j] = _classify(
+                n_of[i], float(temp), dx_of[i], g, integral, consts
             )
     return RegimeMap(
         axis1_kind=axis1_kind,
@@ -295,7 +300,8 @@ def crossover_separation(
     """Separation where the two channels tie: dx* = 1 / (A * I).
 
     A = tau_dec * dx is the separation-free part of the time-dilation law and
-    I the emission rate integral; above dx* time dilation wins.
+    I the emission rate integral. Since tau_dec = A / dx while
+    tau_em = 1 / (dx^2 I), time dilation wins below dx* and emission above.
     """
     a = decoherence_time(n_modes, temperature, 1.0, g, consts)
     integral = emission_rate_integral(model, consts)

@@ -21,6 +21,9 @@ from .errors import DomainError
 # exp argument beyond which 1/expm1(x) underflows to 0 in float64
 _EXP_UNDERFLOW = 745.0
 
+# Most (delta_tau x mode) elements the mode-product kernel holds in one temporary.
+_CHUNK_ELEMENTS = 2**16
+
 
 @dataclass(frozen=True)
 class InternalStateSpec:
@@ -42,10 +45,12 @@ class InternalStateSpec:
         if self.temperature < 0:
             raise DomainError("temperature must be >= 0")
         if self.frequencies is not None:
-            object.__setattr__(self, "frequencies", tuple(float(w) for w in self.frequencies))
-            if len(self.frequencies) != int(self.n_modes) or self.n_modes != int(self.n_modes):
+            freqs = np.asarray(self.frequencies, dtype=float)
+            n_modes_ok = self.n_modes == int(self.n_modes) == freqs.size
+            if freqs.ndim != 1 or not n_modes_ok:
                 raise DomainError("explicit frequency list length must equal n_modes")
-            if any(w <= 0 for w in self.frequencies):
+            object.__setattr__(self, "frequencies", tuple(freqs.tolist()))
+            if np.any(freqs <= 0):
                 raise DomainError("all mode frequencies must be > 0")
 
     @property
@@ -58,7 +63,7 @@ class InternalStateSpec:
 
     @classmethod
     def from_frequencies(cls, frequencies, temperature: float) -> "InternalStateSpec":
-        freqs = tuple(float(w) for w in frequencies)
+        freqs = np.asarray(frequencies, dtype=float)
         return cls(n_modes=len(freqs), temperature=temperature, frequencies=freqs)
 
     @classmethod
@@ -87,14 +92,55 @@ def thermal_occupation(omega: float, temperature: float, consts: PhysicalConstan
     return 1.0 / math.expm1(x)
 
 
+def _mode_occupations(
+    spec: InternalStateSpec, consts: PhysicalConstants
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and occupations of an explicit spec, as :func:`thermal_occupation` gives them."""
+    omega = np.asarray(spec.frequencies, dtype=float)
+    nbar = np.zeros_like(omega)
+    if spec.temperature > 0:
+        x = consts.hbar * omega / (consts.k_B * spec.temperature)
+        live = x <= _EXP_UNDERFLOW
+        nbar[live] = 1.0 / np.expm1(x[live])
+    return omega, nbar
+
+
+def _log_mode_product(
+    spec: InternalStateSpec, delta_tau, consts: PhysicalConstants
+) -> np.ndarray:
+    """log chi(dtau) = -sum_i log(1 + nbar_i (1 - exp(-i w_i dtau))) at every dtau.
+
+    The single mode-product kernel behind every analytic route: the real part
+    is log V, the imaginary part the phase of the characteristic function.
+    Each factor is taken in the form 1 + 2 nbar s^2 + i nbar sin(phi), with
+    s = sin(phi/2) and phi = w dtau, whose log modulus is
+    0.5 log1p(4 nbar (nbar+1) s^2); unlike 1 - exp(-i phi) it keeps the nbar
+    term to full precision at small phi. Returns an array shaped like
+    ``delta_tau``, built in blocks of at most _CHUNK_ELEMENTS elements.
+    """
+    omega, nbar = _mode_occupations(spec, consts)
+    gain = 4.0 * nbar * (nbar + 1.0)
+    dtau = np.asarray(delta_tau, dtype=float)
+    flat = dtau.reshape(-1)
+    out = np.zeros(flat.size, dtype=complex)
+    cols = max(1, min(omega.size, _CHUNK_ELEMENTS))
+    rows = max(1, _CHUNK_ELEMENTS // cols)
+    for i in range(0, flat.size, rows):
+        for j in range(0, omega.size, cols):
+            n = nbar[j:j + cols]
+            phi = flat[i:i + rows, None] * omega[j:j + cols]
+            s2 = np.sin(0.5 * phi) ** 2
+            out[i:i + rows] -= 0.5 * np.log1p(gain[j:j + cols] * s2).sum(axis=1)
+            out[i:i + rows] -= 1j * np.arctan2(n * np.sin(phi), 1.0 + 2.0 * n * s2).sum(axis=1)
+    return out.reshape(dtau.shape)
+
+
 def mean_internal_energy(spec: InternalStateSpec, consts: PhysicalConstants) -> float:
     """Mean internal energy: N*k_B*T in the high-T limit, else sum of hbar*w*nbar."""
     if spec.is_high_temperature:
         return spec.n_modes * consts.k_B * spec.temperature
-    return sum(
-        consts.hbar * w * thermal_occupation(w, spec.temperature, consts)
-        for w in spec.frequencies
-    )
+    omega, nbar = _mode_occupations(spec, consts)
+    return float(np.sum(consts.hbar * omega * nbar))
 
 
 def internal_energy_variance(spec: InternalStateSpec, consts: PhysicalConstants) -> float:
@@ -106,8 +152,5 @@ def internal_energy_variance(spec: InternalStateSpec, consts: PhysicalConstants)
     """
     if spec.is_high_temperature:
         return spec.n_modes * (consts.k_B * spec.temperature) ** 2
-    total = 0.0
-    for w in spec.frequencies:
-        nbar = thermal_occupation(w, spec.temperature, consts)
-        total += (consts.hbar * w) ** 2 * nbar * (nbar + 1.0)
-    return total
+    omega, nbar = _mode_occupations(spec, consts)
+    return float(np.sum((consts.hbar * omega) ** 2 * nbar * (nbar + 1.0)))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .errors import DomainError
-from .internal_state import InternalStateSpec, thermal_occupation
+from .internal_state import InternalStateSpec, _log_mode_product
 
 #: Trajectories faster than this fraction of c are outside the model's validity.
 VELOCITY_BOUND = 1e-3
@@ -184,13 +184,7 @@ def internal_characteristic_function(
         if log_mod < -745.0:
             return 0.0j
         return cmath.rect(math.exp(log_mod), phase)
-    if spec.temperature == 0.0:
-        return 1.0 + 0.0j
-    chi = 1.0 + 0.0j
-    for w in spec.frequencies:
-        nbar = thermal_occupation(w, spec.temperature, consts)
-        chi /= 1.0 + nbar * (1.0 - cmath.exp(-1j * w * delta_tau))
-    return chi
+    return complex(np.exp(_log_mode_product(spec, delta_tau, consts)))
 
 
 def semiclassical_visibility(
@@ -198,54 +192,3 @@ def semiclassical_visibility(
 ) -> float:
     """Visibility |chi(dtau)| from the internal energy distribution alone."""
     return abs(internal_characteristic_function(spec, delta_tau, consts))
-
-
-def redshift_factor(phi: float, consts: PhysicalConstants) -> float:
-    """Clock-rate factor sqrt(1 + 2u + 2u^2), u = phi/c^2.
-
-    The radicand equals (1+u)^2 + u^2, positive for every real u; the domain
-    check below can only trip on non-finite input.
-    """
-    u = phi / consts.c**2
-    radicand = 2.0 * u * (1.0 + u)
-    if not radicand > -1.0:
-        raise DomainError(f"clock-rate radicand 1+{radicand} is not positive")
-    return math.exp(0.5 * math.log1p(radicand))
-
-
-def redshift_factor_excess(phi: float, consts: PhysicalConstants) -> float:
-    """redshift_factor(phi) - 1, accurate for |phi|/c^2 down to ~1e-300.
-
-    At u = 1e-16 the factor itself rounds to 1.0 in float64; the excess is
-    still exactly representable and equals u to leading order.
-    """
-    u = phi / consts.c**2
-    radicand = 2.0 * u * (1.0 + u)
-    if not radicand > -1.0:
-        raise DomainError(f"clock-rate radicand 1+{radicand} is not positive")
-    return math.expm1(0.5 * math.log1p(radicand))
-
-
-@dataclass(frozen=True)
-class WeakFieldTerms:
-    """Pieces of the weak-field Hamiltonian for a composite particle at phi.
-
-    ``internal_multiplier`` scales the internal Hamiltonian H0: it is the
-    gravitational redshift of internal clock rates. ``external_potential``
-    carries the rest-mass coupling m*phi (1 + phi/(2c^2)).
-    """
-
-    rest_energy: float
-    internal_multiplier: float
-    external_potential: float
-
-
-def weak_field_terms(mass: float, phi: float, consts: PhysicalConstants) -> WeakFieldTerms:
-    if mass <= 0:
-        raise DomainError("mass must be > 0")
-    c2 = consts.c**2
-    return WeakFieldTerms(
-        rest_energy=mass * c2,
-        internal_multiplier=1.0 + phi / c2,
-        external_potential=mass * phi + mass * phi**2 / (2.0 * c2),
-    )

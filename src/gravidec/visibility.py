@@ -27,39 +27,13 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .errors import DomainError
-from .internal_state import InternalStateSpec, thermal_occupation
+from .internal_state import InternalStateSpec, _log_mode_product
 
 #: Laws a VisibilityCurve can be tagged with.
 VISIBILITY_LAWS = ("exact-product", "high-T", "gaussian", "master-equation", "oracle")
 
 #: Explicit-frequency mode counts above this refuse to evaluate the product.
 DEFAULT_MODE_LIMIT = 10**6
-
-
-@dataclass(frozen=True)
-class SuperpositionConfig:
-    """Two-point vertical superposition of a particle of mass ``mass``.
-
-    ``delta_x`` must equal ``x2 - x1`` exactly; use :meth:`from_positions`.
-    """
-
-    mass: float
-    x1: float
-    x2: float
-    delta_x: float
-    hold_time: float
-
-    def __post_init__(self) -> None:
-        if self.mass <= 0:
-            raise DomainError("mass must be > 0")
-        if self.hold_time < 0:
-            raise DomainError("hold_time must be >= 0")
-        if self.delta_x != self.x2 - self.x1:
-            raise DomainError("delta_x must equal x2 - x1 exactly")
-
-    @classmethod
-    def from_positions(cls, mass: float, x1: float, x2: float, hold_time: float) -> "SuperpositionConfig":
-        return cls(mass=mass, x1=x1, x2=x2, delta_x=x2 - x1, hold_time=hold_time)
 
 
 @dataclass(frozen=True)
@@ -117,37 +91,27 @@ class VisibilityCurve:
             raise DomainError("visibility at t = 0 must be 1")
 
 
-def _log_abs_mode_factor(nbar: float, phase: float) -> float:
-    # log|1 + nbar (1 - e^{-i phase})| = 0.5 log(1 + 4 nbar (nbar+1) sin^2(phase/2))
-    s = math.sin(0.5 * phase)
-    return 0.5 * math.log1p(4.0 * nbar * (nbar + 1.0) * s * s)
+def _exact_log_visibility(spec: InternalStateSpec, delta_tau, consts: PhysicalConstants):
+    """log V at each delta_tau, refusing the high-T marker and oversized specs."""
+    if spec.is_high_temperature:
+        raise DomainError("exact_visibility requires explicit frequencies; "
+                          "use highT_visibility for the high-T marker")
+    if len(spec.frequencies) > DEFAULT_MODE_LIMIT:
+        raise DomainError(
+            f"{len(spec.frequencies)} modes exceeds DEFAULT_MODE_LIMIT={DEFAULT_MODE_LIMIT}"
+        )
+    return _log_mode_product(spec, delta_tau, consts).real
 
 
-def exact_visibility(
-    spec: InternalStateSpec,
-    delta_tau: float,
-    consts: PhysicalConstants,
-    mode_limit: int = DEFAULT_MODE_LIMIT,
-) -> float:
+def exact_visibility(spec: InternalStateSpec, delta_tau: float, consts: PhysicalConstants) -> float:
     """Exact product-formula visibility for an explicit-frequency thermal spec.
 
     Even in ``delta_tau``; equals 1 at delta_tau = 0 and at T = 0. Accumulated
     as exp(-sum log|z_i|) so arbitrarily small visibilities do not underflow
-    intermediate products. Specs with more than ``mode_limit`` explicit modes
-    are refused (the high-temperature law exists precisely to avoid them).
+    intermediate products. Specs with more than DEFAULT_MODE_LIMIT explicit
+    modes are refused (the high-temperature law exists precisely to avoid them).
     """
-    if spec.is_high_temperature:
-        raise DomainError("exact_visibility requires explicit frequencies; "
-                          "use highT_visibility for the high-T marker")
-    if len(spec.frequencies) > mode_limit:
-        raise DomainError(f"{len(spec.frequencies)} modes exceeds mode_limit={mode_limit}")
-    if spec.temperature == 0.0 or delta_tau == 0.0:
-        return 1.0
-    log_v = 0.0
-    for w in spec.frequencies:
-        nbar = thermal_occupation(w, spec.temperature, consts)
-        log_v -= _log_abs_mode_factor(nbar, w * delta_tau)
-    return math.exp(log_v)
+    return math.exp(_exact_log_visibility(spec, delta_tau, consts))
 
 
 def highT_visibility(
@@ -237,17 +201,6 @@ def hawking_temperature(mass: float, consts: PhysicalConstants) -> float:
     return consts.hbar * consts.c**3 / (8.0 * math.pi * consts.k_B * consts.G * mass)
 
 
-def redshifted_frequency(omega: float, phi: float, consts: PhysicalConstants) -> float:
-    """Gravitationally shifted frequency omega * (1 + phi/c^2).
-
-    Evaluated as omega + omega*phi/c^2 so laboratory-scale potentials
-    (|phi|/c^2 ~ 1e-16) are not absorbed by the leading 1.
-    """
-    if omega <= 0:
-        raise DomainError("omega must be > 0")
-    return omega + omega * phi / consts.c**2
-
-
 def proper_time_lab(delta_x: float, g: float, t: float, consts: PhysicalConstants) -> float:
     """Proper-time difference t*g*dx/c^2 between static arms in a homogeneous field."""
     return t * g * delta_x / consts.c**2
@@ -273,10 +226,8 @@ def visibility_curve(
         if frequencies is None:
             raise DomainError("exact-product law requires explicit frequencies")
         spec = InternalStateSpec.from_frequencies(frequencies, temperature)
-        values = np.array([
-            exact_visibility(spec, proper_time_lab(delta_x, g, t, consts), consts)
-            for t in times
-        ])
+        dtau = proper_time_lab(delta_x, g, times, consts)
+        values = np.exp(_exact_log_visibility(spec, dtau, consts))
     elif law == "high-T":
         values = np.array([
             highT_visibility(n_modes, temperature, delta_x, g, t, consts)

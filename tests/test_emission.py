@@ -216,27 +216,6 @@ def test_regime_scan_argument_validation():
         regime_scan("delta_x", np.array([]), temps, factory, 9.81, CONSTS, n_modes=1e20)
 
 
-def test_regime_map_csv_layout(tmp_path):
-    rm = regime_scan(
-        "delta_x",
-        np.geomspace(1e-5, 1e-4, 3),
-        np.array([100.0, 300.0]),
-        lambda temp: _constant_rate_model(1e6, 2e6, 1e-22),
-        9.81,
-        CONSTS,
-        n_modes=1e23,
-    )
-    path = tmp_path / "map.csv"
-    rm.to_csv(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1] == "axis1,axis2,tau_dec,tau_em,flag"
-    assert len(lines) == 2 + 3 * 2
-    first = lines[2].split(",")
-    assert float(first[0]) == pytest.approx(1e-5)
-    assert first[4] in ("time_dilation", "emission", "boundary")
-
-
 def test_regime_map_shape_validation():
     with pytest.raises(DomainError, match="shape"):
         RegimeMap(

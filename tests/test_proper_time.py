@@ -17,10 +17,7 @@ from gravidec import (
     highT_visibility,
     internal_characteristic_function,
     proper_time_difference,
-    redshift_factor,
-    redshift_factor_excess,
     semiclassical_visibility,
-    weak_field_terms,
 )
 from gravidec.errors import DomainError
 
@@ -152,38 +149,6 @@ def test_characteristic_function_basics():
     assert abs(chi) <= 1.0
     conj = internal_characteristic_function(spec, -3e-13, CONSTS)
     assert math.isclose(abs(chi - conj.conjugate()), 0.0, abs_tol=1e-15)
-
-
-def test_redshift_factor_values():
-    assert redshift_factor(0.0, CONSTS) == 1.0
-    u = 1e-3
-    phi = u * CONSTS.c**2
-    assert math.isclose(
-        redshift_factor(phi, CONSTS), math.sqrt(1 + 2 * u + 2 * u * u), rel_tol=1e-15
-    )
-    # tiny-potential regime: excess must keep full precision where the factor is 1.0
-    phi_lab = 9.81 * 1.0
-    ex = redshift_factor_excess(phi_lab, CONSTS)
-    assert math.isclose(ex, phi_lab / CONSTS.c**2, rel_tol=1e-9)
-
-
-def test_redshift_factor_rejects_nan():
-    with pytest.raises(DomainError):
-        redshift_factor(float("nan"), CONSTS)
-
-
-def test_weak_field_terms():
-    m, phi = 1e-22, 9.81 * 0.5
-    terms = weak_field_terms(m, phi, CONSTS)
-    assert terms.rest_energy == m * CONSTS.c**2
-    assert math.isclose(terms.internal_multiplier, 1.0 + phi / CONSTS.c**2, rel_tol=1e-15)
-    assert math.isclose(
-        terms.external_potential,
-        m * phi + m * phi**2 / (2 * CONSTS.c**2),
-        rel_tol=1e-15,
-    )
-    with pytest.raises(DomainError):
-        weak_field_terms(0.0, phi, CONSTS)
 
 
 def test_schwarzschild_weak_potential_domain():

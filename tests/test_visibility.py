@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+import gravidec.internal_state as internal_state_module
+import gravidec.visibility as visibility_module
 from gravidec import (
     InternalStateSpec,
     PhysicalConstants,
     SchwarzschildSpec,
-    SuperpositionConfig,
     VisibilityCurve,
     decoherence_time,
     decoherence_time_schwarzschild,
@@ -18,9 +20,10 @@ from gravidec import (
     gaussian_visibility,
     hawking_temperature,
     highT_visibility,
+    internal_characteristic_function,
     natural_units,
     proper_time_lab,
-    redshifted_frequency,
+    thermal_occupation,
     visibility_curve,
 )
 from gravidec.constants import SOLAR_MASS
@@ -85,13 +88,64 @@ def test_exact_visibility_zero_temperature():
     assert exact_visibility(spec, 123.0, CONSTS) == 1.0
 
 
-def test_exact_visibility_rejects_marker_and_mode_limit():
+def test_exact_visibility_rejects_marker_and_mode_limit(monkeypatch):
     marker = InternalStateSpec.high_temperature_limit(10.0, 300.0)
     with pytest.raises(DomainError):
         exact_visibility(marker, 1e-12, CONSTS)
     spec = InternalStateSpec.from_frequencies((1e12, 2e12, 3e12), 300.0)
+    monkeypatch.setattr(visibility_module, "DEFAULT_MODE_LIMIT", 2)
     with pytest.raises(DomainError):
-        exact_visibility(spec, 1e-12, CONSTS, mode_limit=2)
+        exact_visibility(spec, 1e-12, CONSTS)
+    with pytest.raises(DomainError):
+        visibility_curve("exact-product", [0.0, 1.0], 3.0, 300.0, 1e-3, 9.81, CONSTS,
+                         frequencies=spec.frequencies)
+
+
+def test_mode_product_at_scale_matches_fsum_reference(monkeypatch):
+    """1e4 modes, per-mode phases up to ~1e-3, log V ~ -1: every route to the
+    mode product agrees with a per-mode fsum of the sin^2 / atan2 factors."""
+    t = 300.0
+    rng = np.random.default_rng(7)
+    x = np.exp(rng.uniform(math.log(0.01), math.log(0.07), 10_000))
+    freqs = CONSTS.k_B * t / CONSTS.hbar * x
+    spec = InternalStateSpec.from_frequencies(freqs, t)
+    nbar = [thermal_occupation(w, t, CONSTS) for w in spec.frequencies]
+
+    def reference(dtau):
+        log_mod, phase = [], []
+        for n, w in zip(nbar, spec.frequencies):
+            phi = w * dtau
+            s2 = math.sin(0.5 * phi) ** 2
+            log_mod.append(0.5 * math.log1p(4.0 * n * (n + 1.0) * s2))
+            phase.append(math.atan2(n * math.sin(phi), 1.0 + 2.0 * n * s2))
+        return math.exp(-math.fsum(log_mod)), -math.fsum(phase)
+
+    dtau_max = math.sqrt(2.0 / sum(n * (n + 1.0) * w * w for n, w in zip(nbar, spec.frequencies)))
+    assert 5e-4 < max(freqs) * dtau_max < 2e-3
+    g, dx = 9.81, 1e-3
+    times = np.linspace(0.0, dtau_max * CONSTS.c**2 / (g * dx), 9)
+    curve = visibility_curve("exact-product", times, float(freqs.size), t, dx, g, CONSTS,
+                             frequencies=freqs)
+    assert curve.values[0] == 1.0
+    assert exact_visibility(spec, 0.0, CONSTS) == 1.0
+    assert math.isclose(math.log(curve.values[-1]), -1.0, rel_tol=0.05)
+    for time, v_curve in zip(times[1:], curve.values[1:]):
+        dtau = proper_time_lab(dx, g, time, CONSTS)
+        v_ref, phase_ref = reference(dtau)
+        chi = internal_characteristic_function(spec, dtau, CONSTS)
+        for v in (v_curve, exact_visibility(spec, dtau, CONSTS), abs(chi)):
+            assert math.isclose(v, v_ref, rel_tol=1e-13)
+        # the summed phase is ~1e2 rad, so compare it modulo 2 pi
+        assert abs(cmath.phase(chi * cmath.exp(-1j * phase_ref))) <= 1e-13 * abs(phase_ref)
+        assert internal_characteristic_function(spec, -dtau, CONSTS) == chi.conjugate()
+    # blocks that split the mode axis as well as the time axis change nothing
+    monkeypatch.setattr(internal_state_module, "_CHUNK_ELEMENTS", 999)
+    split = visibility_curve("exact-product", times, float(freqs.size), t, dx, g, CONSTS,
+                             frequencies=freqs)
+    np.testing.assert_allclose(split.values, curve.values, rtol=1e-13)
+    cold = InternalStateSpec.from_frequencies(freqs, 0.0)
+    assert exact_visibility(cold, dtau_max, CONSTS) == 1.0
+    assert internal_characteristic_function(cold, dtau_max, CONSTS) == 1.0
 
 
 def test_high_t_visibility_convergence_to_inverse_e():
@@ -242,13 +296,6 @@ def test_hawking_temperature_frozen():
     )
 
 
-def test_redshifted_frequency_signs():
-    w = 1e12
-    assert redshifted_frequency(w, 0.0, CONSTS) == w
-    assert redshifted_frequency(w, -9.81, CONSTS) < w  # below reference height
-    assert redshifted_frequency(w, +9.81, CONSTS) > w
-
-
 def test_proper_time_lab_frozen():
     dtau = proper_time_lab(1.0, 9.81, 1.0, CONSTS)
     assert math.isclose(dtau, 1.0915097049885998e-16, rel_tol=1e-15)
@@ -265,15 +312,6 @@ def test_high_t_collapse_pointwise():
     theta = CONSTS.k_B * t * dtau / CONSTS.hbar
     v_high = math.exp(-0.5 * n_modes * math.log1p(theta * theta))
     assert abs(math.log(v_exact) - math.log(v_high)) / abs(math.log(v_high)) < 1e-2
-
-
-def test_superposition_config():
-    cfg = SuperpositionConfig.from_positions(1e-22, 0.0, 1e-3, 1.0)
-    assert cfg.delta_x == 1e-3
-    with pytest.raises(DomainError):
-        SuperpositionConfig(mass=1e-22, x1=0.0, x2=1e-3, delta_x=2e-3, hold_time=1.0)
-    with pytest.raises(DomainError):
-        SuperpositionConfig.from_positions(0.0, 0.0, 1e-3, 1.0)
 
 
 def test_visibility_curve_validation():
