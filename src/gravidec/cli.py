@@ -11,9 +11,13 @@ oracle-check  randomized battery comparing every oracle to the product law
 
 Every subcommand accepts ``--config FILE`` pointing at a JSON object whose
 keys are the subcommand's parameter names (long flag names with dashes
-replaced by underscores); explicit flags override the file. A ``"constants"``
-object inside the file overrides individual physical constants. Unknown keys
-are rejected.
+replaced by underscores, ``preset`` included); explicit flags override the
+file. Each value is checked against the type and choices of its flag and
+converted as the flag would be (an integer given for a real-valued parameter
+becomes a float); a bad value, ``null`` included, is a configuration error.
+For oracle-check, values resolve in the order defaults, preset, file, flags.
+A ``"constants"`` object inside the file overrides individual physical
+constants. Unknown keys are rejected.
 
 Outputs are byte-deterministic: JSON is written with sorted keys, CSV carries
 a ``#``-commented metadata preamble, and nothing embeds timestamps. Exit
@@ -74,97 +78,113 @@ class ConfigError(Exception):
 
 _REQUIRED = object()
 
-_DEFAULTS: dict[str, dict[str, object]] = {
-    "tau": {
-        "n_modes": _REQUIRED,
-        "temperature": None,
-        "delta_x": _REQUIRED,
-        "g": None,
-        "central_mass": None,
-        "radius": None,
-        "hawking": None,
-    },
-    "visibility": {
-        "law": "high-T",
-        "n_modes": None,
-        "temperature": _REQUIRED,
-        "delta_x": None,
-        "g": None,
-        "t_final": None,
-        "n_times": 200,
-        "dtau": None,
-        "frequencies_csv": None,
-    },
-    "evolve": {
-        "form": "markovian",
-        "x1": _REQUIRED,
-        "x2": _REQUIRED,
-        "n_points": 64,
-        "hamiltonian": "none",
-        "mass": None,
-        "g": None,
-        "n_modes": None,
-        "temperature": None,
-        "lambda_coefficient": None,
-        "dt": _REQUIRED,
-        "t_final": _REQUIRED,
-        "store_every": 0,
-        "snapshots": None,
-    },
-    "regime": {
-        "axis1": "radius",
-        "axis1_min": _REQUIRED,
-        "axis1_max": _REQUIRED,
-        "n_axis1": 16,
-        "t_min": _REQUIRED,
-        "t_max": _REQUIRED,
-        "n_temps": 16,
-        "mode_density": None,
-        "delta_x": None,
-        "n_modes": None,
-        "g": None,
-        "emission_csv": None,
-        "sigma0": None,
-        "k0": None,
-        "alpha": 0.0,
-    },
-    "propertime": {
-        "trajectories": None,
-        "x1": None,
-        "x2": None,
-        "t_final": None,
-        "n_samples": 201,
-        "potential": "homogeneous",
-        "g": None,
-        "central_mass": None,
-        "potential_csv": None,
-        "n_modes": None,
-        "temperature": None,
-        "frequencies_csv": None,
-    },
-    "oracle-check": {
-        "cases": 20,
-        "samples": 200_000,
-        "seed": 20240811,
-        "mc_seed": 0,
-        "fock_cutoff": 64,
-        "tail_epsilon": 1e-9,
-        "mc_sigmas": 5.0,
-        "atol": 1e-6,
-        "verbose": None,
-    },
-}
-
 #: --preset bundles for oracle-check; explicit flags still override.
 _PRESETS: dict[str, dict[str, object]] = {
     "standard": {"cases": 50, "samples": 1_000_000, "mc_sigmas": 3.0, "atol": 1e-6},
 }
 
+#: Short flags that name the same parameter wherever it appears.
+_ALIASES = {"n_modes": "--N", "temperature": "--T", "delta_x": "--dx"}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of parameter defaults")
-    p.add_argument("--output", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), help="output format")
+#: The one parameter table. Per subcommand: its help summary, its default
+#: ``--format`` (None: oracle-check's case lines), and one row per parameter,
+#: (name, type or choices, default or _REQUIRED, help). The long flag is the
+#: name with dashes; ``bool`` rows are on/off switches. Flags, defaults, the
+#: required set, the allowed config keys and the config checks all come from it.
+_COMMANDS: dict[str, tuple[str, str | None, tuple]] = {
+    "tau": ("decoherence timescale", "json", (
+        ("n_modes", float, _REQUIRED, "internal mode count N"),
+        ("temperature", float, None, None),
+        ("delta_x", float, _REQUIRED, None),
+        ("g", float, None, "uniform acceleration (default: Earth)"),
+        ("central_mass", float, None, "use the field outside this mass"),
+        ("radius", float, None, "distance from the central mass"),
+        ("hawking", bool, None,
+         "take the temperature to be the central mass's Hawking temperature"),
+    )),
+    "visibility": ("closed-form visibility curve", "csv", (
+        ("law", ("exact-product", "high-T", "gaussian"), "high-T", None),
+        ("n_modes", float, None, None),
+        ("temperature", float, _REQUIRED, None),
+        ("delta_x", float, None, None),
+        ("g", float, None, None),
+        ("t_final", float, None, None),
+        ("n_times", int, 200, None),
+        ("dtau", float, None,
+         "single proper-time difference (s); emits one row instead of a curve"),
+        ("frequencies_csv", str, None, "one mode frequency (rad/s) per line"),
+    )),
+    "evolve": ("master-equation evolution", "csv", (
+        ("form", ("markovian", "full_memory"), "markovian", None),
+        ("x1", float, _REQUIRED, None),
+        ("x2", float, _REQUIRED, None),
+        ("n_points", int, 64, None),
+        ("hamiltonian", ("none", "free", "free_plus_linear"), "none", None),
+        ("mass", float, None, None),
+        ("g", float, None, None),
+        ("n_modes", float, None, None),
+        ("temperature", float, None, None),
+        ("lambda_coefficient", float, None,
+         "dephasing strength; overrides the (n-modes, temperature) route"),
+        ("dt", float, _REQUIRED, None),
+        ("t_final", float, _REQUIRED, None),
+        ("store_every", int, 0, None),
+        ("snapshots", str, None, "write stored density matrices to this binary file"),
+    )),
+    "regime": ("dominance map over (radius or separation) x temperature", "csv", (
+        ("axis1", ("radius", "delta-x"), "radius",
+         "what the first axis scans (second axis is temperature)"),
+        ("axis1_min", float, _REQUIRED, None),
+        ("axis1_max", float, _REQUIRED, None),
+        ("n_axis1", int, 16, None),
+        ("t_min", float, _REQUIRED, "temperature axis lower edge (K)"),
+        ("t_max", float, _REQUIRED, None),
+        ("n_temps", int, 16, None),
+        ("mode_density", float, None, "internal modes per m^3 (radius axis only)"),
+        ("delta_x", float, None, "fixed separation (radius axis only)"),
+        ("n_modes", float, None, "fixed mode count (delta-x axis only)"),
+        ("g", float, None, None),
+        ("emission_csv", str, None, "tabulated k,g,sigma emission model"),
+        ("sigma0", float, None, "power-law cross-section scale (m^2)"),
+        ("k0", float, None, "power-law reference wavenumber (1/m)"),
+        ("alpha", float, 0.0, "power-law exponent"),
+    )),
+    "propertime": ("proper-time difference between arms", "json", (
+        ("trajectories", str, None, "CSV of t,x_a,v_a,x_b,v_b"),
+        ("x1", float, None, "static arm position (alternative to CSV)"),
+        ("x2", float, None, None),
+        ("t_final", float, None, None),
+        ("n_samples", int, 201, None),
+        ("potential", ("homogeneous", "schwarzschild", "tabulated"), "homogeneous", None),
+        ("g", float, None, None),
+        ("central_mass", float, None, None),
+        ("potential_csv", str, None, "tabulated x,phi potential"),
+        ("n_modes", float, None, "attach an internal state for visibility"),
+        ("temperature", float, None, None),
+        ("frequencies_csv", str, None, None),
+    )),
+    "oracle-check": ("cross-validate the oracles", None, (
+        ("preset", tuple(sorted(_PRESETS)), None,
+         "named bundle of battery settings (standard: 50 cases, 1e6 samples)"),
+        ("cases", int, 20, "valid parameter sets required per oracle"),
+        ("samples", int, 200_000, "Monte Carlo samples per case"),
+        ("seed", int, 20240811, "battery seed (draws the parameter sets)"),
+        ("mc_seed", int, 0, "base seed of the sampling streams"),
+        ("fock_cutoff", int, 64, None),
+        ("tail_epsilon", float, 1e-9, None),
+        ("mc_sigmas", float, 5.0, "MC agreement window in standard errors"),
+        ("atol", float, 1e-6, "deterministic-oracle agreement window"),
+        ("verbose", bool, None, "print every case, not just the summary"),
+    )),
+}
+
+#: JSON types a config value may have, per row type, and how to name them.
+_JSON_TYPES = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    bool: (bool, "true or false"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,100 +194,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tau", help="decoherence timescale")
-    p.add_argument("--n-modes", "--N", type=float, help="internal mode count N")
-    p.add_argument("--temperature", "--T", type=float)
-    p.add_argument("--delta-x", "--dx", type=float)
-    p.add_argument("--g", type=float, help="uniform acceleration (default: Earth)")
-    p.add_argument("--central-mass", type=float, help="use the field outside this mass")
-    p.add_argument("--radius", type=float, help="distance from the central mass")
-    p.add_argument("--hawking", action="store_true", default=None,
-                   help="take the temperature to be the central mass's Hawking temperature")
-    _add_common(p)
-
-    p = sub.add_parser("visibility", help="closed-form visibility curve")
-    p.add_argument("--law", choices=("exact-product", "high-T", "gaussian"))
-    p.add_argument("--n-modes", "--N", type=float)
-    p.add_argument("--temperature", "--T", type=float)
-    p.add_argument("--delta-x", "--dx", type=float)
-    p.add_argument("--g", type=float)
-    p.add_argument("--t-final", type=float)
-    p.add_argument("--n-times", type=int)
-    p.add_argument("--dtau", type=float,
-                   help="single proper-time difference (s); emits one row instead of a curve")
-    p.add_argument("--frequencies-csv", help="one mode frequency (rad/s) per line")
-    _add_common(p)
-
-    p = sub.add_parser("evolve", help="master-equation evolution")
-    p.add_argument("--form", choices=("markovian", "full_memory"))
-    p.add_argument("--x1", type=float)
-    p.add_argument("--x2", type=float)
-    p.add_argument("--n-points", type=int)
-    p.add_argument("--hamiltonian", choices=("none", "free", "free_plus_linear"))
-    p.add_argument("--mass", type=float)
-    p.add_argument("--g", type=float)
-    p.add_argument("--n-modes", "--N", type=float)
-    p.add_argument("--temperature", "--T", type=float)
-    p.add_argument("--lambda-coefficient", type=float,
-                   help="dephasing strength; overrides the (n-modes, temperature) route")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-final", type=float)
-    p.add_argument("--store-every", type=int)
-    p.add_argument("--snapshots", help="write stored density matrices to this binary file")
-    _add_common(p)
-
-    p = sub.add_parser("regime", help="dominance map over (radius or separation) x temperature")
-    p.add_argument("--axis1", choices=("radius", "delta-x"),
-                   help="what the first axis scans (second axis is temperature)")
-    p.add_argument("--axis1-min", type=float)
-    p.add_argument("--axis1-max", type=float)
-    p.add_argument("--n-axis1", type=int)
-    p.add_argument("--t-min", type=float, help="temperature axis lower edge (K)")
-    p.add_argument("--t-max", type=float)
-    p.add_argument("--n-temps", type=int)
-    p.add_argument("--mode-density", type=float,
-                   help="internal modes per m^3 (radius axis only)")
-    p.add_argument("--delta-x", "--dx", type=float,
-                   help="fixed separation (radius axis only)")
-    p.add_argument("--n-modes", "--N", type=float, help="fixed mode count (delta-x axis only)")
-    p.add_argument("--g", type=float)
-    p.add_argument("--emission-csv", help="tabulated k,g,sigma emission model")
-    p.add_argument("--sigma0", type=float, help="power-law cross-section scale (m^2)")
-    p.add_argument("--k0", type=float, help="power-law reference wavenumber (1/m)")
-    p.add_argument("--alpha", type=float, help="power-law exponent")
-    _add_common(p)
-
-    p = sub.add_parser("propertime", help="proper-time difference between arms")
-    p.add_argument("--trajectories", help="CSV of t,x_a,v_a,x_b,v_b")
-    p.add_argument("--x1", type=float, help="static arm position (alternative to CSV)")
-    p.add_argument("--x2", type=float)
-    p.add_argument("--t-final", type=float)
-    p.add_argument("--n-samples", type=int)
-    p.add_argument("--potential", choices=("homogeneous", "schwarzschild", "tabulated"))
-    p.add_argument("--g", type=float)
-    p.add_argument("--central-mass", type=float)
-    p.add_argument("--potential-csv", help="tabulated x,phi potential")
-    p.add_argument("--n-modes", type=float, help="attach an internal state for visibility")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--frequencies-csv")
-    _add_common(p)
-
-    p = sub.add_parser("oracle-check", help="cross-validate the oracles")
-    p.add_argument("--preset", choices=sorted(_PRESETS),
-                   help="named bundle of battery settings (standard: 50 cases, 1e6 samples)")
-    p.add_argument("--cases", type=int, help="valid parameter sets required per oracle")
-    p.add_argument("--samples", type=int, help="Monte Carlo samples per case")
-    p.add_argument("--seed", type=int, help="battery seed (draws the parameter sets)")
-    p.add_argument("--mc-seed", type=int, help="base seed of the sampling streams")
-    p.add_argument("--fock-cutoff", type=int)
-    p.add_argument("--tail-epsilon", type=float)
-    p.add_argument("--mc-sigmas", type=float, help="MC agreement window in standard errors")
-    p.add_argument("--atol", type=float, help="deterministic-oracle agreement window")
-    p.add_argument("--verbose", action="store_true", default=None,
-                   help="print every case, not just the summary")
-    _add_common(p)
-
+    for command, (summary, _, rows) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, kind, _, text in rows:
+            flags = ["--" + name.replace("_", "-")]
+            if name in _ALIASES:
+                flags.append(_ALIASES[name])
+            if kind is bool:
+                p.add_argument(*flags, action="store_true", default=None, help=text)
+            elif isinstance(kind, tuple):
+                p.add_argument(*flags, choices=kind, help=text)
+            else:
+                p.add_argument(*flags, type=kind, help=text)
+        p.add_argument("--config", help="JSON file of parameter defaults")
+        p.add_argument("--output", help="output path (default: stdout)")
+        p.add_argument("--format", choices=("json", "csv"), help="output format")
     return parser
 
 
@@ -287,6 +228,18 @@ def _load_config(path: str) -> tuple[dict, dict]:
     return raw, constants
 
 
+def _check_config_value(key: str, kind, value):
+    """Convert one config value as its flag would, or raise ConfigError."""
+    if isinstance(kind, tuple):
+        ok, expected = value in kind, "one of " + ", ".join(kind)
+    else:
+        types, expected = _JSON_TYPES[kind]
+        ok = isinstance(value, types) and (kind is bool or not isinstance(value, bool))
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+    return float(value) if kind is float else value
+
+
 def _build_constants(overrides: dict) -> PhysicalConstants:
     base = asdict(default_constants())
     unknown = sorted(set(overrides) - set(base))
@@ -299,25 +252,21 @@ def _build_constants(overrides: dict) -> PhysicalConstants:
 
 
 def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, PhysicalConstants]:
-    defaults = _DEFAULTS[command]
-    merged = dict(defaults)
-    preset = getattr(args, "preset", None)
+    """Merge defaults, then the preset, then the config file, then the flags."""
+    rows = _COMMANDS[command][2]
+    kinds = {name: kind for name, kind, _, _ in rows}
+    section, constants_overrides = _load_config(args.config) if args.config else ({}, {})
+    unknown = sorted(set(section) - set(kinds))
+    if unknown:
+        raise ConfigError(f"unknown config keys for {command!r}: {', '.join(unknown)}")
+    section = {k: _check_config_value(k, kinds[k], v) for k, v in section.items()}
+    flags = {k: v for k in kinds if (v := getattr(args, k)) is not None}
+    merged = {name: default for name, _, default, _ in rows}
+    preset = flags.get("preset", section.get("preset"))
     if preset:
         merged.update(_PRESETS[preset])
-        merged["preset"] = preset
-    constants_overrides: dict = {}
-    if args.config:
-        section, constants_overrides = _load_config(args.config)
-        unknown = sorted(set(section) - set(defaults))
-        if unknown:
-            raise ConfigError(
-                f"unknown config keys for {command!r}: {', '.join(unknown)}"
-            )
-        merged.update(section)
-    for key in defaults:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            merged[key] = value
+    merged.update(section)
+    merged.update(flags)
     missing = sorted(k for k, v in merged.items() if v is _REQUIRED)
     if missing:
         raise ConfigError(f"missing required parameters: {', '.join(missing)}")
@@ -349,21 +298,17 @@ def _metadata(command: str, params: dict, consts: PhysicalConstants, **extra) ->
     return meta
 
 
-def _emit_json(payload: dict, output: str | None) -> None:
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+def _emit(fmt: str, output: str | None, meta: dict, json_body: dict,
+          csv_header: list[str] | None = None, csv_rows=()) -> None:
+    """Write JSON (sorted keys) or CSV (``#`` metadata preamble) to a file or stdout."""
+    if fmt == "json":
+        text = json.dumps(_jsonable({**meta, **json_body}), sort_keys=True, indent=2) + "\n"
     else:
-        sys.stdout.write(text)
-
-
-def _emit_csv(meta: dict, header: list[str], rows, output: str | None) -> None:
-    lines = [f"# {k} = {json.dumps(_jsonable(v), sort_keys=True)}" for k, v in sorted(meta.items())]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
-    text = "\n".join(lines) + "\n"
+        lines = [f"# {k} = {json.dumps(_jsonable(v), sort_keys=True)}"
+                 for k, v in sorted(meta.items())]
+        lines.append(",".join(csv_header))
+        lines.extend(",".join(_csv_cell(v) for v in row) for row in csv_rows)
+        text = "\n".join(lines) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -375,6 +320,19 @@ def _csv_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def _internal_spec(params: dict) -> InternalStateSpec | None:
+    """The internal state from ``frequencies_csv``, else from ``n_modes``, else None."""
+    if params["frequencies_csv"] is not None:
+        return InternalStateSpec.from_frequency_csv(
+            params["frequencies_csv"], params["temperature"]
+        )
+    if params["n_modes"] is not None:
+        return InternalStateSpec.high_temperature_limit(
+            params["n_modes"], params["temperature"]
+        )
+    return None
 
 
 def _cmd_tau(params: dict, consts: PhysicalConstants, output, fmt) -> int:
@@ -406,11 +364,8 @@ def _cmd_tau(params: dict, consts: PhysicalConstants, output, fmt) -> int:
         results["g_used"] = g
         results["field"] = "homogeneous"
     meta = _metadata("tau", params, consts, law="gaussian-timescale")
-    if fmt == "csv":
-        keys = sorted(results)
-        _emit_csv(meta, keys, [[results[k] for k in keys]], output)
-    else:
-        _emit_json({**meta, "results": results}, output)
+    keys = sorted(results)
+    _emit(fmt, output, meta, {"results": results}, keys, [[results[k] for k in keys]])
     return 0
 
 
@@ -419,27 +374,13 @@ def _cmd_visibility(params: dict, consts: PhysicalConstants, output, fmt) -> int
 
     if params["dtau"] is not None:
         # Single-point mode: visibility at one proper-time difference.
-        if params["frequencies_csv"] is not None:
-            spec = InternalStateSpec.from_frequency_csv(
-                params["frequencies_csv"], params["temperature"]
-            )
-        elif params["n_modes"] is not None:
-            spec = InternalStateSpec.high_temperature_limit(
-                params["n_modes"], params["temperature"]
-            )
-        else:
+        spec = _internal_spec(params)
+        if spec is None:
             raise ConfigError("--dtau needs --n-modes or --frequencies-csv")
         value = semiclassical_visibility(spec, params["dtau"], consts)
-        meta = _metadata("visibility", params, consts, law="semiclassical")
-        if fmt == "json":
-            _emit_json({**meta, "delta_tau": params["dtau"], "visibility": value}, output)
-        else:
-            _emit_csv(
-                meta,
-                ["delta_tau", "visibility", "law"],
-                [[params["dtau"], value, "semiclassical"]],
-                output,
-            )
+        _emit(fmt, output, _metadata("visibility", params, consts, law="semiclassical"),
+              {"delta_tau": params["dtau"], "visibility": value},
+              ["delta_tau", "visibility", "law"], [[params["dtau"], value, "semiclassical"]])
         return 0
 
     law = params["law"]
@@ -465,12 +406,9 @@ def _cmd_visibility(params: dict, consts: PhysicalConstants, output, fmt) -> int
         law, times, n_modes, params["temperature"], params["delta_x"], g, consts,
         frequencies=frequencies,
     )
-    meta = _metadata("visibility", params, consts, law=law, g_used=g)
-    if fmt == "json":
-        _emit_json({**meta, "times": curve.times, "values": curve.values}, output)
-    else:
-        rows = ([t, v, law] for t, v in zip(curve.times, curve.values))
-        _emit_csv(meta, ["t", "visibility", "law"], rows, output)
+    _emit(fmt, output, _metadata("visibility", params, consts, law=law, g_used=g),
+          {"times": curve.times, "values": curve.values},
+          ["t", "visibility", "law"], ([t, v, law] for t, v in zip(curve.times, curve.values)))
     return 0
 
 
@@ -516,20 +454,17 @@ def _cmd_evolve(params: dict, consts: PhysicalConstants, output, fmt) -> int:
         law="master-equation", form=result.form, lambda_coefficient=lam,
         n_snapshots=int(result.snapshot_times.size),
     )
-    if fmt == "json":
-        _emit_json(
-            {
-                **meta,
-                "times": result.times,
-                "coherence_re": result.coherence.real,
-                "coherence_im": result.coherence.imag,
-                "visibility": curve.values,
-            },
-            output,
-        )
-    else:
-        rows = zip(result.times, result.coherence.real, result.coherence.imag, curve.values)
-        _emit_csv(meta, ["t", "coherence_re", "coherence_im", "visibility"], rows, output)
+    _emit(
+        fmt, output, meta,
+        {
+            "times": result.times,
+            "coherence_re": result.coherence.real,
+            "coherence_im": result.coherence.imag,
+            "visibility": curve.values,
+        },
+        ["t", "coherence_re", "coherence_im", "visibility"],
+        zip(result.times, result.coherence.real, result.coherence.imag, curve.values),
+    )
     return 0
 
 
@@ -570,26 +505,21 @@ def _cmd_regime(params: dict, consts: PhysicalConstants, output, fmt) -> int:
     )
     meta = _metadata("regime", params, consts, emission_model=label, g_used=g,
                      axis1_kind=kind, grid="log-spaced")
-    if fmt == "json":
-        _emit_json(
-            {
-                **meta,
-                "axis1": rmap.axis1,
-                "temperatures": rmap.temperatures,
-                "tau_dec": rmap.tau_dec,
-                "tau_em": rmap.tau_em,
-                "flags": [list(row) for row in rmap.flags],
-            },
-            output,
-        )
-    else:
-        rows = [
-            [float(a), float(temp), float(rmap.tau_dec[i, j]), float(rmap.tau_em[i, j]),
-             rmap.flags[i, j]]
-            for i, a in enumerate(rmap.axis1)
-            for j, temp in enumerate(rmap.temperatures)
-        ]
-        _emit_csv(meta, ["axis1", "axis2", "tau_dec", "tau_em", "flag"], rows, output)
+    _emit(
+        fmt, output, meta,
+        {
+            "axis1": rmap.axis1,
+            "temperatures": rmap.temperatures,
+            "tau_dec": rmap.tau_dec,
+            "tau_em": rmap.tau_em,
+            "flags": [list(row) for row in rmap.flags],
+        },
+        ["axis1", "axis2", "tau_dec", "tau_em", "flag"],
+        ([float(a), float(temp), float(rmap.tau_dec[i, j]), float(rmap.tau_em[i, j]),
+          rmap.flags[i, j]]
+         for i, a in enumerate(rmap.axis1)
+         for j, temp in enumerate(rmap.temperatures)),
+    )
     return 0
 
 
@@ -618,25 +548,13 @@ def _cmd_propertime(params: dict, consts: PhysicalConstants, output, fmt) -> int
 
     dtau = proper_time_difference(pair, potential, consts)
     results: dict = {"delta_tau": dtau, "potential": kind}
-    if params["temperature"] is not None and (
-        params["n_modes"] is not None or params["frequencies_csv"] is not None
-    ):
-        if params["frequencies_csv"] is not None:
-            spec = InternalStateSpec.from_frequency_csv(
-                params["frequencies_csv"], params["temperature"]
-            )
-        else:
-            spec = InternalStateSpec.high_temperature_limit(
-                params["n_modes"], params["temperature"]
-            )
+    spec = _internal_spec(params) if params["temperature"] is not None else None
+    if spec is not None:
         results["visibility"] = semiclassical_visibility(spec, dtau, consts)
         results["law"] = "semiclassical"
-    meta = _metadata("propertime", params, consts)
-    if fmt == "csv":
-        keys = sorted(results)
-        _emit_csv(meta, keys, [[results[k] for k in keys]], output)
-    else:
-        _emit_json({**meta, "results": results}, output)
+    keys = sorted(results)
+    _emit(fmt, output, _metadata("propertime", params, consts), {"results": results},
+          keys, [[results[k] for k in keys]])
     return 0
 
 
@@ -714,19 +632,17 @@ def _cmd_oracle_check(params: dict, consts: PhysicalConstants, output, fmt) -> i
             f"max |error| = {row['max_abs_err']:.3e}"
         )
     lines.append("oracle-check: " + ("OK" if all_ok else "DISAGREEMENT"))
-    payload = {
-        **_metadata("oracle-check", params, consts),
+    body = {
         "summary": summary,
         "cases": reports,
         "all_within_tolerance": all_ok,
         "n_cases": len(cases),
     }
-    if fmt == "json" and not output:
-        _emit_json(payload, None)
-    else:
+    # ``--format json`` without ``--output`` puts the report on stdout in place of the lines.
+    if fmt != "json" or output:
         sys.stdout.write("\n".join(lines) + "\n")
-        if output:
-            _emit_json(payload, output)
+    if fmt == "json" or output:
+        _emit("json", output, _metadata("oracle-check", params, consts), body)
     return 0 if all_ok else 1
 
 
@@ -745,10 +661,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         params, consts = _resolve(args, args.command)
-        if args.command == "oracle-check":
-            fmt = args.format  # default: human-readable case lines on stdout
-        else:
-            fmt = args.format or ("json" if args.command in ("tau", "propertime") else "csv")
+        fmt = args.format or _COMMANDS[args.command][1]
         return _HANDLERS[args.command](params, consts, args.output, fmt)
     except ConfigError as exc:
         print(f"gravidec: configuration error: {exc}", file=sys.stderr)

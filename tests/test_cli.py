@@ -276,6 +276,76 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+_TAU_CONFIG = {"n_modes": 1e23, "temperature": 300.0, "delta_x": 1e-3}
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("tau", {**_TAU_CONFIG, "n_modes": "1e23"}, "n_modes"),
+        ("tau", {**_TAU_CONFIG, "delta_x": None}, "delta_x"),
+        ("evolve", {"x1": 0.0, "x2": 1e-3, "n_points": 2.0, "lambda_coefficient": 1e5,
+                    "dt": 1e-2, "t_final": 0.1}, "n_points"),
+        ("tau", {**_TAU_CONFIG, "hawking": "no"}, "hawking"),
+        ("visibility", {"law": "bogus", "n_modes": 1e23, "temperature": 300.0,
+                        "delta_x": 1e-3, "t_final": 2e-6}, "law"),
+    ],
+    ids=["string-for-float", "null", "float-for-int", "string-for-bool", "bad-choice"],
+)
+def test_config_values_are_checked_like_flags(capsys, tmp_path, command, config, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = _run(capsys, command, "--config", str(path))
+    assert code == 2
+    assert "configuration error" in err and repr(key) in err
+    assert out == ""
+
+
+_README_RUNS = [
+    (["tau", "--N", "1e23", "--T", "300", "--dx", "1e-3"],
+     {"n_modes": 1e23, "temperature": 300, "delta_x": 1e-3}),
+    (["visibility", "--law", "high-T", "--N", "1e23", "--T", "300", "--dx", "1e-3",
+      "--t-final", "2e-6"],
+     {"law": "high-T", "n_modes": 1e23, "temperature": 300, "delta_x": 1e-3,
+      "t_final": 2e-6}),
+    (["evolve", "--x1", "0", "--x2", "1e-3", "--n-points", "2", "--N", "1e23",
+      "--T", "300", "--dt", "1e-8", "--t-final", "1e-6"],
+     {"x1": 0, "x2": 1e-3, "n_points": 2, "n_modes": 1e23, "temperature": 300,
+      "dt": 1e-8, "t_final": 1e-6}),
+    (["regime", "--axis1", "delta-x", "--axis1-min", "1e-6", "--axis1-max", "1e-2",
+      "--t-min", "100", "--t-max", "600", "--n-modes", "1e23", "--sigma0", "3e-22",
+      "--k0", "1e7"],
+     {"axis1": "delta-x", "axis1_min": 1e-6, "axis1_max": 1e-2, "t_min": 100,
+      "t_max": 600, "n_modes": 1e23, "sigma0": 3e-22, "k0": 1e7}),
+    (["propertime", "--x1", "0", "--x2", "1", "--t-final", "1"],
+     {"x1": 0, "x2": 1, "t_final": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, config", _README_RUNS, ids=[flags[0] for flags, _ in _README_RUNS]
+)
+def test_config_file_and_flags_give_identical_bytes(capsys, tmp_path, flags, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    by_flags, by_config = tmp_path / "flags.out", tmp_path / "config.out"
+    assert main(flags + ["--output", str(by_flags)]) == 0
+    assert main([flags[0], "--config", str(cfg), "--output", str(by_config)]) == 0
+    capsys.readouterr()
+    assert by_flags.read_bytes() == by_config.read_bytes()
+
+
+def test_propertime_accepts_short_aliases(capsys, tmp_path):
+    short, long = tmp_path / "short.json", tmp_path / "long.json"
+    base = ["propertime", "--x1", "0", "--x2", "1", "--t-final", "1"]
+    assert main(base + ["--N", "1e4", "--T", "300", "--output", str(short)]) == 0
+    assert main(base + ["--n-modes", "1e4", "--temperature", "300",
+                        "--output", str(long)]) == 0
+    capsys.readouterr()
+    assert short.read_bytes() == long.read_bytes()
+    assert json.loads(short.read_text())["results"]["law"] == "semiclassical"
+
+
 def test_missing_required_parameters_exit_2(capsys):
     code, _, err = _run(capsys, "tau", "--N", "1e23", "--T", "300")
     assert code == 2
@@ -366,6 +436,19 @@ def test_oracle_check_preset_is_overridable(capsys, tmp_path):
     assert payload["parameters"]["preset"] == "standard"
     assert payload["parameters"]["cases"] == 2
     assert payload["parameters"]["mc_sigmas"] == 3.0
+
+
+def test_oracle_check_preset_as_config_key(capsys, tmp_path):
+    cfg = tmp_path / "battery.json"
+    cfg.write_text(json.dumps({"preset": "standard", "cases": 2, "samples": 5000}))
+    out = tmp_path / "battery_out.json"
+    code = main(["oracle-check", "--config", str(cfg), "--output", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    params = json.loads(out.read_text())["parameters"]
+    assert params["preset"] == "standard"
+    assert params["cases"] == 2
+    assert params["mc_sigmas"] == 3.0
 
 
 def test_version_flag(capsys):
