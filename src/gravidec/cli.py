@@ -218,7 +218,7 @@ def _load_config(path: str) -> tuple[dict, dict]:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -237,7 +237,15 @@ def _check_config_value(key: str, kind, value):
         ok = isinstance(value, types) and (kind is bool or not isinstance(value, bool))
     if not ok:
         raise ConfigError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"config key {key!r} must be {expected} within float range, "
+            f"got an integer of {len(str(abs(value)))} digits"
+        ) from None
 
 
 def _build_constants(overrides: dict) -> PhysicalConstants:
@@ -626,6 +634,11 @@ def _cmd_oracle_check(params: dict, consts: PhysicalConstants, output, fmt) -> i
                 "pass": case_ok,
             }
         )
+    # Chance that a correct build still fails the MC gate somewhere (exit 1).
+    mc = summary["mc"]
+    mc["false_alarm_rate"] = 1.0 - (
+        1.0 - math.erfc(params["mc_sigmas"] / math.sqrt(2.0))
+    ) ** mc["valid"]
     for name, row in summary.items():
         lines.append(
             f"{name:6s}: {row['agree']}/{row['valid']} within tolerance, "

@@ -275,6 +275,13 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert code == 2
     assert "not valid JSON" in err
 
+    # Python refuses to parse integer literals past 4300 digits.
+    too_long = tmp_path / "too_long.json"
+    too_long.write_text('{"n_modes": 1' + "0" * 5000 + "}")
+    code, _, err = _run(capsys, "tau", "--config", str(too_long), "--dx", "1e-3")
+    assert code == 2
+    assert "not valid JSON" in err
+
 
 _TAU_CONFIG = {"n_modes": 1e23, "temperature": 300.0, "delta_x": 1e-3}
 
@@ -289,8 +296,10 @@ _TAU_CONFIG = {"n_modes": 1e23, "temperature": 300.0, "delta_x": 1e-3}
         ("tau", {**_TAU_CONFIG, "hawking": "no"}, "hawking"),
         ("visibility", {"law": "bogus", "n_modes": 1e23, "temperature": 300.0,
                         "delta_x": 1e-3, "t_final": 2e-6}, "law"),
+        ("tau", {**_TAU_CONFIG, "n_modes": 10**400}, "n_modes"),
     ],
-    ids=["string-for-float", "null", "float-for-int", "string-for-bool", "bad-choice"],
+    ids=["string-for-float", "null", "float-for-int", "string-for-bool", "bad-choice",
+         "int-beyond-float"],
 )
 def test_config_values_are_checked_like_flags(capsys, tmp_path, command, config, key):
     path = tmp_path / "cfg.json"
@@ -449,6 +458,19 @@ def test_oracle_check_preset_as_config_key(capsys, tmp_path):
     assert params["preset"] == "standard"
     assert params["cases"] == 2
     assert params["mc_sigmas"] == 3.0
+
+
+def test_oracle_check_states_mc_false_alarm_rate(capsys, tmp_path):
+    out = tmp_path / "battery_out.json"
+    code = main(["oracle-check", "--preset", "standard", "--samples", "2000",
+                 "--output", str(out)])
+    capsys.readouterr()
+    assert code in (0, 1)
+    mc = json.loads(out.read_text())["summary"]["mc"]
+    assert mc["valid"] == 70
+    per_case = math.erfc(3.0 / math.sqrt(2.0))  # two-sided 3 sigma, ~0.0027
+    assert mc["false_alarm_rate"] == pytest.approx(1.0 - (1.0 - per_case) ** 70, rel=1e-12)
+    assert mc["false_alarm_rate"] == pytest.approx(0.172, abs=5e-4)
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gravidec import (
     two_point_unitary_oracle,
 )
 from gravidec.errors import DomainError
+from gravidec.oracles import _SHARD, _mc_coefficients, _mc_shard
 
 CONSTS = default_constants()
 
@@ -37,6 +39,50 @@ def test_mc_is_deterministic_and_shard_invariant():
     second = mc_visibility(spec, dtau, cfg, CONSTS)
     assert first == second
     assert first[1] > 0.0
+
+
+def test_mc_is_bit_identical_under_any_shard_schedule():
+    spec = _spec((1.0, 0.3, 2.0))
+    dtau = 0.5 / max(spec.frequencies)
+    cfg = OracleConfig(n_samples=200_001, seed=11)  # 4 shards, the last one short
+    c_re, c_im = _mc_coefficients(spec, dtau, CONSTS)
+    n_shards = math.ceil(cfg.n_samples / _SHARD)
+    sizes = [min(_SHARD, cfg.n_samples - k * _SHARD) for k in range(n_shards)]
+    assert n_shards == 4 and sizes[-1] < _SHARD
+
+    def combine(results):
+        sums = np.array([s for s, _ in results], dtype=complex)
+        abs2 = np.array([a for _, a in results])
+        mean = complex(np.sum(sums)) / cfg.n_samples
+        var = max(float(np.sum(abs2)) / cfg.n_samples - abs(mean) ** 2, 0.0)
+        return abs(mean), math.sqrt(var / (cfg.n_samples - 1))
+
+    def shard(k):
+        return _mc_shard(cfg.seed, k, sizes[k], c_re, c_im)
+
+    reversed_run = {k: shard(k) for k in reversed(range(n_shards))}
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pooled = list(pool.map(shard, range(n_shards)))
+    expected = mc_visibility(spec, dtau, cfg, CONSTS)
+    assert combine([reversed_run[k] for k in range(n_shards)]) == expected
+    assert combine(pooled) == expected
+
+
+def test_mc_standard_error_matches_theory():
+    # E|w|^2 = prod 1/(1 + 2 nbar (1 - cos d)) for the thermal P weight, so
+    # Var w = E|w|^2 - V^2; a mis-scaled |alpha|^2 draw (nbar/2 per mode)
+    # puts the ratio of se to theory near 0.61 here.
+    nbars = np.array([1.0, 0.3, 2.0])
+    spec = _spec(tuple(nbars))
+    dtau = 0.8 / max(spec.frequencies)
+    deltas = np.array(spec.frequencies) * dtau
+    v = float(np.prod(1.0 / np.abs(1.0 + nbars * (1.0 - np.exp(-1j * deltas)))))
+    second = float(np.prod(1.0 / (1.0 + 2.0 * nbars * (1.0 - np.cos(deltas)))))
+    n = 400_000
+    se_theory = math.sqrt((second - v * v) / (n - 1))
+    for seed in range(4):
+        _, se = mc_visibility(spec, dtau, OracleConfig(n_samples=n, seed=seed), CONSTS)
+        assert se == pytest.approx(se_theory, rel=0.05), seed
 
 
 def test_mc_agrees_with_product_law():
