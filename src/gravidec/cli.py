@@ -240,12 +240,15 @@ def _check_config_value(key: str, kind, value):
     if kind is not float:
         return value
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise ConfigError(
             f"config key {key!r} must be {expected} within float range, "
             f"got an integer of {len(str(abs(value)))} digits"
         ) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
+    return value
 
 
 def _build_constants(overrides: dict) -> PhysicalConstants:
@@ -269,6 +272,10 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, PhysicalCons
         raise ConfigError(f"unknown config keys for {command!r}: {', '.join(unknown)}")
     section = {k: _check_config_value(k, kinds[k], v) for k, v in section.items()}
     flags = {k: v for k in kinds if (v := getattr(args, k)) is not None}
+    for k, v in flags.items():
+        if kinds[k] is float and not math.isfinite(v):
+            flag = _ALIASES.get(k, "--" + k.replace("_", "-"))
+            raise ConfigError(f"{flag} must be a finite number, got {v!r}")
     merged = {name: default for name, _, default, _ in rows}
     preset = flags.get("preset", section.get("preset"))
     if preset:

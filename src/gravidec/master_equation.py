@@ -3,7 +3,7 @@
 The internal thermal bath couples to the centre of mass through the position-
 dependent clock rate, which at second order produces a double-commutator
 dephasing term in x on top of whatever Hamiltonian the centre of mass has.
-Two integrators are provided:
+Two integrators are provided, and one stepping driver runs both:
 
 * :func:`evolve_markovian` - the time-local equation
 
@@ -14,18 +14,32 @@ Two integrators are provided:
   exp(-Lambda (x_i - x_j)^2 * (t + dt/2) * dt); summed over steps this
   telescopes to the exact exp(-Lambda (x_i - x_j)^2 t^2 / 2), and for a
   two-point superposition of separation dx the visibility is the Gaussian
-  law exp(-(t/tau_dec)^2) with Lambda dx^2 = 2 / tau_dec^2.
+  law exp(-(t/tau_dec)^2) with Lambda dx^2 = 2 / tau_dec^2. With a
+  Hamiltonian the step is Strang splitting with adjacent kinetic half-steps
+  merged (first-same-as-last): one full kinetic step per step, the trailing
+  half-step applied only to read the tracked pair and to snapshots.
 
 * :func:`evolve_full_memory` - the second-order time-convolutionless form
 
       drho/dt = -(i/hbar)[H, rho] - Lambda * int_0^t ds [x, U_s [x, rho(t)] U_s+],
 
   with U_s = exp(-i H s / hbar) the centre-of-mass propagator alone. The
-  s-integral is evaluated in closed form in the eigenbasis of H (the
-  sandwich is elementwise there), and the time stepping is classic RK4, a
-  genuinely different numerical path from the Markovian exponential. With no
-  centre-of-mass Hamiltonian the propagators are the identity, the integral
-  collapses to t * [x, [x, rho]], and both integrators must agree.
+  state is held in the eigenbasis of H, where the sandwich by U_s is
+  elementwise and the s-integral has closed form, and [H, rho] is the
+  elementwise -i w rho. The time stepping is Lawson's integrating-factor RK4
+  (SIAM J. Numer. Anal. 4 (1967) 372): classic RK4 in the interaction picture
+  of H, so the Hamiltonian part is exact and no |w dt| stability bound
+  applies; this is a genuinely different numerical path from the Markovian
+  exponential. Every stage state is Hermitian, so each commutator with x
+  costs one matrix product. (TCL2 proper propagates x alone,
+  [x, [U_s x U_s+, rho]]; the form above is a known defect, pinned by a
+  strict xfail test until it is fixed.) With no centre-of-mass Hamiltonian
+  the propagators are the identity, the integral collapses to
+  t * [x, [x, rho]], and both integrators must agree.
+
+With no Hamiltonian each step of either form multiplies rho elementwise by a
+factor that depends only on t, so a whole run is a cumulative product of
+those factors, taken in blocks of bounded size.
 
 Lambda carries units 1/(m^2 s^2). For N high-temperature modes it is
 N (k_B T g / (hbar c^2))^2; the general kernel is parameterized by the
@@ -51,6 +65,9 @@ EVOLUTION_FORMS = ("markovian", "full_memory")
 MAX_SNAPSHOT_BYTES = 1 << 30
 
 _SNAPSHOT_MAGIC = b"GDSNAP01"
+
+#: Matrix elements in one block of a whole-run product (see _products).
+_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -172,6 +189,8 @@ class EvolutionConfig:
     store_every: int = 0  # 0: keep no snapshots, only the tracked pair
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.dt, self.t_final, self.lambda_coefficient))):
+            raise DomainError("dt, t_final and lambda_coefficient must be finite")
         if self.dt <= 0 or self.t_final <= 0:
             raise DomainError("dt and t_final must be > 0")
         if self.t_final < self.dt:
@@ -258,11 +277,71 @@ def _snapshot_plan(cfg: EvolutionConfig, m: int) -> list[int]:
     return steps
 
 
-def _check_finite(rho: np.ndarray, step: int) -> None:
-    if not np.all(np.isfinite(rho.view(float))):
-        raise NumericalInstabilityError(
-            f"non-finite density matrix at step {step}; reduce dt"
-        )
+def _drive(rho0: DensityMatrixGrid, cfg: EvolutionConfig, form: str, state: np.ndarray,
+           advance, readout, expand) -> EvolutionResult:
+    """The stepping loop both integrators share: snapshot plan, finiteness
+    check, tracked-pair record and result.
+
+    ``state`` is the integrator's form of rho0. ``advance(state, step)``
+    returns the states after steps step+1 .. step+k (k >= 1) stacked on a
+    leading axis; ``readout(states)`` gives the tracked pair's element of
+    each, and ``expand(state)`` a new position-basis rho for a snapshot.
+    Step 0 is read from rho0 itself.
+    """
+    n_steps, m = cfg.n_steps, rho0.x.size
+    plan = _snapshot_plan(cfg, m)
+    times = np.arange(n_steps + 1) * cfg.dt
+    coherence = np.full(n_steps + 1, np.nan, dtype=complex)
+    if rho0.pair is not None:
+        coherence[0] = rho0.rho[rho0.pair]
+    snaps = [rho0.rho.copy()] if plan else []
+    step = 0
+    while step < n_steps:
+        states = advance(state, step)
+        bad = np.flatnonzero(~np.isfinite(states).all(axis=(1, 2)))
+        if bad.size:
+            raise NumericalInstabilityError(
+                f"non-finite density matrix at step {step + 1 + bad[0]}; reduce dt"
+            )
+        if rho0.pair is not None:
+            coherence[step + 1:step + 1 + len(states)] = readout(states)
+        while len(snaps) < len(plan) and plan[len(snaps)] <= step + len(states):
+            snaps.append(expand(states[plan[len(snaps)] - step - 1]))
+        state = states[-1]
+        step += len(states)
+    snapshots = np.array(snaps) if snaps else np.empty((0, m, m), dtype=complex)
+    return EvolutionResult(x=rho0.x, times=times, coherence=coherence, form=form,
+                           pair=rho0.pair, snapshot_times=times[plan], snapshots=snapshots)
+
+
+def _products(rho0: DensityMatrixGrid, cfg: EvolutionConfig, factor) -> tuple:
+    """:func:`_drive` pieces for a run with no Hamiltonian.
+
+    Each step then multiplies rho elementwise by ``factor(cfg, dsq, steps)``,
+    which depends on t alone, so a block of steps is one cumulative product;
+    blocks hold at most _BLOCK_ELEMENTS matrix elements.
+    """
+    dsq = (rho0.x[:, None] - rho0.x[None, :]) ** 2
+    block = max(1, _BLOCK_ELEMENTS // dsq.size)
+
+    def advance(rho: np.ndarray, step: int) -> np.ndarray:
+        steps = np.arange(step, min(step + block, cfg.n_steps))
+        return np.cumprod(np.concatenate([rho[None], factor(cfg, dsq, steps)]), axis=0)[1:]
+
+    i, j = rho0.pair or (0, 0)
+    return rho0.rho, advance, lambda states: states[:, i, j], np.copy
+
+
+def _midpoint_dephasing(cfg: EvolutionConfig, dsq: np.ndarray, steps) -> np.ndarray:
+    """The exact Markovian dephasing factor of each step in ``steps``."""
+    t_mid = (np.asarray(steps) + 0.5) * cfg.dt
+    return np.exp(-cfg.lambda_coefficient * dsq * t_mid[..., None, None] * cfg.dt)
+
+
+def _kinetic(rho: np.ndarray, kin: np.ndarray) -> np.ndarray:
+    """A rho A+ for the circulant A = ifft diag(kin) fft: four FFT passes."""
+    rho = np.fft.ifft(kin[:, None] * np.fft.fft(rho, axis=0), axis=0)
+    return np.fft.fft(kin.conj()[None, :] * np.fft.ifft(rho, axis=1), axis=1)
 
 
 def _hamiltonian_matrix(
@@ -289,68 +368,47 @@ def evolve_markovian(
 ) -> EvolutionResult:
     """Strang-split integration of the time-local equation.
 
-    Kinetic half-steps act by FFT on both indices; the potential phase and
-    the dephasing factor are elementwise in the position basis. With
-    kind="none" every step is exact regardless of dt.
+    Kinetic steps act by FFT on both indices; the potential phase and the
+    dephasing factor are elementwise in the position basis. The state carried
+    between steps lacks the trailing kinetic half-step, which the next step's
+    leading half-step would undo into a full step. With kind="none" every
+    step is exact regardless of dt.
     """
+    if ham.kind == "none":
+        return _drive(rho0, cfg, "markovian", *_products(rho0, cfg, _midpoint_dephasing))
     x = rho0.x
     m = x.size
-    dx = rho0.dx
-    n_steps = cfg.n_steps
-    snap_steps = _snapshot_plan(cfg, m)
-
     dsq = (x[:, None] - x[None, :]) ** 2
-    if ham.kind in ("free", "free_plus_linear"):
-        k = 2.0 * math.pi * np.fft.fftfreq(m, d=dx)
-        half_kin = np.exp(-1j * consts.hbar * k**2 * cfg.dt / (4.0 * ham.mass))
-    else:
-        half_kin = None
+    k = 2.0 * math.pi * np.fft.fftfreq(m, d=rho0.dx)
+    half_kin = np.exp(-1j * consts.hbar * k**2 * cfg.dt / (4.0 * ham.mass))
+    full_kin = half_kin**2
+    pot_phase = 1.0
     if ham.kind == "free_plus_linear":
         v = ham.gravitational_weight(consts) * ham.g * x
         pot_phase = np.exp(-1j * (v[:, None] - v[None, :]) * cfg.dt / consts.hbar)
-    else:
-        pot_phase = None
 
-    rho = rho0.rho.copy()
-    coherence = np.empty(n_steps + 1, dtype=complex)
-    times = np.arange(n_steps + 1) * cfg.dt
-    snaps: list[np.ndarray] = []
-    snap_times: list[float] = []
+    def advance(rho: np.ndarray, step: int) -> np.ndarray:
+        rho = _kinetic(rho, half_kin if step == 0 else full_kin) * pot_phase
+        return (rho * _midpoint_dephasing(cfg, dsq, step))[None]
 
-    def record(step: int) -> None:
-        if rho0.pair is not None:
-            coherence[step] = rho[rho0.pair]
-        else:
-            coherence[step] = np.nan
-        if step in plan_set:
-            snaps.append(rho.copy())
-            snap_times.append(times[step])
+    # The tracked pair of A rho A+ from the circulant A's rows, O(m^2).
+    i, j = rho0.pair or (0, 0)
+    col = np.fft.ifft(half_kin)
+    row_i = col[(i - np.arange(m)) % m]
+    row_j = col[(j - np.arange(m)) % m].conj()
+    return _drive(rho0, cfg, "markovian", rho0.rho, advance,
+                  lambda states: row_i @ states @ row_j, lambda rho: _kinetic(rho, half_kin))
 
-    plan_set = set(snap_steps)
-    record(0)
-    for step in range(n_steps):
-        t_mid = (step + 0.5) * cfg.dt
-        if half_kin is not None:
-            rho = np.fft.ifft(half_kin[:, None] * np.fft.fft(rho, axis=0), axis=0)
-            rho = np.fft.fft(half_kin.conj()[None, :] * np.fft.ifft(rho, axis=1), axis=1)
-        if pot_phase is not None:
-            rho = rho * pot_phase
-        rho = rho * np.exp(-cfg.lambda_coefficient * dsq * t_mid * cfg.dt)
-        if half_kin is not None:
-            rho = np.fft.ifft(half_kin[:, None] * np.fft.fft(rho, axis=0), axis=0)
-            rho = np.fft.fft(half_kin.conj()[None, :] * np.fft.ifft(rho, axis=1), axis=1)
-        _check_finite(rho, step + 1)
-        record(step + 1)
 
-    return EvolutionResult(
-        x=x,
-        times=times,
-        coherence=coherence,
-        form="markovian",
-        pair=rho0.pair,
-        snapshot_times=np.array(snap_times),
-        snapshots=np.array(snaps) if snaps else np.empty((0, m, m), dtype=complex),
-    )
+def _rk4_amplification(cfg: EvolutionConfig, dsq: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Classic RK4's factor for drho/dt = -Lambda t dsq rho over each step."""
+    dt = cfg.dt
+    t = (steps * dt)[:, None, None]
+    a1, a2, a4 = (-cfg.lambda_coefficient * s * dsq for s in (t, t + 0.5 * dt, t + dt))
+    k2 = a2 * (1.0 + 0.5 * dt * a1)
+    k3 = a2 * (1.0 + 0.5 * dt * k2)
+    k4 = a4 * (1.0 + dt * k3)
+    return 1.0 + (dt / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def evolve_full_memory(
@@ -359,82 +417,58 @@ def evolve_full_memory(
     cfg: EvolutionConfig,
     consts: PhysicalConstants,
 ) -> EvolutionResult:
-    """RK4 integration of the time-convolutionless kernel equation.
+    """Lawson RK4 integration of the time-convolutionless kernel equation.
 
-    The s-integral of the back-propagated coupling is done analytically in
-    the eigenbasis of H: sandwiching by U_s is elementwise there, and
-    int_0^t exp(-i w s) ds has closed form. With kind="none" the propagators
-    are the identity and the right-hand side reduces to
-    -Lambda t [x, [x, rho]] with no matrix products at all.
+    rho is held in the eigenbasis of H, with X the position operator there:
+    the H flow over dt/2 is the elementwise exp(-i w dt/2), sandwiching by
+    U_s is elementwise, and int_0^t exp(-i w s) ds has closed form, computed
+    once per distinct stage time. Every stage state is Hermitian, so
+    [X, rho] = X rho - (X rho)+ and, the windowed commutator being
+    anti-Hermitian, [X, W] = X W + (X W)+: one matmul per commutator. With
+    kind="none" each step is classic RK4 of -Lambda t [x, [x, rho]], an
+    elementwise factor.
     """
     x = rho0.x
-    m = x.size
-    n_steps = cfg.n_steps
-    snap_steps = _snapshot_plan(cfg, m)
-    xdiff = x[:, None] - x[None, :]
-    dsq = xdiff**2
-
     h = _hamiltonian_matrix(x, ham, consts)
-    if h is not None:
-        evals, q = np.linalg.eigh(h)
-        omega = (evals[:, None] - evals[None, :]) / consts.hbar
-        qh = q.conj().T
-
-        def kernel_window(t: float) -> np.ndarray:
-            wt = omega * t
-            small = np.abs(wt) < 1e-8
-            omega_safe = np.where(small, 1.0, omega)
-            full = (1.0 - np.exp(-1j * wt)) / (1j * omega_safe)
-            return np.where(small, t * (1.0 - 0.5j * wt), full)
-
-        def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-            comm_h = h @ rho - rho @ h
-            b = xdiff * rho  # [x, rho] is elementwise: x is diagonal here
-            w = q @ (kernel_window(t) * (qh @ b @ q)) @ qh
-            return -1j * comm_h / consts.hbar - cfg.lambda_coefficient * (xdiff * w)
-
-    else:
-
-        def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-            return -cfg.lambda_coefficient * t * dsq * rho
-
-    rho = rho0.rho.copy()
-    coherence = np.empty(n_steps + 1, dtype=complex)
-    times = np.arange(n_steps + 1) * cfg.dt
-    snaps: list[np.ndarray] = []
-    snap_times: list[float] = []
-    plan_set = set(snap_steps)
-
-    def record(step: int) -> None:
-        if rho0.pair is not None:
-            coherence[step] = rho[rho0.pair]
-        else:
-            coherence[step] = np.nan
-        if step in plan_set:
-            snaps.append(rho.copy())
-            snap_times.append(times[step])
-
-    record(0)
+    if h is None:
+        return _drive(rho0, cfg, "full_memory", *_products(rho0, cfg, _rk4_amplification))
     dt = cfg.dt
-    for step in range(n_steps):
-        t = step * dt
-        k1 = rhs(t, rho)
-        k2 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k2)
-        k4 = rhs(t + dt, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(rho, step + 1)
-        record(step + 1)
+    evals, q = np.linalg.eigh(h)
+    omega = (evals[:, None] - evals[None, :]) / consts.hbar
+    qh = q.conj().T
+    xq = qh @ (x[:, None] * q)
+    half = np.exp(-0.5j * omega * dt)
 
-    return EvolutionResult(
-        x=x,
-        times=times,
-        coherence=coherence,
-        form="full_memory",
-        pair=rho0.pair,
-        snapshot_times=np.array(snap_times),
-        snapshots=np.array(snaps) if snaps else np.empty((0, m, m), dtype=complex),
-    )
+    def kernel_window(t: float) -> np.ndarray:
+        wt = omega * t
+        small = np.abs(wt) < 1e-8
+        omega_safe = np.where(small, 1.0, omega)
+        full = (1.0 - np.exp(-1j * wt)) / (1j * omega_safe)
+        return np.where(small, t * (1.0 - 0.5j * wt), full)
+
+    def dissipator(window: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        c = xq @ rho
+        d = xq @ (window * (c - c.conj().T))
+        return -cfg.lambda_coefficient * (d + d.conj().T)
+
+    window_end = kernel_window(0.0)
+
+    def advance(rho: np.ndarray, step: int) -> np.ndarray:
+        nonlocal window_end
+        t = step * dt
+        window_start, window_mid = window_end, kernel_window(t + 0.5 * dt)
+        window_end = kernel_window(t + dt)
+        k1 = dissipator(window_start, rho)
+        k2 = dissipator(window_mid, half * (rho + 0.5 * dt * k1))
+        turned = half * rho
+        k3 = dissipator(window_mid, turned + 0.5 * dt * k2)
+        k4 = dissipator(window_end, half * (turned + dt * k3))
+        return (half * (half * (rho + (dt / 6.0) * k1) + (dt / 3.0) * (k2 + k3))
+                + (dt / 6.0) * k4)[None]
+
+    i, j = rho0.pair or (0, 0)
+    return _drive(rho0, cfg, "full_memory", qh @ rho0.rho @ q, advance,
+                  lambda states: q[i] @ states @ q[j].conj(), lambda rho: q @ rho @ qh)
 
 
 def evolve(

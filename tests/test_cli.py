@@ -282,6 +282,17 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert code == 2
     assert "not valid JSON" in err
 
+    # argparse's float gives inf for 1e400 and nan for "nan"; neither is a value
+    code, out, err = _run(capsys, "tau", "--N", "1e400", "--T", "300", "--dx", "1e-3")
+    assert code == 2 and out == ""
+    assert "configuration error" in err and "--N" in err and "finite" in err
+    code, out, err = _run(
+        capsys, "evolve", "--x1", "0", "--x2", "1e-3", "--n-points", "2", "--N", "1e23",
+        "--T", "300", "--dt", "nan", "--t-final", "1e-6",
+    )
+    assert code == 2 and out == ""
+    assert "configuration error" in err and "--dt" in err and "finite" in err
+
 
 _TAU_CONFIG = {"n_modes": 1e23, "temperature": 300.0, "delta_x": 1e-3}
 
@@ -297,9 +308,10 @@ _TAU_CONFIG = {"n_modes": 1e23, "temperature": 300.0, "delta_x": 1e-3}
         ("visibility", {"law": "bogus", "n_modes": 1e23, "temperature": 300.0,
                         "delta_x": 1e-3, "t_final": 2e-6}, "law"),
         ("tau", {**_TAU_CONFIG, "n_modes": 10**400}, "n_modes"),
+        ("tau", {**_TAU_CONFIG, "delta_x": math.inf}, "delta_x"),
     ],
     ids=["string-for-float", "null", "float-for-int", "string-for-bool", "bad-choice",
-         "int-beyond-float"],
+         "int-beyond-float", "non-finite-float"],
 )
 def test_config_values_are_checked_like_flags(capsys, tmp_path, command, config, key):
     path = tmp_path / "cfg.json"

@@ -138,6 +138,10 @@ def test_config_rejects_non_dividing_dt():
         EvolutionConfig(dt=0.1, t_final=1.0, lambda_coefficient=-1.0)
     with pytest.raises(DomainError):
         EvolutionConfig(dt=0.1, t_final=1.0, lambda_coefficient=0.0, form="exact")
+    for bad in ({"dt": math.nan}, {"t_final": math.inf}, {"lambda_coefficient": math.inf},
+                {"lambda_coefficient": math.nan}):
+        with pytest.raises(DomainError, match="finite"):
+            EvolutionConfig(**{"dt": 0.1, "t_final": 1.0, "lambda_coefficient": 0.0, **bad})
 
 
 def test_full_memory_reduces_to_markovian_without_hamiltonian():
@@ -284,3 +288,211 @@ def test_runaway_coefficient_raises_instability():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalInstabilityError, match="reduce dt"):
             evolve_full_memory(_two_point(1.0), FREE, cfg, CONSTS)
+
+
+# Reference integrators: the step-by-step forms that the shared driver's
+# merged, eigenbasis and whole-run routes must reproduce.
+
+
+def _kinetic_half(grid: DensityMatrixGrid, ham: CMHamiltonianSpec, dt: float) -> np.ndarray:
+    k = 2.0 * math.pi * np.fft.fftfreq(grid.x.size, d=grid.dx)
+    return np.exp(-1j * CONSTS.hbar * k**2 * dt / (4.0 * ham.mass))
+
+
+def _potential(grid: DensityMatrixGrid, ham: CMHamiltonianSpec) -> np.ndarray:
+    if ham.kind != "free_plus_linear":
+        return np.zeros(grid.x.size)
+    return ham.gravitational_weight(CONSTS) * ham.g * grid.x
+
+
+def _track(grid, cfg, step_fn):
+    """Run ``rho = step_fn(rho, step)``; return the pair track and snapshots."""
+    rho = grid.rho.copy()
+    coherence, snaps = [rho[grid.pair]], [rho.copy()]
+    for step in range(cfg.n_steps):
+        rho = step_fn(rho, step)
+        if not np.all(np.isfinite(rho)):
+            raise NumericalInstabilityError(
+                f"non-finite density matrix at step {step + 1}; reduce dt"
+            )
+        coherence.append(rho[grid.pair])
+        if cfg.store_every and ((step + 1) % cfg.store_every == 0 or step + 1 == cfg.n_steps):
+            snaps.append(rho.copy())
+    return np.array(coherence), np.array(snaps)
+
+
+def _strang_unmerged(grid, ham, cfg):
+    """Both kinetic half-steps in every step."""
+    half = _kinetic_half(grid, ham, cfg.dt)
+    v = _potential(grid, ham)
+    pot = np.exp(-1j * (v[:, None] - v[None, :]) * cfg.dt / CONSTS.hbar)
+    dsq = (grid.x[:, None] - grid.x[None, :]) ** 2
+
+    def kin(rho):
+        rho = np.fft.ifft(half[:, None] * np.fft.fft(rho, axis=0), axis=0)
+        return np.fft.fft(half.conj()[None, :] * np.fft.ifft(rho, axis=1), axis=1)
+
+    def step_fn(rho, step):
+        t_mid = (step + 0.5) * cfg.dt
+        return kin(kin(rho) * pot * np.exp(-cfg.lambda_coefficient * dsq * t_mid * cfg.dt))
+
+    return _track(grid, cfg, step_fn)
+
+
+def _kind_none_per_step(grid, cfg):
+    """Exact midpoint factor (Markovian) or classic RK4 (full memory), one step at a time."""
+    dsq = (grid.x[:, None] - grid.x[None, :]) ** 2
+    lam, dt = cfg.lambda_coefficient, cfg.dt
+
+    def markovian(rho, step):
+        return rho * np.exp(-lam * dsq * ((step + 0.5) * dt) * dt)
+
+    def full_memory(rho, step):
+        t = step * dt
+        k1 = -lam * t * dsq * rho
+        k2 = -lam * (t + 0.5 * dt) * dsq * (rho + 0.5 * dt * k1)
+        k3 = -lam * (t + 0.5 * dt) * dsq * (rho + 0.5 * dt * k2)
+        k4 = -lam * (t + dt) * dsq * (rho + dt * k3)
+        return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return _track(grid, cfg, markovian if cfg.form == "markovian" else full_memory)
+
+
+def _position_basis_rk4(grid, ham, cfg):
+    """Classic RK4 of the kernel equation in the position basis, with dense H."""
+    m = grid.x.size
+    k = 2.0 * math.pi * np.fft.fftfreq(m, d=grid.dx)
+    kinetic = np.fft.ifft(((CONSTS.hbar * k) ** 2 / (2.0 * ham.mass))[:, None]
+                          * np.fft.fft(np.eye(m), axis=0), axis=0)
+    h = kinetic + np.diag(_potential(grid, ham))
+    h = 0.5 * (h + h.conj().T)
+    evals, q = np.linalg.eigh(h)
+    omega = (evals[:, None] - evals[None, :]) / CONSTS.hbar
+    xdiff = grid.x[:, None] - grid.x[None, :]
+
+    def rhs(t, rho):
+        small = np.abs(omega * t) < 1e-8
+        window = (1.0 - np.exp(-1j * omega * t)) / (1j * np.where(small, 1.0, omega))
+        window = np.where(small, t * (1.0 - 0.5j * omega * t), window)
+        w = q @ (window * (q.conj().T @ (xdiff * rho) @ q)) @ q.conj().T
+        return -1j * (h @ rho - rho @ h) / CONSTS.hbar - cfg.lambda_coefficient * (xdiff * w)
+
+    def step_fn(rho, step):
+        t, dt = step * cfg.dt, cfg.dt
+        k1 = rhs(t, rho)
+        k2 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k2)
+        k4 = rhs(t + dt, rho + dt * k3)
+        return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return _track(grid, cfg, step_fn)
+
+
+@pytest.mark.parametrize("kind", ["free", "free_plus_linear"])
+def test_merged_strang_matches_unmerged_half_steps(kind):
+    m, sep, mass = 64, 1e-6, 1e-24
+    grid = DensityMatrixGrid.two_point_superposition(0.0, sep, n_points=m)
+    ham = CMHamiltonianSpec(kind=kind, mass=mass, g=9.81)
+    omega = CONSTS.hbar * (math.pi * (m - 1) / (2.0 * sep)) ** 2 / (2.0 * mass)
+    dt = 0.05 / omega
+    cfg = EvolutionConfig(dt=dt, t_final=100 * dt,
+                          lambda_coefficient=2.0 / (sep * 100 * dt) ** 2, store_every=3)
+    result = evolve_markovian(grid, ham, cfg, CONSTS)
+    coherence, snaps = _strang_unmerged(grid, ham, cfg)
+    assert result.snapshots.shape == snaps.shape == (35, m, m)
+    assert np.max(np.abs(result.coherence - coherence)) < 1e-12
+    assert np.max(np.abs(result.snapshots - snaps)) < 1e-12
+    assert abs(2.0 * abs(coherence[-1]) - 1.0) > 0.1  # the run does decay
+
+
+@pytest.mark.parametrize("form", ["markovian", "full_memory"])
+def test_whole_run_products_match_per_step_loop(form):
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    rho = a @ a.conj().T
+    grid = DensityMatrixGrid(x=np.linspace(0.0, 5e-3, 6), rho=rho / np.trace(rho).real,
+                             pair=(1, 4))
+    # 1500 steps span several blocks of the whole-run product at m = 6
+    cfg = EvolutionConfig(dt=1e-4, t_final=0.15, lambda_coefficient=2e7, form=form,
+                          store_every=7)
+    result = evolve(grid, FREE, cfg, CONSTS)
+    coherence, snaps = _kind_none_per_step(grid, cfg)
+    if form == "markovian":
+        assert np.array_equal(result.coherence, coherence)
+        assert np.array_equal(result.snapshots, snaps)
+    else:
+        assert np.max(np.abs(result.coherence - coherence)) < 1e-14
+        assert np.max(np.abs(result.snapshots - snaps)) < 1e-14
+
+
+def test_instability_names_the_first_bad_step():
+    # RK4's factor for -Lambda t dx^2 is ~1e28 or more per step, so the
+    # product overflows part-way through the run (step 8), not in its first step
+    cfg = EvolutionConfig(dt=1.0, t_final=40.0, lambda_coefficient=1e10, form="full_memory")
+    grid = _two_point(1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalInstabilityError) as expected:
+            _kind_none_per_step(grid, cfg)
+        first_bad = str(expected.value)
+        assert "step 1;" not in first_bad
+        with pytest.raises(NumericalInstabilityError) as got:
+            evolve_full_memory(grid, FREE, cfg, CONSTS)
+    assert str(got.value) == first_bad
+
+
+def _lawson_case(n_steps: int, turns: float):
+    """m = 16 with a tilt; t_final is ``turns`` / (spectral radius of H / hbar)."""
+    m, sep, mass = 16, 1e-6, 1e-24
+    grid = DensityMatrixGrid.two_point_superposition(0.0, sep, n_points=m)
+    ham = CMHamiltonianSpec(kind="free_plus_linear", mass=mass, g=9.81)
+    spacing = grid.dx
+    omega = (CONSTS.hbar * (math.pi / spacing) ** 2 / (2.0 * mass)
+             + mass * 9.81 * (m - 1) * spacing / CONSTS.hbar)
+    t_final = turns / omega
+    cfg = EvolutionConfig(dt=t_final / n_steps, t_final=t_final,
+                          lambda_coefficient=2.0 / (sep * t_final) ** 2, form="full_memory")
+    return grid, ham, cfg
+
+
+def test_lawson_rk4_is_fourth_order():
+    # |w dt| from 3.5 down to 0.9: explicit RK4 would be unstable at the
+    # coarsest step; Lawson's error still falls as dt^4
+    final = {n: evolve_full_memory(*_lawson_case(n, 140.0), CONSTS).coherence[-1]
+             for n in (40, 80, 160, 1280)}
+    errors = [abs(final[n] - final[1280]) for n in (40, 80, 160)]
+    orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
+    assert all(3.8 < p < 4.5 for p in orders), orders
+
+
+def test_lawson_rk4_matches_position_basis_rk4_at_small_dt():
+    grid, ham, cfg = _lawson_case(400, 5.0)
+    result = evolve_full_memory(grid, ham, cfg, CONSTS)
+    coherence, _ = _position_basis_rk4(grid, ham, cfg)
+    assert np.max(np.abs(result.coherence - coherence)) < 1e-10
+    assert 2.0 * abs(coherence[-1]) < 0.6
+
+
+def _heavy_mass_run(form: str):
+    # the tilt puts |w dt| near 2e7 on this grid: explicit RK4 in the position
+    # basis overflows within a dozen steps, Strang and Lawson RK4 do not
+    grid = DensityMatrixGrid.two_point_superposition(0.0, 1e-3, n_points=64)
+    ham = CMHamiltonianSpec(kind="free_plus_linear", mass=1e-17, g=9.81)
+    cfg = EvolutionConfig(dt=1e-8, t_final=1e-6, form=form, store_every=100,
+                          lambda_coefficient=dephasing_coefficient(1e23, 300.0, 9.81, CONSTS))
+    return evolve(grid, ham, cfg, CONSTS)
+
+
+def test_full_memory_runs_where_explicit_rk4_overflows():
+    final = _heavy_mass_run("full_memory").snapshots[-1]
+    assert abs(np.trace(final).real - 1.0) < 1e-10
+    assert np.max(np.abs(final - final.conj().T)) < 1e-12
+
+
+@pytest.mark.xfail(
+    reason="the full-memory kernel propagates [x, rho] (U_s [x, rho] U_s+) where TCL2 "
+    "propagates x alone ([x(-s), rho]); with w t >> 1 it decoheres far too little",
+)
+def test_full_memory_agrees_with_strang_where_omega_t_is_large():
+    v_full = 2.0 * abs(_heavy_mass_run("full_memory").coherence[-1])
+    v_strang = 2.0 * abs(_heavy_mass_run("markovian").coherence[-1])
+    assert abs(v_full - v_strang) < 1e-4
