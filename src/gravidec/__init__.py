@@ -10,18 +10,15 @@ independent brute-force oracles, and the competing photon-emission channel,
 plus a deterministic CLI over all of it.
 """
 
-from .constants import SOLAR_MASS, PhysicalConstants, default_constants, natural_units
+from .constants import SOLAR_MASS, PhysicalConstants, default_constants
 from .emission import (
     EmissionModel,
     RegimeMap,
     blackbody_emission_model,
-    blackbody_spectral_density,
     crossover_separation,
-    compare_timescales,
     dominant_mechanism,
     emission_model_from_csv,
     emission_rate_integral,
-    number_of_modes_from_radius,
     power_law_cross_section,
     regime_scan,
     tabulated_emission_model,
@@ -62,7 +59,6 @@ from .proper_time import (
     SchwarzschildWeakPotential,
     TabulatedPotential,
     TrajectoryPair,
-    gamma_coupling,
     internal_characteristic_function,
     proper_time_difference,
     semiclassical_visibility,
@@ -75,7 +71,6 @@ from .visibility import (
     gaussian_visibility,
     hawking_temperature,
     highT_visibility,
-    proper_time_lab,
     decoherence_time_schwarzschild,
     visibility_curve,
 )
@@ -84,9 +79,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "blackbody_emission_model",
-    "blackbody_spectral_density",
     "CMHamiltonianSpec",
-    "compare_timescales",
     "crossover_separation",
     "decoherence_time",
     "decoherence_time_schwarzschild",
@@ -106,7 +99,6 @@ __all__ = [
     "exact_visibility",
     "extract_visibility",
     "fock_visibility",
-    "gamma_coupling",
     "gaussian_visibility",
     "hawking_temperature",
     "highT_visibility",
@@ -119,15 +111,12 @@ __all__ = [
     "mean_internal_energy",
     "memory_kernel_coefficients",
     "MemoryKernelCoefficients",
-    "natural_units",
-    "number_of_modes_from_radius",
     "NumericalInstabilityError",
     "OracleCase",
     "OracleConfig",
     "PhysicalConstants",
     "power_law_cross_section",
     "proper_time_difference",
-    "proper_time_lab",
     "regime_scan",
     "RegimeMap",
     "run_oracle_battery",

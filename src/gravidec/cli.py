@@ -49,9 +49,9 @@ from .master_equation import (
     CMHamiltonianSpec,
     DensityMatrixGrid,
     EvolutionConfig,
-    dephasing_coefficient,
     evolve,
     extract_visibility,
+    memory_kernel_coefficients,
     save_snapshots,
 )
 from .oracles import OracleConfig, run_oracle_battery
@@ -429,16 +429,20 @@ def _cmd_visibility(params: dict, consts: PhysicalConstants, output, fmt) -> int
 
 def _cmd_evolve(params: dict, consts: PhysicalConstants, output, fmt) -> int:
     g = params["g"] if params["g"] is not None else consts.g_earth
+    kernel = None
+    if params["n_modes"] is not None and params["temperature"] is not None:
+        kernel = memory_kernel_coefficients(
+            InternalStateSpec.high_temperature_limit(params["n_modes"], params["temperature"]),
+            consts,
+        )
     if params["lambda_coefficient"] is not None:
         lam = params["lambda_coefficient"]
-    elif params["n_modes"] is not None and params["temperature"] is not None:
-        lam = dephasing_coefficient(params["n_modes"], params["temperature"], g, consts)
+    elif kernel is not None:
+        lam = g**2 * kernel.decoherence
     else:
         raise ConfigError("need --lambda-coefficient or both --n-modes and --temperature")
 
-    internal_energy = 0.0
-    if params["n_modes"] is not None and params["temperature"] is not None:
-        internal_energy = params["n_modes"] * consts.k_B * params["temperature"]
+    internal_energy = kernel.mean_energy if kernel is not None else 0.0
     ham_kind = params["hamiltonian"]
     if ham_kind != "none" and params["mass"] is None:
         raise ConfigError(f"hamiltonian {ham_kind!r} needs --mass")

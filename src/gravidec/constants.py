@@ -46,8 +46,3 @@ class PhysicalConstants:
 def default_constants() -> PhysicalConstants:
     """Return the SI defaults. Pure and deterministic."""
     return PhysicalConstants()
-
-
-def natural_units() -> PhysicalConstants:
-    """All constants set to 1; convenient for structural formula checks."""
-    return PhysicalConstants(hbar=1.0, c=1.0, k_B=1.0, G=1.0, g_earth=1.0)

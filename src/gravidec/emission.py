@@ -15,6 +15,10 @@ wins where.
 The built-in spectral density is a thermal (blackbody) stand-in,
 g(k) = (k^2 / pi^2) / (exp(hbar c k / k_B T) - 1); measured spectra and
 cross-sections can be supplied as tables instead.
+
+The timescales and the classification are array functions: a regime map is
+one call of each over the whole grid, and the single-point functions call
+the same code with scalars.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .errors import DomainError
-from .visibility import decoherence_time
+from .visibility import _scalar_or_array, decoherence_time
 
 MECHANISMS = ("time_dilation", "emission", "boundary")
 
@@ -146,37 +150,44 @@ def emission_rate_integral(model: EmissionModel, consts: PhysicalConstants) -> f
     return float(0.5 * np.sum((f[1:] + f[:-1]) * dk))
 
 
-def tau_emission(delta_x: float, model: EmissionModel, consts: PhysicalConstants) -> float:
-    """Emission decoherence time 1 / (dx^2 * rate integral); inf when either is 0."""
-    return _tau_from_integral(delta_x, emission_rate_integral(model, consts))
+def tau_emission(delta_x, model: EmissionModel, consts: PhysicalConstants):
+    """Emission decoherence time 1 / (dx^2 * rate integral); inf when either is 0.
+
+    ``delta_x`` may be an array; a scalar gives a float.
+    """
+    return _scalar_or_array(_tau_from_integral(delta_x, emission_rate_integral(model, consts)))
 
 
-def _tau_from_integral(delta_x: float, integral: float) -> float:
-    if delta_x == 0.0 or integral == 0.0:
-        return math.inf
-    return 1.0 / (delta_x**2 * integral)
+def _tau_from_integral(delta_x, integral):
+    """1 / (dx^2 I), broadcasting dx against I; a zero product divides to +inf."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / (np.asarray(delta_x, dtype=float) ** 2 * integral)
 
 
-def number_of_modes_from_radius(radius: float, mode_density: float) -> float:
-    """Internal mode count (4/3) pi r^3 rho_N of a particle of radius r."""
-    if radius <= 0 or mode_density <= 0:
+def number_of_modes_from_radius(radius, mode_density: float):
+    """Internal mode count (4/3) pi r^3 rho_N at every radius r."""
+    radius = np.asarray(radius, dtype=float)
+    if np.any(radius <= 0) or mode_density <= 0:
         raise DomainError("radius and mode_density must be > 0")
-    return 4.0 / 3.0 * math.pi * radius**3 * mode_density
+    return _scalar_or_array(4.0 / 3.0 * math.pi * radius**3 * mode_density)
 
 
-def compare_timescales(tau_dec: float, tau_em: float) -> str:
-    """Shorter timescale wins; ties within BOUNDARY_RTOL are "boundary"."""
-    if tau_dec < 0 or tau_em < 0:
+def compare_timescales(tau_dec, tau_em):
+    """Shorter timescale wins, element by element; ties are "boundary".
+
+    A tie is |tau_dec - tau_em| <= BOUNDARY_RTOL * min, or equality, which
+    makes two infinite timescales a tie. Scalars give a str, arrays an array
+    of flags.
+    """
+    tau_dec, tau_em = np.asarray(tau_dec, dtype=float), np.asarray(tau_em, dtype=float)
+    if np.any(tau_dec < 0) or np.any(tau_em < 0):
         raise DomainError("timescales must be >= 0")
-    if math.isinf(tau_dec) and math.isinf(tau_em):
-        return "boundary"
-    if math.isinf(tau_dec):
-        return "emission"
-    if math.isinf(tau_em):
-        return "time_dilation"
-    if abs(tau_dec - tau_em) <= BOUNDARY_RTOL * min(tau_dec, tau_em):
-        return "boundary"
-    return "time_dilation" if tau_dec < tau_em else "emission"
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN; the equality catches inf == inf
+        tie = (tau_dec == tau_em) | (
+            np.abs(tau_dec - tau_em) <= BOUNDARY_RTOL * np.minimum(tau_dec, tau_em)
+        )
+    flags = np.where(tie, "boundary", np.where(tau_dec < tau_em, "time_dilation", "emission"))
+    return flags if flags.ndim else str(flags)
 
 
 def dominant_mechanism(
@@ -192,21 +203,8 @@ def dominant_mechanism(
     Returns ``(flag, tau_dec, tau_em)`` with flag in MECHANISMS; a tie within
     BOUNDARY_RTOL relative is flagged "boundary".
     """
-    return _classify(
-        n_modes, temperature, delta_x, g, emission_rate_integral(model, consts), consts
-    )
-
-
-def _classify(
-    n_modes: float,
-    temperature: float,
-    delta_x: float,
-    g: float,
-    integral: float,
-    consts: PhysicalConstants,
-) -> tuple[str, float, float]:
     tau_dec = decoherence_time(n_modes, temperature, delta_x, g, consts)
-    tau_em = _tau_from_integral(delta_x, integral)
+    tau_em = tau_emission(delta_x, model, consts)
     return compare_timescales(tau_dec, tau_em), tau_dec, tau_em
 
 
@@ -252,7 +250,7 @@ def regime_scan(
     temperature, and ``model_factory(T)`` supplies the emission model per
     column (thermal spectra move with T; a fixed tabulated model can ignore
     the argument), whose rate integral is evaluated once for the column.
-    Cells are independent; evaluation order never affects the stored values.
+    The timescales and flags of all cells are then one array call each.
     """
     axis1 = np.asarray(axis1, dtype=float)
     temperatures = np.asarray(temperatures, dtype=float)
@@ -261,32 +259,28 @@ def regime_scan(
     if axis1_kind == "radius":
         if mode_density is None or delta_x is None:
             raise DomainError("radius axis needs mode_density and a fixed delta_x")
-        n_of = [number_of_modes_from_radius(float(r), mode_density) for r in axis1]
-        dx_of = [float(delta_x)] * axis1.size
+        n_of = number_of_modes_from_radius(axis1, mode_density)[:, None]
+        dx_of = np.full((axis1.size, 1), float(delta_x))
     elif axis1_kind == "delta_x":
         if n_modes is None:
             raise DomainError("delta_x axis needs a fixed n_modes")
-        n_of = [float(n_modes)] * axis1.size
-        dx_of = [float(dx) for dx in axis1]
+        n_of = float(n_modes)
+        dx_of = axis1[:, None]
     else:
         raise DomainError(f"axis1_kind must be one of {AXIS_KINDS}")
 
-    tau_d = np.empty((axis1.size, temperatures.size))
-    tau_e = np.empty_like(tau_d)
-    flags = np.empty(tau_d.shape, dtype=object)
-    for j, temp in enumerate(temperatures):
-        integral = emission_rate_integral(model_factory(float(temp)), consts)
-        for i in range(axis1.size):
-            flags[i, j], tau_d[i, j], tau_e[i, j] = _classify(
-                n_of[i], float(temp), dx_of[i], g, integral, consts
-            )
+    integrals = np.array(
+        [emission_rate_integral(model_factory(float(temp)), consts) for temp in temperatures]
+    )
+    tau_d = decoherence_time(n_of, temperatures, dx_of, g, consts)
+    tau_e = _tau_from_integral(dx_of, integrals)
     return RegimeMap(
         axis1_kind=axis1_kind,
         axis1=axis1,
         temperatures=temperatures,
         tau_dec=tau_d,
         tau_em=tau_e,
-        flags=flags,
+        flags=compare_timescales(tau_d, tau_e),
     )
 
 

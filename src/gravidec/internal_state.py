@@ -135,6 +135,15 @@ def _log_mode_product(
     return out.reshape(dtau.shape)
 
 
+def _highT_log_modulus(n_modes, theta):
+    """log |(1 + i theta)^-N| = -N/2 log1p(theta^2) at every theta.
+
+    The high-temperature limit of the real part of :func:`_log_mode_product`,
+    theta being k_B T dtau / hbar; broadcasts over arrays.
+    """
+    return -0.5 * n_modes * np.log1p(theta * theta)
+
+
 def mean_internal_energy(spec: InternalStateSpec, consts: PhysicalConstants) -> float:
     """Mean internal energy: N*k_B*T in the high-T limit, else sum of hbar*w*nbar."""
     if spec.is_high_temperature:

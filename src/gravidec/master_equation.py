@@ -70,6 +70,15 @@ _SNAPSHOT_MAGIC = b"GDSNAP01"
 _BLOCK_ELEMENTS = 2**16
 
 
+def _grid_index(x: np.ndarray, position: float) -> int:
+    """Index of ``position`` on the uniform grid ``x``; off-grid positions are an error."""
+    dx = float(x[1] - x[0])
+    idx = int(round((position - x[0]) / dx))
+    if not 0 <= idx < x.size or abs(x[idx] - position) > 1e-9 * max(dx, abs(position)):
+        raise DomainError(f"position {position} is not on the grid")
+    return idx
+
+
 @dataclass(frozen=True)
 class DensityMatrixGrid:
     """Position-basis density matrix rho(x_i, x_j) on a uniform grid.
@@ -88,6 +97,9 @@ class DensityMatrixGrid:
         rho = np.asarray(self.rho, dtype=complex)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "rho", rho)
+        for name, value in (("x", x), ("rho", rho)):
+            if not np.all(np.isfinite(value)):
+                raise DomainError(f"{name} has non-finite entries")
         if x.ndim != 1 or x.size < 2:
             raise DomainError("grid needs at least two points")
         dx = np.diff(x)
@@ -112,12 +124,7 @@ class DensityMatrixGrid:
 
     def index_of(self, position: float) -> int:
         """Grid index of ``position``; off-grid positions are an error."""
-        idx = int(round((position - self.x[0]) / self.dx))
-        if not 0 <= idx < self.x.size or abs(self.x[idx] - position) > 1e-9 * max(
-            self.dx, abs(position)
-        ):
-            raise DomainError(f"position {position} is not on the grid")
-        return idx
+        return _grid_index(self.x, position)
 
     @classmethod
     def two_point_superposition(
@@ -254,10 +261,13 @@ def memory_kernel_coefficients(
 def dephasing_coefficient(
     n_modes: float, temperature: float, g: float, consts: PhysicalConstants
 ) -> float:
-    """High-temperature Lambda = N (k_B T g / (hbar c^2))^2."""
-    if n_modes < 0 or temperature < 0:
-        raise DomainError("n_modes and temperature must be >= 0")
-    return n_modes * (consts.k_B * temperature * g / (consts.hbar * consts.c**2)) ** 2
+    """High-temperature Lambda = N (k_B T g / (hbar c^2))^2.
+
+    The high-temperature marker's kernel coefficient times g^2, so it is the
+    same number :func:`memory_kernel_coefficients` gives.
+    """
+    spec = InternalStateSpec.high_temperature_limit(n_modes, temperature)
+    return g**2 * memory_kernel_coefficients(spec, consts).decoherence
 
 
 def _snapshot_plan(cfg: EvolutionConfig, m: int) -> list[int]:
@@ -503,13 +513,7 @@ def extract_visibility(result: EvolutionResult, x1: float | None = None,
     else:
         if x1 is None or x2 is None:
             raise DomainError("give both positions or neither")
-        dx = result.x[1] - result.x[0]
-        idx = []
-        for pos in (x1, x2):
-            i = int(round((pos - result.x[0]) / dx))
-            if not 0 <= i < result.x.size or abs(result.x[i] - pos) > 1e-9 * max(dx, abs(pos)):
-                raise DomainError(f"position {pos} is not on the grid")
-            idx.append(i)
+        idx = [_grid_index(result.x, pos) for pos in (x1, x2)]
         if result.pair is not None and tuple(idx) == result.pair:
             times = result.times
             series = result.coherence

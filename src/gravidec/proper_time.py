@@ -22,15 +22,13 @@ against |v| <= 1e-3 c, and potentials are plain Newtonian phi(x).
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import PhysicalConstants
 from .errors import DomainError
-from .internal_state import InternalStateSpec, _log_mode_product
+from .internal_state import InternalStateSpec, _highT_log_modulus, _log_mode_product
 
 #: Trajectories faster than this fraction of c are outside the model's validity.
 VELOCITY_BOUND = 1e-3
@@ -174,17 +172,13 @@ def internal_characteristic_function(
     (1 + i k_B T dtau / hbar)^{-N}.
     """
     if spec.is_high_temperature:
-        z = 1.0 + 1j * consts.k_B * spec.temperature * delta_tau / consts.hbar
-        # z^(-N) in log space: N can be 1e23, but |z^-N| stays representable
-        # only through exp(-N log|z|); clamp the true underflow to 0.
-        log_mod = -spec.n_modes * 0.5 * math.log1p(
-            (consts.k_B * spec.temperature * delta_tau / consts.hbar) ** 2
-        )
-        phase = -spec.n_modes * cmath.phase(z)
-        if log_mod < -745.0:
-            return 0.0j
-        return cmath.rect(math.exp(log_mod), phase)
-    return complex(np.exp(_log_mode_product(spec, delta_tau, consts)))
+        # (1 + i theta)^-N in log space: N can be 1e23, but the power stays
+        # representable only through exp(-N log(1 + i theta)).
+        theta = consts.k_B * spec.temperature * delta_tau / consts.hbar
+        log_chi = _highT_log_modulus(spec.n_modes, theta) - 1j * spec.n_modes * np.arctan(theta)
+    else:
+        log_chi = _log_mode_product(spec, delta_tau, consts)
+    return complex(np.exp(log_chi))
 
 
 def semiclassical_visibility(

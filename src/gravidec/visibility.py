@@ -11,9 +11,12 @@ t*g*dx/c^2 for static arms in a homogeneous field). In the high-temperature
 limit the frequencies drop out and V collapses to a closed form in (N, T)
 alone, with the Gaussian decay exp(-(t/tau_dec)^2) as its small-angle limit.
 
-All products are accumulated in log space; nothing here ever materializes
-1e23 factors. Degenerate no-decoherence inputs (N, T, dx or g equal to 0)
-yield an infinite timescale rather than an exception: these are physically
+The laws are array functions: the high-T and Gaussian laws take an array of
+times, :func:`decoherence_time` arrays of N, T and dx, and each evaluates a
+whole grid in one numpy expression (scalar inputs give a Python float). All
+products are accumulated in log space; nothing here ever materializes 1e23
+factors. Degenerate no-decoherence inputs (N, T, dx or g equal to 0) yield an
+infinite timescale and V = 1 rather than an exception: these are physically
 meaningful regimes the CLI reports as such.
 """
 
@@ -27,10 +30,10 @@ import numpy as np
 
 from .constants import PhysicalConstants
 from .errors import DomainError
-from .internal_state import InternalStateSpec, _log_mode_product
+from .internal_state import InternalStateSpec, _highT_log_modulus, _log_mode_product
 
 #: Laws a VisibilityCurve can be tagged with.
-VISIBILITY_LAWS = ("exact-product", "high-T", "gaussian", "master-equation", "oracle")
+VISIBILITY_LAWS = ("exact-product", "high-T", "gaussian", "master-equation")
 
 #: Explicit-frequency mode counts above this refuse to evaluate the product.
 DEFAULT_MODE_LIMIT = 10**6
@@ -114,58 +117,53 @@ def exact_visibility(spec: InternalStateSpec, delta_tau: float, consts: Physical
     return math.exp(_exact_log_visibility(spec, delta_tau, consts))
 
 
-def highT_visibility(
-    n_modes: float,
-    temperature: float,
-    delta_x: float,
-    g: float,
-    t: float,
-    consts: PhysicalConstants,
-) -> float:
-    """High-temperature visibility (1 + theta^2)^(-N/2), theta = k_B*T*g*dx*t/(hbar*c^2)."""
+def highT_visibility(n_modes, temperature, delta_x, g, t, consts: PhysicalConstants):
+    """High-temperature visibility (1 + theta^2)^(-N/2), theta = k_B*T*g*dx*t/(hbar*c^2).
+
+    Evaluated at every entry of ``t`` (any arguments may be arrays that
+    broadcast together); scalar inputs give a float.
+    """
     _require_nonnegative(n_modes, temperature, t)
-    theta = consts.k_B * temperature * g * delta_x * t / (consts.hbar * consts.c**2)
-    return math.exp(-0.5 * n_modes * math.log1p(theta * theta))
+    theta = consts.k_B * temperature * g * delta_x * np.asarray(t, dtype=float) / (
+        consts.hbar * consts.c**2
+    )
+    return _scalar_or_array(np.exp(_highT_log_modulus(n_modes, theta)))
 
 
-def gaussian_visibility(
-    n_modes: float,
-    temperature: float,
-    delta_x: float,
-    g: float,
-    t: float,
-    consts: PhysicalConstants,
-) -> float:
-    """Gaussian decay exp(-(t/tau_dec)^2), the small-angle limit of the high-T law."""
+def gaussian_visibility(n_modes, temperature, delta_x, g, t, consts: PhysicalConstants):
+    """Gaussian decay exp(-(t/tau_dec)^2), the small-angle limit of the high-T law.
+
+    Evaluated at every entry of ``t``; an infinite tau_dec gives V = 1, and
+    scalar inputs give a float.
+    """
     _require_nonnegative(n_modes, temperature, t)
     tau = decoherence_time(n_modes, temperature, delta_x, g, consts)
-    if math.isinf(tau):
-        return 1.0
-    return math.exp(-((t / tau) ** 2))
+    return _scalar_or_array(np.exp(-((np.asarray(t, dtype=float) / tau) ** 2)))
 
 
-def decoherence_time(
-    n_modes: float,
-    temperature: float,
-    delta_x: float,
-    g: float,
-    consts: PhysicalConstants,
-) -> float:
+def decoherence_time(n_modes, temperature, delta_x, g, consts: PhysicalConstants):
     """Time at which the Gaussian law reaches 1/e: sqrt(2/N) hbar c^2 / (k_B T g |dx|).
 
-    Degenerate inputs (N, T, dx or g equal to 0) mean no decoherence and give
-    math.inf. The sign of the separation (and of g) is irrelevant.
+    Takes arrays of N, T and dx that broadcast together; scalar inputs give
+    a float. Degenerate inputs (N, T, dx or g equal to 0) mean no
+    decoherence and give inf. The sign of the separation (and of g) is
+    irrelevant.
     """
-    if n_modes < 0 or temperature < 0:
-        raise DomainError("n_modes and temperature must be >= 0")
-    if n_modes == 0 or temperature == 0 or delta_x == 0 or g == 0:
-        return math.inf
-    return (
-        math.sqrt(2.0 / n_modes)
-        * consts.hbar
-        * consts.c**2
-        / (consts.k_B * temperature * abs(g) * abs(delta_x))
+    n_modes, temperature, delta_x = (
+        np.asarray(a, dtype=float) for a in (n_modes, temperature, delta_x)
     )
+    if np.any(n_modes < 0) or np.any(temperature < 0):
+        raise DomainError("n_modes and temperature must be >= 0")
+    # A zero N or denominator divides to exactly +inf, the no-decoherence
+    # answer; the numerator sqrt(2/N) hbar c^2 is never 0, so no NaN arises.
+    with np.errstate(divide="ignore"):
+        tau = (
+            np.sqrt(2.0 / n_modes)
+            * consts.hbar
+            * consts.c**2
+            / (consts.k_B * temperature * abs(g) * np.abs(delta_x))
+        )
+    return _scalar_or_array(tau)
 
 
 def decoherence_time_schwarzschild(
@@ -229,20 +227,19 @@ def visibility_curve(
         dtau = proper_time_lab(delta_x, g, times, consts)
         values = np.exp(_exact_log_visibility(spec, dtau, consts))
     elif law == "high-T":
-        values = np.array([
-            highT_visibility(n_modes, temperature, delta_x, g, t, consts)
-            for t in times
-        ])
+        values = highT_visibility(n_modes, temperature, delta_x, g, times, consts)
     elif law == "gaussian":
-        values = np.array([
-            gaussian_visibility(n_modes, temperature, delta_x, g, t, consts)
-            for t in times
-        ])
+        values = gaussian_visibility(n_modes, temperature, delta_x, g, times, consts)
     else:
         raise DomainError(f"unknown closed-form law {law!r}")
     return VisibilityCurve(times=times, values=values, law=law)
 
 
-def _require_nonnegative(n_modes: float, temperature: float, t: float) -> None:
-    if n_modes < 0 or temperature < 0 or t < 0:
+def _require_nonnegative(n_modes, temperature, t) -> None:
+    if any(np.any(np.asarray(a) < 0) for a in (n_modes, temperature, t)):
         raise DomainError("n_modes, temperature and t must be >= 0")
+
+
+def _scalar_or_array(values):
+    """A Python float for a 0-d result, else the array itself."""
+    return float(values) if np.ndim(values) == 0 else values

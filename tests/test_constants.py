@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from gravidec import SOLAR_MASS, PhysicalConstants, default_constants, natural_units
+from gravidec import SOLAR_MASS, PhysicalConstants, default_constants
 from gravidec.errors import DomainError
 
 
@@ -20,11 +20,6 @@ def test_default_values_are_codata():
 def test_solar_mass_frozen():
     # fixed, not CODATA: reproducibility of the black-hole example depends on it
     assert SOLAR_MASS == 1.989e30
-
-
-def test_natural_units():
-    c = natural_units()
-    assert c.hbar == 1.0 and c.c == 1.0 and c.k_B == 1.0
 
 
 def test_constants_are_immutable():

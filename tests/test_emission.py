@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,19 +10,18 @@ from gravidec import (
     EmissionModel,
     RegimeMap,
     blackbody_emission_model,
-    compare_timescales,
     crossover_separation,
     decoherence_time,
     default_constants,
     dominant_mechanism,
     emission_model_from_csv,
     emission_rate_integral,
-    number_of_modes_from_radius,
     power_law_cross_section,
     regime_scan,
     tabulated_emission_model,
     tau_emission,
 )
+from gravidec.emission import MECHANISMS, compare_timescales, number_of_modes_from_radius
 from gravidec.errors import DomainError
 
 CONSTS = default_constants()
@@ -134,25 +134,31 @@ def test_crossover_is_unique_along_separation():
     assert crossover_separation(0.0, t, g, model, CONSTS) == math.inf
 
 
-def test_regime_scan_single_cell_matches_pointwise_call():
-    model = blackbody_emission_model(
-        250.0, power_law_cross_section(1e-28, 1e7, 0.0), CONSTS
-    )
-    rm = regime_scan(
-        "delta_x",
-        np.array([1e-4]),
-        np.array([250.0]),
-        lambda temp: blackbody_emission_model(
-            temp, power_law_cross_section(1e-28, 1e7, 0.0), CONSTS
-        ),
-        9.81,
-        CONSTS,
-        n_modes=1e23,
-    )
-    flag, tau_d, tau_e = dominant_mechanism(1e23, 250.0, 1e-4, 9.81, model, CONSTS)
-    assert rm.flags[0, 0] == flag
-    assert rm.tau_dec[0, 0] == tau_d
-    assert rm.tau_em[0, 0] == tau_e
+def test_regime_scan_matches_pointwise_calls():
+    def factory(temp):
+        return blackbody_emission_model(temp, power_law_cross_section(1e-28, 1e7, 0.0), CONSTS)
+
+    n, g = 1e23, 9.81
+    temps = np.array([150.0, 250.0, 400.0])
+    # dx = 0 makes both timescales infinite; the 250 K crossover is a tie
+    star = crossover_separation(n, 250.0, g, factory(250.0), CONSTS)
+    seps = np.array([0.0, 1e-6, 1e-4, star, 1e-2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rm = regime_scan("delta_x", seps, temps, factory, g, CONSTS, n_modes=n)
+    cells = [[dominant_mechanism(n, float(t), float(dx), g, factory(float(t)), CONSTS)
+              for t in temps] for dx in seps]
+    assert all(type(f) is str and type(d) is float and type(e) is float
+               for row in cells for f, d, e in row)
+    flags, tau_d, tau_e = (np.array([[cell[k] for cell in row] for row in cells])
+                           for k in range(3))
+    assert np.array_equal(rm.flags, flags)
+    assert np.array_equal(rm.tau_dec, tau_d)
+    assert np.array_equal(rm.tau_em, tau_e)
+    assert np.all(np.isinf(rm.tau_dec[0])) and np.all(np.isinf(rm.tau_em[0]))
+    assert np.all(rm.flags[0] == "boundary")
+    assert rm.flags[3, 1] == "boundary"
+    assert set(rm.flags.ravel()) == set(MECHANISMS)
 
 
 def test_regime_scan_silent_emitter_is_uniform():

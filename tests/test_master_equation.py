@@ -69,6 +69,17 @@ def test_grid_rejects_bad_states():
         DensityMatrixGrid(x=x, rho=ok, pair=(0, 9))
 
 
+def test_grid_refuses_non_finite_entries():
+    # NaN fails every comparison, so it slipped past the Hermiticity, trace
+    # and population checks and surfaced only as an instability blaming dt
+    rho = np.full((2, 2), 0.5, dtype=complex)
+    rho[0, 1] = rho[1, 0] = np.nan
+    with pytest.raises(DomainError, match="^rho has non-finite"):
+        DensityMatrixGrid(x=np.array([0.0, 1e-3]), rho=rho)
+    with pytest.raises(DomainError, match="^x has non-finite"):
+        DensityMatrixGrid(x=np.array([0.0, np.inf]), rho=np.eye(2) / 2)
+
+
 def test_index_of_rejects_off_grid_positions():
     grid = _two_point(1e-3)
     assert grid.index_of(0.0) == 0

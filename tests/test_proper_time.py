@@ -13,13 +13,13 @@ from gravidec import (
     TrajectoryPair,
     default_constants,
     exact_visibility,
-    gamma_coupling,
     highT_visibility,
     internal_characteristic_function,
     proper_time_difference,
     semiclassical_visibility,
 )
 from gravidec.errors import DomainError
+from gravidec.proper_time import gamma_coupling
 
 CONSTS = default_constants()
 

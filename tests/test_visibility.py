@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,13 +22,12 @@ from gravidec import (
     hawking_temperature,
     highT_visibility,
     internal_characteristic_function,
-    natural_units,
-    proper_time_lab,
     thermal_occupation,
     visibility_curve,
 )
 from gravidec.constants import SOLAR_MASS
 from gravidec.errors import DomainError
+from gravidec.visibility import proper_time_lab
 
 CONSTS = default_constants()
 
@@ -150,7 +150,7 @@ def test_mode_product_at_scale_matches_fsum_reference(monkeypatch):
 
 def test_high_t_visibility_convergence_to_inverse_e():
     """At N theta^2 = 2 the high-T law approaches 1/e with error ~ 1/N."""
-    nat = natural_units()
+    nat = PhysicalConstants(hbar=1.0, c=1.0, k_B=1.0, G=1.0, g_earth=1.0)
     prev = None
     for n in (1e2, 1e4, 1e6):
         v = highT_visibility(n, 1.0, 1.0, 1.0, math.sqrt(2.0 / n), nat)
@@ -217,6 +217,68 @@ def test_decoherence_time_degenerate_inputs_tagged_infinite():
     assert gaussian_visibility(1e23, 0.0, 1e-3, 9.81, 1.0, CONSTS) == 1.0
 
 
+def test_array_laws_match_scalar_math_reference():
+    """One numpy call per law against a per-point ``math`` evaluation.
+
+    tau_dec uses the same correctly rounded operations, so it is exact. V may
+    differ where numpy's exp or log1p rounds 1 ulp away from math's, and ln V
+    amplifies an argument difference: the Gaussian law (exp alone) holds
+    |dV| <= 2^-52 (1 + |ln V|) V; the high-T law, whose ln V is also a
+    rounded product taken after log1p, holds twice that.
+    """
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(20):
+        n, temp, dx, g = (float(10 ** rng.uniform(lo, hi))
+                          for lo, hi in ((0, 24), (-1, 4), (-9, -1), (-1, 2)))
+        tau = math.sqrt(2.0 / n) * CONSTS.hbar * CONSTS.c**2 / (CONSTS.k_B * temp * g * dx)
+        assert decoherence_time(n, temp, dx, g, CONSTS) == tau
+        cases.append((n, temp, dx, tau))
+        t = np.linspace(0.0, 3.0 * tau, 500)
+        theta_scale = CONSTS.k_B * temp * g * dx
+        den = CONSTS.hbar * CONSTS.c**2
+        for law, ref, ulp in (
+            (highT_visibility,
+             [math.exp(-0.5 * n * math.log1p((theta_scale * s / den) ** 2)) for s in t.tolist()],
+             2.0**-51),
+            (gaussian_visibility, [math.exp(-((s / tau) ** 2)) for s in t.tolist()], 2.0**-52),
+        ):
+            ref = np.array(ref)
+            got = law(n, temp, dx, g, t, CONSTS)
+            assert got.shape == t.shape
+            assert np.all(np.abs(got - ref) <= ulp * (1.0 + np.abs(np.log(ref))) * ref)
+    n, temp, dx, tau = (np.array(col) for col in zip(*cases))
+    g = CONSTS.g_earth
+    tau_g = np.array([math.sqrt(2.0 / a) * CONSTS.hbar * CONSTS.c**2 / (CONSTS.k_B * b * g * c)
+                      for a, b, c in zip(n, temp, dx)])
+    assert np.array_equal(decoherence_time(n, temp, dx, g, CONSTS), tau_g)
+    grid = decoherence_time(n[:, None], temp[None, :], dx[:, None], g, CONSTS)
+    assert grid.shape == (20, 20) and np.array_equal(np.diagonal(grid), tau_g)
+
+
+def test_scalar_inputs_give_python_floats():
+    args = (1e23, 300.0, 1e-3, 9.81)
+    assert type(highT_visibility(*args, 1e-6, CONSTS)) is float
+    assert type(gaussian_visibility(*args, 1e-6, CONSTS)) is float
+    assert type(decoherence_time(*args, CONSTS)) is float
+    assert type(decoherence_time(0.0, 300.0, 1e-3, 9.81, CONSTS)) is float
+
+
+def test_degenerate_arrays_give_no_decoherence_without_warnings():
+    t = np.linspace(0.0, 1.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, temp, dx, g in ((0.0, 300.0, 1e-3, 9.81), (1e23, 0.0, 1e-3, 9.81),
+                               (1e23, 300.0, 0.0, 9.81), (1e23, 300.0, 1e-3, 0.0)):
+            assert np.all(highT_visibility(n, temp, dx, g, t, CONSTS) == 1.0)
+            assert np.all(gaussian_visibility(n, temp, dx, g, t, CONSTS) == 1.0)
+            assert decoherence_time(n, temp, dx, g, CONSTS) == math.inf
+        tau = decoherence_time(np.array([0.0, 1e23, 1e23, 0.0]), np.array([300.0, 0.0, 300.0, 0.0]),
+                               np.array([1e-3, 1e-3, 0.0, 0.0]), 9.81, CONSTS)
+        assert np.all(tau == math.inf)
+        assert np.all(decoherence_time(np.full(3, 1e23), 300.0, 1e-3, 0.0, CONSTS) == math.inf)
+
+
 def test_decoherence_time_rejects_negative():
     with pytest.raises(DomainError):
         decoherence_time(-1.0, 300.0, 1e-3, 9.81, CONSTS)
@@ -247,7 +309,7 @@ def test_scaling_ratios_exact():
 
 
 def test_natural_units_identity():
-    nat = natural_units()
+    nat = PhysicalConstants(hbar=1.0, c=1.0, k_B=1.0, G=1.0, g_earth=1.0)
     # exact with power-of-two inputs
     tau = decoherence_time(8.0, 4.0, 0.5, 2.0, nat)
     assert tau * 4.0 * 2.0 * 0.5 * math.sqrt(8.0 / 2.0) == 1.0
