@@ -19,16 +19,22 @@ recomputed from exp(-hbar w / k_B T) on the spot, so agreement with
 tautology.
 
 Monte Carlo sampling is split into fixed-size shards of 2^16 samples, each
-with its own child seed derived from (seed, shard index) and one array of
-standard exponentials (|alpha|^2 / nbar per sample and mode). Shard partial
-sums are combined with a single np.sum over the shard-indexed array, so the
-result is bit-identical no matter in what order, or on which workers, the
-shards are evaluated.
+with its own child seed derived from (seed, shard index) and one contiguous
+(modes, samples) array of standard exponentials (|alpha|^2 / nbar). The
+shards run on a thread pool with one worker per CPU the process may use (no
+pool, and no ``concurrent.futures`` import, when there is one worker or one
+shard); each worker takes a strided set of shards and scratch buffers
+allocated by the caller. The shard kernel is numpy ufuncs and einsum
+reductions only, with no BLAS call, and shard partial sums are combined with
+a single np.sum over the shard-indexed array. The result is therefore
+bit-identical at fixed (seed, n_samples) whatever the worker count, the
+order in which shards run, or the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -111,19 +117,55 @@ def _mc_coefficients(
     return -strain, -nbars * np.sin(deltas)
 
 
-def _mc_shard(
-    seed: int, shard: int, m: int, c_re: np.ndarray, c_im: np.ndarray
-) -> tuple[complex, float]:
-    """Sums of the weights and of their squared moduli over one shard of m samples.
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The shard's stream is ``SeedSequence([seed, shard])`` alone, so its result
-    does not depend on which other shards run, in what order, or where.
+
+def _mc_buffers(modes: int, m: int) -> tuple[np.ndarray, ...]:
+    """Scratch for one worker: the (modes, m) draw and three length-m rows."""
+    return np.empty((modes, m)), np.empty(m), np.empty(m), np.empty(m)
+
+
+def _mc_worker(
+    seed: int,
+    shards: range,
+    n_samples: int,
+    c_re: np.ndarray,
+    c_im: np.ndarray,
+    buffers: tuple[np.ndarray, ...],
+    sums: np.ndarray,
+    abs2: np.ndarray,
+) -> None:
+    """Write each shard's sums of the weights and of their squared moduli.
+
+    Shard k covers samples [k * _SHARD, (k + 1) * _SHARD) and draws from
+    ``SeedSequence([seed, k])`` alone, so its result does not depend on which
+    other shards run, in what order, or on which worker. Only numpy ufuncs
+    and einsum reductions are used: no BLAS call, whose threading would
+    change the last bits of the sums.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, shard]))
-    e = rng.standard_exponential((m, c_re.size))  # |alpha|^2 / nbar per mode
-    mod = np.exp(e @ c_re)  # |w|
-    arg = e @ c_im  # arg w
-    return complex(mod @ np.cos(arg), mod @ np.sin(arg)), float(mod @ mod)
+    draw, mod, arg, tmp = buffers
+    modes = c_re.size
+    for shard in shards:
+        m = min(_SHARD, n_samples - shard * _SHARD)
+        e = draw.reshape(-1)[: modes * m].reshape(modes, m)  # |alpha|^2 / nbar, contiguous
+        np.random.default_rng(np.random.SeedSequence([seed, shard])).standard_exponential(out=e)
+        mod_m, arg_m, tmp_m = mod[:m], arg[:m], tmp[:m]
+        np.multiply(e[0], c_re[0], out=mod_m)
+        np.multiply(e[0], c_im[0], out=arg_m)
+        for i in range(1, modes):
+            mod_m += np.multiply(e[i], c_re[i], out=tmp_m)
+            arg_m += np.multiply(e[i], c_im[i], out=tmp_m)
+        np.exp(mod_m, out=mod_m)  # |w|
+        np.cos(arg_m, out=tmp_m)
+        np.sin(arg_m, out=arg_m)
+        sums[shard] = complex(
+            np.einsum("i,i->", mod_m, tmp_m), np.einsum("i,i->", mod_m, arg_m)
+        )
+        abs2[shard] = np.einsum("i,i->", mod_m, mod_m)
 
 
 def mc_visibility(
@@ -138,7 +180,14 @@ def mc_visibility(
     |alpha|^2 is exponential with mean nbar; each sample draws it per mode and
     carries the weight exp(|alpha|^2 (e^{-i w dtau} - 1)). The visibility is
     the modulus of the weight's sample mean. Returns ``(visibility,
-    standard_error)``, reproducible bit for bit at fixed (seed, n_samples).
+    standard_error)``.
+
+    The shards run on one worker per usable CPU (at most one per shard),
+    each taking every workers-th shard with scratch buffers allocated here;
+    a single worker runs in the calling thread. The shard kernel uses no
+    BLAS, and the shard sums are combined by one np.sum over the shard
+    index, so the result is bit-identical at fixed (seed, n_samples) whatever
+    the worker count, the schedule or the BLAS thread count.
 
     Raises DomainError when any mode has nbar * (1 - cos(w dtau)) above
     ``MC_WEIGHT_BOUND``: past that point the estimator's relative error grows
@@ -148,9 +197,20 @@ def mc_visibility(
     n_shards = math.ceil(cfg.n_samples / _SHARD)
     shard_sums = np.empty(n_shards, dtype=complex)
     shard_abs2 = np.empty(n_shards)
-    for shard in range(n_shards):
-        m = min(_SHARD, cfg.n_samples - shard * _SHARD)
-        shard_sums[shard], shard_abs2[shard] = _mc_shard(cfg.seed, shard, m, c_re, c_im)
+    workers = min(_usable_cpus(), n_shards)
+    buffers = [_mc_buffers(c_re.size, min(_SHARD, cfg.n_samples)) for _ in range(workers)]
+
+    def work(w: int) -> None:
+        _mc_worker(cfg.seed, range(w, n_shards, workers), cfg.n_samples, c_re, c_im,
+                   buffers[w], shard_sums, shard_abs2)
+
+    if workers == 1:
+        work(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, range(workers)))
 
     mean = complex(np.sum(shard_sums)) / cfg.n_samples
     var = max(float(np.sum(shard_abs2)) / cfg.n_samples - abs(mean) ** 2, 0.0)
@@ -192,19 +252,23 @@ def fock_visibility(
     ground/first-excited superposition's diagonal).
     """
     freqs = _require_explicit(spec)
+    fixed = None
+    if populations is not None:
+        fixed = np.asarray(populations, dtype=float)
+        if fixed.ndim != 1 or fixed.size == 0 or np.any(fixed < 0) or np.sum(fixed) == 0:
+            raise DomainError("populations must be a nonnegative 1-D distribution")
+        fixed = fixed / np.sum(fixed)
     log_v = 0.0
     tail = 0.0
     for w in freqs:
-        if populations is not None:
-            p = np.asarray(populations, dtype=float)
-            if p.ndim != 1 or p.size == 0 or np.any(p < 0) or np.sum(p) == 0:
-                raise DomainError("populations must be a nonnegative 1-D distribution")
-        else:
+        if fixed is None:
             q = _boltzmann_q(w, spec.temperature, consts)
             c = _mode_cutoff(q, cfg)
             p = (1.0 - q) * q ** np.arange(c + 1)
             tail += q ** (c + 1)
-        p = p / np.sum(p)
+            p = p / np.sum(p)
+        else:
+            p = fixed
         n = np.arange(p.size)
         chi = np.sum(p * np.exp(-1j * n * w * delta_tau))
         log_v += math.log(abs(chi)) if abs(chi) > 0 else -math.inf

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gravidec
 from gravidec import default_constants, dephasing_coefficient, load_snapshots
 from gravidec.cli import main
 
@@ -59,6 +64,26 @@ def test_repeat_runs_are_byte_identical(capsys, tmp_path):
     assert main(argv + ["--output", str(second)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_oracle_check_output_does_not_depend_on_blas_threads(tmp_path):
+    # the Monte Carlo kernel makes no BLAS call, whose threading would move
+    # the last bits of its sums and hence the report's bytes
+    src = str(Path(gravidec.__file__).resolve().parents[1])
+    script = "import sys; from gravidec.cli import main; sys.exit(main(sys.argv[1:]))"
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}.json"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "oracle-check", "--cases", "3",
+             "--samples", "300000", "--output", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode in (0, 1), proc.stderr  # 1 is a statistical MC miss
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_visibility_single_point_at_zero_dtau(capsys):

@@ -17,6 +17,7 @@ from gravidec import (
     evolve_full_memory,
     evolve_markovian,
     extract_visibility,
+    gaussian_visibility,
     load_snapshots,
     memory_kernel_coefficients,
     save_snapshots,
@@ -497,6 +498,16 @@ def test_full_memory_runs_where_explicit_rk4_overflows():
     final = _heavy_mass_run("full_memory").snapshots[-1]
     assert abs(np.trace(final).real - 1.0) < 1e-10
     assert np.max(np.abs(final - final.conj().T)) < 1e-12
+
+
+def test_strang_with_tilt_matches_gaussian_law_at_every_step():
+    # a 1e-17 kg particle barely moves in 1 us, so the tilt only adds phase to
+    # the two-point coherence: with |w dt| near 2e7 Strang must still give
+    # the closed form
+    result = _heavy_mass_run("markovian")
+    expected = gaussian_visibility(1e23, 300.0, 1e-3, 9.81, result.times, CONSTS)
+    assert result.times.size == 101
+    assert np.max(np.abs(2.0 * np.abs(result.coherence) - expected)) < 1e-12
 
 
 @pytest.mark.xfail(

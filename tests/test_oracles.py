@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gravidec
 from gravidec import (
     InternalStateSpec,
     OracleConfig,
@@ -17,7 +22,8 @@ from gravidec import (
     two_point_unitary_oracle,
 )
 from gravidec.errors import DomainError
-from gravidec.oracles import _SHARD, _mc_coefficients, _mc_shard
+from gravidec import oracles
+from gravidec.oracles import _SHARD, _mc_buffers, _mc_coefficients, _mc_worker
 
 CONSTS = default_constants()
 
@@ -41,31 +47,62 @@ def test_mc_is_deterministic_and_shard_invariant():
     assert first[1] > 0.0
 
 
-def test_mc_is_bit_identical_under_any_shard_schedule():
+def test_mc_is_bit_identical_under_any_shard_schedule(monkeypatch):
     spec = _spec((1.0, 0.3, 2.0))
     dtau = 0.5 / max(spec.frequencies)
     cfg = OracleConfig(n_samples=200_001, seed=11)  # 4 shards, the last one short
     c_re, c_im = _mc_coefficients(spec, dtau, CONSTS)
     n_shards = math.ceil(cfg.n_samples / _SHARD)
-    sizes = [min(_SHARD, cfg.n_samples - k * _SHARD) for k in range(n_shards)]
-    assert n_shards == 4 and sizes[-1] < _SHARD
+    assert n_shards == 4 and cfg.n_samples - (n_shards - 1) * _SHARD < _SHARD
 
-    def combine(results):
-        sums = np.array([s for s, _ in results], dtype=complex)
-        abs2 = np.array([a for _, a in results])
-        mean = complex(np.sum(sums)) / cfg.n_samples
-        var = max(float(np.sum(abs2)) / cfg.n_samples - abs(mean) ** 2, 0.0)
-        return abs(mean), math.sqrt(var / (cfg.n_samples - 1))
+    def run(shard_sets, mapper=map):
+        sums, abs2 = np.zeros(n_shards, dtype=complex), np.zeros(n_shards)
 
-    def shard(k):
-        return _mc_shard(cfg.seed, k, sizes[k], c_re, c_im)
+        def work(shards):
+            buffers = _mc_buffers(c_re.size, _SHARD)
+            _mc_worker(cfg.seed, shards, cfg.n_samples, c_re, c_im, buffers, sums, abs2)
 
-    reversed_run = {k: shard(k) for k in reversed(range(n_shards))}
+        list(mapper(work, shard_sets))
+        return sums, abs2
+
+    # each shard alone, in fresh buffers, is the reference for every schedule
+    alone = [run([range(k, k + 1)]) for k in range(n_shards)]
+    ref_sums = np.array([sums[k] for k, (sums, _) in enumerate(alone)])
+    ref_abs2 = np.array([abs2[k] for k, (_, abs2) in enumerate(alone)])
+    schedules = {"reversed, short shard first": run([range(n_shards - 1, -1, -1)])}
     with ThreadPoolExecutor(max_workers=2) as pool:
-        pooled = list(pool.map(shard, range(n_shards)))
-    expected = mc_visibility(spec, dtau, cfg, CONSTS)
-    assert combine([reversed_run[k] for k in range(n_shards)]) == expected
-    assert combine(pooled) == expected
+        schedules["2-thread pool"] = run([range(0, n_shards, 2), range(1, n_shards, 2)], pool.map)
+    for name, (sums, abs2) in schedules.items():
+        assert np.array_equal(sums, ref_sums) and np.array_equal(abs2, ref_abs2), name
+
+    mean = complex(np.sum(ref_sums)) / cfg.n_samples
+    var = max(float(np.sum(ref_abs2)) / cfg.n_samples - abs(mean) ** 2, 0.0)
+    expected = (abs(mean), math.sqrt(var / (cfg.n_samples - 1)))
+    # up to one worker per shard, more than the cores, switching threads often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(oracles, "_usable_cpus", lambda workers=workers: workers)
+            assert mc_visibility(spec, dtau, cfg, CONSTS) == expected, workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_single_shard_mc_starts_no_thread_pool():
+    # a one-shard call stays serial and leaves concurrent.futures unimported,
+    # so CLI start-up pays nothing for the pool
+    code = (
+        "import sys\n"
+        "import gravidec.cli\n"
+        "from gravidec import InternalStateSpec, OracleConfig, default_constants, mc_visibility\n"
+        "spec = InternalStateSpec.from_frequencies((1e13, 3e13), 300.0)\n"
+        "mc_visibility(spec, 1e-14, OracleConfig(n_samples=64), default_constants())\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(gravidec.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_mc_standard_error_matches_theory():
@@ -170,6 +207,62 @@ def test_tensor_matches_product_law_without_factorizing():
         spec, 0.0, -dtau * CONSTS.c**2, 1.0, 1.0, OracleConfig(), CONSTS
     )
     assert abs(v_tensor - v_exact) < 1e-6
+
+
+def _large_phase_cases():
+    """(nbars, largest |w dtau|) pairs: 30 random draws with phases up to 20,
+    then equal-mode sets at odd multiples of pi, where V = (1 + 2 nbar)^-k
+    is as small as each oracle's cutoff cap allows (about 1e-6 for four
+    nbar = 15 modes; the joint-spectrum oracle's cap of 64 per mode and
+    2^22 joint states stops it at nbar 2.6 for three modes and 1.7 for four)."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(30):
+        nbars = np.exp(rng.uniform(math.log(0.01), math.log(15.0), int(rng.integers(1, 5))))
+        cases.append((tuple(nbars), float(rng.uniform(0.5, 20.0))))
+    for k in (1, 2, 3, 4):
+        for turns in (0.5, 1.5, 2.5):
+            cases.append(((15.0,) * k, 2.0 * math.pi * turns * (1.0 + 1e-3)))
+        cases.append(((2.6 if k < 4 else 1.7,) * k, 5.0 * math.pi * (1.0 - 1e-3)))
+    cases.append(((0.7, 2.0), 19.9))
+    return cases
+
+
+def test_deterministic_oracles_match_product_law_at_large_phase():
+    # Both oracles truncate each mode at tail mass t_i and renormalize; with
+    # chi_i the untruncated factor, |ln|chi~_i| - ln|chi_i|| <=
+    # -ln(1 - t_i) - ln(1 - t_i / |chi_i|), and |chi_i| >= V, so
+    # |d ln V| <= 2 tail / (V - tail) with tail = sum t_i, the number-basis
+    # oracle's reported bound (the joint-spectrum oracle truncates by the
+    # same rule, so the number-basis oracle at its cfg reports its tail).
+    # Rounding adds at most 16 eps per unit of phase per quantum, about
+    # 16 eps (1 + sum nbar_i |w_i dtau|) in |chi|, over V.
+    eps = np.finfo(float).eps
+    fock_cfg = OracleConfig(fock_cutoff=512, tail_epsilon=1e-12)
+    tensor_cfg = OracleConfig()  # fock_cutoff 64: the joint-spectrum cap
+    reached = {"fock": [], "tensor": []}
+    for nbars, phase in _large_phase_cases():
+        spec = _spec(nbars)
+        dtau = phase / max(spec.frequencies)
+        v_exact = exact_visibility(spec, dtau, CONSTS)
+        quanta_phase = sum(nb * w * dtau for nb, w in zip(nbars, spec.frequencies))
+        for name, cfg in (("fock", fock_cfg), ("tensor", tensor_cfg)):
+            try:
+                v, tail = fock_visibility(spec, dtau, cfg, CONSTS)
+                if name == "tensor":
+                    v, _ = two_point_unitary_oracle(
+                        spec, 0.0, -dtau * CONSTS.c**2, 1.0, 1.0, cfg, CONSTS
+                    )
+            except DomainError:
+                continue  # beyond this oracle's cutoff cap
+            bound = (2.0 * tail + 16.0 * eps * (1.0 + quanta_phase)) / (v_exact - tail)
+            assert abs(math.log(v) - math.log(v_exact)) <= bound, (name, nbars, phase)
+            reached[name].append((v_exact, phase))
+    # the comparison really covers small V and phases far past 2 pi
+    assert min(v for v, _ in reached["fock"]) < 2e-6
+    assert min(v for v, _ in reached["tensor"]) < 5e-3
+    assert min(len(r) for r in reached.values()) >= 20
+    assert min(max(p for _, p in r) for r in reached.values()) > 19.0
 
 
 def test_tensor_limits():
