@@ -50,6 +50,8 @@ class InternalStateSpec:
             if freqs.ndim != 1 or not n_modes_ok:
                 raise DomainError("explicit frequency list length must equal n_modes")
             object.__setattr__(self, "frequencies", tuple(freqs.tolist()))
+            if not np.all(np.isfinite(freqs)):
+                raise DomainError("frequencies has non-finite entries")
             if np.any(freqs <= 0):
                 raise DomainError("all mode frequencies must be > 0")
 

@@ -421,6 +421,24 @@ def _rk4_amplification(cfg: EvolutionConfig, dsq: np.ndarray, steps: np.ndarray)
     return 1.0 + (dt / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _kernel_window(omega: np.ndarray):
+    """The map t -> int_0^t exp(-i w s) ds = (1 - e^{-i w t}) / (i w), elementwise in w.
+
+    With tau = tan(w t / 2) the window is (2 tau / w)(1 - i tau) / (1 + tau^2):
+    one vectorised tan and no complex exp, and no cancellation at small w t.
+    2 / w is formed once; entries with w == 0 take the limit t.
+    """
+    zero = omega == 0.0
+    two_over_omega = 2.0 / np.where(zero, 1.0, omega)
+
+    def window(t: float) -> np.ndarray:
+        tau = np.tan((0.5 * t) * omega)
+        real = np.where(zero, t, two_over_omega * tau / (1.0 + tau * tau))
+        return real - 1j * (real * tau)
+
+    return window
+
+
 def evolve_full_memory(
     rho0: DensityMatrixGrid,
     ham: CMHamiltonianSpec,
@@ -432,7 +450,10 @@ def evolve_full_memory(
     rho is held in the eigenbasis of H, with X the position operator there:
     the H flow over dt/2 is the elementwise exp(-i w dt/2), sandwiching by
     U_s is elementwise, and int_0^t exp(-i w s) ds has closed form, computed
-    once per distinct stage time. Every stage state is Hermitian, so
+    once per distinct stage time. That window, (1 - e^{-i w t}) / (i w), is
+    taken in its half-angle form (2 tau / w)(1 - i tau) / (1 + tau^2), tau =
+    tan(w t / 2): one vectorised tan and no complex exp, and no cancellation
+    at small w t (:func:`_kernel_window`). Every stage state is Hermitian, so
     [X, rho] = X rho - (X rho)+ and, the windowed commutator being
     anti-Hermitian, [X, W] = X W + (X W)+: one matmul per commutator. With
     kind="none" each step is classic RK4 of -Lambda t [x, [x, rho]], an
@@ -448,13 +469,7 @@ def evolve_full_memory(
     qh = q.conj().T
     xq = qh @ (x[:, None] * q)
     half = np.exp(-0.5j * omega * dt)
-
-    def kernel_window(t: float) -> np.ndarray:
-        wt = omega * t
-        small = np.abs(wt) < 1e-8
-        omega_safe = np.where(small, 1.0, omega)
-        full = (1.0 - np.exp(-1j * wt)) / (1j * omega_safe)
-        return np.where(small, t * (1.0 - 0.5j * wt), full)
+    kernel_window = _kernel_window(omega)
 
     def dissipator(window: np.ndarray, rho: np.ndarray) -> np.ndarray:
         c = xq @ rho

@@ -29,6 +29,12 @@ reductions only, with no BLAS call, and shard partial sums are combined with
 a single np.sum over the shard-indexed array. The result is therefore
 bit-identical at fixed (seed, n_samples) whatever the worker count, the
 order in which shards run, or the BLAS thread count.
+
+Every phase e^{i theta} here, per Monte Carlo sample or per joint Fock
+state, comes from one tau = tan(theta/2) through the half-angle identities
+1 + cos theta = 2 / (1 + tau^2) and sin theta = tau (1 + cos theta). numpy's
+float64 tan is SIMD-vectorised, where its sin, cos and complex exp call
+scalar libm for each value.
 """
 
 from __future__ import annotations
@@ -145,23 +151,29 @@ def _mc_worker(
     ``SeedSequence([seed, k])`` alone, so its result does not depend on which
     other shards run, in what order, or on which worker. Only numpy ufuncs
     and einsum reductions are used: no BLAS call, whose threading would
-    change the last bits of the sums.
+    change the last bits of the sums. The phase row holds half of each
+    weight's phase, and one tan of it gives the cosine and sine.
     """
     draw, mod, arg, tmp = buffers
     modes = c_re.size
+    half_im = 0.5 * c_im  # exact, so arg holds exactly half the weight's phase
     for shard in shards:
         m = min(_SHARD, n_samples - shard * _SHARD)
         e = draw.reshape(-1)[: modes * m].reshape(modes, m)  # |alpha|^2 / nbar, contiguous
         np.random.default_rng(np.random.SeedSequence([seed, shard])).standard_exponential(out=e)
         mod_m, arg_m, tmp_m = mod[:m], arg[:m], tmp[:m]
         np.multiply(e[0], c_re[0], out=mod_m)
-        np.multiply(e[0], c_im[0], out=arg_m)
+        np.multiply(e[0], half_im[0], out=arg_m)
         for i in range(1, modes):
             mod_m += np.multiply(e[i], c_re[i], out=tmp_m)
-            arg_m += np.multiply(e[i], c_im[i], out=tmp_m)
+            arg_m += np.multiply(e[i], half_im[i], out=tmp_m)
         np.exp(mod_m, out=mod_m)  # |w|
-        np.cos(arg_m, out=tmp_m)
-        np.sin(arg_m, out=arg_m)
+        np.tan(arg_m, out=arg_m)  # tau
+        np.multiply(arg_m, arg_m, out=tmp_m)
+        tmp_m += 1.0
+        np.divide(2.0, tmp_m, out=tmp_m)  # 1 + cos
+        arg_m *= tmp_m  # sin
+        tmp_m -= 1.0  # cos
         sums[shard] = complex(
             np.einsum("i,i->", mod_m, tmp_m), np.einsum("i,i->", mod_m, arg_m)
         )
@@ -337,7 +349,11 @@ def two_point_unitary_oracle(
             n_i = (idx // strides[i]) % dims[i]
             prob *= p[n_i]
             energy += e[n_i]
-        acc += complex(np.sum(prob * np.exp(-1j * energy * rate)))
+        # e^{i theta}, theta = -energy * rate: tau = tan(theta/2),
+        # 1 + cos theta = 2/(1 + tau^2), sin theta = tau (1 + cos theta).
+        tau = np.tan(energy * (-0.5 * rate))
+        one_plus_cos = 2.0 / (1.0 + tau * tau)
+        acc += complex(np.sum(prob * (one_plus_cos - 1.0)), np.sum(prob * tau * one_plus_cos))
 
     # rho_12 of the reduced state is acc/2; report V = 2|rho_12| = |acc|.
     amp = acc * np.exp(-1j * mass * dphi * t / consts.hbar)
@@ -392,6 +408,37 @@ class OracleCase:
             else bool(abs(self.v_tensor - self.v_exact) <= det_atol)
         )
         return out
+
+
+def tally_verdicts(
+    cases: list[OracleCase], mc_sigmas: float, det_atol: float
+) -> tuple[dict[str, dict], list[tuple[dict[str, bool | None], bool]]]:
+    """Score a battery: per-oracle tallies and per-case verdicts.
+
+    Returns ``(summary, per_case)``. ``summary`` maps each oracle to its
+    count of valid cases, of cases within tolerance (see
+    :meth:`OracleCase.agreements`) and its largest |V - V_exact|; the MC row
+    also carries ``false_alarm_rate``, the chance that a correct build fails
+    its window on some valid case. ``per_case`` holds each case's verdicts
+    and whether every oracle that ran on it agreed.
+    """
+    summary = {name: {"valid": 0, "agree": 0, "max_abs_err": 0.0}
+               for name in ("mc", "fock", "tensor")}
+    per_case = []
+    for case in cases:
+        verdicts = case.agreements(mc_sigmas, det_atol)
+        values = {"mc": case.v_mc, "fock": case.v_fock, "tensor": case.v_tensor}
+        for name, ok in verdicts.items():
+            if ok is None:
+                continue
+            row = summary[name]
+            row["valid"] += 1
+            row["agree"] += int(ok)
+            row["max_abs_err"] = max(row["max_abs_err"], abs(values[name] - case.v_exact))
+        per_case.append((verdicts, all(ok is not False for ok in verdicts.values())))
+    mc = summary["mc"]
+    mc["false_alarm_rate"] = 1.0 - (1.0 - math.erfc(mc_sigmas / math.sqrt(2.0))) ** mc["valid"]
+    return summary, per_case
 
 
 def run_oracle_battery(

@@ -71,6 +71,9 @@ class TabulatedPotential:
         phi_values = np.asarray(phi_values, dtype=float)
         if x.ndim != 1 or x.shape != phi_values.shape or x.size < 2:
             raise DomainError("need matching 1-D arrays with at least two samples")
+        for name, value in (("x", x), ("phi", phi_values)):
+            if not np.all(np.isfinite(value)):
+                raise DomainError(f"tabulated {name} has non-finite entries")
         if not np.all(np.diff(x) > 0):
             raise DomainError("tabulated x must be strictly increasing")
         self._x = x
@@ -107,6 +110,8 @@ class TrajectoryPair:
         for name in ("times", "x_a", "v_a", "x_b", "v_b"):
             arrays[name] = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arrays[name])
+            if not np.all(np.isfinite(arrays[name])):
+                raise DomainError(f"{name} has non-finite entries")
         t = arrays["times"]
         if t.ndim != 1 or t.size < 2:
             raise DomainError("need at least two time samples")

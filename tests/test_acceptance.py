@@ -44,6 +44,7 @@ from gravidec import (
     visibility_curve,
 )
 from gravidec.emission import tabulated_emission_model
+from gravidec.oracles import tally_verdicts
 
 CONSTS = default_constants()
 NO_HAMILTONIAN = CMHamiltonianSpec(kind="none")
@@ -72,21 +73,15 @@ def test_criterion_03_oracle_equivalence_on_fifty_sets():
     cases = run_oracle_battery(50, OracleConfig(n_samples=1_000_000, seed=0), CONSTS)
     elapsed = time.perf_counter() - start
 
-    valid = {"mc": 0, "fock": 0, "tensor": 0}
-    worst = {"mc": 0.0, "fock": 0.0, "tensor": 0.0}
-    for case in cases:
-        verdicts = case.agreements(mc_sigmas=3.0, det_atol=1e-6)
-        for name, ok in verdicts.items():
-            if ok is None:
-                continue
-            valid[name] += 1
-            value = {"mc": case.v_mc, "fock": case.v_fock, "tensor": case.v_tensor}[name]
-            worst[name] = max(worst[name], abs(value - case.v_exact))
-            assert ok, (name, case.frequencies, case.temperature, case.delta_tau)
+    summary, per_case = tally_verdicts(cases, mc_sigmas=3.0, det_atol=1e-6)
+    for case, (verdicts, case_ok) in zip(cases, per_case):
+        assert case_ok, (verdicts, case.frequencies, case.temperature, case.delta_tau)
+    valid = {name: row["valid"] for name, row in summary.items()}
     print(
         f"{len(cases)} sets in {elapsed:.1f} s; valid per oracle {valid}; "
-        f"max |error| mc={worst['mc']:.3e} fock={worst['fock']:.3e} "
-        f"tensor={worst['tensor']:.3e}"
+        f"max |error| mc={summary['mc']['max_abs_err']:.3e} "
+        f"fock={summary['fock']['max_abs_err']:.3e} "
+        f"tensor={summary['tensor']['max_abs_err']:.3e}"
     )
     assert min(valid.values()) >= 50
     assert elapsed < 120.0

@@ -404,6 +404,30 @@ def test_domain_error_exit_3(capsys):
     assert "domain error" in err
 
 
+def test_visibility_refuses_non_finite_frequency_exit_3(capsys, tmp_path):
+    freqs = tmp_path / "freqs.csv"
+    freqs.write_text("nan\n1e13\n")
+    code, out, err = _run(capsys, "visibility", "--frequencies-csv", str(freqs),
+                          "--temperature", "300", "--dtau", "1e-14")
+    assert code == 3 and out == ""
+    assert "domain error" in err and "frequencies" in err
+
+
+@pytest.mark.parametrize("bad_file", ["trajectories", "potential_csv"])
+def test_propertime_refuses_non_finite_samples_exit_3(capsys, tmp_path, bad_file):
+    traj = tmp_path / "traj.csv"
+    traj.write_text("0,0,0,1,0\n1,0,0,nan,0\n2,0,0,1,0\n"
+                    if bad_file == "trajectories" else "0,0,0,1,0\n1,0,0,1,0\n")
+    pot = tmp_path / "pot.csv"
+    pot.write_text("0,0\n1,nan\n2,1\n")
+    out = tmp_path / "pt.json"
+    code, _, err = _run(capsys, "propertime", "--trajectories", str(traj), "--potential",
+                        "tabulated", "--potential-csv", str(pot), "--output", str(out))
+    assert code == 3 and not out.exists()
+    assert "domain error" in err
+    assert ("x_b" if bad_file == "trajectories" else "phi") in err
+
+
 def test_instability_exit_4(capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code, _, err = _run(

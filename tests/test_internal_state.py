@@ -68,6 +68,9 @@ def test_from_frequencies_validation():
         InternalStateSpec.from_frequencies((1e12, -1e12), 300.0)
     with pytest.raises(DomainError):
         InternalStateSpec.from_frequencies((1e12,), -5.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="frequencies has non-finite"):
+            InternalStateSpec.from_frequencies((bad, 1e13), 300.0)
     with pytest.raises(DomainError):
         # length must match n_modes when both are given explicitly
         InternalStateSpec(n_modes=3, temperature=300.0, frequencies=(1e12, 2e12))

@@ -24,6 +24,7 @@ from gravidec import (
 )
 from gravidec.errors import DomainError, NumericalInstabilityError
 from gravidec.internal_state import internal_energy_variance, mean_internal_energy
+from gravidec.master_equation import _hamiltonian_matrix, _kernel_window
 
 CONSTS = default_constants()
 FREE = CMHamiltonianSpec(kind="none")
@@ -183,6 +184,72 @@ def test_full_memory_with_free_hamiltonian_stays_physical():
         assert abs(np.sum(snap.diagonal()).real - 1.0) < 1e-9
         assert np.max(np.abs(snap - snap.conj().T)) < 1e-9
     assert np.all(2.0 * np.abs(result.coherence) <= 1.0 + 1e-9)
+
+
+def _libm_window(omega: np.ndarray, t: float) -> np.ndarray:
+    """(1 - e^{-i w t}) / (i w) by complex exp, with a first-order Taylor
+    branch below |w t| = 1e-8: the form the half-angle window replaced."""
+    wt = omega * t
+    small = np.abs(wt) < 1e-8
+    omega_safe = np.where(small, 1.0, omega)
+    with np.errstate(invalid="ignore"):
+        full = (1.0 - np.exp(-1j * wt)) / (1j * omega_safe)
+    return np.where(small, t * (1.0 - 0.5j * wt), full)
+
+
+def test_kernel_window_matches_libm_form():
+    # A free-flight spectrum: w == 0 on the diagonal, near-degenerate +-k
+    # pairs with |w t| < 1e-8, and |w t| up to ~9 at the last t; plus
+    # hand-picked w that put w t at +-pi, 2 pi and 1e-300.
+    grid = DensityMatrixGrid.two_point_superposition(0.0, 1e-6, n_points=32)
+    evals = np.linalg.eigvalsh(
+        _hamiltonian_matrix(grid.x, CMHamiltonianSpec(kind="free", mass=1e-24), CONSTS))
+    spectrum = (evals[:, None] - evals[None, :]) / CONSTS.hbar
+    w_max = float(np.max(spectrum))
+    special = np.array([0.0, 1.0, -1.0, math.pi, -math.pi, 2.0 * math.pi, 1e-300, -1e-300])
+    eps = np.finfo(float).eps
+    for omega, times in ((spectrum, (0.0, 1e-12, 1e-7, math.pi / w_max, 7e-5)),
+                         (special, (0.0, 1.0, 0.5, math.pi))):
+        window = _kernel_window(omega)
+        for t in times:
+            new, ref = window(t), _libm_window(omega, t)
+            small = np.abs(omega * t) < 1e-8
+            # a few ulps of |window| <= |t|, plus the libm form's own
+            # cancellation in 1 - cos(w t), eps / |w|, above its Taylor branch
+            bound = 4.0 * eps * np.abs(ref) + np.where(
+                small, 0.0, 2.0 * eps / np.abs(np.where(small, 1.0, omega)))
+            assert np.all(np.abs(new - ref) <= bound), t
+            assert np.all(new[omega == 0.0] == t)  # the w -> 0 limit, exactly
+    # exact endpoints: nothing accumulated at t = 0, and at w t = 1e-300
+    # (w = 1, so 2/w is exact) the window is t - 0j like the Taylor branch
+    assert np.all(_kernel_window(spectrum)(0.0) == 0.0)
+    tiny = _kernel_window(np.array([1.0, -1.0]))(1e-300)
+    assert np.all(tiny == 1e-300)
+
+
+@pytest.mark.parametrize("m", [32, 64])
+def test_full_memory_free_flight_keeps_its_visibility(m):
+    # With kind="free" the +-k pairs are degenerate up to rounding, so most
+    # off-diagonal w are tiny (|w t| < 1e-8 for 30 of 32^2 and 62 of 64^2
+    # entries): the regime a Taylor branch once guarded. At m = 64, |w t|
+    # also passes pi. V every 25 steps was recorded from that complex-exp
+    # window; the half-angle form reproduces it to within 1 ulp here, held
+    # to 1e-12 against eigensolver rounding. Dephasing moves the final V
+    # from 0.51 to 0.31 (m = 32) and from 0.067 to 0.036 (m = 64).
+    recorded = {
+        32: [0.9999999999999998, 0.9776073931458402, 0.9144281324193947, 0.8209859308010111,
+             0.7107853913848866, 0.5965843317085708, 0.48799255665113767, 0.3907786402078529,
+             0.30738936140200157],
+        64: [0.9999999999999998, 0.8419925167991464, 0.4993211923277096, 0.20240446905359927,
+             0.07047245883218295, 0.07174676420678387, 0.0957347055734835, 0.07730843499137074,
+             0.03605649959184132],
+    }
+    grid = DensityMatrixGrid.two_point_superposition(0.0, 1e-6, n_points=m)
+    ham = CMHamiltonianSpec(kind="free", mass=1e-24)
+    cfg = EvolutionConfig(dt=1e-7, t_final=2e-5, lambda_coefficient=4e21, form="full_memory")
+    v = 2.0 * np.abs(evolve_full_memory(grid, ham, cfg, CONSTS).coherence)
+    assert np.all(np.isfinite(v))
+    assert np.max(np.abs(v[::25] - recorded[m])) < 1e-12
 
 
 def test_tilted_hamiltonian_only_adds_phase_to_two_point_coherence():

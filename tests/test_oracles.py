@@ -89,6 +89,38 @@ def test_mc_is_bit_identical_under_any_shard_schedule(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def _libm_shard(seed: int, m: int, c_re: np.ndarray, c_im: np.ndarray) -> tuple[complex, float]:
+    """One shard's sums from the same draws, with the phase by np.cos and np.sin."""
+    e = np.random.default_rng(np.random.SeedSequence([seed, 0])).standard_exponential(
+        size=(c_re.size, m))
+    mod = np.exp(sum(e[i] * c_re[i] for i in range(c_re.size)))
+    arg = sum(e[i] * c_im[i] for i in range(c_re.size))
+    total = complex(np.einsum("i,i->", mod, np.cos(arg)), np.einsum("i,i->", mod, np.sin(arg)))
+    return total, float(np.einsum("i->", mod))
+
+
+@pytest.mark.parametrize("nbars, phase", [((5.0, 0.3, 2.0), 0.3), ((5.0,), 0.4), ((1.0, 2.0), 1.0)])
+def test_mc_shard_sums_match_libm_phase_on_the_same_draws(nbars, phase):
+    # The summed phases reach |theta| of 2.5 to 20 here, so tan(theta/2)
+    # crosses its poles. Per sample the half-angle cos and sin are within
+    # 1.5 ulp of libm (measured); the sums are held to 4 eps * sum |w|.
+    # At theta = 0 and |theta| < 1e-9 the two forms agree bit for bit.
+    spec = _spec(nbars)
+    c_re, c_im = _mc_coefficients(spec, phase / max(spec.frequencies), CONSTS)
+    eps = np.finfo(float).eps
+    m, seed = 50_000, 3
+    for scale in (1.0, 0.0, 1e-12):
+        sums, abs2 = np.zeros(1, dtype=complex), np.zeros(1)
+        _mc_worker(seed, range(1), m, c_re, scale * c_im, _mc_buffers(c_re.size, m), sums, abs2)
+        ref, moduli = _libm_shard(seed, m, c_re, scale * c_im)
+        if scale == 1.0:
+            assert abs(sums[0].real - ref.real) <= 4.0 * eps * moduli
+            assert abs(sums[0].imag - ref.imag) <= 4.0 * eps * moduli
+        else:
+            assert sums[0] == ref, scale
+        assert sums[0].imag != 0.0 or scale == 0.0
+
+
 def test_single_shard_mc_starts_no_thread_pool():
     # a one-shard call stays serial and leaves concurrent.futures unimported,
     # so CLI start-up pays nothing for the pool
@@ -198,6 +230,50 @@ def test_tensor_cold_particle_phase():
     assert abs(phase - expected) < 1e-9
 
 
+def _joint_spectrum_exp(spec, delta_tau: float, mass: float) -> complex:
+    """The joint-spectrum amplitude with the phase by complex exp, on the same
+    populations, energies and phase rate as the oracle's static-arm call."""
+    pops, energies = [], []
+    for w in spec.frequencies:
+        q = oracles._boltzmann_q(w, spec.temperature, CONSTS)
+        c = oracles._mode_cutoff(q, OracleConfig(), cap=oracles.TENSOR_MAX_CUTOFF)
+        p = (1.0 - q) * q ** np.arange(c + 1) if q > 0 else np.ones(1)
+        pops.append(p / np.sum(p))
+        energies.append(CONSTS.hbar * w * np.arange(c + 1))
+    prob, energy = np.ones(1), np.zeros(1)
+    for p, e in zip(pops, energies):
+        prob = (prob[:, None] * p[None, :]).ravel()
+        energy = (energy[:, None] + e[None, :]).ravel()
+    dphi = 0.0 - 1.0 * (-delta_tau * CONSTS.c**2)
+    rate = dphi * 1.0 / (CONSTS.hbar * CONSTS.c**2)
+    acc = complex(np.sum(prob * np.exp(-1j * energy * rate)))
+    return acc * np.exp(-1j * mass * dphi * 1.0 / CONSTS.hbar)
+
+
+def test_tensor_phase_form_matches_complex_exp():
+    # Same inputs as the complex-exp form: |d acc| <= 1e-14 (at most 2.8e-16
+    # measured here), so V within 1e-14 and the phase within 1e-14 / V.
+    # A cold state has one joint state at energy 0: theta = 0, V exactly 1.
+    cases = [(nbars, phase, mass) for (nbars, phase), mass
+             in zip(_large_phase_cases()[:30], [0.0, 1e-26] * 15)]
+    compared = 0
+    for nbars, phase, mass in cases:
+        spec = _spec(nbars)
+        dtau = phase / max(spec.frequencies)
+        try:
+            v, angle = two_point_unitary_oracle(spec, 0.0, -dtau * CONSTS.c**2, 1.0, 1.0,
+                                                OracleConfig(), CONSTS, mass=mass)
+        except DomainError:  # beyond the cutoff cap; the oracle names it
+            continue
+        compared += 1
+        ref = _joint_spectrum_exp(spec, dtau, mass)
+        assert abs(v - abs(ref)) <= 1e-14, (nbars, phase)
+        assert abs(math.remainder(angle - np.angle(ref), 2.0 * math.pi)) <= 1e-14 / v
+    assert compared >= 15
+    cold = InternalStateSpec.from_frequencies((1e13, 3e13), 0.0)
+    assert two_point_unitary_oracle(cold, 0.0, 1e-3, 1.0, 9.81, OracleConfig(), CONSTS)[0] == 1.0
+
+
 def test_tensor_matches_product_law_without_factorizing():
     spec = _spec((0.3, 1.0, 2.5))
     dtau = 0.3 / max(spec.frequencies)
@@ -295,6 +371,24 @@ def test_battery_small_run_is_deterministic_and_consistent():
                 assert verdict, (case.frequencies, case.temperature, name)
                 per_oracle[name] += 1
     assert min(per_oracle.values()) >= 5
+
+
+def test_tally_verdicts_counts_each_oracle_and_fails_a_case_on_any_disagreement():
+    def case(v_mc, v_fock, v_tensor):
+        return oracles.OracleCase(frequencies=(1e13,), temperature=300.0, delta_tau=1e-14,
+                                  v_exact=0.5, v_mc=v_mc, se_mc=1e-3, v_fock=v_fock,
+                                  fock_bound=1e-9, v_tensor=v_tensor)
+
+    cases = [case(0.5005, 0.5, 0.5), case(0.51, 0.5, None), case(None, 0.5 + 2e-8, 0.5 + 1e-7)]
+    summary, per_case = oracles.tally_verdicts(cases, mc_sigmas=3.0, det_atol=1e-6)
+    assert [ok for _, ok in per_case] == [True, False, False]
+    assert per_case[1][0] == {"mc": False, "fock": True, "tensor": None}
+    assert {name: (row["valid"], row["agree"]) for name, row in summary.items()} == {
+        "mc": (2, 1), "fock": (3, 2), "tensor": (2, 2)}
+    assert summary["mc"]["max_abs_err"] == pytest.approx(0.01)
+    assert summary["tensor"]["max_abs_err"] == pytest.approx(1e-7)
+    assert summary["mc"]["false_alarm_rate"] == pytest.approx(
+        1.0 - (1.0 - math.erfc(3.0 / math.sqrt(2.0))) ** 2)
 
 
 def test_battery_raises_when_an_oracle_cannot_qualify():

@@ -85,6 +85,13 @@ def test_trajectory_pair_validation():
         TrajectoryPair(t, z, z, z, z)  # times not increasing
     with pytest.raises(DomainError):
         TrajectoryPair(np.array([0.0, 1.0]), z, z, z, z)  # length mismatch
+    names = ("times", "x_a", "v_a", "x_b", "v_b")
+    for k, name in enumerate(names):
+        arrays = [np.array([0.0, 1.0, 2.0])] + [np.zeros(3)] * 4
+        arrays[k] = arrays[k].copy()
+        arrays[k][1] = np.nan
+        with pytest.raises(DomainError, match=f"{name} has non-finite"):
+            TrajectoryPair(*arrays)
 
 
 def test_trajectory_pair_csv_roundtrip(tmp_path):
@@ -111,6 +118,10 @@ def test_tabulated_potential(tmp_path):
     assert pot.phi(np.array([2.5]), CONSTS)[0] == pytest.approx(9.81 * 2.5, rel=1e-12)
     with pytest.raises(DomainError):
         pot.phi(np.array([-1.0]), CONSTS)
+    for bad_x, bad_phi, name in ((np.where(x == 5.0, np.inf, x), phi, "x"),
+                                 (x, np.where(x == 5.0, np.nan, phi), "phi")):
+        with pytest.raises(DomainError, match=f"tabulated {name} has non-finite"):
+            TabulatedPotential(bad_x, bad_phi)
     path = tmp_path / "pot.csv"
     np.savetxt(path, np.column_stack([x, phi]), delimiter=",")
     pot2 = TabulatedPotential.from_csv(str(path))
