@@ -601,36 +601,11 @@ def _cmd_oracle_check(params: dict, consts: PhysicalConstants, output, fmt) -> i
             lines.append(
                 f"          modes={len(case.frequencies)} T={case.temperature:9.3f} K "
                 f"dtau={case.delta_tau:.6e} V_exact={case.v_exact:.9f} "
-                + " ".join(
-                    f"{name}={'-' if v is None else format(v, '.9f')}"
-                    for name, v in (("mc", case.v_mc), ("fock", case.v_fock),
-                                    ("tensor", case.v_tensor))
-                )
+                + " ".join(f"{name}={'-' if v is None else format(v, '.9f')}"
+                           for name, v in case.estimates().items())
             )
-        reports.append(
-            {
-                "index": idx,
-                "frequencies": case.frequencies,
-                "temperature": case.temperature,
-                "delta_tau": case.delta_tau,
-                "v_exact": case.v_exact,
-                "v_mc": case.v_mc,
-                "se_mc": case.se_mc,
-                "v_fock": case.v_fock,
-                "fock_bound": case.fock_bound,
-                "v_tensor": case.v_tensor,
-                "errors": {
-                    name: (None if v is None else abs(v - case.v_exact))
-                    for name, v in (("mc", case.v_mc), ("fock", case.v_fock),
-                                    ("tensor", case.v_tensor))
-                },
-                "mc_seed": case.mc_seed,
-                "n_samples": case.n_samples,
-                "skipped": case.skipped,
-                "verdicts": verdicts,
-                "pass": case_ok,
-            }
-        )
+        reports.append({**asdict(case), "index": idx, "errors": case.errors(),
+                        "verdicts": verdicts, "pass": case_ok})
     for name, row in summary.items():
         lines.append(
             f"{name:6s}: {row['agree']}/{row['valid']} within tolerance, "

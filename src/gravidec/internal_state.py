@@ -40,10 +40,12 @@ class InternalStateSpec:
     frequencies: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_modes < 0:
-            raise DomainError("n_modes must be >= 0")
-        if self.temperature < 0:
-            raise DomainError("temperature must be >= 0")
+        for name in ("n_modes", "temperature"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite")
+            if value < 0:
+                raise DomainError(f"{name} must be >= 0")
         if self.frequencies is not None:
             freqs = np.asarray(self.frequencies, dtype=float)
             n_modes_ok = self.n_modes == int(self.n_modes) == freqs.size

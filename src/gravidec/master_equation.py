@@ -122,33 +122,27 @@ class DensityMatrixGrid:
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    def index_of(self, position: float) -> int:
-        """Grid index of ``position``; off-grid positions are an error."""
-        return _grid_index(self.x, position)
-
     @classmethod
     def two_point_superposition(
-        cls, x1: float, x2: float, n_points: int = 2, span_factor: float = 2.0
+        cls, x1: float, x2: float, n_points: int = 2
     ) -> "DensityMatrixGrid":
         """Equal superposition of position eigenstates at x1 and x2.
 
         The default 2-point grid is the exact reduced representation of this
-        state; with more points the grid spans ``span_factor`` times the
-        separation and both positions land exactly on nodes (use this with a
-        kinetic term, which needs room to act).
+        state; with more points the grid spans about twice the separation and
+        both positions land exactly on nodes (use this with a kinetic term,
+        which needs room to act).
         """
         if x2 <= x1:
             raise DomainError("need x2 > x1")
         if n_points < 2:
             raise DomainError("n_points must be >= 2")
-        if span_factor < 1.0:
-            raise DomainError("span_factor must be >= 1")
         sep = x2 - x1
         if n_points == 2:
             grid = np.array([x1, x2])
             i1, k = 0, 1
         else:
-            dx_target = span_factor * sep / (n_points - 1)
+            dx_target = 2.0 * sep / (n_points - 1)
             k = min(max(1, round(sep / dx_target)), n_points - 1)
             dx = sep / k
             i1 = (n_points - 1 - k) // 2

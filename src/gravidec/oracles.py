@@ -11,7 +11,12 @@ Three independent routes to the same number:
   modes, applies the diagonal two-arm evolution, and reads the off-diagonal
   element of the reduced centre-of-mass state directly. Unlike the other two
   it never factorizes over modes, and it also returns the accumulated
-  relative phase (m g dx t / hbar for a cold particle).
+  relative phase (m g dx t / hbar for a cold particle). Its size caps are
+  the constants ``TENSOR_MAX_MODES``, ``TENSOR_MAX_CUTOFF`` and
+  ``TENSOR_MAX_JOINT_DIM``.
+
+:meth:`OracleCase.estimates` alone pairs each oracle with its field; the
+verdicts, the tally and the ``oracle-check`` report iterate over it.
 
 Deliberately, nothing here imports the analytic formulas: occupations are
 recomputed from exp(-hbar w / k_B T) on the spot, so agreement with
@@ -58,6 +63,10 @@ MC_WEIGHT_BOUND = 0.5
 #: The joint-spectrum oracle is meant for small systems only.
 TENSOR_MAX_MODES = 4
 TENSOR_MAX_CUTOFF = 64
+TENSOR_MAX_JOINT_DIM = 1 << 22
+
+#: The oracles by name, in the order the battery runs them.
+_ORACLES = ("mc", "fock", "tensor")
 
 
 @dataclass(frozen=True)
@@ -66,16 +75,14 @@ class OracleConfig:
 
     ``fock_cutoff`` caps the per-mode number-state truncation; a thermal mode
     whose tail mass above the cutoff exceeds ``tail_epsilon`` is refused with
-    the required cutoff named rather than silently truncated.
-    ``max_joint_dim`` bounds the enumerated joint spectrum of
-    :func:`two_point_unitary_oracle`.
+    the required cutoff named rather than silently truncated. The
+    joint-spectrum oracle's size caps are module constants, not knobs.
     """
 
     n_samples: int = 200_000
     seed: int = 0
     fock_cutoff: int = 64
     tail_epsilon: float = 1e-9
-    max_joint_dim: int = 1 << 22
 
     def __post_init__(self) -> None:
         if self.n_samples < 2:
@@ -84,8 +91,6 @@ class OracleConfig:
             raise DomainError("fock_cutoff must be >= 1")
         if not 0 < self.tail_epsilon < 1:
             raise DomainError("tail_epsilon must lie in (0, 1)")
-        if self.max_joint_dim < 2:
-            raise DomainError("max_joint_dim must be >= 2")
 
 
 def _require_explicit(spec: InternalStateSpec) -> tuple[float, ...]:
@@ -230,18 +235,25 @@ def mc_visibility(
     return abs(mean), se
 
 
-def _mode_cutoff(q: float, cfg: OracleConfig, cap: int | None = None) -> int:
-    """Smallest cutoff c with thermal tail mass q^(c+1) <= tail_epsilon."""
+def _thermal_populations(
+    q: float, cfg: OracleConfig, cap: int | None = None
+) -> tuple[np.ndarray, float]:
+    """Thermal populations (1-q) q^n truncated at n = c, and the mass q^(c+1) cut off.
+
+    The cutoff c is the smallest with tail mass q^(c+1) <= tail_epsilon; one
+    above ``fock_cutoff`` (or ``cap``) is refused with the required value
+    named. The populations are renormalized over n <= c, so V(0) = 1. At
+    q = 0 the cutoff is 0 and the populations are [1.0].
+    """
     limit = cfg.fock_cutoff if cap is None else min(cfg.fock_cutoff, cap)
-    if q == 0.0:
-        return 0
-    need = max(math.ceil(math.log(cfg.tail_epsilon) / math.log(q)) - 1, 0)
-    if need > limit:
+    c = 0 if q == 0.0 else max(math.ceil(math.log(cfg.tail_epsilon) / math.log(q)) - 1, 0)
+    if c > limit:
         raise DomainError(
             f"thermal tail mass {q ** (limit + 1):.3g} above tail_epsilon="
-            f"{cfg.tail_epsilon:g} at cutoff {limit}; required cutoff is {need}"
+            f"{cfg.tail_epsilon:g} at cutoff {limit}; required cutoff is {c}"
         )
-    return need
+    p = (1.0 - q) * q ** np.arange(c + 1)
+    return p / np.sum(p), q ** (c + 1)
 
 
 def fock_visibility(
@@ -249,7 +261,6 @@ def fock_visibility(
     delta_tau: float,
     cfg: OracleConfig,
     consts: PhysicalConstants,
-    populations=None,
 ) -> tuple[float, float]:
     """Number-basis visibility: per mode, |sum_n p_n exp(-i n w dtau)|.
 
@@ -258,31 +269,14 @@ def fock_visibility(
     at dtau = 0 is exactly 1; a cutoff above ``fock_cutoff`` is refused with
     the required value named. Returns ``(visibility, tail_bound)`` where
     ``tail_bound`` sums the discarded mass over modes.
-
-    ``populations`` overrides the thermal weights with one explicit
-    distribution applied to every mode (e.g. [0.5, 0.5] for an equal
-    ground/first-excited superposition's diagonal).
     """
     freqs = _require_explicit(spec)
-    fixed = None
-    if populations is not None:
-        fixed = np.asarray(populations, dtype=float)
-        if fixed.ndim != 1 or fixed.size == 0 or np.any(fixed < 0) or np.sum(fixed) == 0:
-            raise DomainError("populations must be a nonnegative 1-D distribution")
-        fixed = fixed / np.sum(fixed)
     log_v = 0.0
     tail = 0.0
     for w in freqs:
-        if fixed is None:
-            q = _boltzmann_q(w, spec.temperature, consts)
-            c = _mode_cutoff(q, cfg)
-            p = (1.0 - q) * q ** np.arange(c + 1)
-            tail += q ** (c + 1)
-            p = p / np.sum(p)
-        else:
-            p = fixed
-        n = np.arange(p.size)
-        chi = np.sum(p * np.exp(-1j * n * w * delta_tau))
+        p, lost = _thermal_populations(_boltzmann_q(w, spec.temperature, consts), cfg)
+        tail += lost
+        chi = np.sum(p * np.exp(-1j * np.arange(p.size) * w * delta_tau))
         log_v += math.log(abs(chi)) if abs(chi) > 0 else -math.inf
     return math.exp(log_v), tail
 
@@ -308,7 +302,8 @@ def two_point_unitary_oracle(
 
     Internal energies are measured from the joint ground state, so the
     returned phase excludes the zero-point contribution. Meant for small
-    systems: at most 4 modes and per-mode cutoff 64.
+    systems: at most ``TENSOR_MAX_MODES`` modes, per-mode cutoff
+    ``TENSOR_MAX_CUTOFF`` and ``TENSOR_MAX_JOINT_DIM`` joint states.
     """
     freqs = _require_explicit(spec)
     if len(freqs) > TENSOR_MAX_MODES:
@@ -318,24 +313,21 @@ def two_point_unitary_oracle(
 
     pops: list[np.ndarray] = []
     energies: list[np.ndarray] = []
-    joint_dim = 1
     for w in freqs:
         q = _boltzmann_q(w, spec.temperature, consts)
-        c = _mode_cutoff(q, cfg, cap=TENSOR_MAX_CUTOFF)
-        p = (1.0 - q) * q ** np.arange(c + 1) if q > 0 else np.ones(1)
-        p = p / np.sum(p)  # renormalize the truncated state so V(0) = 1
+        p, _ = _thermal_populations(q, cfg, cap=TENSOR_MAX_CUTOFF)
         pops.append(p)
-        energies.append(consts.hbar * w * np.arange(c + 1))
-        joint_dim *= c + 1
-    if joint_dim > cfg.max_joint_dim:
+        energies.append(consts.hbar * w * np.arange(p.size))
+    dims = [p.size for p in pops]
+    joint_dim = math.prod(dims)
+    if joint_dim > TENSOR_MAX_JOINT_DIM:
         raise DomainError(
-            f"joint Fock dimension {joint_dim} exceeds max_joint_dim={cfg.max_joint_dim}"
+            f"joint Fock dimension {joint_dim} exceeds max_joint_dim={TENSOR_MAX_JOINT_DIM}"
         )
 
     dphi = g * x1 - g * x2
     rate = dphi * t / (consts.hbar * consts.c**2)  # phase per unit energy
 
-    dims = [p.size for p in pops]
     strides = np.ones(len(dims), dtype=np.int64)
     for i in range(len(dims) - 2, -1, -1):
         strides[i] = strides[i + 1] * dims[i + 1]
@@ -377,6 +369,15 @@ class OracleCase:
     n_samples: int | None = None
     skipped: tuple[str, ...] = field(default=())
 
+    def estimates(self) -> dict[str, float | None]:
+        """Each oracle's visibility by name, in run order; None where it skipped."""
+        return {"mc": self.v_mc, "fock": self.v_fock, "tensor": self.v_tensor}
+
+    def errors(self) -> dict[str, float | None]:
+        """Each oracle's |V - V_exact| by name; None where it skipped."""
+        return {name: None if v is None else abs(v - self.v_exact)
+                for name, v in self.estimates().items()}
+
     def agreements(self, mc_sigmas: float, det_atol: float) -> dict[str, bool | None]:
         """Per-oracle verdicts; None where the oracle skipped this set.
 
@@ -391,23 +392,13 @@ class OracleCase:
         row's ``false_alarm_rate``; that is how often its exit 1 is a false
         alarm.
         """
-        out: dict[str, bool | None] = {}
-        out["mc"] = (
-            None
-            if self.v_mc is None
-            else bool(abs(self.v_mc - self.v_exact) <= mc_sigmas * (self.se_mc or 0.0) + 1e-12)
-        )
-        out["fock"] = (
-            None
-            if self.v_fock is None
-            else bool(abs(self.v_fock - self.v_exact) <= 10.0 * (self.fock_bound or 0.0) + 1e-12)
-        )
-        out["tensor"] = (
-            None
-            if self.v_tensor is None
-            else bool(abs(self.v_tensor - self.v_exact) <= det_atol)
-        )
-        return out
+        windows = {
+            "mc": mc_sigmas * (self.se_mc or 0.0) + 1e-12,
+            "fock": 10.0 * (self.fock_bound or 0.0) + 1e-12,
+            "tensor": det_atol,
+        }
+        return {name: None if err is None else bool(err <= windows[name])
+                for name, err in self.errors().items()}
 
 
 def tally_verdicts(
@@ -422,19 +413,18 @@ def tally_verdicts(
     its window on some valid case. ``per_case`` holds each case's verdicts
     and whether every oracle that ran on it agreed.
     """
-    summary = {name: {"valid": 0, "agree": 0, "max_abs_err": 0.0}
-               for name in ("mc", "fock", "tensor")}
+    summary = {name: {"valid": 0, "agree": 0, "max_abs_err": 0.0} for name in _ORACLES}
     per_case = []
     for case in cases:
         verdicts = case.agreements(mc_sigmas, det_atol)
-        values = {"mc": case.v_mc, "fock": case.v_fock, "tensor": case.v_tensor}
+        errors = case.errors()
         for name, ok in verdicts.items():
             if ok is None:
                 continue
             row = summary[name]
             row["valid"] += 1
             row["agree"] += int(ok)
-            row["max_abs_err"] = max(row["max_abs_err"], abs(values[name] - case.v_exact))
+            row["max_abs_err"] = max(row["max_abs_err"], errors[name])
         per_case.append((verdicts, all(ok is not False for ok in verdicts.values())))
     mc = summary["mc"]
     mc["false_alarm_rate"] = 1.0 - (1.0 - math.erfc(mc_sigmas / math.sqrt(2.0))) ** mc["valid"]
@@ -468,7 +458,7 @@ def run_oracle_battery(
     fock_cfg = replace(cfg, fock_cutoff=max(cfg.fock_cutoff, 512))
     rng = np.random.default_rng(seed)
     cases: list[OracleCase] = []
-    counts = {"mc": 0, "fock": 0, "tensor": 0}
+    counts = dict.fromkeys(_ORACLES, 0)
     attempts = 0
     while min(counts.values()) < n_cases and attempts < 200 * n_cases:
         attempts += 1
@@ -486,45 +476,29 @@ def run_oracle_battery(
 
         case_seed = cfg.seed + attempts
         case_cfg = replace(cfg, seed=case_seed)
-        skipped: list[str] = []
-        v_mc = se_mc = v_fock = fock_bound = v_tensor = None
-        try:
-            v_mc, se_mc = mc_visibility(spec, delta_tau, case_cfg, consts)
-            counts["mc"] += 1
-        except DomainError as exc:
-            skipped.append(f"mc: {exc}")
-        try:
-            v_fock, fock_bound = fock_visibility(spec, delta_tau, fock_cfg, consts)
-            counts["fock"] += 1
-        except DomainError as exc:
-            skipped.append(f"fock: {exc}")
-        try:
+        calls = {
+            "mc": lambda: mc_visibility(spec, delta_tau, case_cfg, consts),
+            "fock": lambda: fock_visibility(spec, delta_tau, fock_cfg, consts),
             # Static arms with g t (x1 - x2) / c^2 = dtau reproduce the same dtau.
-            v_tensor, _ = two_point_unitary_oracle(
+            "tensor": lambda: two_point_unitary_oracle(
                 spec, 0.0, -delta_tau * consts.c**2, 1.0, 1.0, case_cfg, consts
-            )
-            counts["tensor"] += 1
-        except DomainError as exc:
-            skipped.append(f"tensor: {exc}")
+            ),
+        }
+        results = dict.fromkeys(calls, (None, None))
+        skipped: list[str] = []
+        for name, call in calls.items():
+            try:
+                results[name] = call()
+                counts[name] += 1
+            except DomainError as exc:
+                skipped.append(f"{name}: {exc}")
+        (mc, se_mc), (fock, fock_bound), (tensor, _) = results.values()
 
-        cases.append(
-            OracleCase(
-                frequencies=freqs,
-                temperature=temperature,
-                delta_tau=delta_tau,
-                v_exact=v_exact,
-                v_mc=v_mc,
-                se_mc=se_mc,
-                v_fock=v_fock,
-                fock_bound=fock_bound,
-                v_tensor=v_tensor,
-                mc_seed=case_seed,
-                n_samples=cfg.n_samples,
-                skipped=tuple(skipped),
-            )
-        )
+        cases.append(OracleCase(
+            frequencies=freqs, temperature=temperature, delta_tau=delta_tau, v_exact=v_exact,
+            v_mc=mc, se_mc=se_mc, v_fock=fock, fock_bound=fock_bound, v_tensor=tensor,
+            mc_seed=case_seed, n_samples=cfg.n_samples, skipped=tuple(skipped),
+        ))
     if min(counts.values()) < n_cases:
-        raise DomainError(
-            f"could not collect {n_cases} valid sets per oracle; got {counts}"
-        )
+        raise DomainError(f"could not collect {n_cases} valid sets per oracle; got {counts}")
     return cases

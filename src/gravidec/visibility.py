@@ -175,21 +175,12 @@ def decoherence_time_schwarzschild(
 ) -> float:
     """Decoherence time sqrt(8/N) hbar R^2 / (k_B T R_s |dx|) near a mass M.
 
-    Algebraically identical to :func:`decoherence_time` evaluated at the local
-    acceleration g = G M / R^2.
+    This is :func:`decoherence_time` at the local acceleration g = G M / R^2,
+    after the weak-field check.
     """
-    if n_modes < 0 or temperature < 0:
-        raise DomainError("n_modes and temperature must be >= 0")
     sw.validate_weak_field(consts)
-    if n_modes == 0 or temperature == 0 or delta_x == 0:
-        return math.inf
-    r_s = sw.schwarzschild_radius(consts)
-    return (
-        math.sqrt(8.0 / n_modes)
-        * consts.hbar
-        * sw.radius**2
-        / (consts.k_B * temperature * r_s * abs(delta_x))
-    )
+    g = consts.G * sw.central_mass / sw.radius**2
+    return decoherence_time(n_modes, temperature, delta_x, g, consts)
 
 
 def hawking_temperature(mass: float, consts: PhysicalConstants) -> float:

@@ -471,6 +471,43 @@ def test_oracle_check_small_battery(capsys, tmp_path):
     assert out.read_bytes() == again.read_bytes()
 
 
+def test_oracle_check_report_layout(capsys, tmp_path):
+    out = tmp_path / "oracle.json"
+    code = main(["oracle-check", "--cases", "8", "--samples", "2000", "--verbose",
+                 "--output", str(out)])
+    stdout = capsys.readouterr().out
+    assert code in (0, 1)
+    payload = json.loads(out.read_text())
+    names = ("mc", "fock", "tensor")
+    fields = {"mc": "v_mc", "fock": "v_fock", "tensor": "v_tensor"}
+    assert set(payload["summary"]) == set(names)
+    skips = 0
+    for case in payload["cases"]:
+        assert set(case) == {
+            "index", "frequencies", "temperature", "delta_tau", "v_exact", "v_mc", "se_mc",
+            "v_fock", "fock_bound", "v_tensor", "errors", "mc_seed", "n_samples", "skipped",
+            "verdicts", "pass"}
+        assert set(case["errors"]) == set(case["verdicts"]) == set(names)
+        for name in names:
+            value = case[fields[name]]
+            skipped = any(item.startswith(f"{name}:") for item in case["skipped"])
+            skips += skipped
+            assert (value is None) == (case["errors"][name] is None) \
+                == (case["verdicts"][name] is None) == skipped
+            if value is not None:
+                assert case["errors"][name] == abs(value - case["v_exact"])
+    assert skips > 0
+    for name in names:
+        errors = [c["errors"][name] for c in payload["cases"] if c["errors"][name] is not None]
+        assert payload["summary"][name]["max_abs_err"] == max(errors)
+
+    detail = [line for line in stdout.splitlines() if line.startswith("          modes=")]
+    assert len(detail) == len(payload["cases"])
+    for line in detail:
+        tail = line.split(" V_exact=")[1].split()[1:]
+        assert [item.split("=")[0] for item in tail] == list(names)
+
+
 def test_oracle_check_stdout_modes(capsys):
     # default: human-readable lines only, no JSON blob trailing them
     code, out, _ = _run(capsys, "oracle-check", "--cases", "2", "--samples", "5000")

@@ -71,6 +71,13 @@ def test_from_frequencies_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError, match="frequencies has non-finite"):
             InternalStateSpec.from_frequencies((bad, 1e13), 300.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="^temperature must be finite"):
+            InternalStateSpec.from_frequencies((1e13,), bad)
+        with pytest.raises(DomainError, match="^n_modes must be finite"):
+            InternalStateSpec.high_temperature_limit(bad, 300.0)
+        with pytest.raises(DomainError, match="^temperature must be finite"):
+            InternalStateSpec.high_temperature_limit(1e23, bad)
     with pytest.raises(DomainError):
         # length must match n_modes when both are given explicitly
         InternalStateSpec(n_modes=3, temperature=300.0, frequencies=(1e12, 2e12))

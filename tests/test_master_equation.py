@@ -82,12 +82,13 @@ def test_grid_refuses_non_finite_entries():
         DensityMatrixGrid(x=np.array([0.0, np.inf]), rho=np.eye(2) / 2)
 
 
-def test_index_of_rejects_off_grid_positions():
-    grid = _two_point(1e-3)
-    assert grid.index_of(0.0) == 0
-    assert grid.index_of(1e-3) == 1
-    with pytest.raises(DomainError):
-        grid.index_of(4e-4)
+def test_extract_visibility_rejects_off_grid_positions():
+    cfg = EvolutionConfig(dt=1e-3, t_final=1e-2, lambda_coefficient=1.0)
+    result = evolve_markovian(_two_point(1e-3), FREE, cfg, CONSTS)
+    assert np.array_equal(extract_visibility(result, 0.0, 1e-3).values,
+                          extract_visibility(result).values)
+    with pytest.raises(DomainError, match="not on the grid"):
+        extract_visibility(result, 0.0, 4e-4)
 
 
 def test_markovian_matches_gaussian_law_exactly():

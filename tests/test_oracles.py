@@ -203,23 +203,6 @@ def test_fock_refusal_names_required_cutoff():
         fock_visibility(spec, 1e-15, OracleConfig(fock_cutoff=8), CONSTS)
 
 
-def test_fock_population_override():
-    w = _omega_for_nbar(1.0, 300.0)
-    spec = InternalStateSpec.from_frequencies((w,), 300.0)
-    delta = 0.4
-
-    v_ground, tail = fock_visibility(spec, delta / w, OracleConfig(), CONSTS, populations=[1.0])
-    assert v_ground == pytest.approx(1.0, abs=1e-15)
-    assert tail == 0.0
-
-    # equal ground/first-excited mixture: |(1 + e^{-i d})/2| = cos(d/2)
-    v_mix, _ = fock_visibility(spec, delta / w, OracleConfig(), CONSTS, populations=[0.5, 0.5])
-    assert math.isclose(v_mix, math.cos(delta / 2.0), rel_tol=1e-12)
-
-    with pytest.raises(DomainError):
-        fock_visibility(spec, delta / w, OracleConfig(), CONSTS, populations=[0.5, -0.5])
-
-
 def test_tensor_cold_particle_phase():
     w = _omega_for_nbar(1.0, 300.0)
     spec = InternalStateSpec.from_frequencies((w,), 0.0)
@@ -236,10 +219,9 @@ def _joint_spectrum_exp(spec, delta_tau: float, mass: float) -> complex:
     pops, energies = [], []
     for w in spec.frequencies:
         q = oracles._boltzmann_q(w, spec.temperature, CONSTS)
-        c = oracles._mode_cutoff(q, OracleConfig(), cap=oracles.TENSOR_MAX_CUTOFF)
-        p = (1.0 - q) * q ** np.arange(c + 1) if q > 0 else np.ones(1)
-        pops.append(p / np.sum(p))
-        energies.append(CONSTS.hbar * w * np.arange(c + 1))
+        p, _ = oracles._thermal_populations(q, OracleConfig(), cap=oracles.TENSOR_MAX_CUTOFF)
+        pops.append(p)
+        energies.append(CONSTS.hbar * w * np.arange(p.size))
     prob, energy = np.ones(1), np.zeros(1)
     for p, e in zip(pops, energies):
         prob = (prob[:, None] * p[None, :]).ravel()
@@ -341,15 +323,14 @@ def test_deterministic_oracles_match_product_law_at_large_phase():
     assert min(max(p for _, p in r) for r in reached.values()) > 19.0
 
 
-def test_tensor_limits():
+def test_tensor_limits(monkeypatch):
     spec5 = _spec((0.5,) * 5)
     with pytest.raises(DomainError, match="at most 4"):
         two_point_unitary_oracle(spec5, 0.0, 1e-3, 1.0, 9.81, OracleConfig(), CONSTS)
     spec3 = _spec((0.3, 1.0, 2.5))
+    monkeypatch.setattr(oracles, "TENSOR_MAX_JOINT_DIM", 1000)
     with pytest.raises(DomainError, match="max_joint_dim"):
-        two_point_unitary_oracle(
-            spec3, 0.0, 1e-3, 1.0, 9.81, OracleConfig(max_joint_dim=1000), CONSTS
-        )
+        two_point_unitary_oracle(spec3, 0.0, 1e-3, 1.0, 9.81, OracleConfig(), CONSTS)
     with pytest.raises(DomainError, match="mass"):
         two_point_unitary_oracle(
             _spec((1.0,)), 0.0, 1e-3, 1.0, 9.81, OracleConfig(), CONSTS, mass=-1.0
@@ -391,10 +372,11 @@ def test_tally_verdicts_counts_each_oracle_and_fails_a_case_on_any_disagreement(
         1.0 - (1.0 - math.erfc(3.0 / math.sqrt(2.0))) ** 2)
 
 
-def test_battery_raises_when_an_oracle_cannot_qualify():
+def test_battery_raises_when_an_oracle_cannot_qualify(monkeypatch):
     # a 2-dimensional joint-spectrum budget is below any thermal cutoff in
     # the sampled envelope, so the tensor oracle can never reach quota
-    cfg = OracleConfig(n_samples=2, seed=1, max_joint_dim=2)
+    monkeypatch.setattr(oracles, "TENSOR_MAX_JOINT_DIM", 2)
+    cfg = OracleConfig(n_samples=2, seed=1)
     with pytest.raises(DomainError, match="could not collect"):
         run_oracle_battery(2, cfg, CONSTS)
 
@@ -406,5 +388,3 @@ def test_config_validation():
         OracleConfig(fock_cutoff=0)
     with pytest.raises(DomainError):
         OracleConfig(tail_epsilon=0.0)
-    with pytest.raises(DomainError):
-        OracleConfig(max_joint_dim=1)
