@@ -580,6 +580,8 @@ def _cmd_propertime(params: dict, consts: PhysicalConstants, output, fmt) -> int
 def _cmd_oracle_check(params: dict, consts: PhysicalConstants, output, fmt) -> int:
     if fmt == "csv":
         raise ConfigError("oracle reports are JSON only; drop --format or use json")
+    if params["cases"] < 1:
+        raise ConfigError(f"--cases must be >= 1, got {params['cases']}")
     cfg = OracleConfig(
         n_samples=params["samples"],
         seed=params["mc_seed"],

@@ -41,6 +41,12 @@ With no Hamiltonian each step of either form multiplies rho elementwise by a
 factor that depends only on t, so a whole run is a cumulative product of
 those factors, taken in blocks of bounded size.
 
+Memory: a Strang step runs in one (m, m) work buffer that is allocated once
+per run, and the shared stepping loop writes every snapshot into one
+preallocated (n_snapshots, m, m) store. A Markovian run with a Hamiltonian
+therefore holds the snapshots plus a few m x m arrays, and it makes no
+per-step allocation of size m^2.
+
 Lambda carries units 1/(m^2 s^2). For N high-temperature modes it is
 N (k_B T g / (hbar c^2))^2; the general kernel is parameterized by the
 internal energy variance through :func:`memory_kernel_coefficients`.
@@ -289,8 +295,10 @@ def _drive(rho0: DensityMatrixGrid, cfg: EvolutionConfig, form: str, state: np.n
     ``state`` is the integrator's form of rho0. ``advance(state, step)``
     returns the states after steps step+1 .. step+k (k >= 1) stacked on a
     leading axis; ``readout(states)`` gives the tracked pair's element of
-    each, and ``expand(state)`` a new position-basis rho for a snapshot.
-    Step 0 is read from rho0 itself.
+    each, and ``expand(state, out)`` writes the position-basis rho of a
+    snapshot into ``out``. Snapshots go straight into one store of
+    (n_snapshots, m, m), allocated once the plan has passed its byte cap, so
+    no second copy of them is ever made. Step 0 is read from rho0 itself.
     """
     n_steps, m = cfg.n_steps, rho0.x.size
     plan = _snapshot_plan(cfg, m)
@@ -298,7 +306,9 @@ def _drive(rho0: DensityMatrixGrid, cfg: EvolutionConfig, form: str, state: np.n
     coherence = np.full(n_steps + 1, np.nan, dtype=complex)
     if rho0.pair is not None:
         coherence[0] = rho0.rho[rho0.pair]
-    snaps = [rho0.rho.copy()] if plan else []
+    snapshots = np.empty((len(plan), m, m), dtype=complex)
+    snapshots[:1] = rho0.rho  # step 0, when any snapshot is stored
+    stored = min(1, len(plan))
     step = 0
     while step < n_steps:
         states = advance(state, step)
@@ -309,11 +319,11 @@ def _drive(rho0: DensityMatrixGrid, cfg: EvolutionConfig, form: str, state: np.n
             )
         if rho0.pair is not None:
             coherence[step + 1:step + 1 + len(states)] = readout(states)
-        while len(snaps) < len(plan) and plan[len(snaps)] <= step + len(states):
-            snaps.append(expand(states[plan[len(snaps)] - step - 1]))
+        while stored < len(plan) and plan[stored] <= step + len(states):
+            expand(states[plan[stored] - step - 1], snapshots[stored])
+            stored += 1
         state = states[-1]
         step += len(states)
-    snapshots = np.array(snaps) if snaps else np.empty((0, m, m), dtype=complex)
     return EvolutionResult(x=rho0.x, times=times, coherence=coherence, form=form,
                            pair=rho0.pair, snapshot_times=times[plan], snapshots=snapshots)
 
@@ -333,7 +343,7 @@ def _products(rho0: DensityMatrixGrid, cfg: EvolutionConfig, factor) -> tuple:
         return np.cumprod(np.concatenate([rho[None], factor(cfg, dsq, steps)]), axis=0)[1:]
 
     i, j = rho0.pair or (0, 0)
-    return rho0.rho, advance, lambda states: states[:, i, j], np.copy
+    return rho0.rho, advance, lambda states: states[:, i, j], lambda rho, out: np.copyto(out, rho)
 
 
 def _midpoint_dephasing(cfg: EvolutionConfig, dsq: np.ndarray, steps) -> np.ndarray:
@@ -342,10 +352,15 @@ def _midpoint_dephasing(cfg: EvolutionConfig, dsq: np.ndarray, steps) -> np.ndar
     return np.exp(-cfg.lambda_coefficient * dsq * t_mid[..., None, None] * cfg.dt)
 
 
-def _kinetic(rho: np.ndarray, kin: np.ndarray) -> np.ndarray:
-    """A rho A+ for the circulant A = ifft diag(kin) fft: four FFT passes."""
-    rho = np.fft.ifft(kin[:, None] * np.fft.fft(rho, axis=0), axis=0)
-    return np.fft.fft(kin.conj()[None, :] * np.fft.ifft(rho, axis=1), axis=1)
+def _kinetic(rho: np.ndarray, kin: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A rho A+ for the circulant A = ifft diag(kin) fft: four FFT passes,
+    each written into ``out``, which may be ``rho`` itself."""
+    np.fft.fft(rho, axis=0, out=out)
+    np.multiply(kin[:, None], out, out=out)
+    np.fft.ifft(out, axis=0, out=out)
+    np.fft.ifft(out, axis=1, out=out)
+    np.multiply(kin.conj()[None, :], out, out=out)
+    return np.fft.fft(out, axis=1, out=out)
 
 
 def _hamiltonian_matrix(
@@ -377,6 +392,12 @@ def evolve_markovian(
     between steps lacks the trailing kinetic half-step, which the next step's
     leading half-step would undo into a full step. With kind="none" every
     step is exact regardless of dt.
+
+    Every step runs in one complex (m, m) work buffer. The four FFT passes
+    write into it, and the kinetic, potential and dephasing factors multiply
+    it in place. -Lambda dsq is formed once per run, and each step's
+    dephasing exponent goes into one real (m, m) buffer. Step 0 only reads
+    rho0.rho; later steps read and overwrite the work buffer.
     """
     if ham.kind == "none":
         return _drive(rho0, cfg, "markovian", *_products(rho0, cfg, _midpoint_dephasing))
@@ -391,9 +412,18 @@ def evolve_markovian(
         v = ham.gravitational_weight(consts) * ham.g * x
         pot_phase = np.exp(-1j * (v[:, None] - v[None, :]) * cfg.dt / consts.hbar)
 
+    neg_lam_dsq = -cfg.lambda_coefficient * dsq
+    work = np.empty((m, m), dtype=complex)
+    exponent = np.empty((m, m))
+
     def advance(rho: np.ndarray, step: int) -> np.ndarray:
-        rho = _kinetic(rho, half_kin if step == 0 else full_kin) * pot_phase
-        return (rho * _midpoint_dephasing(cfg, dsq, step))[None]
+        # rho is rho0.rho at step 0 (only read) and ``work`` itself after it
+        _kinetic(rho, half_kin if step == 0 else full_kin, work)
+        np.multiply(work, pot_phase, out=work)
+        np.multiply(neg_lam_dsq, (step + 0.5) * cfg.dt, out=exponent)
+        np.multiply(exponent, cfg.dt, out=exponent)
+        np.multiply(work, np.exp(exponent, out=exponent), out=work)
+        return work[None]
 
     # The tracked pair of A rho A+ from the circulant A's rows, O(m^2).
     i, j = rho0.pair or (0, 0)
@@ -401,7 +431,8 @@ def evolve_markovian(
     row_i = col[(i - np.arange(m)) % m]
     row_j = col[(j - np.arange(m)) % m].conj()
     return _drive(rho0, cfg, "markovian", rho0.rho, advance,
-                  lambda states: row_i @ states @ row_j, lambda rho: _kinetic(rho, half_kin))
+                  lambda states: row_i @ states @ row_j,
+                  lambda rho, out: _kinetic(rho, half_kin, out))
 
 
 def _rk4_amplification(cfg: EvolutionConfig, dsq: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -487,7 +518,8 @@ def evolve_full_memory(
 
     i, j = rho0.pair or (0, 0)
     return _drive(rho0, cfg, "full_memory", qh @ rho0.rho @ q, advance,
-                  lambda states: q[i] @ states @ q[j].conj(), lambda rho: q @ rho @ qh)
+                  lambda states: q[i] @ states @ q[j].conj(),
+                  lambda rho, out: np.matmul(q @ rho, qh, out=out))
 
 
 def evolve(
@@ -562,7 +594,7 @@ def save_snapshots(path: str, times: np.ndarray, x: np.ndarray, snapshots: np.nd
         fh.write(struct.pack("<qqdd", n, m, float(x[0]), float(x[-1])))
         for t, rho in zip(times, snapshots):
             fh.write(struct.pack("<d", float(t)))
-            fh.write(rho.astype("<c16").tobytes(order="C"))
+            fh.write(np.ascontiguousarray(rho, dtype="<c16"))
 
 
 def load_snapshots(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -447,7 +447,8 @@ def run_oracle_battery(
     phase exceeds the MC variance bound, and needs a number-state cutoff
     beyond the joint-spectrum oracle's cap), which is exactly why skipping
     with replacement is allowed. Deterministic in ``seed``, including the
-    per-case Monte Carlo streams.
+    per-case Monte Carlo streams. ``n_cases`` must be >= 1: a battery of no
+    sets certifies nothing.
 
     The number-basis oracle runs with a cutoff of at least 512 so the whole
     envelope stays below ``tail_epsilon``; the other oracles use ``cfg`` as
@@ -455,6 +456,8 @@ def run_oracle_battery(
     """
     from .visibility import exact_visibility  # local import keeps the check one-way
 
+    if n_cases < 1:
+        raise DomainError(f"n_cases must be >= 1, got {n_cases}")
     fock_cfg = replace(cfg, fock_cutoff=max(cfg.fock_cutoff, 512))
     rng = np.random.default_rng(seed)
     cases: list[OracleCase] = []

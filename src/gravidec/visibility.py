@@ -47,10 +47,12 @@ class SchwarzschildSpec:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.central_mass <= 0:
-            raise DomainError("central_mass must be > 0")
-        if self.radius <= 0:
-            raise DomainError("radius must be > 0")
+        for name in ("central_mass", "radius"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite")
+            if value <= 0:
+                raise DomainError(f"{name} must be > 0")
 
     def schwarzschild_radius(self, consts: PhysicalConstants) -> float:
         return 2.0 * consts.G * self.central_mass / consts.c**2
@@ -185,6 +187,8 @@ def decoherence_time_schwarzschild(
 
 def hawking_temperature(mass: float, consts: PhysicalConstants) -> float:
     """Hawking temperature hbar c^3 / (8 pi k_B G M) of a mass M."""
+    if not math.isfinite(mass):
+        raise DomainError("mass must be finite")
     if mass <= 0:
         raise DomainError("mass must be > 0")
     return consts.hbar * consts.c**3 / (8.0 * math.pi * consts.k_B * consts.G * mass)

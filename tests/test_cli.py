@@ -530,6 +530,17 @@ def test_oracle_check_stdout_modes(capsys):
     assert "JSON only" in err
 
 
+@pytest.mark.parametrize("cases", ["0", "-1"])
+def test_oracle_check_refuses_an_empty_battery(capsys, tmp_path, cases):
+    # a battery of no sets used to print "oracle-check: OK" and exit 0
+    out = tmp_path / "oracle.json"
+    code, stdout, err = _run(capsys, "oracle-check", "--cases", cases, "--output", str(out))
+    assert code == 2
+    assert "--cases must be >= 1" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_oracle_check_preset_is_overridable(capsys, tmp_path):
     # the preset bundles cases=50; an explicit flag must still win
     out = tmp_path / "preset.json"

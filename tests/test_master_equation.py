@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from gravidec import (
 )
 from gravidec.errors import DomainError, NumericalInstabilityError
 from gravidec.internal_state import internal_energy_variance, mean_internal_energy
-from gravidec.master_equation import _hamiltonian_matrix, _kernel_window
+from gravidec.master_equation import _SNAPSHOT_MAGIC, _hamiltonian_matrix, _kernel_window
 
 CONSTS = default_constants()
 FREE = CMHamiltonianSpec(kind="none")
@@ -401,6 +403,12 @@ def _track(grid, cfg, step_fn):
     return np.array(coherence), np.array(snaps)
 
 
+def _kinetic_alloc(rho: np.ndarray, kin: np.ndarray) -> np.ndarray:
+    """A rho A+ for the circulant A = ifft diag(kin) fft, a fresh array per pass."""
+    rho = np.fft.ifft(kin[:, None] * np.fft.fft(rho, axis=0), axis=0)
+    return np.fft.fft(kin.conj()[None, :] * np.fft.ifft(rho, axis=1), axis=1)
+
+
 def _strang_unmerged(grid, ham, cfg):
     """Both kinetic half-steps in every step."""
     half = _kinetic_half(grid, ham, cfg.dt)
@@ -408,15 +416,41 @@ def _strang_unmerged(grid, ham, cfg):
     pot = np.exp(-1j * (v[:, None] - v[None, :]) * cfg.dt / CONSTS.hbar)
     dsq = (grid.x[:, None] - grid.x[None, :]) ** 2
 
-    def kin(rho):
-        rho = np.fft.ifft(half[:, None] * np.fft.fft(rho, axis=0), axis=0)
-        return np.fft.fft(half.conj()[None, :] * np.fft.ifft(rho, axis=1), axis=1)
-
     def step_fn(rho, step):
         t_mid = (step + 0.5) * cfg.dt
-        return kin(kin(rho) * pot * np.exp(-cfg.lambda_coefficient * dsq * t_mid * cfg.dt))
+        rho = _kinetic_alloc(rho, half) * pot
+        return _kinetic_alloc(rho * np.exp(-cfg.lambda_coefficient * dsq * t_mid * cfg.dt), half)
 
     return _track(grid, cfg, step_fn)
+
+
+def _strang_merged_allocating(grid, ham, cfg):
+    """The merged Strang step as it ran before it had one work buffer: a
+    fresh array for every FFT pass and factor, the pair read from a stack of
+    one state, and snapshots collected in a list. The in-place step must
+    reproduce it bit for bit."""
+    m = grid.x.size
+    half = _kinetic_half(grid, ham, cfg.dt)
+    full = half**2
+    pot = 1.0
+    if ham.kind == "free_plus_linear":
+        v = _potential(grid, ham)
+        pot = np.exp(-1j * (v[:, None] - v[None, :]) * cfg.dt / CONSTS.hbar)
+    dsq = (grid.x[:, None] - grid.x[None, :]) ** 2
+    i, j = grid.pair
+    col = np.fft.ifft(half)
+    row_i = col[(i - np.arange(m)) % m]
+    row_j = col[(j - np.arange(m)) % m].conj()
+    rho = grid.rho
+    coherence, snaps = [rho[grid.pair]], [rho.copy()]
+    for step in range(cfg.n_steps):
+        t_mid = (np.asarray(step) + 0.5) * cfg.dt
+        rho = _kinetic_alloc(rho, half if step == 0 else full) * pot
+        rho = rho * np.exp(-cfg.lambda_coefficient * dsq * t_mid[..., None, None] * cfg.dt)
+        coherence.append((row_i @ rho[None] @ row_j)[0])
+        if (step + 1) % cfg.store_every == 0 or step + 1 == cfg.n_steps:
+            snaps.append(_kinetic_alloc(rho, half))
+    return np.array(coherence), np.array(snaps)
 
 
 def _kind_none_per_step(grid, cfg):
@@ -468,21 +502,94 @@ def _position_basis_rk4(grid, ham, cfg):
     return _track(grid, cfg, step_fn)
 
 
-@pytest.mark.parametrize("kind", ["free", "free_plus_linear"])
-def test_merged_strang_matches_unmerged_half_steps(kind):
-    m, sep, mass = 64, 1e-6, 1e-24
+def _strang_case(m: int, n_steps: int, kind: str, store_every: int, form: str = "markovian"):
+    """Free flight (or with a tilt) at |w dt| = 0.05, dephasing to V ~ 1/e by t_final."""
+    sep, mass = 1e-6, 1e-24
     grid = DensityMatrixGrid.two_point_superposition(0.0, sep, n_points=m)
     ham = CMHamiltonianSpec(kind=kind, mass=mass, g=9.81)
     omega = CONSTS.hbar * (math.pi * (m - 1) / (2.0 * sep)) ** 2 / (2.0 * mass)
     dt = 0.05 / omega
-    cfg = EvolutionConfig(dt=dt, t_final=100 * dt,
-                          lambda_coefficient=2.0 / (sep * 100 * dt) ** 2, store_every=3)
+    cfg = EvolutionConfig(dt=dt, t_final=n_steps * dt, form=form, store_every=store_every,
+                          lambda_coefficient=2.0 / (sep * n_steps * dt) ** 2)
+    return grid, ham, cfg
+
+
+@pytest.mark.parametrize("kind", ["free", "free_plus_linear"])
+def test_merged_strang_matches_unmerged_half_steps(kind):
+    m = 64
+    grid, ham, cfg = _strang_case(m, 100, kind, store_every=3)
     result = evolve_markovian(grid, ham, cfg, CONSTS)
     coherence, snaps = _strang_unmerged(grid, ham, cfg)
     assert result.snapshots.shape == snaps.shape == (35, m, m)
     assert np.max(np.abs(result.coherence - coherence)) < 1e-12
     assert np.max(np.abs(result.snapshots - snaps)) < 1e-12
     assert abs(2.0 * abs(coherence[-1]) - 1.0) > 0.1  # the run does decay
+
+
+@pytest.mark.parametrize("m", [64, 256])
+@pytest.mark.parametrize("kind", ["free", "free_plus_linear"])
+def test_in_place_strang_is_bit_identical_to_allocating_step(kind, m):
+    grid, ham, cfg = _strang_case(m, 60, kind, store_every=7)
+    result = evolve_markovian(grid, ham, cfg, CONSTS)
+    coherence, snaps = _strang_merged_allocating(grid, ham, cfg)
+    assert result.snapshots.shape == snaps.shape == (10, m, m)
+    assert np.array_equal(result.coherence, coherence)
+    assert np.array_equal(result.snapshots, snaps)
+
+
+@pytest.mark.parametrize("form", ["markovian", "full_memory"])
+def test_evolve_leaves_rho0_alone_and_snapshots_own_their_memory(form):
+    grid, ham, cfg = _strang_case(32, 40, "free_plus_linear", store_every=9, form=form)
+    before = grid.rho.copy()
+    grid.rho.flags.writeable = False  # any write into rho0 raises
+    result = evolve(grid, ham, cfg, CONSTS)
+    assert np.array_equal(grid.rho, before)
+    snaps = result.snapshots
+    assert snaps.shape[0] == 6 and np.array_equal(snaps[0], before)
+    for k in range(snaps.shape[0]):
+        assert not np.shares_memory(snaps[k], grid.rho)
+        for other in range(k):
+            assert not np.shares_memory(snaps[k], snaps[other])
+
+
+@pytest.mark.parametrize("form", ["markovian", "full_memory"])
+def test_snapshot_run_holds_one_copy_of_its_snapshots(form):
+    # 101 snapshots of 128^2 are 25.25 MiB. Collecting them in a list and
+    # stacking them held two copies (peak ~2.05x); the preallocated store and
+    # the one-buffer Strang step leave room for 32 m x m temporaries at most.
+    m = 128
+    grid, ham, cfg = _strang_case(m, 300, "free_plus_linear", store_every=3, form=form)
+    tracemalloc.start()
+    try:
+        result = evolve(grid, ham, cfg, CONSTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.snapshots.shape == (101, m, m)
+    assert peak <= result.snapshots.nbytes + 32 * m * m * 16, peak / result.snapshots.nbytes
+
+
+def _save_snapshots_astype(path, times, x, snapshots) -> None:
+    """The packing save_snapshots used before it wrote from each buffer:
+    astype + tobytes, two copies per snapshot."""
+    with open(path, "wb") as fh:
+        fh.write(_SNAPSHOT_MAGIC)
+        fh.write(struct.pack("<qqdd", snapshots.shape[0], x.size, float(x[0]), float(x[-1])))
+        for t, rho in zip(times, snapshots):
+            fh.write(struct.pack("<d", float(t)))
+            fh.write(rho.astype("<c16").tobytes(order="C"))
+
+
+def test_save_snapshots_writes_the_bytes_of_the_old_packing(tmp_path):
+    grid, ham, cfg = _strang_case(16, 20, "free_plus_linear", store_every=4)
+    result = evolve_markovian(grid, ham, cfg, CONSTS)
+    # a C-ordered store, and a transposed (non-contiguous) view of it
+    for k, snaps in enumerate((result.snapshots, result.snapshots.transpose(0, 2, 1))):
+        new, old = tmp_path / f"new{k}.snap", tmp_path / f"old{k}.snap"
+        save_snapshots(str(new), result.snapshot_times, result.x, snaps)
+        _save_snapshots_astype(str(old), result.snapshot_times, result.x, snaps)
+        assert new.read_bytes() == old.read_bytes()
+        assert new.stat().st_size == 40 + 6 * (8 + 16 * 16 * 16)
 
 
 @pytest.mark.parametrize("form", ["markovian", "full_memory"])

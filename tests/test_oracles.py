@@ -381,6 +381,12 @@ def test_battery_raises_when_an_oracle_cannot_qualify(monkeypatch):
         run_oracle_battery(2, cfg, CONSTS)
 
 
+@pytest.mark.parametrize("n_cases", [0, -3])
+def test_battery_refuses_to_certify_no_sets(n_cases):
+    with pytest.raises(DomainError, match="n_cases must be >= 1"):
+        run_oracle_battery(n_cases, OracleConfig(n_samples=2), CONSTS)
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         OracleConfig(n_samples=1)

@@ -344,6 +344,11 @@ def test_schwarzschild_domain():
         decoherence_time_schwarzschild(1e23, 1.0, 1e-9, sw, CONSTS)
     with pytest.raises(DomainError):
         SchwarzschildSpec(0.0, 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="^central_mass must be finite"):
+            SchwarzschildSpec(bad, 1e4)
+        with pytest.raises(DomainError, match="^radius must be finite"):
+            SchwarzschildSpec(5 * SOLAR_MASS, bad)
 
 
 def test_hawking_temperature_frozen():
@@ -356,6 +361,11 @@ def test_hawking_temperature_frozen():
         0.5 * hawking_temperature(SOLAR_MASS, CONSTS),
         rel_tol=1e-15,
     )
+    with pytest.raises(DomainError, match="^mass must be > 0"):
+        hawking_temperature(0.0, CONSTS)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="^mass must be finite"):
+            hawking_temperature(bad, CONSTS)
 
 
 def test_proper_time_lab_frozen():
