@@ -312,8 +312,13 @@ def _drive(rho0: DensityMatrixGrid, cfg: EvolutionConfig, form: str, state: np.n
     step = 0
     while step < n_steps:
         states = advance(state, step)
-        bad = np.flatnonzero(~np.isfinite(states).all(axis=(1, 2)))
-        if bad.size:
+        # min and max over real and imaginary parts allocate no m x m
+        # temporary and cannot overflow: NaN propagates, +inf shows in the max
+        # and -inf in the min. Only a failing block is searched state by state.
+        parts = states.reshape(len(states), -1).view(float)
+        if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
+            finite = np.isfinite(parts.min(axis=1)) & np.isfinite(parts.max(axis=1))
+            bad = np.flatnonzero(~finite)
             raise NumericalInstabilityError(
                 f"non-finite density matrix at step {step + 1 + bad[0]}; reduce dt"
             )
@@ -407,7 +412,7 @@ def evolve_markovian(
     k = 2.0 * math.pi * np.fft.fftfreq(m, d=rho0.dx)
     half_kin = np.exp(-1j * consts.hbar * k**2 * cfg.dt / (4.0 * ham.mass))
     full_kin = half_kin**2
-    pot_phase = 1.0
+    pot_phase = None  # kind="free" has no potential phase to multiply by
     if ham.kind == "free_plus_linear":
         v = ham.gravitational_weight(consts) * ham.g * x
         pot_phase = np.exp(-1j * (v[:, None] - v[None, :]) * cfg.dt / consts.hbar)
@@ -419,7 +424,8 @@ def evolve_markovian(
     def advance(rho: np.ndarray, step: int) -> np.ndarray:
         # rho is rho0.rho at step 0 (only read) and ``work`` itself after it
         _kinetic(rho, half_kin if step == 0 else full_kin, work)
-        np.multiply(work, pot_phase, out=work)
+        if pot_phase is not None:
+            np.multiply(work, pot_phase, out=work)
         np.multiply(neg_lam_dsq, (step + 0.5) * cfg.dt, out=exponent)
         np.multiply(exponent, cfg.dt, out=exponent)
         np.multiply(work, np.exp(exponent, out=exponent), out=work)

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,12 @@ from gravidec import (
 )
 from gravidec.errors import DomainError, NumericalInstabilityError
 from gravidec.internal_state import internal_energy_variance, mean_internal_energy
-from gravidec.master_equation import _SNAPSHOT_MAGIC, _hamiltonian_matrix, _kernel_window
+from gravidec.master_equation import (
+    _SNAPSHOT_MAGIC,
+    _drive,
+    _hamiltonian_matrix,
+    _kernel_window,
+)
 
 CONSTS = default_constants()
 FREE = CMHamiltonianSpec(kind="none")
@@ -533,8 +537,9 @@ def test_in_place_strang_is_bit_identical_to_allocating_step(kind, m):
     result = evolve_markovian(grid, ham, cfg, CONSTS)
     coherence, snaps = _strang_merged_allocating(grid, ham, cfg)
     assert result.snapshots.shape == snaps.shape == (10, m, m)
-    assert np.array_equal(result.coherence, coherence)
-    assert np.array_equal(result.snapshots, snaps)
+    # bytes, not array_equal, so that a sign flip of an exact zero shows
+    assert result.coherence.tobytes() == coherence.tobytes()
+    assert result.snapshots.tobytes() == snaps.tobytes()
 
 
 @pytest.mark.parametrize("form", ["markovian", "full_memory"])
@@ -553,18 +558,13 @@ def test_evolve_leaves_rho0_alone_and_snapshots_own_their_memory(form):
 
 
 @pytest.mark.parametrize("form", ["markovian", "full_memory"])
-def test_snapshot_run_holds_one_copy_of_its_snapshots(form):
+def test_snapshot_run_holds_one_copy_of_its_snapshots(form, traced_peak):
     # 101 snapshots of 128^2 are 25.25 MiB. Collecting them in a list and
     # stacking them held two copies (peak ~2.05x); the preallocated store and
     # the one-buffer Strang step leave room for 32 m x m temporaries at most.
     m = 128
     grid, ham, cfg = _strang_case(m, 300, "free_plus_linear", store_every=3, form=form)
-    tracemalloc.start()
-    try:
-        result = evolve(grid, ham, cfg, CONSTS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(lambda: evolve(grid, ham, cfg, CONSTS))
     assert result.snapshots.shape == (101, m, m)
     assert peak <= result.snapshots.nbytes + 32 * m * m * 16, peak / result.snapshots.nbytes
 
@@ -625,6 +625,35 @@ def test_instability_names_the_first_bad_step():
         with pytest.raises(NumericalInstabilityError) as got:
             evolve_full_memory(grid, FREE, cfg, CONSTS)
     assert str(got.value) == first_bad
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_drive_names_the_step_of_one_non_finite_element(seed, value, part, block):
+    # ``advance`` is a stub returning ``block`` states a call; every entry is
+    # finite, many of them +-finfo.max, except one part of one element
+    m, n_steps = 5, 20
+    rng = np.random.default_rng([seed, block])
+    bad_step = int(rng.integers(1, n_steps + 1))
+    i, j = (int(k) for k in rng.integers(m, size=2))
+    huge = np.finfo(float).max
+    grid = DensityMatrixGrid.two_point_superposition(0.0, 1e-6, n_points=m)
+    cfg = EvolutionConfig(dt=1.0, t_final=float(n_steps), lambda_coefficient=0.0)
+
+    def advance(state, step):
+        steps = range(step + 1, min(step + block, n_steps) + 1)
+        states = np.empty((len(steps), m, m), dtype=complex)
+        states.real = rng.choice([huge, -huge, 0.0, -0.0, 1.0], size=states.shape)
+        states.imag = rng.choice([huge, -huge, 0.0, -0.0, 1.0], size=states.shape)
+        if bad_step in steps:
+            getattr(states[steps.index(bad_step)], part)[i, j] = value
+        return states
+
+    with pytest.raises(NumericalInstabilityError, match=f"at step {bad_step};"):
+        _drive(grid, cfg, "markovian", grid.rho, advance,
+               lambda states: states[:, 0, 0], lambda rho, out: np.copyto(out, rho))
 
 
 def _lawson_case(n_steps: int, turns: float):
