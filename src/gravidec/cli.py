@@ -17,12 +17,14 @@ converted as the flag would be (an integer given for a real-valued parameter
 becomes a float); a bad value, ``null`` included, is a configuration error.
 For oracle-check, values resolve in the order defaults, preset, file, flags.
 A ``"constants"`` object inside the file overrides individual physical
-constants. Unknown keys are rejected.
+constants, each checked as a real-valued parameter is. Unknown keys are
+rejected.
 
 Outputs are byte-deterministic: JSON is written with sorted keys, CSV carries
 a ``#``-commented metadata preamble, and nothing embeds timestamps. Exit
-codes: 0 success, 1 oracle disagreement, 2 configuration error, 3 domain
-error, 4 numerical instability.
+codes: 0 success, 1 oracle disagreement, 2 configuration error (a path that
+cannot be read or written included), 3 domain error (a malformed or
+non-finite input table included), 4 numerical instability.
 """
 
 from __future__ import annotations
@@ -213,13 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> tuple[dict, dict]:
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        try:
             raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # JSONDecodeError, or an integer past int_max_str_digits
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     constants = raw.pop("constants", {})
@@ -256,8 +256,9 @@ def _build_constants(overrides: dict) -> PhysicalConstants:
     unknown = sorted(set(overrides) - set(base))
     if unknown:
         raise ConfigError(f"unknown constants: {', '.join(unknown)}")
+    checked = {k: _check_config_value(f"constants.{k}", float, v) for k, v in overrides.items()}
     try:
-        return PhysicalConstants(**{**base, **overrides})
+        return PhysicalConstants(**{**base, **checked})
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -403,10 +404,7 @@ def _cmd_visibility(params: dict, consts: PhysicalConstants, output, fmt) -> int
     if law == "exact-product":
         if params["frequencies_csv"] is None:
             raise ConfigError("exact-product law needs --frequencies-csv")
-        spec = InternalStateSpec.from_frequency_csv(
-            params["frequencies_csv"], params["temperature"]
-        )
-        frequencies = spec.frequencies
+        frequencies = _internal_spec(params).frequencies
         n_modes = float(len(frequencies))
     else:
         if params["n_modes"] is None:
@@ -647,6 +645,12 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](params, consts, args.output, fmt)
     except ConfigError as exc:
         print(f"gravidec: configuration error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:  # stdout closed by a reader such as head: not a path error
+        raise
+    except OSError as exc:  # an input that cannot be read or an --output that cannot be written
+        # str(exc) names the path: numpy's FileNotFoundError carries no .filename
+        print(f"gravidec: configuration error: cannot access: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"gravidec: domain error: {exc}", file=sys.stderr)

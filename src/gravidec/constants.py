@@ -11,6 +11,7 @@ Defaults are CODATA SI values; the surface gravity default is 9.81 m/s^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -39,8 +40,8 @@ class PhysicalConstants:
 
     def __post_init__(self) -> None:
         for name in ("hbar", "c", "k_B", "G", "g_earth"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"constant {name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"constant {name} must be finite and strictly positive")
 
 
 def default_constants() -> PhysicalConstants:

@@ -29,6 +29,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._tables import linear_interpolant, read_table
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .visibility import _scalar_or_array, decoherence_time
@@ -110,42 +111,27 @@ def tabulated_emission_model(
     k: np.ndarray, g: np.ndarray, sigma: np.ndarray, label: str = "tabulated"
 ) -> EmissionModel:
     """Model interpolated linearly from measured (k, g, sigma) samples."""
-    k = np.asarray(k, dtype=float)
-    g = np.asarray(g, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if not (k.shape == g.shape == sigma.shape) or k.ndim != 1 or k.size < 2:
-        raise DomainError("need matching 1-D arrays with at least two samples")
+    k, g, sigma = (np.asarray(a, dtype=float) for a in (k, g, sigma))
+    spectral_density = linear_interpolant(k, g, ("k", "g"))
+    cross_section = linear_interpolant(k, sigma, ("k", "sigma"))
     if np.any(g < 0) or np.any(sigma < 0):
         raise DomainError("spectral density and cross-section must be >= 0")
-
-    def interp(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        def f(kq: np.ndarray) -> np.ndarray:
-            kq = np.asarray(kq, dtype=float)
-            if np.any(kq < k[0]) or np.any(kq > k[-1]):
-                raise DomainError("query outside tabulated k range")
-            return np.interp(kq, k, values)
-
-        return f
-
     return EmissionModel(
-        spectral_density=interp(g), cross_section=interp(sigma), k_grid=k, label=label
+        spectral_density=spectral_density, cross_section=cross_section, k_grid=k, label=label
     )
 
 
 def emission_model_from_csv(path: str) -> EmissionModel:
     """Load a tabulated model from CSV columns k,g,sigma."""
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    if data.shape[1] != 3:
-        raise DomainError(f"{path}: expected three columns k,g,sigma")
-    return tabulated_emission_model(data[:, 0], data[:, 1], data[:, 2], label=path)
+    return tabulated_emission_model(*read_table(path, ("k", "g", "sigma")).T, label=path)
 
 
 def emission_rate_integral(model: EmissionModel, consts: PhysicalConstants) -> float:
     """Trapezoid integral int dk k^2 c g(k) sigma(k) over the model's grid."""
     k = model.k_grid
     f = k**2 * consts.c * model.spectral_density(k) * model.cross_section(k)
-    if np.any(f < 0):
-        raise DomainError("emission integrand must be nonnegative")
+    if not 0 <= f.min() <= f.max() < np.inf:  # a NaN makes the min NaN
+        raise DomainError(f"emission model {model.label!r}: integrand negative or not finite")
     dk = np.diff(k)
     return float(0.5 * np.sum((f[1:] + f[:-1]) * dk))
 

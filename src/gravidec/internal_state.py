@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
+from ._tables import read_table
 from .constants import PhysicalConstants
 from .errors import DomainError
 
-# exp argument beyond which 1/expm1(x) underflows to 0 in float64
-_EXP_UNDERFLOW = 745.0
+# expm1 overflows float64 from here on; 1/expm1(x) there is below 1.4e-308 and is taken as 0
+_EXPM1_OVERFLOW = math.log(np.finfo(float).max)
 
 # Most (delta_tau x mode) elements the mode-product kernel holds in one temporary.
 _CHUNK_ELEMENTS = 2**16
@@ -73,10 +74,7 @@ class InternalStateSpec:
     @classmethod
     def from_frequency_csv(cls, path: str | Path, temperature: float) -> "InternalStateSpec":
         """Load a single-column CSV of angular frequencies (rad/s, one per line)."""
-        freqs = np.loadtxt(path, ndmin=1, dtype=float)
-        if freqs.ndim != 1:
-            raise DomainError(f"{path}: expected a single column of frequencies")
-        return cls.from_frequencies(freqs, temperature)
+        return cls.from_frequencies(read_table(path, ("frequencies",))[:, 0], temperature)
 
 
 def thermal_occupation(omega: float, temperature: float, consts: PhysicalConstants) -> float:
@@ -84,27 +82,26 @@ def thermal_occupation(omega: float, temperature: float, consts: PhysicalConstan
 
     Returns 0 at T = 0 (no thermal excitation at absolute zero).
     """
-    if omega <= 0:
+    if not omega > 0:
         raise DomainError("omega must be > 0")
-    if temperature < 0:
+    if not temperature >= 0:
         raise DomainError("temperature must be >= 0")
-    if temperature == 0:
-        return 0.0
-    x = consts.hbar * omega / (consts.k_B * temperature)
-    if x > _EXP_UNDERFLOW:
-        return 0.0
-    return 1.0 / math.expm1(x)
+    return float(_mode_occupations((omega,), temperature, consts)[1][0])
 
 
 def _mode_occupations(
-    spec: InternalStateSpec, consts: PhysicalConstants
+    frequencies, temperature: float, consts: PhysicalConstants
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies and occupations of an explicit spec, as :func:`thermal_occupation` gives them."""
-    omega = np.asarray(spec.frequencies, dtype=float)
+    """Frequencies as an array and their thermal occupations 1/expm1(hbar w / k_B T).
+
+    Occupations are 0 at T = 0 and wherever expm1 would overflow, so no
+    overflow warning is raised.
+    """
+    omega = np.asarray(frequencies, dtype=float)
     nbar = np.zeros_like(omega)
-    if spec.temperature > 0:
-        x = consts.hbar * omega / (consts.k_B * spec.temperature)
-        live = x <= _EXP_UNDERFLOW
+    if temperature > 0:
+        x = consts.hbar * omega / (consts.k_B * temperature)
+        live = x < _EXPM1_OVERFLOW
         nbar[live] = 1.0 / np.expm1(x[live])
     return omega, nbar
 
@@ -122,7 +119,7 @@ def _log_mode_product(
     term to full precision at small phi. Returns an array shaped like
     ``delta_tau``, built in blocks of at most _CHUNK_ELEMENTS elements.
     """
-    omega, nbar = _mode_occupations(spec, consts)
+    omega, nbar = _mode_occupations(spec.frequencies, spec.temperature, consts)
     gain = 4.0 * nbar * (nbar + 1.0)
     dtau = np.asarray(delta_tau, dtype=float)
     flat = dtau.reshape(-1)
@@ -152,7 +149,7 @@ def mean_internal_energy(spec: InternalStateSpec, consts: PhysicalConstants) -> 
     """Mean internal energy: N*k_B*T in the high-T limit, else sum of hbar*w*nbar."""
     if spec.is_high_temperature:
         return spec.n_modes * consts.k_B * spec.temperature
-    omega, nbar = _mode_occupations(spec, consts)
+    omega, nbar = _mode_occupations(spec.frequencies, spec.temperature, consts)
     return float(np.sum(consts.hbar * omega * nbar))
 
 
@@ -165,5 +162,5 @@ def internal_energy_variance(spec: InternalStateSpec, consts: PhysicalConstants)
     """
     if spec.is_high_temperature:
         return spec.n_modes * (consts.k_B * spec.temperature) ** 2
-    omega, nbar = _mode_occupations(spec, consts)
+    omega, nbar = _mode_occupations(spec.frequencies, spec.temperature, consts)
     return float(np.sum((consts.hbar * omega) ** 2 * nbar * (nbar + 1.0)))

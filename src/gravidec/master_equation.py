@@ -55,6 +55,7 @@ internal energy variance through :func:`memory_kernel_coefficients`.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -604,20 +605,28 @@ def save_snapshots(path: str, times: np.ndarray, x: np.ndarray, snapshots: np.nd
 
 
 def load_snapshots(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of :func:`save_snapshots`; returns (times, x, snapshots)."""
+    """Inverse of :func:`save_snapshots`; returns (times, x, snapshots).
+
+    The header is checked against the file size before anything is
+    allocated, so a truncated or forged file is a DomainError naming the
+    path, not a MemoryError. The file is then read in one pass, and times
+    and snapshots are strided views of that one buffer.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(_SNAPSHOT_MAGIC))
-        if magic != _SNAPSHOT_MAGIC:
+        if fh.read(len(_SNAPSHOT_MAGIC)) != _SNAPSHOT_MAGIC:
             raise DomainError(f"{path}: not a snapshot file")
-        n, m, xmin, xmax = struct.unpack("<qqdd", fh.read(32))
+        header = fh.read(32)
+        if len(header) != 32:
+            raise DomainError(f"{path}: truncated snapshot header")
+        n, m, xmin, xmax = struct.unpack("<qqdd", header)
         if n < 0 or m < 2:
             raise DomainError(f"{path}: corrupt snapshot header")
-        times = np.empty(n)
-        snaps = np.empty((n, m, m), dtype=complex)
-        for i in range(n):
-            (times[i],) = struct.unpack("<d", fh.read(8))
-            buf = fh.read(16 * m * m)
-            if len(buf) != 16 * m * m:
-                raise DomainError(f"{path}: truncated snapshot {i}")
-            snaps[i] = np.frombuffer(buf, dtype="<c16").reshape(m, m)
-    return times, np.linspace(xmin, xmax, m), snaps
+        size = os.fstat(fh.fileno()).st_size
+        expected = len(_SNAPSHOT_MAGIC) + 32 + n * (8 + 16 * m * m)
+        if size != expected:
+            raise DomainError(
+                f"{path}: {size} bytes, but its header (n = {n}, m = {m}) needs {expected}"
+            )
+        # one row per snapshot: its time, then its m*m complex values as float pairs
+        rows = np.fromfile(fh, dtype="<f8", count=n * (1 + 2 * m * m)).reshape(n, 1 + 2 * m * m)
+    return rows[:, 0], np.linspace(xmin, xmax, m), rows[:, 1:].view("<c16").reshape(n, m, m)

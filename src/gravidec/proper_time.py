@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._tables import linear_interpolant, read_table
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .internal_state import InternalStateSpec, _highT_log_modulus, _log_mode_product
@@ -82,32 +83,14 @@ class TabulatedPotential:
     """
 
     def __init__(self, x: np.ndarray, phi_values: np.ndarray) -> None:
-        x = np.asarray(x, dtype=float)
-        phi_values = np.asarray(phi_values, dtype=float)
-        if x.ndim != 1 or x.shape != phi_values.shape or x.size < 2:
-            raise DomainError("need matching 1-D arrays with at least two samples")
-        for name, value in (("x", x), ("phi", phi_values)):
-            if not np.all(np.isfinite(value)):
-                raise DomainError(f"tabulated {name} has non-finite entries")
-        if not np.all(np.diff(x) > 0):
-            raise DomainError("tabulated x must be strictly increasing")
-        self._x = x
-        self._phi = phi_values
+        self._phi = linear_interpolant(x, phi_values, ("x", "phi"))
 
     @classmethod
     def from_csv(cls, path: str) -> "TabulatedPotential":
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-        if data.shape[1] != 2:
-            raise DomainError(f"{path}: expected two columns x,phi")
-        return cls(data[:, 0], data[:, 1])
+        return cls(*read_table(path, ("x", "phi")).T)
 
     def phi(self, x: np.ndarray, consts: PhysicalConstants) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if np.any(x < self._x[0]) or np.any(x > self._x[-1]):
-            raise DomainError(
-                f"query outside tabulated domain [{self._x[0]}, {self._x[-1]}]"
-            )
-        return np.interp(x, self._x, self._phi)
+        return self._phi(x)
 
 
 @dataclass(frozen=True)
@@ -139,10 +122,7 @@ class TrajectoryPair:
 
     @classmethod
     def from_csv(cls, path: str) -> "TrajectoryPair":
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-        if data.shape[1] != 5:
-            raise DomainError(f"{path}: expected five columns t,x_a,v_a,x_b,v_b")
-        return cls(data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4])
+        return cls(*read_table(path, ("t", "x_a", "v_a", "x_b", "v_b")).T)
 
     @classmethod
     def static(cls, x_a: float, x_b: float, t_final: float, n_samples: int) -> "TrajectoryPair":

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -334,9 +335,14 @@ _TAU_CONFIG = {"n_modes": 1e23, "temperature": 300.0, "delta_x": 1e-3}
                         "delta_x": 1e-3, "t_final": 2e-6}, "law"),
         ("tau", {**_TAU_CONFIG, "n_modes": 10**400}, "n_modes"),
         ("tau", {**_TAU_CONFIG, "delta_x": math.inf}, "delta_x"),
+        ("tau", {**_TAU_CONFIG, "constants": {"hbar": math.inf}}, "constants.hbar"),
+        ("tau", {**_TAU_CONFIG, "constants": {"hbar": "x"}}, "constants.hbar"),
+        ("tau", {**_TAU_CONFIG, "constants": {"g_earth": True}}, "constants.g_earth"),
+        ("tau", {**_TAU_CONFIG, "constants": {"G": 10**400}}, "constants.G"),
     ],
     ids=["string-for-float", "null", "float-for-int", "string-for-bool", "bad-choice",
-         "int-beyond-float", "non-finite-float"],
+         "int-beyond-float", "non-finite-float", "constant-non-finite", "constant-string",
+         "constant-bool", "constant-int-beyond-float"],
 )
 def test_config_values_are_checked_like_flags(capsys, tmp_path, command, config, key):
     path = tmp_path / "cfg.json"
@@ -410,7 +416,7 @@ def test_visibility_refuses_non_finite_frequency_exit_3(capsys, tmp_path):
     code, out, err = _run(capsys, "visibility", "--frequencies-csv", str(freqs),
                           "--temperature", "300", "--dtau", "1e-14")
     assert code == 3 and out == ""
-    assert "domain error" in err and "frequencies" in err
+    assert "domain error" in err and "frequencies" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad_file", ["trajectories", "potential_csv"])
@@ -421,11 +427,81 @@ def test_propertime_refuses_non_finite_samples_exit_3(capsys, tmp_path, bad_file
     pot = tmp_path / "pot.csv"
     pot.write_text("0,0\n1,nan\n2,1\n")
     out = tmp_path / "pt.json"
-    code, _, err = _run(capsys, "propertime", "--trajectories", str(traj), "--potential",
-                        "tabulated", "--potential-csv", str(pot), "--output", str(out))
-    assert code == 3 and not out.exists()
-    assert "domain error" in err
+    code, stdout, err = _run(capsys, "propertime", "--trajectories", str(traj), "--potential",
+                             "tabulated", "--potential-csv", str(pot), "--output", str(out))
+    assert code == 3 and not out.exists() and stdout == ""
+    assert "domain error" in err and "Traceback" not in err
     assert ("x_b" if bad_file == "trajectories" else "phi") in err
+
+
+#: Per CSV flag: the command that reads it and a well-formed table for it.
+_TABLE_RUNS = {
+    "frequencies_csv": (["visibility", "--temperature", "300", "--dtau", "1e-14"],
+                        "1e12\n2e12\n"),
+    "trajectories": (["propertime"], "0,0,0,1,0\n1,0,0,1,0\n2,0,0,1,0\n"),
+    "potential_csv": (["propertime", "--x1", "0", "--x2", "1", "--t-final", "1",
+                       "--potential", "tabulated"], "-1,0\n2,3\n"),
+    "emission_csv": (["regime", "--axis1", "delta-x", "--axis1-min", "1e-5",
+                      "--axis1-max", "1e-3", "--n-axis1", "2", "--t-min", "100",
+                      "--t-max", "300", "--n-temps", "2", "--n-modes", "1e23"],
+                     "1e6,1.0,1e-22\n2e6,1.0,1e-22\n"),
+}
+
+
+def _last_cell(text: str, cell: str) -> str:
+    """The table with the last cell of its last row replaced by ``cell``."""
+    *rows, last = text.splitlines()
+    head, comma, _ = last.rpartition(",")
+    return "\n".join(rows + [head + comma + cell]) + "\n"
+
+
+#: fault: (exit code, the table made from a good one (None: no file), what stderr
+#: says after "gravidec: ", with {path} for the table's path)
+_TABLE_FAULTS = {
+    "missing": (2, None, "configuration error: cannot access: {path} not found."),
+    "non-numeric": (3, lambda text: _last_cell(text, "abc"),
+                    "domain error: {path}: could not convert string 'abc'"),
+    "ragged": (3, lambda text: text + text.splitlines()[-1] + ",1\n",
+               "domain error: {path}: the number of columns changed"),
+    "empty": (3, lambda text: "", "domain error: {path}: table has no rows"),
+    "non-finite": (3, lambda text: _last_cell(text, "nan"),
+                   "domain error: tabulated sigma has non-finite entries"),
+}
+
+# A non-finite cell in the other three tables is covered by the two tests above.
+_TABLE_CASES = [(flag, fault) for flag in _TABLE_RUNS for fault in _TABLE_FAULTS
+                if fault != "non-finite" or flag == "emission_csv"]
+
+
+@pytest.mark.parametrize("flag, fault", _TABLE_CASES, ids=[f"{f}-{x}" for f, x in _TABLE_CASES])
+def test_unreadable_or_malformed_table_exits_2_or_3(capsys, tmp_path, flag, fault):
+    argv, good = _TABLE_RUNS[flag]
+    expected_code, make, said = _TABLE_FAULTS[fault]
+    path = tmp_path / "table.csv"
+    if make is not None:
+        path.write_text(make(good))
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings():  # as in a plain CLI run, a warning is no error here
+        warnings.simplefilter("ignore")
+        code, stdout, err = _run(capsys, *argv, "--" + flag.replace("_", "-"), str(path),
+                                 "--output", str(out))
+    assert code == expected_code
+    assert "gravidec: " + said.format(path=path) in err and "Traceback" not in err
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("target", ["output", "snapshots"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, target):
+    bad = tmp_path / "no_such_dir" / "file"
+    paths = {"output": tmp_path / "out.csv", "snapshots": tmp_path / "run.snap", target: bad}
+    code, stdout, err = _run(
+        capsys, "evolve", "--x1", "0", "--x2", "1e-3", "--n-points", "2",
+        "--lambda-coefficient", "1e5", "--dt", "1e-2", "--t-final", "0.1", "--store-every", "1",
+        "--snapshots", str(paths["snapshots"]), "--output", str(paths["output"]),
+    )
+    assert code == 2 and stdout == ""
+    assert "configuration error: cannot access" in err and str(bad) in err
+    assert "Traceback" not in err and not (tmp_path / "out.csv").exists()
 
 
 def test_instability_exit_4(capsys):

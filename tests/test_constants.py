@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
@@ -31,12 +32,10 @@ def test_constants_are_immutable():
 @pytest.mark.parametrize("field", ["hbar", "c", "k_B", "G"])
 def test_nonpositive_constants_rejected(field):
     base = dataclasses.asdict(default_constants())
-    base[field] = 0.0
-    with pytest.raises(DomainError):
-        PhysicalConstants(**base)
-    base[field] = -1.0
-    with pytest.raises(DomainError):
-        PhysicalConstants(**base)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        base[field] = bad
+        with pytest.raises(DomainError, match=field):
+            PhysicalConstants(**base)
 
 
 def test_custom_override():

@@ -253,12 +253,31 @@ def test_number_of_modes_from_radius():
         number_of_modes_from_radius(1.0, -1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rate_integral_refuses_non_finite_integrand(bad):
+    k = np.linspace(1e6, 2e6, 8)
+    model = EmissionModel(
+        spectral_density=lambda q: np.where(q == k[2], bad, 1.0),
+        cross_section=lambda q: np.ones_like(q),
+        k_grid=k,
+        label="custom-model",
+    )
+    with pytest.raises(DomainError, match="'custom-model': integrand negative or not finite"):
+        emission_rate_integral(model, CONSTS)
+
+
 def test_tabulated_model_validation_and_range():
     k = np.linspace(1e6, 2e6, 8)
     with pytest.raises(DomainError, match="1-D"):
         tabulated_emission_model(k, np.ones(4), np.ones(8))
     with pytest.raises(DomainError, match=">= 0"):
         tabulated_emission_model(k, -np.ones_like(k), np.ones_like(k))
+    for name, bad in (("k", np.where(k == k[3], np.inf, k)),
+                      ("g", np.where(k == k[3], np.nan, 1.0)),
+                      ("sigma", np.where(k == k[3], np.nan, 1.0))):
+        arrays = {"k": k, "g": np.ones_like(k), "sigma": np.ones_like(k), name: bad}
+        with pytest.raises(DomainError, match=f"tabulated {name} has non-finite"):
+            tabulated_emission_model(arrays["k"], arrays["g"], arrays["sigma"])
     model = tabulated_emission_model(k, np.ones_like(k), np.ones_like(k))
     with pytest.raises(DomainError, match="outside"):
         model.cross_section(np.array([5e5]))

@@ -47,6 +47,23 @@ def test_thermal_occupation_rejects_bad_inputs():
         thermal_occupation(-1.0, 300.0, CONSTS)
     with pytest.raises(DomainError):
         thermal_occupation(1e12, -1.0, CONSTS)
+    with pytest.raises(DomainError, match="omega"):
+        thermal_occupation(math.nan, 300.0, CONSTS)
+    with pytest.raises(DomainError, match="temperature"):
+        thermal_occupation(1e12, math.nan, CONSTS)
+
+
+@pytest.mark.parametrize("x", [709.0, 709.9, 720.0, 745.0, 746.0])
+def test_occupation_past_expm1_overflow_is_zero_without_warning(x):
+    """hbar w / k_B T past log(float max) ~ 709.78 overflows expm1; the
+    occupation there is below 1.4e-308 and reads 0, with no overflow warning
+    (which the test configuration would turn into an error)."""
+    t = 10.0
+    w = x * CONSTS.k_B * t / CONSTS.hbar
+    expected = 1.0 / math.expm1(CONSTS.hbar * w / (CONSTS.k_B * t)) if x < 709.5 else 0.0
+    assert thermal_occupation(w, t, CONSTS) == expected
+    spec = InternalStateSpec.from_frequencies((w,), t)
+    assert mean_internal_energy(spec, CONSTS) == CONSTS.hbar * w * expected
 
 
 def test_high_temperature_marker():

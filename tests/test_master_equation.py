@@ -328,6 +328,34 @@ def test_load_snapshots_rejects_foreign_file(tmp_path):
         load_snapshots(str(path))
 
 
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        (lambda head, body: head[:20], "truncated snapshot header"),
+        (lambda head, body: head[:8] + struct.pack("<qq", 1, 1) + head[24:] + body,
+         "corrupt snapshot header"),
+        (lambda head, body: head[:8] + struct.pack("<qq", -1, 2) + head[24:] + body,
+         "corrupt snapshot header"),
+        (lambda head, body: head[:8] + struct.pack("<q", 2**40) + head[16:] + body,
+         "but its header"),
+        (lambda head, body: head + body[:-1], "but its header"),
+        (lambda head, body: head + body + b"\0", "but its header"),
+    ],
+    ids=["short-header", "m-below-2", "negative-n", "forged-n", "one-byte-short", "one-byte-long"],
+)
+def test_load_snapshots_checks_header_against_size(tmp_path, forge, message):
+    cfg = EvolutionConfig(dt=1e-2, t_final=0.05, lambda_coefficient=1e5, store_every=1)
+    result = evolve_markovian(_two_point(), FREE, cfg, CONSTS)
+    good = tmp_path / "run.snap"
+    save_snapshots(str(good), result.snapshot_times, result.x, result.snapshots)
+    data = good.read_bytes()
+    path = tmp_path / "forged.snap"
+    path.write_bytes(forge(data[:40], data[40:]))
+    with pytest.raises(DomainError, match=message) as info:
+        load_snapshots(str(path))
+    assert str(path) in str(info.value)
+
+
 def test_extract_visibility_tracked_pair_and_explicit_positions():
     dx = 1e-3
     cfg = EvolutionConfig(dt=1e-2, t_final=0.2, lambda_coefficient=3e5, store_every=5)

@@ -48,3 +48,15 @@ def test_oracle_import_boundary_and_public_names():
     exported = gravidec.__all__
     assert len(exported) == len(set(exported))
     assert [name for name in exported if not hasattr(gravidec, name)] == []
+
+
+def test_tables_are_read_and_interpolated_in_one_module():
+    """np.loadtxt and np.interp appear only in _tables.py, so every table from
+    outside the program is read, checked and interpolated the same way."""
+    users: dict[str, set[str]] = {"loadtxt": set(), "interp": set()}
+    for path in Path(gravidec.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "name", None)
+            if isinstance(node, (ast.Attribute, ast.alias)) and name in users:
+                users[name].add(path.name)
+    assert users == {"loadtxt": {"_tables.py"}, "interp": {"_tables.py"}}
