@@ -36,7 +36,8 @@ def read_table(path, columns: tuple[str, ...]) -> np.ndarray:
     except UserWarning:
         raise DomainError(f"{path}: table has no rows") from None
     except ValueError as exc:  # an unparseable cell, a ragged row, or bytes that are not UTF-8
-        raise DomainError(f"{path}: {exc}") from None
+        # numpy's ragged-row text ends in advice about its own usecols argument
+        raise DomainError(f"{path}: {str(exc).partition('; use `usecols`')[0]}") from None
     if data.shape[1] != len(columns):
         raise DomainError(f"{path}: expected {_EXPECTED[len(columns)]} {','.join(columns)}")
     return data

@@ -48,6 +48,8 @@ from .emission import (
 from .errors import DomainError, NumericalInstabilityError
 from .internal_state import InternalStateSpec
 from .master_equation import (
+    EVOLUTION_FORMS,
+    HAMILTONIAN_KINDS,
     CMHamiltonianSpec,
     DensityMatrixGrid,
     EvolutionConfig,
@@ -117,11 +119,11 @@ _COMMANDS: dict[str, tuple[str, str | None, tuple]] = {
         ("frequencies_csv", str, None, "one mode frequency (rad/s) per line"),
     )),
     "evolve": ("master-equation evolution", "csv", (
-        ("form", ("markovian", "full_memory"), "markovian", None),
+        ("form", EVOLUTION_FORMS, "markovian", None),
         ("x1", float, _REQUIRED, None),
         ("x2", float, _REQUIRED, None),
         ("n_points", int, 64, None),
-        ("hamiltonian", ("none", "free", "free_plus_linear"), "none", None),
+        ("hamiltonian", HAMILTONIAN_KINDS, "none", None),
         ("mass", float, None, None),
         ("g", float, None, None),
         ("n_modes", float, None, None),
@@ -172,7 +174,6 @@ _COMMANDS: dict[str, tuple[str, str | None, tuple]] = {
         ("samples", int, 200_000, "Monte Carlo samples per case"),
         ("seed", int, 20240811, "battery seed (draws the parameter sets)"),
         ("mc_seed", int, 0, "base seed of the sampling streams"),
-        ("fock_cutoff", int, 64, None),
         ("tail_epsilon", float, 1e-9, None),
         ("mc_sigmas", float, 5.0, "MC agreement window in standard errors"),
         ("atol", float, 1e-6, "deterministic-oracle agreement window"),
@@ -583,7 +584,6 @@ def _cmd_oracle_check(params: dict, consts: PhysicalConstants, output, fmt) -> i
     cfg = OracleConfig(
         n_samples=params["samples"],
         seed=params["mc_seed"],
-        fock_cutoff=params["fock_cutoff"],
         tail_epsilon=params["tail_epsilon"],
     )
     cases = run_oracle_battery(params["cases"], cfg, consts, seed=params["seed"])

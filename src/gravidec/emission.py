@@ -39,6 +39,10 @@ MECHANISMS = ("time_dilation", "emission", "boundary")
 #: Relative timescale difference below which neither channel is called dominant.
 BOUNDARY_RTOL = 1e-9
 
+#: Wavenumbers on the blackbody stand-in's grid. Doubling them moves the emission
+#: rate of a power-law cross-section (exponent 0 to 2) by under 1e-6 relative.
+BLACKBODY_K_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class EmissionModel:
@@ -90,15 +94,15 @@ def blackbody_emission_model(
     temperature: float,
     cross_section: Callable[[np.ndarray], np.ndarray],
     consts: PhysicalConstants,
-    n_k: int = 4096,
 ) -> EmissionModel:
     """Thermal stand-in model on a grid spanning the occupied band.
 
-    The grid covers hbar c k / k_B T from 1e-3 to 40, which holds the whole
+    The grid is ``BLACKBODY_K_POINTS`` geometrically spaced wavenumbers
+    covering hbar c k / k_B T from 1e-3 to 40, which holds the whole
     integrand for any cross-section of sub-exponential growth.
     """
     k_thermal = consts.k_B * temperature / (consts.hbar * consts.c)
-    k_grid = np.geomspace(1e-3 * k_thermal, 40.0 * k_thermal, n_k)
+    k_grid = np.geomspace(1e-3 * k_thermal, 40.0 * k_thermal, BLACKBODY_K_POINTS)
     return EmissionModel(
         spectral_density=blackbody_spectral_density(temperature, consts),
         cross_section=cross_section,

@@ -71,19 +71,13 @@ EVOLUTION_FORMS = ("markovian", "full_memory")
 #: Hard cap on stored snapshots (bytes); keeps long runs from exhausting RAM.
 MAX_SNAPSHOT_BYTES = 1 << 30
 
+#: Largest grid (8192 points) whose one snapshot fits in MAX_SNAPSHOT_BYTES.
+_MAX_SNAPSHOT_GRID = math.isqrt(MAX_SNAPSHOT_BYTES // 16)
+
 _SNAPSHOT_MAGIC = b"GDSNAP01"
 
 #: Matrix elements in one block of a whole-run product (see _products).
 _BLOCK_ELEMENTS = 2**16
-
-
-def _grid_index(x: np.ndarray, position: float) -> int:
-    """Index of ``position`` on the uniform grid ``x``; off-grid positions are an error."""
-    dx = float(x[1] - x[0])
-    idx = int(round((position - x[0]) / dx))
-    if not 0 <= idx < x.size or abs(x[idx] - position) > 1e-9 * max(dx, abs(position)):
-        raise DomainError(f"position {position} is not on the grid")
-    return idx
 
 
 @dataclass(frozen=True)
@@ -541,43 +535,23 @@ def evolve(
     return evolve_full_memory(rho0, ham, cfg, consts)
 
 
-def extract_visibility(result: EvolutionResult, x1: float | None = None,
-                       x2: float | None = None):
-    """Visibility V(t) = 2 |rho(x1, x2, t)| as a curve.
+def extract_visibility(result: EvolutionResult):
+    """Visibility V(t) = 2 |rho(x1, x2, t)| of the tracked pair, at every step.
 
-    With no positions given, the evolution's tracked pair is used and V(t)
-    is available at every step. Explicit positions must lie on the grid; if
-    they differ from the tracked pair the curve is read from the stored
-    snapshots instead. Discretization can make V(0) differ from 1, in which
-    case the curve is normalized by V(0).
+    The pair is the one the initial state marked (``DensityMatrixGrid.pair``);
+    a run without one is a DomainError. Discretization can make V(0) differ
+    from 1, in which case the curve is normalized by V(0).
     """
     from .visibility import VisibilityCurve
 
-    if x1 is None and x2 is None:
-        if result.pair is None:
-            raise DomainError("evolution carried no tracked pair")
-        times = result.times
-        series = result.coherence
-    else:
-        if x1 is None or x2 is None:
-            raise DomainError("give both positions or neither")
-        idx = [_grid_index(result.x, pos) for pos in (x1, x2)]
-        if result.pair is not None and tuple(idx) == result.pair:
-            times = result.times
-            series = result.coherence
-        else:
-            if result.snapshots.shape[0] == 0:
-                raise DomainError(
-                    "positions differ from the tracked pair and no snapshots were stored"
-                )
-            times = result.snapshot_times
-            series = result.snapshots[:, idx[0], idx[1]]
-    values = 2.0 * np.abs(series)
+    if result.pair is None:
+        raise DomainError("evolution carried no tracked pair")
+    values = 2.0 * np.abs(result.coherence)
     if values[0] == 0:
-        raise DomainError("initial coherence at the requested pair is zero")
+        raise DomainError("initial coherence at the tracked pair is zero")
     if abs(values[0] - 1.0) > 1e-12:
         values = values / values[0]
-    return VisibilityCurve(times=times, values=np.clip(values, 0.0, 1.0),
+    return VisibilityCurve(times=result.times, values=np.clip(values, 0.0, 1.0),
                            law="master-equation")
 
 
@@ -586,7 +560,9 @@ def save_snapshots(path: str, times: np.ndarray, x: np.ndarray, snapshots: np.nd
 
     Layout: magic "GDSNAP01", int64 n_snapshots, int64 m, float64 xmin,
     float64 xmax, then per snapshot a float64 time followed by m*m
-    complex128 values in row-major order.
+    complex128 values in row-major order. A grid of more than 8192 points,
+    whose one snapshot would pass ``MAX_SNAPSHOT_BYTES``, is refused, so
+    every file written here reads back.
     """
     times = np.asarray(times, dtype=float)
     snapshots = np.asarray(snapshots, dtype=complex)
@@ -596,6 +572,8 @@ def save_snapshots(path: str, times: np.ndarray, x: np.ndarray, snapshots: np.nd
     n, m, m2 = snapshots.shape
     if m != m2 or m != x.size:
         raise DomainError("snapshot matrices must be square on the grid")
+    if m > _MAX_SNAPSHOT_GRID:
+        raise DomainError(f"{path}: grid of {m} points exceeds {_MAX_SNAPSHOT_GRID}")
     with open(path, "wb") as fh:
         fh.write(_SNAPSHOT_MAGIC)
         fh.write(struct.pack("<qqdd", n, m, float(x[0]), float(x[-1])))
@@ -607,10 +585,11 @@ def save_snapshots(path: str, times: np.ndarray, x: np.ndarray, snapshots: np.nd
 def load_snapshots(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse of :func:`save_snapshots`; returns (times, x, snapshots).
 
-    The header is checked against the file size before anything is
-    allocated, so a truncated or forged file is a DomainError naming the
-    path, not a MemoryError. The file is then read in one pass, and times
-    and snapshots are strided views of that one buffer.
+    The header is checked before anything is allocated: its grid size
+    against the largest :func:`save_snapshots` writes, then its counts
+    against the file size. So a truncated or forged file is a DomainError
+    naming the path, not a MemoryError. The file is then read in one pass,
+    and times and snapshots are strided views of that one buffer.
     """
     with open(path, "rb") as fh:
         if fh.read(len(_SNAPSHOT_MAGIC)) != _SNAPSHOT_MAGIC:
@@ -619,7 +598,7 @@ def load_snapshots(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if len(header) != 32:
             raise DomainError(f"{path}: truncated snapshot header")
         n, m, xmin, xmax = struct.unpack("<qqdd", header)
-        if n < 0 or m < 2:
+        if n < 0 or not 2 <= m <= _MAX_SNAPSHOT_GRID:
             raise DomainError(f"{path}: corrupt snapshot header")
         size = os.fstat(fh.fileno()).st_size
         expected = len(_SNAPSHOT_MAGIC) + 32 + n * (8 + 16 * m * m)

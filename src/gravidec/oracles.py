@@ -6,7 +6,10 @@ Three independent routes to the same number:
   Glauber-Sudarshan P distribution (exponential with mean nbar) and averages
   the dephasing weight exp(|alpha|^2 (e^{-i d} - 1)).
 * :func:`fock_visibility` sums the geometric number-state populations of each
-  mode up to an explicit cutoff and reports the truncation bound.
+  mode up to the smallest cutoff whose tail mass is below ``tail_epsilon``
+  and reports the truncation bound; a mode that needs more than
+  ``FOCK_MAX_CUTOFF`` quanta is refused. The joint-spectrum oracle below
+  truncates by the same rule under its own cap, ``TENSOR_MAX_CUTOFF``.
 * :func:`two_point_unitary_oracle` enumerates the joint Fock spectrum of all
   modes, applies the diagonal two-arm evolution, and reads the off-diagonal
   element of the reduced centre-of-mass state directly. Unlike the other two
@@ -65,6 +68,10 @@ TENSOR_MAX_MODES = 4
 TENSOR_MAX_CUTOFF = 64
 TENSOR_MAX_JOINT_DIM = 1 << 22
 
+#: Per-mode number-state cap of the number-basis oracle: it holds the whole
+#: battery envelope (nbar <= 5 needs 113 quanta at tail_epsilon = 1e-9).
+FOCK_MAX_CUTOFF = 512
+
 #: The oracles by name, in the order the battery runs them.
 _ORACLES = ("mc", "fock", "tensor")
 
@@ -73,22 +80,20 @@ _ORACLES = ("mc", "fock", "tensor")
 class OracleConfig:
     """Knobs shared by the brute-force oracles.
 
-    ``fock_cutoff`` caps the per-mode number-state truncation; a thermal mode
-    whose tail mass above the cutoff exceeds ``tail_epsilon`` is refused with
-    the required cutoff named rather than silently truncated. The
-    joint-spectrum oracle's size caps are module constants, not knobs.
+    ``n_samples`` and ``seed`` drive the Monte Carlo oracle. ``tail_epsilon``
+    is the thermal tail mass each number-state truncation may drop: a mode
+    that needs more quanta than its oracle's cap (``FOCK_MAX_CUTOFF`` or
+    ``TENSOR_MAX_CUTOFF``) is refused with the required cutoff named rather
+    than silently truncated. The caps are module constants, not knobs.
     """
 
     n_samples: int = 200_000
     seed: int = 0
-    fock_cutoff: int = 64
     tail_epsilon: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.n_samples < 2:
             raise DomainError("n_samples must be >= 2")
-        if self.fock_cutoff < 1:
-            raise DomainError("fock_cutoff must be >= 1")
         if not 0 < self.tail_epsilon < 1:
             raise DomainError("tail_epsilon must lie in (0, 1)")
 
@@ -235,17 +240,14 @@ def mc_visibility(
     return abs(mean), se
 
 
-def _thermal_populations(
-    q: float, cfg: OracleConfig, cap: int | None = None
-) -> tuple[np.ndarray, float]:
+def _thermal_populations(q: float, cfg: OracleConfig, limit: int) -> tuple[np.ndarray, float]:
     """Thermal populations (1-q) q^n truncated at n = c, and the mass q^(c+1) cut off.
 
     The cutoff c is the smallest with tail mass q^(c+1) <= tail_epsilon; one
-    above ``fock_cutoff`` (or ``cap``) is refused with the required value
-    named. The populations are renormalized over n <= c, so V(0) = 1. At
-    q = 0 the cutoff is 0 and the populations are [1.0].
+    above ``limit``, the calling oracle's cap, is refused with the required
+    value named. The populations are renormalized over n <= c, so V(0) = 1.
+    At q = 0 the cutoff is 0 and the populations are [1.0].
     """
-    limit = cfg.fock_cutoff if cap is None else min(cfg.fock_cutoff, cap)
     c = 0 if q == 0.0 else max(math.ceil(math.log(cfg.tail_epsilon) / math.log(q)) - 1, 0)
     if c > limit:
         raise DomainError(
@@ -266,15 +268,16 @@ def fock_visibility(
 
     Thermal populations p_n = (1-q) q^n are truncated at the smallest cutoff
     whose tail mass is below ``tail_epsilon`` and renormalized, so the value
-    at dtau = 0 is exactly 1; a cutoff above ``fock_cutoff`` is refused with
-    the required value named. Returns ``(visibility, tail_bound)`` where
+    at dtau = 0 is exactly 1; a cutoff above ``FOCK_MAX_CUTOFF`` is refused
+    with the required value named. Returns ``(visibility, tail_bound)`` where
     ``tail_bound`` sums the discarded mass over modes.
     """
     freqs = _require_explicit(spec)
     log_v = 0.0
     tail = 0.0
     for w in freqs:
-        p, lost = _thermal_populations(_boltzmann_q(w, spec.temperature, consts), cfg)
+        q = _boltzmann_q(w, spec.temperature, consts)
+        p, lost = _thermal_populations(q, cfg, FOCK_MAX_CUTOFF)
         tail += lost
         chi = np.sum(p * np.exp(-1j * np.arange(p.size) * w * delta_tau))
         log_v += math.log(abs(chi)) if abs(chi) > 0 else -math.inf
@@ -315,7 +318,7 @@ def two_point_unitary_oracle(
     energies: list[np.ndarray] = []
     for w in freqs:
         q = _boltzmann_q(w, spec.temperature, consts)
-        p, _ = _thermal_populations(q, cfg, cap=TENSOR_MAX_CUTOFF)
+        p, _ = _thermal_populations(q, cfg, TENSOR_MAX_CUTOFF)
         pops.append(p)
         energies.append(consts.hbar * w * np.arange(p.size))
     dims = [p.size for p in pops]
@@ -449,16 +452,11 @@ def run_oracle_battery(
     with replacement is allowed. Deterministic in ``seed``, including the
     per-case Monte Carlo streams. ``n_cases`` must be >= 1: a battery of no
     sets certifies nothing.
-
-    The number-basis oracle runs with a cutoff of at least 512 so the whole
-    envelope stays below ``tail_epsilon``; the other oracles use ``cfg`` as
-    given.
     """
     from .visibility import exact_visibility  # local import keeps the check one-way
 
     if n_cases < 1:
         raise DomainError(f"n_cases must be >= 1, got {n_cases}")
-    fock_cfg = replace(cfg, fock_cutoff=max(cfg.fock_cutoff, 512))
     rng = np.random.default_rng(seed)
     cases: list[OracleCase] = []
     counts = dict.fromkeys(_ORACLES, 0)
@@ -481,7 +479,7 @@ def run_oracle_battery(
         case_cfg = replace(cfg, seed=case_seed)
         calls = {
             "mc": lambda: mc_visibility(spec, delta_tau, case_cfg, consts),
-            "fock": lambda: fock_visibility(spec, delta_tau, fock_cfg, consts),
+            "fock": lambda: fock_visibility(spec, delta_tau, cfg, consts),
             # Static arms with g t (x1 - x2) / c^2 = dtau reproduce the same dtau.
             "tensor": lambda: two_point_unitary_oracle(
                 spec, 0.0, -delta_tau * consts.c**2, 1.0, 1.0, case_cfg, consts

@@ -70,12 +70,16 @@ def test_emission_time_quarter_at_double_separation():
 
 def test_blackbody_grid_refinement_is_converged():
     sigma = power_law_cross_section(1e-28, 1e7, 0.5)
-    coarse = emission_rate_integral(blackbody_emission_model(300.0, sigma, CONSTS), CONSTS)
-    fine = emission_rate_integral(
-        blackbody_emission_model(300.0, sigma, CONSTS, n_k=8192), CONSTS
+    model = blackbody_emission_model(300.0, sigma, CONSTS)
+    k = model.k_grid
+    refined = EmissionModel(
+        spectral_density=model.spectral_density, cross_section=model.cross_section,
+        k_grid=np.geomspace(k[0], k[-1], 2 * k.size), label=model.label,
     )
+    coarse = emission_rate_integral(model, CONSTS)
+    fine = emission_rate_integral(refined, CONSTS)
     assert abs(coarse - fine) <= 1e-4 * abs(fine)
-    assert blackbody_emission_model(300.0, sigma, CONSTS).label == "blackbody-standin"
+    assert model.label == "blackbody-standin"
 
 
 def test_compare_timescales_covers_all_outcomes():

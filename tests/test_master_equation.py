@@ -88,15 +88,6 @@ def test_grid_refuses_non_finite_entries():
         DensityMatrixGrid(x=np.array([0.0, np.inf]), rho=np.eye(2) / 2)
 
 
-def test_extract_visibility_rejects_off_grid_positions():
-    cfg = EvolutionConfig(dt=1e-3, t_final=1e-2, lambda_coefficient=1.0)
-    result = evolve_markovian(_two_point(1e-3), FREE, cfg, CONSTS)
-    assert np.array_equal(extract_visibility(result, 0.0, 1e-3).values,
-                          extract_visibility(result).values)
-    with pytest.raises(DomainError, match="not on the grid"):
-        extract_visibility(result, 0.0, 4e-4)
-
-
 def test_markovian_matches_gaussian_law_exactly():
     # pure dephasing on the 2-point grid steps by the exact midpoint factor,
     # which telescopes to exp(-Lambda dx^2 t^2 / 2) independent of dt
@@ -314,6 +305,19 @@ def test_snapshot_plan_and_roundtrip(tmp_path):
     assert np.array_equal(snaps, result.snapshots)
 
 
+def test_snapshot_files_hold_grids_whose_one_snapshot_fits_the_byte_cap(tmp_path):
+    # 16 * 8192^2 B is MAX_SNAPSHOT_BYTES; n = 0 keeps both files header-only
+    edge = tmp_path / "edge.snap"
+    save_snapshots(str(edge), np.empty(0), np.linspace(0.0, 1.0, 8192),
+                   np.empty((0, 8192, 8192), dtype=complex))
+    assert load_snapshots(str(edge))[2].shape == (0, 8192, 8192)
+    over = tmp_path / "over.snap"
+    with pytest.raises(DomainError, match="grid of 8193 points exceeds 8192") as info:
+        save_snapshots(str(over), np.empty(0), np.linspace(0.0, 1.0, 8193),
+                       np.empty((0, 8193, 8193), dtype=complex))
+    assert str(over) in str(info.value) and not over.exists()
+
+
 def test_snapshot_memory_guard_names_remedy():
     grid = DensityMatrixGrid.two_point_superposition(0.0, 1e-3, n_points=512)
     cfg = EvolutionConfig(dt=1e-6, t_final=1.0, lambda_coefficient=0.0, store_every=1)
@@ -340,8 +344,14 @@ def test_load_snapshots_rejects_foreign_file(tmp_path):
          "but its header"),
         (lambda head, body: head + body[:-1], "but its header"),
         (lambda head, body: head + body + b"\0", "but its header"),
+        # n = 0 matches a bare 40-byte header for any m, so m is bounded first
+        (lambda head, body: head[:8] + struct.pack("<qq", 0, 2**24) + head[24:],
+         "corrupt snapshot header"),
+        (lambda head, body: head[:8] + struct.pack("<qq", 0, 2**40) + head[24:],
+         "corrupt snapshot header"),
     ],
-    ids=["short-header", "m-below-2", "negative-n", "forged-n", "one-byte-short", "one-byte-long"],
+    ids=["short-header", "m-below-2", "negative-n", "forged-n", "one-byte-short", "one-byte-long",
+         "empty-m-2^24", "empty-m-2^40"],
 )
 def test_load_snapshots_checks_header_against_size(tmp_path, forge, message):
     cfg = EvolutionConfig(dt=1e-2, t_final=0.05, lambda_coefficient=1e5, store_every=1)
@@ -356,7 +366,7 @@ def test_load_snapshots_checks_header_against_size(tmp_path, forge, message):
     assert str(path) in str(info.value)
 
 
-def test_extract_visibility_tracked_pair_and_explicit_positions():
+def test_extract_visibility_reads_the_tracked_pair():
     dx = 1e-3
     cfg = EvolutionConfig(dt=1e-2, t_final=0.2, lambda_coefficient=3e5, store_every=5)
     result = evolve_markovian(_two_point(dx), FREE, cfg, CONSTS)
@@ -364,35 +374,9 @@ def test_extract_visibility_tracked_pair_and_explicit_positions():
     assert curve.values[0] == pytest.approx(1.0, abs=1e-12)
     assert curve.times.size == result.times.size
     assert np.all(np.diff(curve.values) <= 1e-15)
-
-    # explicit positions equal to the tracked pair reuse the dense track
-    dense = extract_visibility(result, 0.0, dx)
-    assert np.array_equal(dense.values, curve.values)
-
-    with pytest.raises(DomainError):
-        extract_visibility(result, 0.0, None)
-    with pytest.raises(DomainError):
-        extract_visibility(result, 0.0, 0.4 * dx)
-
-
-def test_extract_visibility_off_pair_uses_snapshots():
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
-    x = np.linspace(0.0, 3e-3, 4)
-    grid = DensityMatrixGrid(x=x, rho=rho, pair=(0, 3))
-    cfg = EvolutionConfig(dt=1e-2, t_final=0.1, lambda_coefficient=2e5, store_every=2)
-    result = evolve_markovian(grid, FREE, cfg, CONSTS)
-    curve = extract_visibility(result, float(x[1]), float(x[2]))
-    assert curve.times.size == result.snapshot_times.size
-    assert curve.values[0] == pytest.approx(1.0, abs=1e-12)  # renormalized
-
-    bare = evolve_markovian(
-        grid, FREE, EvolutionConfig(dt=1e-2, t_final=0.1, lambda_coefficient=2e5), CONSTS
-    )
-    with pytest.raises(DomainError, match="snapshots"):
-        extract_visibility(bare, float(x[1]), float(x[2]))
+    unpaired = DensityMatrixGrid(x=result.x, rho=_two_point(dx).rho)
+    with pytest.raises(DomainError, match="no tracked pair"):
+        extract_visibility(evolve_markovian(unpaired, FREE, cfg, CONSTS))
 
 
 def test_runaway_coefficient_raises_instability():

@@ -198,9 +198,9 @@ def test_fock_matches_product_law_within_tail_bound():
 
 
 def test_fock_refusal_names_required_cutoff():
-    spec = _spec((2.0,))  # q = 2/3 needs cutoff 51 for the default tail
-    with pytest.raises(DomainError, match="required cutoff is 51"):
-        fock_visibility(spec, 1e-15, OracleConfig(fock_cutoff=8), CONSTS)
+    spec = _spec((30.0,))  # q = 30/31 needs cutoff 632 for the default tail
+    with pytest.raises(DomainError, match="at cutoff 512; required cutoff is 632"):
+        fock_visibility(spec, 1e-15, OracleConfig(), CONSTS)
 
 
 def test_tensor_cold_particle_phase():
@@ -219,7 +219,7 @@ def _joint_spectrum_exp(spec, delta_tau: float, mass: float) -> complex:
     pops, energies = [], []
     for w in spec.frequencies:
         q = oracles._boltzmann_q(w, spec.temperature, CONSTS)
-        p, _ = oracles._thermal_populations(q, OracleConfig(), cap=oracles.TENSOR_MAX_CUTOFF)
+        p, _ = oracles._thermal_populations(q, OracleConfig(), oracles.TENSOR_MAX_CUTOFF)
         pops.append(p)
         energies.append(CONSTS.hbar * w * np.arange(p.size))
     prob, energy = np.ones(1), np.zeros(1)
@@ -296,8 +296,8 @@ def test_deterministic_oracles_match_product_law_at_large_phase():
     # Rounding adds at most 16 eps per unit of phase per quantum, about
     # 16 eps (1 + sum nbar_i |w_i dtau|) in |chi|, over V.
     eps = np.finfo(float).eps
-    fock_cfg = OracleConfig(fock_cutoff=512, tail_epsilon=1e-12)
-    tensor_cfg = OracleConfig()  # fock_cutoff 64: the joint-spectrum cap
+    fock_cfg = OracleConfig(tail_epsilon=1e-12)
+    tensor_cfg = OracleConfig()
     reached = {"fock": [], "tensor": []}
     for nbars, phase in _large_phase_cases():
         spec = _spec(nbars)
@@ -390,7 +390,5 @@ def test_battery_refuses_to_certify_no_sets(n_cases):
 def test_config_validation():
     with pytest.raises(DomainError):
         OracleConfig(n_samples=1)
-    with pytest.raises(DomainError):
-        OracleConfig(fock_cutoff=0)
     with pytest.raises(DomainError):
         OracleConfig(tail_epsilon=0.0)

@@ -60,3 +60,17 @@ def test_tables_are_read_and_interpolated_in_one_module():
             if isinstance(node, (ast.Attribute, ast.alias)) and name in users:
                 users[name].add(path.name)
     assert users == {"loadtxt": {"_tables.py"}, "interp": {"_tables.py"}}
+
+
+def test_readme_python_examples_run(capsys):
+    """Each ```python block of README.md runs as written, in its own namespace."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    spaces = []
+    for block in blocks:
+        spaces.append({})
+        exec(compile(block, "README.md", "exec"), spaces[-1])
+    tau = float(capsys.readouterr().out.split()[0])
+    assert abs(tau - 1.04e-6) <= 0.01 * 1.04e-6
+    assert spaces[1]["curve"].law == "master-equation"
