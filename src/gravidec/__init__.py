@@ -10,19 +10,17 @@ independent brute-force oracles, and the competing photon-emission channel,
 plus a deterministic CLI over all of it.
 """
 
-from .constants import SOLAR_MASS, PhysicalConstants, default_constants
+from .constants import PhysicalConstants, default_constants
 from .emission import (
     EmissionModel,
     RegimeMap,
     blackbody_emission_model,
     crossover_separation,
-    dominant_mechanism,
     emission_model_from_csv,
     emission_rate_integral,
     power_law_cross_section,
     regime_scan,
     tabulated_emission_model,
-    tau_emission,
 )
 from .errors import DomainError, NumericalInstabilityError
 from .internal_state import (
@@ -87,7 +85,6 @@ __all__ = [
     "DensityMatrixGrid",
     "dephasing_coefficient",
     "DomainError",
-    "dominant_mechanism",
     "emission_model_from_csv",
     "emission_rate_integral",
     "EmissionModel",
@@ -124,10 +121,8 @@ __all__ = [
     "SchwarzschildSpec",
     "SchwarzschildWeakPotential",
     "semiclassical_visibility",
-    "SOLAR_MASS",
     "tabulated_emission_model",
     "TabulatedPotential",
-    "tau_emission",
     "thermal_occupation",
     "TrajectoryPair",
     "two_point_unitary_oracle",

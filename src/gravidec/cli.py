@@ -15,7 +15,8 @@ replaced by underscores, ``preset`` included); explicit flags override the
 file. Each value is checked against the type and choices of its flag and
 converted as the flag would be (an integer given for a real-valued parameter
 becomes a float); a bad value, ``null`` included, is a configuration error.
-For oracle-check, values resolve in the order defaults, preset, file, flags.
+For oracle-check, values resolve in the order defaults, preset, file, flags;
+its number-state oracles truncate at ``OracleConfig``'s default tail mass.
 A ``"constants"`` object inside the file overrides individual physical
 constants, each checked as a real-valued parameter is. Unknown keys are
 rejected.
@@ -24,7 +25,9 @@ Outputs are byte-deterministic: JSON is written with sorted keys, CSV carries
 a ``#``-commented metadata preamble, and nothing embeds timestamps. Exit
 codes: 0 success, 1 oracle disagreement, 2 configuration error (a path that
 cannot be read or written included), 3 domain error (a malformed or
-non-finite input table included), 4 numerical instability.
+non-finite input table included), 4 numerical instability. A warning from
+the library, such as the weak-field caveat inside 10 R_s, is one
+``gravidec: warning: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -174,7 +178,6 @@ _COMMANDS: dict[str, tuple[str, str | None, tuple]] = {
         ("samples", int, 200_000, "Monte Carlo samples per case"),
         ("seed", int, 20240811, "battery seed (draws the parameter sets)"),
         ("mc_seed", int, 0, "base seed of the sampling streams"),
-        ("tail_epsilon", float, 1e-9, None),
         ("mc_sigmas", float, 5.0, "MC agreement window in standard errors"),
         ("atol", float, 1e-6, "deterministic-oracle agreement window"),
         ("verbose", bool, None, "print every case, not just the summary"),
@@ -581,11 +584,7 @@ def _cmd_oracle_check(params: dict, consts: PhysicalConstants, output, fmt) -> i
         raise ConfigError("oracle reports are JSON only; drop --format or use json")
     if params["cases"] < 1:
         raise ConfigError(f"--cases must be >= 1, got {params['cases']}")
-    cfg = OracleConfig(
-        n_samples=params["samples"],
-        seed=params["mc_seed"],
-        tail_epsilon=params["tail_epsilon"],
-    )
+    cfg = OracleConfig(n_samples=params["samples"], seed=params["mc_seed"])
     cases = run_oracle_battery(params["cases"], cfg, consts, seed=params["seed"])
     summary, per_case = tally_verdicts(cases, params["mc_sigmas"], params["atol"])
     all_ok = all(case_ok for _, case_ok in per_case)
@@ -637,8 +636,23 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # A library UserWarning reaches stderr as one "gravidec: warning:" line,
+    # without Python's source path; other categories keep their filters.
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            return _run(args)
+    finally:
+        for w in caught:
+            if issubclass(w.category, UserWarning):
+                print(f"gravidec: warning: {w.message}", file=sys.stderr)
+            else:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed subcommand and map each error class to its exit code."""
     try:
         params, consts = _resolve(args, args.command)
         fmt = args.format or _COMMANDS[args.command][1]

@@ -16,10 +16,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-#: Solar mass in kg, fixed for reproducibility of astrophysical examples.
-SOLAR_MASS = 1.989e30
-
-
 @dataclass(frozen=True)
 class PhysicalConstants:
     """SI constants injected into every formula.

@@ -17,8 +17,8 @@ g(k) = (k^2 / pi^2) / (exp(hbar c k / k_B T) - 1); measured spectra and
 cross-sections can be supplied as tables instead.
 
 The timescales and the classification are array functions: a regime map is
-one call of each over the whole grid, and the single-point functions call
-the same code with scalars.
+one call of each over the whole grid, and :func:`regime_scan` is the one
+route to tau_em and the dominance flags (a single point is a one-cell grid).
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from ._tables import linear_interpolant, read_table
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .visibility import _scalar_or_array, decoherence_time
-
-MECHANISMS = ("time_dilation", "emission", "boundary")
 
 #: Relative timescale difference below which neither channel is called dominant.
 BOUNDARY_RTOL = 1e-9
@@ -140,20 +138,6 @@ def emission_rate_integral(model: EmissionModel, consts: PhysicalConstants) -> f
     return float(0.5 * np.sum((f[1:] + f[:-1]) * dk))
 
 
-def tau_emission(delta_x, model: EmissionModel, consts: PhysicalConstants):
-    """Emission decoherence time 1 / (dx^2 * rate integral); inf when either is 0.
-
-    ``delta_x`` may be an array; a scalar gives a float.
-    """
-    return _scalar_or_array(_tau_from_integral(delta_x, emission_rate_integral(model, consts)))
-
-
-def _tau_from_integral(delta_x, integral):
-    """1 / (dx^2 I), broadcasting dx against I; a zero product divides to +inf."""
-    with np.errstate(divide="ignore"):
-        return 1.0 / (np.asarray(delta_x, dtype=float) ** 2 * integral)
-
-
 def number_of_modes_from_radius(radius, mode_density: float):
     """Internal mode count (4/3) pi r^3 rho_N at every radius r."""
     radius = np.asarray(radius, dtype=float)
@@ -166,8 +150,8 @@ def compare_timescales(tau_dec, tau_em):
     """Shorter timescale wins, element by element; ties are "boundary".
 
     A tie is |tau_dec - tau_em| <= BOUNDARY_RTOL * min, or equality, which
-    makes two infinite timescales a tie. Scalars give a str, arrays an array
-    of flags.
+    makes two infinite timescales a tie. Returns an array of flags, one of
+    "time_dilation", "emission" or "boundary" per element.
     """
     tau_dec, tau_em = np.asarray(tau_dec, dtype=float), np.asarray(tau_em, dtype=float)
     if np.any(tau_dec < 0) or np.any(tau_em < 0):
@@ -176,26 +160,7 @@ def compare_timescales(tau_dec, tau_em):
         tie = (tau_dec == tau_em) | (
             np.abs(tau_dec - tau_em) <= BOUNDARY_RTOL * np.minimum(tau_dec, tau_em)
         )
-    flags = np.where(tie, "boundary", np.where(tau_dec < tau_em, "time_dilation", "emission"))
-    return flags if flags.ndim else str(flags)
-
-
-def dominant_mechanism(
-    n_modes: float,
-    temperature: float,
-    delta_x: float,
-    g: float,
-    model: EmissionModel,
-    consts: PhysicalConstants,
-) -> tuple[str, float, float]:
-    """Which channel decoheres faster at one parameter point.
-
-    Returns ``(flag, tau_dec, tau_em)`` with flag in MECHANISMS; a tie within
-    BOUNDARY_RTOL relative is flagged "boundary".
-    """
-    tau_dec = decoherence_time(n_modes, temperature, delta_x, g, consts)
-    tau_em = tau_emission(delta_x, model, consts)
-    return compare_timescales(tau_dec, tau_em), tau_dec, tau_em
+    return np.where(tie, "boundary", np.where(tau_dec < tau_em, "time_dilation", "emission"))
 
 
 AXIS_KINDS = ("radius", "delta_x")
@@ -239,8 +204,9 @@ def regime_scan(
     scans the separation at fixed ``n_modes``. The second axis is always
     temperature, and ``model_factory(T)`` supplies the emission model per
     column (thermal spectra move with T; a fixed tabulated model can ignore
-    the argument), whose rate integral is evaluated once for the column.
-    The timescales and flags of all cells are then one array call each.
+    the argument), whose rate integral I is evaluated once for the column.
+    The timescales and flags of all cells are then one array call each:
+    tau_em = 1 / (dx^2 I), +inf where dx or I is 0.
     """
     axis1 = np.asarray(axis1, dtype=float)
     temperatures = np.asarray(temperatures, dtype=float)
@@ -263,7 +229,8 @@ def regime_scan(
         [emission_rate_integral(model_factory(float(temp)), consts) for temp in temperatures]
     )
     tau_d = decoherence_time(n_of, temperatures, dx_of, g, consts)
-    tau_e = _tau_from_integral(dx_of, integrals)
+    with np.errstate(divide="ignore"):  # a zero dx^2 I divides to +inf
+        tau_e = 1.0 / (dx_of**2 * integrals)
     return RegimeMap(
         axis1_kind=axis1_kind,
         axis1=axis1,

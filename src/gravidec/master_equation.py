@@ -227,15 +227,15 @@ class EvolutionResult:
 
 @dataclass(frozen=True)
 class MemoryKernelCoefficients:
-    """Drift and decoherence strengths of the general internal-state kernel.
+    """Moments and decoherence strength of the general internal-state kernel.
 
-    ``decoherence`` times g^2 is the Lambda of the master equation;
-    ``drift`` times g is the force-like shift from the mean internal energy.
+    ``decoherence`` times g^2 is the Lambda of the master equation. The
+    force-like shift from the mean internal energy, ``mean_energy`` / c^2
+    times g, is added by :meth:`CMHamiltonianSpec.gravitational_weight`.
     """
 
     mean_energy: float
     energy_variance: float
-    drift: float
     decoherence: float
 
 
@@ -244,12 +244,10 @@ def memory_kernel_coefficients(
 ) -> MemoryKernelCoefficients:
     e0 = mean_internal_energy(spec, consts)
     var = internal_energy_variance(spec, consts)
-    c2 = consts.c**2
     return MemoryKernelCoefficients(
         mean_energy=e0,
         energy_variance=var,
-        drift=e0 / c2,
-        decoherence=var / (consts.hbar * c2) ** 2,
+        decoherence=var / (consts.hbar * consts.c**2) ** 2,
     )
 
 

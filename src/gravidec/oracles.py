@@ -84,7 +84,8 @@ class OracleConfig:
     is the thermal tail mass each number-state truncation may drop: a mode
     that needs more quanta than its oracle's cap (``FOCK_MAX_CUTOFF`` or
     ``TENSOR_MAX_CUTOFF``) is refused with the required cutoff named rather
-    than silently truncated. The caps are module constants, not knobs.
+    than silently truncated. The caps are module constants, not knobs, and
+    ``oracle-check`` runs at the default ``tail_epsilon``; no flag sets it.
     """
 
     n_samples: int = 200_000

@@ -4,6 +4,10 @@ import tracemalloc
 
 import pytest
 
+#: Solar mass in kg, fixed so that the frozen Schwarzschild and Hawking values
+#: keep their bits (5 * SOLAR_MASS == 9.945e30 exactly, the README's mass).
+SOLAR_MASS = 1.989e30
+
 
 @pytest.fixture
 def traced_peak():

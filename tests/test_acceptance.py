@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import SOLAR_MASS
 
 from gravidec import (
     CMHamiltonianSpec,
@@ -20,7 +21,6 @@ from gravidec import (
     HomogeneousPotential,
     InternalStateSpec,
     OracleConfig,
-    SOLAR_MASS,
     SchwarzschildSpec,
     TrajectoryPair,
     blackbody_emission_model,
@@ -29,7 +29,6 @@ from gravidec import (
     decoherence_time_schwarzschild,
     default_constants,
     dephasing_coefficient,
-    dominant_mechanism,
     evolve_full_memory,
     evolve_markovian,
     exact_visibility,
@@ -37,9 +36,9 @@ from gravidec import (
     highT_visibility,
     power_law_cross_section,
     proper_time_difference,
+    regime_scan,
     run_oracle_battery,
     semiclassical_visibility,
-    tau_emission,
     two_point_unitary_oracle,
     visibility_curve,
 )
@@ -184,7 +183,9 @@ def test_criterion_08_exact_scaling_ratios():
             / decoherence_time(4.0 * n, temperature, dx, g, CONSTS)
             == 2.0
         )
-        assert tau_emission(dx, model, CONSTS) / tau_emission(2.0 * dx, model, CONSTS) == 4.0
+        tau_em = regime_scan("delta_x", np.array([dx, 2.0 * dx]), np.array([temperature]),
+                             lambda temp: model, g, CONSTS, n_modes=n).tau_em
+        assert tau_em[0, 0] / tau_em[1, 0] == 4.0
     print("25 random parameter sets: tau(dx)/tau(2dx) == 2, tau(N)/tau(4N) == 2, "
           "tau_em(dx)/tau_em(2dx) == 4, all exact")
 
@@ -220,25 +221,26 @@ def test_criterion_10_unique_crossover_and_consistent_flags():
     n, g = 1e23, 9.81
     separations = np.geomspace(1e-6, 1e-2, 24)
     temperatures = np.geomspace(100.0, 600.0, 5)
+
+    def factory(temperature: float):
+        return blackbody_emission_model(temperature, sigma, CONSTS)
+
+    rm = regime_scan("delta_x", separations, temperatures, factory, g, CONSTS, n_modes=n)
+    # flags must mirror the stored timescales wherever they are not a tie
+    decided = rm.flags != "boundary"
+    mirrored = np.where(rm.tau_dec < rm.tau_em, "time_dilation", "emission")
+    assert np.array_equal(rm.flags[decided], mirrored[decided])
     n_flips = 0
-    for temperature in temperatures:
-        model = blackbody_emission_model(float(temperature), sigma, CONSTS)
-        flags, tau_d, tau_e = [], [], []
-        for dx in separations:
-            flag, td, te = dominant_mechanism(n, float(temperature), float(dx), g,
-                                              model, CONSTS)
-            flags.append(flag)
-            tau_d.append(td)
-            tau_e.append(te)
-            if flag != "boundary":  # flags must mirror the stored timescales
-                assert flag == ("time_dilation" if td < te else "emission")
+    for j, temperature in enumerate(temperatures):
+        flags = list(rm.flags[:, j])
         flips = [k for k in range(1, len(flags)) if flags[k] != flags[k - 1]]
         assert len(flips) <= 1
         if flips:
             n_flips += 1
             k = flips[0]
             assert flags[0] == "time_dilation" and flags[-1] == "emission"
-            dx_star = crossover_separation(n, float(temperature), g, model, CONSTS)
+            dx_star = crossover_separation(n, float(temperature), g,
+                                           factory(float(temperature)), CONSTS)
             assert separations[k - 1] < dx_star < separations[k]
             print(f"T = {temperature:7.2f} K: unique crossover at dx* = {dx_star:.4e} m")
     assert n_flips >= 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -55,6 +56,38 @@ def test_tau_schwarzschild_with_hawking_temperature(capsys, tmp_path):
     assert math.isfinite(results["tau_dec"])
 
 
+def test_weak_field_caveat_is_one_warning_line(capsys, tmp_path):
+    # the README's --hawking example lies inside 10 R_s
+    out = tmp_path / "tau_bh.json"
+    code, stdout, err = _run(
+        capsys, "tau", "--N", "1e23", "--dx", "1e-9", "--central-mass", "9.945e30",
+        "--radius", "1.5e4", "--hawking", "--output", str(out),
+    )
+    assert code == 0 and stdout == ""
+    assert err == ("gravidec: warning: weak-field timescale used at R < 10 R_s; "
+                   "treat as an order-of-magnitude estimate\n")
+    # the file's bytes do not change with the warning channel
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "abb04856a4c6dab37a745c77e04c69a5cc266de2373df2e9f8df7c9a6ba56a85")
+
+
+def test_other_warning_categories_keep_their_filters(capsys, monkeypatch):
+    def noisy(*args):
+        warnings.warn("overflow in a closed form", RuntimeWarning)
+        return 1.0
+
+    monkeypatch.setattr("gravidec.cli.decoherence_time", noisy)
+    argv = ["tau", "--N", "1e23", "--T", "300", "--dx", "1e-3"]
+    with pytest.raises(RuntimeWarning, match="overflow"):  # the suite's filter: an error
+        main(argv)
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("default", RuntimeWarning)  # a plain run's filter: shown
+        code, _, err = _run(capsys, *argv)
+    assert code == 0 and "gravidec: warning" not in err
+    assert [(w.category, str(w.message)) for w in shown] == [
+        (RuntimeWarning, "overflow in a closed form")]
+
+
 def test_repeat_runs_are_byte_identical(capsys, tmp_path):
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = [
@@ -67,24 +100,43 @@ def test_repeat_runs_are_byte_identical(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_oracle_check_output_does_not_depend_on_blas_threads(tmp_path):
-    # the Monte Carlo kernel makes no BLAS call, whose threading would move
-    # the last bits of its sums and hence the report's bytes
+def _outputs_at_blas_threads(tmp_path, argv, exit_codes=(0,)) -> list[bytes]:
+    """The output file of one CLI run in a fresh process at 1 and at 2 BLAS threads."""
     src = str(Path(gravidec.__file__).resolve().parents[1])
     script = "import sys; from gravidec.cli import main; sys.exit(main(sys.argv[1:]))"
     outputs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"blas{threads}.json"
+        out = tmp_path / f"blas{threads}.out"
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
         proc = subprocess.run(
-            [sys.executable, "-c", script, "oracle-check", "--cases", "3",
-             "--samples", "300000", "--output", str(out)],
+            [sys.executable, "-c", script, *argv, "--output", str(out)],
             env=env, capture_output=True, text=True,
         )
-        assert proc.returncode in (0, 1), proc.stderr  # 1 is a statistical MC miss
+        assert proc.returncode in exit_codes, proc.stderr
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_oracle_check_output_does_not_depend_on_blas_threads(tmp_path):
+    # the Monte Carlo kernel makes no BLAS call, whose threading would move
+    # the last bits of its sums and hence the report's bytes
+    first, second = _outputs_at_blas_threads(
+        tmp_path, ["oracle-check", "--cases", "3", "--samples", "300000"],
+        exit_codes=(0, 1),  # 1 is a statistical MC miss
+    )
+    assert first == second
+
+
+def test_markovian_evolution_does_not_depend_on_blas_threads(tmp_path):
+    # Strang steps are FFTs and elementwise products, no BLAS call; the README
+    # states this domain, and that the full-memory form is outside it
+    first, second = _outputs_at_blas_threads(tmp_path, [
+        "evolve", "--form", "markovian", "--hamiltonian", "free", "--n-points", "256",
+        "--mass", "1e-22", "--x1", "0", "--x2", "1e-6", "--N", "1e10", "--T", "300",
+        "--dt", "1e-5", "--t-final", "2e-3",
+    ])
+    assert first == second
 
 
 def test_visibility_single_point_at_zero_dtau(capsys):

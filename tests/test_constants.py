@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from gravidec import SOLAR_MASS, PhysicalConstants, default_constants
+from gravidec import PhysicalConstants, default_constants
 from gravidec.errors import DomainError
 
 
@@ -16,11 +16,6 @@ def test_default_values_are_codata():
     assert c.k_B == 1.380649e-23
     assert c.G == 6.67430e-11
     assert c.g_earth == 9.81
-
-
-def test_solar_mass_frozen():
-    # fixed, not CODATA: reproducibility of the black-hole example depends on it
-    assert SOLAR_MASS == 1.989e30
 
 
 def test_constants_are_immutable():

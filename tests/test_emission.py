@@ -13,15 +13,13 @@ from gravidec import (
     crossover_separation,
     decoherence_time,
     default_constants,
-    dominant_mechanism,
     emission_model_from_csv,
     emission_rate_integral,
     power_law_cross_section,
     regime_scan,
     tabulated_emission_model,
-    tau_emission,
 )
-from gravidec.emission import MECHANISMS, compare_timescales, number_of_modes_from_radius
+from gravidec.emission import compare_timescales, number_of_modes_from_radius
 from gravidec.errors import DomainError
 
 CONSTS = default_constants()
@@ -33,6 +31,14 @@ def _constant_rate_model(k_min: float, k_max: float, s0: float, n: int = 64) -> 
     return tabulated_emission_model(k, np.ones_like(k), s0 / k**2, label="flat-rate")
 
 
+def _cell(model: EmissionModel, delta_x: float, n_modes: float = 1e23,
+          temperature: float = 300.0, g: float = 9.81) -> tuple[str, float, float]:
+    """(flag, tau_dec, tau_em) of the one-cell separation grid regime_scan charts."""
+    rm = regime_scan("delta_x", np.array([delta_x]), np.array([temperature]),
+                     lambda temp: model, g, CONSTS, n_modes=n_modes)
+    return str(rm.flags[0, 0]), float(rm.tau_dec[0, 0]), float(rm.tau_em[0, 0])
+
+
 def test_rate_integral_constant_integrand_closed_form():
     k_min, k_max, s0 = 1e6, 2e6, 1e-30
     model = _constant_rate_model(k_min, k_max, s0)
@@ -40,7 +46,7 @@ def test_rate_integral_constant_integrand_closed_form():
     assert math.isclose(integral, CONSTS.c * s0 * (k_max - k_min), rel_tol=1e-12)
 
     dx = 1e-4
-    tau = tau_emission(dx, model, CONSTS)
+    tau = _cell(model, dx)[2]
     assert math.isclose(tau, 1.0 / (dx**2 * integral), rel_tol=1e-15)
 
 
@@ -58,14 +64,16 @@ def test_zero_cross_section_means_no_emission_channel():
     k = np.linspace(1e6, 2e6, 16)
     model = tabulated_emission_model(k, np.ones_like(k), np.zeros_like(k))
     assert emission_rate_integral(model, CONSTS) == 0.0
-    assert tau_emission(1e-3, model, CONSTS) == math.inf
-    assert tau_emission(0.0, _constant_rate_model(1e6, 2e6, 1e-30), CONSTS) == math.inf
+    assert _cell(model, 1e-3)[2] == math.inf
+    assert _cell(_constant_rate_model(1e6, 2e6, 1e-30), 0.0)[2] == math.inf
 
 
 def test_emission_time_quarter_at_double_separation():
     model = _constant_rate_model(1e6, 2e6, 1e-30)
     dx = 1e-3
-    assert tau_emission(dx, model, CONSTS) / tau_emission(2.0 * dx, model, CONSTS) == 4.0
+    rm = regime_scan("delta_x", np.array([dx, 2.0 * dx]), np.array([300.0]),
+                     lambda temp: model, 9.81, CONSTS, n_modes=1e23)
+    assert rm.tau_em[0, 0] / rm.tau_em[1, 0] == 4.0
 
 
 def test_blackbody_grid_refinement_is_converged():
@@ -83,13 +91,13 @@ def test_blackbody_grid_refinement_is_converged():
 
 
 def test_compare_timescales_covers_all_outcomes():
-    assert compare_timescales(1.0, 2.0) == "time_dilation"
-    assert compare_timescales(2.0, 1.0) == "emission"
-    assert compare_timescales(1.0, 1.0) == "boundary"
-    assert compare_timescales(1.0, 1.0 + 1e-12) == "boundary"
-    assert compare_timescales(math.inf, 1.0) == "emission"
-    assert compare_timescales(1.0, math.inf) == "time_dilation"
-    assert compare_timescales(math.inf, math.inf) == "boundary"
+    tau_dec = [1.0, 2.0, 1.0, 1.0, math.inf, 1.0, math.inf]
+    tau_em = [2.0, 1.0, 1.0, 1.0 + 1e-12, 1.0, math.inf, math.inf]
+    flags = compare_timescales(tau_dec, tau_em)
+    assert isinstance(flags, np.ndarray)
+    assert flags.tolist() == ["time_dilation", "emission", "boundary", "boundary",
+                              "emission", "time_dilation", "boundary"]
+    assert compare_timescales(1.0, 2.0).shape == ()  # a 0-d input gives a 0-d array
     with pytest.raises(DomainError):
         compare_timescales(-1.0, 1.0)
 
@@ -97,11 +105,11 @@ def test_compare_timescales_covers_all_outcomes():
 def test_dominant_mechanism_extremes():
     k = np.linspace(1e6, 2e6, 16)
     silent = tabulated_emission_model(k, np.ones_like(k), np.zeros_like(k))
-    flag, tau_d, tau_e = dominant_mechanism(1e23, 300.0, 1e-3, 9.81, silent, CONSTS)
+    flag, tau_d, tau_e = _cell(silent, 1e-3)
     assert flag == "time_dilation" and math.isinf(tau_e) and math.isfinite(tau_d)
 
     loud = _constant_rate_model(1e6, 2e6, 1e-10)
-    flag, tau_d, tau_e = dominant_mechanism(0.0, 300.0, 1e-3, 9.81, loud, CONSTS)
+    flag, tau_d, tau_e = _cell(loud, 1e-3, n_modes=0.0)
     assert flag == "emission" and math.isinf(tau_d) and math.isfinite(tau_e)
 
 
@@ -111,7 +119,7 @@ def test_engineered_tie_lands_on_boundary():
     k_min, k_max = 1e6, 2e6
     s0 = 1.0 / (tau_d * dx**2 * CONSTS.c * (k_max - k_min))
     model = _constant_rate_model(k_min, k_max, s0)
-    flag, got_d, got_e = dominant_mechanism(n, t, dx, g, model, CONSTS)
+    flag, got_d, got_e = _cell(model, dx, n, t, g)
     assert flag == "boundary"
     assert math.isclose(got_d, got_e, rel_tol=1e-12)
 
@@ -125,7 +133,8 @@ def test_crossover_is_unique_along_separation():
     assert 1e-6 < dx_star < 1e-2
 
     separations = np.geomspace(1e-6, 1e-2, 25)
-    flags = [dominant_mechanism(n, t, float(dx), g, model, CONSTS)[0] for dx in separations]
+    flags = list(regime_scan("delta_x", separations, np.array([t]), lambda temp: model, g,
+                             CONSTS, n_modes=n).flags[:, 0])
     # time dilation loses ground as dx grows; exactly one flip, bracketing dx*
     flips = [i for i in range(1, len(flags)) if flags[i] != flags[i - 1]]
     assert len(flips) == 1
@@ -134,7 +143,7 @@ def test_crossover_is_unique_along_separation():
     assert separations[i - 1] < dx_star < separations[i]
 
     # at the crossover itself neither channel is declared dominant
-    assert dominant_mechanism(n, t, dx_star, g, model, CONSTS)[0] == "boundary"
+    assert _cell(model, dx_star, n, t, g)[0] == "boundary"
     assert crossover_separation(0.0, t, g, model, CONSTS) == math.inf
 
 
@@ -150,19 +159,21 @@ def test_regime_scan_matches_pointwise_calls():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rm = regime_scan("delta_x", seps, temps, factory, g, CONSTS, n_modes=n)
-    cells = [[dominant_mechanism(n, float(t), float(dx), g, factory(float(t)), CONSTS)
-              for t in temps] for dx in seps]
-    assert all(type(f) is str and type(d) is float and type(e) is float
-               for row in cells for f, d, e in row)
-    flags, tau_d, tau_e = (np.array([[cell[k] for cell in row] for row in cells])
-                           for k in range(3))
+    # the cell-by-cell reference: the closed form, 1 / (dx^2 I) and the comparison
+    tau_d = np.array([[decoherence_time(n, float(t), float(dx), g, CONSTS) for t in temps]
+                      for dx in seps])
+    integrals = [emission_rate_integral(factory(float(t)), CONSTS) for t in temps]
+    with np.errstate(divide="ignore"):
+        tau_e = np.array([[1.0 / (np.float64(dx) ** 2 * i) for i in integrals] for dx in seps])
+    flags = np.array([[str(compare_timescales(d, e)) for d, e in zip(row_d, row_e)]
+                      for row_d, row_e in zip(tau_d, tau_e)])
     assert np.array_equal(rm.flags, flags)
     assert np.array_equal(rm.tau_dec, tau_d)
     assert np.array_equal(rm.tau_em, tau_e)
     assert np.all(np.isinf(rm.tau_dec[0])) and np.all(np.isinf(rm.tau_em[0]))
     assert np.all(rm.flags[0] == "boundary")
     assert rm.flags[3, 1] == "boundary"
-    assert set(rm.flags.ravel()) == set(MECHANISMS)
+    assert set(rm.flags.ravel()) == {"time_dilation", "emission", "boundary"}
 
 
 def test_regime_scan_silent_emitter_is_uniform():

@@ -273,7 +273,6 @@ def test_memory_kernel_coefficients_from_internal_state():
     var = internal_energy_variance(spec, CONSTS)
     assert coeffs.mean_energy == e0
     assert coeffs.energy_variance == var
-    assert math.isclose(coeffs.drift, e0 / CONSTS.c**2, rel_tol=1e-15)
     assert math.isclose(
         coeffs.decoherence, var / (CONSTS.hbar * CONSTS.c**2) ** 2, rel_tol=1e-15
     )

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
+
+import numpy as np
 
 import gravidec
 import gravidec.oracles
@@ -62,11 +65,13 @@ def test_tables_are_read_and_interpolated_in_one_module():
     assert users == {"loadtxt": {"_tables.py"}, "interp": {"_tables.py"}}
 
 
-def test_readme_python_examples_run(capsys):
-    """Each ```python block of README.md runs as written, in its own namespace."""
+def test_readme_python_examples_run(capsys, tmp_path, monkeypatch):
+    """Each ```python block of README.md runs as written, in its own namespace,
+    from an empty working directory (the examples write a snapshot file)."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
     assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
     spaces = []
     for block in blocks:
         spaces.append({})
@@ -74,3 +79,54 @@ def test_readme_python_examples_run(capsys):
     tau = float(capsys.readouterr().out.split()[0])
     assert abs(tau - 1.04e-6) <= 0.01 * 1.04e-6
     assert spaces[1]["curve"].law == "master-equation"
+    assert np.array_equal(spaces[1]["rho"], spaces[1]["result"].snapshots)
+
+
+def _identifiers(node: ast.AST):
+    """Every name, attribute and imported name used under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_public_name_is_reached_beyond_the_tests():
+    """Each name in __all__ is reached from the package's module-level code
+    (the CLI's ``__main__`` block), a README code block or the benchmark,
+    directly or through the definitions those reach; so no public name is kept
+    alive by the tests alone. A definition reaches every identifier it uses.
+    The README and the benchmark reach any name they mention, since the
+    benchmark's tracer names the functions it wraps in strings."""
+    root = Path(__file__).resolve().parent.parent
+    uses: dict[str, set[str]] = {}  # top-level name: the identifiers its definition uses
+    seeds: set[str] = set()
+    for path in Path(gravidec.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            else:
+                targets = node.targets if isinstance(node, ast.Assign) else [
+                    getattr(node, "target", None)]
+                bound = [target.id for target in targets if isinstance(target, ast.Name)]
+            for name in bound:
+                uses.setdefault(name, set()).update(_identifiers(node))
+            if not bound:
+                seeds.update(_identifiers(node))
+    readme = (root / "README.md").read_text()
+    mentions = "\n".join([*readme.split("```")[1::2], *(
+        path.read_text() for path in sorted((root / "perfbench").glob("*.py")))])
+    todo = seeds | {name for name in uses if re.search(rf"\b{name}\b", mentions)}
+    reached: set[str] = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo |= uses.get(name, set())
+    assert [name for name in gravidec.__all__ if name not in reached] == []

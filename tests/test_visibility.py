@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import SOLAR_MASS
 
 import gravidec.internal_state as internal_state_module
 import gravidec.visibility as visibility_module
@@ -25,7 +26,6 @@ from gravidec import (
     thermal_occupation,
     visibility_curve,
 )
-from gravidec.constants import SOLAR_MASS
 from gravidec.errors import DomainError
 from gravidec.visibility import proper_time_lab
 
