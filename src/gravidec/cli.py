@@ -14,7 +14,10 @@ keys are the subcommand's parameter names (long flag names with dashes
 replaced by underscores, ``preset`` included); explicit flags override the
 file. Each value is checked against the type and choices of its flag and
 converted as the flag would be (an integer given for a real-valued parameter
-becomes a float); a bad value, ``null`` included, is a configuration error.
+becomes a float); a bad value, ``null`` included, is a configuration error,
+and so is a parameter the rest of the command would leave unused (such as
+``tau --hawking`` with no central mass, or ``propertime --temperature`` with
+no internal state).
 For oracle-check, values resolve in the order defaults, preset, file, flags;
 its number-state oracles truncate at ``OracleConfig``'s default tail mass.
 A ``"constants"`` object inside the file overrides individual physical
@@ -360,6 +363,10 @@ def _cmd_tau(params: dict, consts: PhysicalConstants, output, fmt) -> int:
     if params["central_mass"] is not None or params["radius"] is not None:
         if params["central_mass"] is None or params["radius"] is None:
             raise ConfigError("central_mass and radius must be given together")
+        if params["g"] is not None:
+            raise ConfigError("--g does not apply with --central-mass, whose field is GM/R^2")
+        if params["hawking"] and params["temperature"] is not None:
+            raise ConfigError("--hawking sets the temperature; drop --temperature")
         sw = SchwarzschildSpec(params["central_mass"], params["radius"])
         temperature = params["temperature"]
         if params["hawking"]:
@@ -374,6 +381,8 @@ def _cmd_tau(params: dict, consts: PhysicalConstants, output, fmt) -> int:
         )
         results["field"] = "schwarzschild"
     else:
+        if params["hawking"]:
+            raise ConfigError("--hawking needs --central-mass and --radius")
         if params["temperature"] is None:
             raise ConfigError("need --temperature")
         g = params["g"] if params["g"] is not None else consts.g_earth
@@ -545,6 +554,9 @@ def _cmd_regime(params: dict, consts: PhysicalConstants, output, fmt) -> int:
 
 
 def _cmd_propertime(params: dict, consts: PhysicalConstants, output, fmt) -> int:
+    has_state = params["n_modes"] is not None or params["frequencies_csv"] is not None
+    if has_state != (params["temperature"] is not None):
+        raise ConfigError("a visibility needs --temperature with --n-modes or --frequencies-csv")
     if params["trajectories"]:
         pair = TrajectoryPair.from_csv(params["trajectories"])
     else:
@@ -569,9 +581,8 @@ def _cmd_propertime(params: dict, consts: PhysicalConstants, output, fmt) -> int
 
     dtau = proper_time_difference(pair, potential, consts)
     results: dict = {"delta_tau": dtau, "potential": kind}
-    spec = _internal_spec(params) if params["temperature"] is not None else None
-    if spec is not None:
-        results["visibility"] = semiclassical_visibility(spec, dtau, consts)
+    if has_state:
+        results["visibility"] = semiclassical_visibility(_internal_spec(params), dtau, consts)
         results["law"] = "semiclassical"
     keys = sorted(results)
     _emit(fmt, output, _metadata("propertime", params, consts), {"results": results},

@@ -32,7 +32,7 @@ import numpy as np
 from ._tables import linear_interpolant, read_table
 from .constants import PhysicalConstants
 from .errors import DomainError
-from .visibility import _scalar_or_array, decoherence_time
+from .visibility import decoherence_time
 
 #: Relative timescale difference below which neither channel is called dominant.
 BOUNDARY_RTOL = 1e-9
@@ -138,14 +138,6 @@ def emission_rate_integral(model: EmissionModel, consts: PhysicalConstants) -> f
     return float(0.5 * np.sum((f[1:] + f[:-1]) * dk))
 
 
-def number_of_modes_from_radius(radius, mode_density: float):
-    """Internal mode count (4/3) pi r^3 rho_N at every radius r."""
-    radius = np.asarray(radius, dtype=float)
-    if np.any(radius <= 0) or mode_density <= 0:
-        raise DomainError("radius and mode_density must be > 0")
-    return _scalar_or_array(4.0 / 3.0 * math.pi * radius**3 * mode_density)
-
-
 def compare_timescales(tau_dec, tau_em):
     """Shorter timescale wins, element by element; ties are "boundary".
 
@@ -199,14 +191,14 @@ def regime_scan(
 ) -> RegimeMap:
     """Chart the dominant decoherence channel over a 2-D parameter grid.
 
-    ``axis1_kind`` picks the first axis: "radius" converts each radius to a
-    mode count via ``mode_density`` and holds ``delta_x`` fixed, "delta_x"
-    scans the separation at fixed ``n_modes``. The second axis is always
-    temperature, and ``model_factory(T)`` supplies the emission model per
-    column (thermal spectra move with T; a fixed tabulated model can ignore
-    the argument), whose rate integral I is evaluated once for the column.
-    The timescales and flags of all cells are then one array call each:
-    tau_em = 1 / (dx^2 I), +inf where dx or I is 0.
+    ``axis1_kind`` picks the first axis: "radius" converts each radius r to
+    the mode count (4/3) pi r^3 ``mode_density`` (both must be > 0) and holds
+    ``delta_x`` fixed, "delta_x" scans the separation at fixed ``n_modes``.
+    The second axis is always temperature, and ``model_factory(T)`` supplies
+    the emission model per column (thermal spectra move with T; a fixed
+    tabulated model can ignore the argument), whose rate integral I is
+    evaluated once for the column. The timescales and flags of all cells are
+    then one array call each: tau_em = 1 / (dx^2 I), +inf where dx or I is 0.
     """
     axis1 = np.asarray(axis1, dtype=float)
     temperatures = np.asarray(temperatures, dtype=float)
@@ -215,7 +207,9 @@ def regime_scan(
     if axis1_kind == "radius":
         if mode_density is None or delta_x is None:
             raise DomainError("radius axis needs mode_density and a fixed delta_x")
-        n_of = number_of_modes_from_radius(axis1, mode_density)[:, None]
+        if np.any(axis1 <= 0) or mode_density <= 0:
+            raise DomainError("radius and mode_density must be > 0")
+        n_of = (4.0 / 3.0 * math.pi * axis1**3 * mode_density)[:, None]
         dx_of = np.full((axis1.size, 1), float(delta_x))
     elif axis1_kind == "delta_x":
         if n_modes is None:

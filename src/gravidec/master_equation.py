@@ -85,13 +85,13 @@ class DensityMatrixGrid:
     """Position-basis density matrix rho(x_i, x_j) on a uniform grid.
 
     Discrete normalization sum_i rho_ii = 1 (entries are dimensionless, not
-    densities). ``pair`` optionally marks the (i, j) element whose decay is
-    the interferometric signal.
+    densities). ``pair`` marks the (i, j) element whose decay is the
+    interferometric signal; every evolution records it at every step.
     """
 
     x: np.ndarray
     rho: np.ndarray
-    pair: tuple[int, int] | None = None
+    pair: tuple[int, int]
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -114,10 +114,9 @@ class DensityMatrixGrid:
             raise DomainError("trace(rho) must equal 1")
         if np.min(rho.diagonal().real) < -1e-12:
             raise DomainError("diagonal of rho must be nonnegative")
-        if self.pair is not None:
-            i, j = self.pair
-            if not (0 <= i < x.size and 0 <= j < x.size):
-                raise DomainError("pair indices outside the grid")
+        i, j = self.pair
+        if not (0 <= i < x.size and 0 <= j < x.size):
+            raise DomainError("pair indices outside the grid")
 
     @property
     def dx(self) -> float:
@@ -220,7 +219,7 @@ class EvolutionResult:
     times: np.ndarray
     coherence: np.ndarray
     form: str
-    pair: tuple[int, int] | None
+    pair: tuple[int, int]
     snapshot_times: np.ndarray
     snapshots: np.ndarray
 
@@ -289,16 +288,17 @@ def _drive(rho0: DensityMatrixGrid, cfg: EvolutionConfig, form: str, state: np.n
     returns the states after steps step+1 .. step+k (k >= 1) stacked on a
     leading axis; ``readout(states)`` gives the tracked pair's element of
     each, and ``expand(state, out)`` writes the position-basis rho of a
-    snapshot into ``out``. Snapshots go straight into one store of
-    (n_snapshots, m, m), allocated once the plan has passed its byte cap, so
-    no second copy of them is ever made. Step 0 is read from rho0 itself.
+    snapshot into ``out``. Every grid marks its pair, so the coherence track
+    holds the pair's element at every step. Snapshots go straight into one
+    store of (n_snapshots, m, m), allocated once the plan has passed its byte
+    cap, so no second copy of them is ever made. Step 0 is read from rho0
+    itself.
     """
     n_steps, m = cfg.n_steps, rho0.x.size
     plan = _snapshot_plan(cfg, m)
     times = np.arange(n_steps + 1) * cfg.dt
-    coherence = np.full(n_steps + 1, np.nan, dtype=complex)
-    if rho0.pair is not None:
-        coherence[0] = rho0.rho[rho0.pair]
+    coherence = np.empty(n_steps + 1, dtype=complex)
+    coherence[0] = rho0.rho[rho0.pair]
     snapshots = np.empty((len(plan), m, m), dtype=complex)
     snapshots[:1] = rho0.rho  # step 0, when any snapshot is stored
     stored = min(1, len(plan))
@@ -315,8 +315,7 @@ def _drive(rho0: DensityMatrixGrid, cfg: EvolutionConfig, form: str, state: np.n
             raise NumericalInstabilityError(
                 f"non-finite density matrix at step {step + 1 + bad[0]}; reduce dt"
             )
-        if rho0.pair is not None:
-            coherence[step + 1:step + 1 + len(states)] = readout(states)
+        coherence[step + 1:step + 1 + len(states)] = readout(states)
         while stored < len(plan) and plan[stored] <= step + len(states):
             expand(states[plan[stored] - step - 1], snapshots[stored])
             stored += 1
@@ -340,7 +339,7 @@ def _products(rho0: DensityMatrixGrid, cfg: EvolutionConfig, factor) -> tuple:
         steps = np.arange(step, min(step + block, cfg.n_steps))
         return np.cumprod(np.concatenate([rho[None], factor(cfg, dsq, steps)]), axis=0)[1:]
 
-    i, j = rho0.pair or (0, 0)
+    i, j = rho0.pair
     return rho0.rho, advance, lambda states: states[:, i, j], lambda rho, out: np.copyto(out, rho)
 
 
@@ -425,7 +424,7 @@ def evolve_markovian(
         return work[None]
 
     # The tracked pair of A rho A+ from the circulant A's rows, O(m^2).
-    i, j = rho0.pair or (0, 0)
+    i, j = rho0.pair
     col = np.fft.ifft(half_kin)
     row_i = col[(i - np.arange(m)) % m]
     row_j = col[(j - np.arange(m)) % m].conj()
@@ -515,7 +514,7 @@ def evolve_full_memory(
         return (half * (half * (rho + (dt / 6.0) * k1) + (dt / 3.0) * (k2 + k3))
                 + (dt / 6.0) * k4)[None]
 
-    i, j = rho0.pair or (0, 0)
+    i, j = rho0.pair
     return _drive(rho0, cfg, "full_memory", qh @ rho0.rho @ q, advance,
                   lambda states: q[i] @ states @ q[j].conj(),
                   lambda rho, out: np.matmul(q @ rho, qh, out=out))
@@ -536,14 +535,12 @@ def evolve(
 def extract_visibility(result: EvolutionResult):
     """Visibility V(t) = 2 |rho(x1, x2, t)| of the tracked pair, at every step.
 
-    The pair is the one the initial state marked (``DensityMatrixGrid.pair``);
-    a run without one is a DomainError. Discretization can make V(0) differ
-    from 1, in which case the curve is normalized by V(0).
+    The pair is the one the initial state marked (``DensityMatrixGrid.pair``),
+    which every run records. Discretization can make V(0) differ from 1, in
+    which case the curve is normalized by V(0).
     """
     from .visibility import VisibilityCurve
 
-    if result.pair is None:
-        raise DomainError("evolution carried no tracked pair")
     values = 2.0 * np.abs(result.coherence)
     if values[0] == 0:
         raise DomainError("initial coherence at the tracked pair is zero")

@@ -27,16 +27,17 @@ recomputed from exp(-hbar w / k_B T) on the spot, so agreement with
 tautology.
 
 Monte Carlo sampling is split into fixed-size shards of 2^16 samples, each
-with its own child seed derived from (seed, shard index) and one contiguous
-(modes, samples) array of standard exponentials (|alpha|^2 / nbar). The
+with its own child seed derived from (seed, shard index). A shard draws its
+standard exponentials (|alpha|^2 / nbar) one mode at a time, in stream
+order, into one row and adds each mode's terms before drawing the next. The
 shards run on a thread pool with one worker per CPU the process may use (no
 pool, and no ``concurrent.futures`` import, when there is one worker or one
-shard); each worker takes a strided set of shards and scratch buffers
-allocated by the caller. The shard kernel is numpy ufuncs and einsum
-reductions only, with no BLAS call, and shard partial sums are combined with
-a single np.sum over the shard-indexed array. The result is therefore
-bit-identical at fixed (seed, n_samples) whatever the worker count, the
-order in which shards run, or the BLAS thread count.
+shard); each worker takes a strided set of shards and four rows of scratch,
+whatever the mode count, allocated by the caller. The shard kernel is numpy
+ufuncs and einsum reductions only, with no BLAS call, and shard partial sums
+are combined with a single np.sum over the shard-indexed array. The result
+is therefore bit-identical at fixed (seed, n_samples) whatever the worker
+count, the order in which shards run, or the BLAS thread count.
 
 Every phase e^{i theta} here, per Monte Carlo sample or per joint Fock
 state, comes from one tau = tan(theta/2) through the half-angle identities
@@ -141,18 +142,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _mc_buffers(modes: int, m: int) -> tuple[np.ndarray, ...]:
-    """Scratch for one worker: the (modes, m) draw and three length-m rows."""
-    return np.empty((modes, m)), np.empty(m), np.empty(m), np.empty(m)
-
-
 def _mc_worker(
     seed: int,
     shards: range,
     n_samples: int,
     c_re: np.ndarray,
     c_im: np.ndarray,
-    buffers: tuple[np.ndarray, ...],
+    buffers: list[np.ndarray],
     sums: np.ndarray,
     abs2: np.ndarray,
 ) -> None:
@@ -162,22 +158,25 @@ def _mc_worker(
     ``SeedSequence([seed, k])`` alone, so its result does not depend on which
     other shards run, in what order, or on which worker. Only numpy ufuncs
     and einsum reductions are used: no BLAS call, whose threading would
-    change the last bits of the sums. The phase row holds half of each
-    weight's phase, and one tan of it gives the cosine and sine.
+    change the last bits of the sums. ``buffers`` is four rows of at least
+    the shard length: the draw of one mode, the log-modulus, the phase and a
+    temporary. The generator fills sequentially, so drawing mode by mode
+    reads the stream in the order one (modes, m) draw would. The phase row
+    holds half of each weight's phase, and one tan of it gives the cosine
+    and sine.
     """
-    draw, mod, arg, tmp = buffers
-    modes = c_re.size
     half_im = 0.5 * c_im  # exact, so arg holds exactly half the weight's phase
     for shard in shards:
         m = min(_SHARD, n_samples - shard * _SHARD)
-        e = draw.reshape(-1)[: modes * m].reshape(modes, m)  # |alpha|^2 / nbar, contiguous
-        np.random.default_rng(np.random.SeedSequence([seed, shard])).standard_exponential(out=e)
-        mod_m, arg_m, tmp_m = mod[:m], arg[:m], tmp[:m]
-        np.multiply(e[0], c_re[0], out=mod_m)
-        np.multiply(e[0], half_im[0], out=arg_m)
-        for i in range(1, modes):
-            mod_m += np.multiply(e[i], c_re[i], out=tmp_m)
-            arg_m += np.multiply(e[i], half_im[i], out=tmp_m)
+        e, mod_m, arg_m, tmp_m = (row[:m] for row in buffers)  # e: one mode's |alpha|^2 / nbar
+        rng = np.random.default_rng(np.random.SeedSequence([seed, shard]))
+        rng.standard_exponential(out=e)
+        np.multiply(e, c_re[0], out=mod_m)
+        np.multiply(e, half_im[0], out=arg_m)
+        for i in range(1, c_re.size):
+            rng.standard_exponential(out=e)
+            mod_m += np.multiply(e, c_re[i], out=tmp_m)
+            arg_m += np.multiply(e, half_im[i], out=tmp_m)
         np.exp(mod_m, out=mod_m)  # |w|
         np.tan(arg_m, out=arg_m)  # tau
         np.multiply(arg_m, arg_m, out=tmp_m)
@@ -206,11 +205,12 @@ def mc_visibility(
     standard_error)``.
 
     The shards run on one worker per usable CPU (at most one per shard),
-    each taking every workers-th shard with scratch buffers allocated here;
-    a single worker runs in the calling thread. The shard kernel uses no
-    BLAS, and the shard sums are combined by one np.sum over the shard
-    index, so the result is bit-identical at fixed (seed, n_samples) whatever
-    the worker count, the schedule or the BLAS thread count.
+    each taking every workers-th shard with four rows of scratch allocated
+    here, so scratch does not grow with the mode count; a single worker runs
+    in the calling thread. The shard kernel uses no BLAS, and the shard sums
+    are combined by one np.sum over the shard index, so the result is
+    bit-identical at fixed (seed, n_samples) whatever the worker count, the
+    schedule or the BLAS thread count.
 
     Raises DomainError when any mode has nbar * (1 - cos(w dtau)) above
     ``MC_WEIGHT_BOUND``: past that point the estimator's relative error grows
@@ -221,7 +221,12 @@ def mc_visibility(
     shard_sums = np.empty(n_shards, dtype=complex)
     shard_abs2 = np.empty(n_shards)
     workers = min(_usable_cpus(), n_shards)
-    buffers = [_mc_buffers(c_re.size, min(_SHARD, cfg.n_samples)) for _ in range(workers)]
+    # Four separate rows per worker, not one (workers, 4, m) block: glibc
+    # raises its mmap threshold to the size of each large block it frees, and
+    # later mid-size arrays then stay on the heap. On Linux with glibc, one
+    # 4 MiB block left the library benchmark's peak RSS about 0.5 MB above
+    # what these 512 KiB rows leave.
+    buffers = [[np.empty(min(_SHARD, cfg.n_samples)) for _ in range(4)] for _ in range(workers)]
 
     def work(w: int) -> None:
         _mc_worker(cfg.seed, range(w, n_shards, workers), cfg.n_samples, c_re, c_im,

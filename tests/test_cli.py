@@ -450,6 +450,48 @@ def test_propertime_accepts_short_aliases(capsys, tmp_path):
     assert json.loads(short.read_text())["results"]["law"] == "semiclassical"
 
 
+_BH = {"n_modes": 1e23, "delta_x": 1e-9, "central_mass": 9.945e30, "radius": 1.5e4}
+_STATIC = {"x1": 0.0, "x2": 1.0, "t_final": 1.0}
+
+#: Flag combinations the command would partly leave unused: (command, parameters,
+#: the flags the refusal names). "{table}" stands for a frequency table's path.
+_IGNORED_FLAGS = {
+    "hawking-without-mass": ("tau", {**_TAU_CONFIG, "hawking": True},
+                             ("--hawking", "--central-mass", "--radius")),
+    "g-with-mass": ("tau", {**_BH, "temperature": 300.0, "g": 3.0}, ("--g", "--central-mass")),
+    "temperature-with-hawking": ("tau", {**_BH, "temperature": 300.0, "hawking": True},
+                                 ("--hawking", "--temperature")),
+    "modes-without-temperature": ("propertime", {**_STATIC, "n_modes": 1e23},
+                                  ("--temperature", "--n-modes")),
+    "table-without-temperature": ("propertime", {**_STATIC, "frequencies_csv": "{table}"},
+                                  ("--temperature", "--frequencies-csv")),
+    "temperature-without-state": ("propertime", {**_STATIC, "temperature": 300.0},
+                                  ("--temperature", "--n-modes", "--frequencies-csv")),
+}
+
+
+@pytest.mark.parametrize("case", _IGNORED_FLAGS)
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_flags_that_would_be_ignored_exit_2(capsys, tmp_path, case, source):
+    command, params, named = _IGNORED_FLAGS[case]
+    table = tmp_path / "freqs.csv"
+    table.write_text("1e12\n2e12\n")
+    params = {k: str(table) if v == "{table}" else v for k, v in params.items()}
+    if source == "flags":
+        argv = [command]
+        for key, value in params.items():
+            argv += ["--" + key.replace("_", "-")] + ([] if value is True else [str(value)])
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(params))
+        argv = [command, "--config", str(cfg)]
+    out = tmp_path / "out.json"
+    code, stdout, err = _run(capsys, *argv, "--output", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("gravidec: configuration error: ")
+    assert all(flag in err for flag in named), err
+
+
 def test_missing_required_parameters_exit_2(capsys):
     code, _, err = _run(capsys, "tau", "--N", "1e23", "--T", "300")
     assert code == 2
@@ -533,10 +575,8 @@ def test_unreadable_or_malformed_table_exits_2_or_3(capsys, tmp_path, flag, faul
     if make is not None:
         path.write_text(make(good))
     out = tmp_path / "out.txt"
-    with warnings.catch_warnings():  # as in a plain CLI run, a warning is no error here
-        warnings.simplefilter("ignore")
-        code, stdout, err = _run(capsys, *argv, "--" + flag.replace("_", "-"), str(path),
-                                 "--output", str(out))
+    code, stdout, err = _run(capsys, *argv, "--" + flag.replace("_", "-"), str(path),
+                             "--output", str(out))
     assert code == expected_code
     assert "gravidec: " + said.format(path=path) in err and "Traceback" not in err
     assert stdout == "" and not out.exists()

@@ -19,7 +19,7 @@ from gravidec import (
     regime_scan,
     tabulated_emission_model,
 )
-from gravidec.emission import compare_timescales, number_of_modes_from_radius
+from gravidec.emission import compare_timescales
 from gravidec.errors import DomainError
 
 CONSTS = default_constants()
@@ -259,13 +259,19 @@ def test_regime_map_shape_validation():
 
 
 def test_number_of_modes_from_radius():
-    assert math.isclose(
-        number_of_modes_from_radius(2.0, 3.0), 4.0 / 3.0 * math.pi * 8.0 * 3.0, rel_tol=1e-15
-    )
-    with pytest.raises(DomainError):
-        number_of_modes_from_radius(0.0, 1.0)
-    with pytest.raises(DomainError):
-        number_of_modes_from_radius(1.0, -1.0)
+    # a one-cell radius grid holds the time-dilation timescale of
+    # N = 4/3 pi r^3 rho_N, to the bit (r^3 as numpy cubes an array, which
+    # differs from Python's float pow in the last bit at this r)
+    model = _constant_rate_model(1e6, 2e6, 1e-20)
+    radius = np.array([2.5e-3])
+    rm = regime_scan("radius", radius, np.array([300.0]), lambda temp: model, 9.81,
+                     CONSTS, mode_density=3.3e28, delta_x=1e-3)
+    n = float((4.0 / 3.0 * math.pi * radius**3 * 3.3e28)[0])
+    assert rm.tau_dec[0, 0] == decoherence_time(n, 300.0, 1e-3, 9.81, CONSTS)
+    for radius, density in ((0.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 0.0)):
+        with pytest.raises(DomainError, match="^radius and mode_density must be > 0$"):
+            regime_scan("radius", np.array([1.0, radius]), np.array([300.0]),
+                        lambda temp: model, 9.81, CONSTS, mode_density=density, delta_x=1e-3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -59,22 +59,24 @@ def test_two_point_superposition_wide_grid_places_nodes():
 def test_grid_rejects_bad_states():
     x = np.linspace(0.0, 1.0, 4)
     ok = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-    DensityMatrixGrid(x=x, rho=ok)
+    DensityMatrixGrid(x=x, rho=ok, pair=(0, 3))
     with pytest.raises(DomainError):
-        DensityMatrixGrid(x=np.array([0.0, 1.0, 3.0, 4.0]), rho=ok)  # nonuniform
+        DensityMatrixGrid(x=np.array([0.0, 1.0, 3.0, 4.0]), rho=ok, pair=(0, 3))  # nonuniform
     with pytest.raises(DomainError):
-        DensityMatrixGrid(x=x[::-1].copy(), rho=ok)  # decreasing
+        DensityMatrixGrid(x=x[::-1].copy(), rho=ok, pair=(0, 3))  # decreasing
     with pytest.raises(DomainError):
-        DensityMatrixGrid(x=x, rho=2.0 * ok)  # trace 2
+        DensityMatrixGrid(x=x, rho=2.0 * ok, pair=(0, 3))  # trace 2
     bad = ok.copy()
     bad[0, 1] = 0.3
     with pytest.raises(DomainError):
-        DensityMatrixGrid(x=x, rho=bad)  # not Hermitian
+        DensityMatrixGrid(x=x, rho=bad, pair=(0, 3))  # not Hermitian
     neg = np.diag([-0.25, 0.75, 0.25, 0.25]).astype(complex)
     with pytest.raises(DomainError):
-        DensityMatrixGrid(x=x, rho=neg)  # negative population
+        DensityMatrixGrid(x=x, rho=neg, pair=(0, 3))  # negative population
     with pytest.raises(DomainError):
         DensityMatrixGrid(x=x, rho=ok, pair=(0, 9))
+    with pytest.raises(TypeError, match="pair"):
+        DensityMatrixGrid(x=x, rho=ok)  # every grid tracks a pair
 
 
 def test_grid_refuses_non_finite_entries():
@@ -83,9 +85,9 @@ def test_grid_refuses_non_finite_entries():
     rho = np.full((2, 2), 0.5, dtype=complex)
     rho[0, 1] = rho[1, 0] = np.nan
     with pytest.raises(DomainError, match="^rho has non-finite"):
-        DensityMatrixGrid(x=np.array([0.0, 1e-3]), rho=rho)
+        DensityMatrixGrid(x=np.array([0.0, 1e-3]), rho=rho, pair=(0, 1))
     with pytest.raises(DomainError, match="^x has non-finite"):
-        DensityMatrixGrid(x=np.array([0.0, np.inf]), rho=np.eye(2) / 2)
+        DensityMatrixGrid(x=np.array([0.0, np.inf]), rho=np.eye(2) / 2, pair=(0, 1))
 
 
 def test_markovian_matches_gaussian_law_exactly():
@@ -373,9 +375,6 @@ def test_extract_visibility_reads_the_tracked_pair():
     assert curve.values[0] == pytest.approx(1.0, abs=1e-12)
     assert curve.times.size == result.times.size
     assert np.all(np.diff(curve.values) <= 1e-15)
-    unpaired = DensityMatrixGrid(x=result.x, rho=_two_point(dx).rho)
-    with pytest.raises(DomainError, match="no tracked pair"):
-        extract_visibility(evolve_markovian(unpaired, FREE, cfg, CONSTS))
 
 
 def test_runaway_coefficient_raises_instability():

@@ -23,7 +23,7 @@ from gravidec import (
 )
 from gravidec.errors import DomainError
 from gravidec import oracles
-from gravidec.oracles import _SHARD, _mc_buffers, _mc_coefficients, _mc_worker
+from gravidec.oracles import _SHARD, _mc_coefficients, _mc_worker
 
 CONSTS = default_constants()
 
@@ -59,7 +59,7 @@ def test_mc_is_bit_identical_under_any_shard_schedule(monkeypatch):
         sums, abs2 = np.zeros(n_shards, dtype=complex), np.zeros(n_shards)
 
         def work(shards):
-            buffers = _mc_buffers(c_re.size, _SHARD)
+            buffers = [np.empty(_SHARD) for _ in range(4)]
             _mc_worker(cfg.seed, shards, cfg.n_samples, c_re, c_im, buffers, sums, abs2)
 
         list(mapper(work, shard_sets))
@@ -111,7 +111,8 @@ def test_mc_shard_sums_match_libm_phase_on_the_same_draws(nbars, phase):
     m, seed = 50_000, 3
     for scale in (1.0, 0.0, 1e-12):
         sums, abs2 = np.zeros(1, dtype=complex), np.zeros(1)
-        _mc_worker(seed, range(1), m, c_re, scale * c_im, _mc_buffers(c_re.size, m), sums, abs2)
+        _mc_worker(seed, range(1), m, c_re, scale * c_im, [np.empty(m) for _ in range(4)],
+                   sums, abs2)
         ref, moduli = _libm_shard(seed, m, c_re, scale * c_im)
         if scale == 1.0:
             assert abs(sums[0].real - ref.real) <= 4.0 * eps * moduli
@@ -119,6 +120,68 @@ def test_mc_shard_sums_match_libm_phase_on_the_same_draws(nbars, phase):
         else:
             assert sums[0] == ref, scale
         assert sums[0].imag != 0.0 or scale == 0.0
+
+
+def _mc_worker_one_draw(seed, shards, n_samples, c_re, c_im, sums, abs2) -> None:
+    """The shard kernel with every mode drawn at once into one (modes, m)
+    array: the reference the row-by-row kernel must match bit for bit."""
+    modes = c_re.size
+    draw, (mod, arg, tmp) = np.empty((modes, _SHARD)), np.empty((3, _SHARD))
+    half_im = 0.5 * c_im
+    for shard in shards:
+        m = min(_SHARD, n_samples - shard * _SHARD)
+        e = draw.reshape(-1)[: modes * m].reshape(modes, m)
+        np.random.default_rng(np.random.SeedSequence([seed, shard])).standard_exponential(out=e)
+        mod_m, arg_m, tmp_m = mod[:m], arg[:m], tmp[:m]
+        np.multiply(e[0], c_re[0], out=mod_m)
+        np.multiply(e[0], half_im[0], out=arg_m)
+        for i in range(1, modes):
+            mod_m += np.multiply(e[i], c_re[i], out=tmp_m)
+            arg_m += np.multiply(e[i], half_im[i], out=tmp_m)
+        np.exp(mod_m, out=mod_m)
+        np.tan(arg_m, out=arg_m)
+        np.multiply(arg_m, arg_m, out=tmp_m)
+        tmp_m += 1.0
+        np.divide(2.0, tmp_m, out=tmp_m)
+        arg_m *= tmp_m
+        tmp_m -= 1.0
+        sums[shard] = complex(
+            np.einsum("i,i->", mod_m, tmp_m), np.einsum("i,i->", mod_m, arg_m)
+        )
+        abs2[shard] = np.einsum("i,i->", mod_m, mod_m)
+
+
+@pytest.mark.parametrize("nbars", [(1.0,), (0.3, 2.0), (5.0, 0.3, 2.0), (1.0, 0.3, 2.0, 0.05)])
+def test_row_by_row_draws_give_the_one_draw_kernel_bits(nbars):
+    # Two full shards of 2^16 samples and a short last one: the row-by-row
+    # kernel reads the generator in the same order, so every shard's sums
+    # keep their bytes.
+    spec = _spec(nbars)
+    c_re, c_im = _mc_coefficients(spec, 0.3 / max(spec.frequencies), CONSTS)
+    n_samples = 2 * _SHARD + 12_345
+    shards = range(3)
+    got = np.zeros(3, dtype=complex), np.zeros(3)
+    ref = np.zeros(3, dtype=complex), np.zeros(3)
+    _mc_worker(19, shards, n_samples, c_re, c_im, [np.empty(_SHARD) for _ in range(4)], *got)
+    _mc_worker_one_draw(19, shards, n_samples, c_re, c_im, *ref)
+    assert got[0].tobytes() == ref[0].tobytes()
+    assert got[1].tobytes() == ref[1].tobytes()
+
+
+@pytest.mark.parametrize("n_samples", [1_000, 200_001])
+@pytest.mark.parametrize("nbars", [(1.0,), (1.0, 0.3, 2.0, 0.05)])
+def test_mc_worker_scratch_is_four_rows_whatever_the_mode_count(monkeypatch, nbars, n_samples):
+    shapes = []
+
+    def recording_worker(seed, shards, n, c_re, c_im, buffers, sums, abs2):
+        shapes.append([row.shape for row in buffers])
+        _mc_worker(seed, shards, n, c_re, c_im, buffers, sums, abs2)
+
+    monkeypatch.setattr(oracles, "_mc_worker", recording_worker)
+    monkeypatch.setattr(oracles, "_usable_cpus", lambda: 1)
+    spec = _spec(nbars)
+    mc_visibility(spec, 0.3 / max(spec.frequencies), OracleConfig(n_samples=n_samples), CONSTS)
+    assert shapes == [[(min(_SHARD, n_samples),)] * 4]
 
 
 def test_single_shard_mc_starts_no_thread_pool():

@@ -1,0 +1,139 @@
+"""Check that a revision and the working tree give the same bytes.
+
+Usage: python3 tools/same_bytes.py REV
+
+REV is checked out with ``git worktree add`` into a temporary directory. One
+fixed list of CLI invocations then runs on that tree and on the working tree,
+each as ``python -m gravidec.cli`` in a fresh empty directory, with
+``OPENBLAS_NUM_THREADS=1`` and that tree's ``src`` alone on ``PYTHONPATH``.
+The list is:
+
+* every ``gravidec ...`` example in the working tree's README (the files they
+  write, such as ``curve.csv``, included);
+* ``oracle-check --preset standard`` at ``--mc-seed 0`` and ``7``, with its
+  JSON report written to a file;
+* ``evolve`` in both forms, for every Hamiltonian kind, at 2 and 64 grid
+  points, with snapshots: its CSV prints every coherence with ``repr``, so
+  equal files mean equal coherence bits, and the snapshot file is raw bytes;
+* ``--help`` of the program and of every subcommand.
+
+For each invocation the exit codes, stdout, stderr and every file written are
+compared, and one line is printed: ``identical``, or ``DIFFERS`` with the
+first output that differs and each of its changed runs of lines (``-`` REV,
+``+`` working tree). Each tree's own path is replaced by ``<tree>`` in stdout
+and stderr, so a source path in a warning or traceback does not count as a
+difference. The worktree is removed at the end. Exit status: 0 when every
+invocation is identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import difflib
+import os
+import re
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SUBCOMMANDS = ("tau", "visibility", "evolve", "regime", "propertime", "oracle-check")
+
+
+def readme_examples(readme: Path) -> list[list[str]]:
+    """The ``gravidec`` command lines of the README's ``sh`` blocks, continuations joined."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(), flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line)
+            if words[:1] == ["gravidec"]:
+                commands.append(words[1:])
+    return commands
+
+
+def invocations() -> list[list[str]]:
+    runs = readme_examples(ROOT / "README.md")
+    runs += [["oracle-check", "--preset", "standard", "--mc-seed", seed, "--output", "report.json"]
+             for seed in ("0", "7")]
+    for form in ("markovian", "full_memory"):
+        for kind in ("none", "free", "free_plus_linear"):
+            for m in ("2", "64"):
+                mass = [] if kind == "none" else ["--mass", "1e-25"]
+                runs.append(["evolve", "--form", form, "--hamiltonian", kind, *mass,
+                             "--x1", "0", "--x2", "1e-6", "--n-points", m,
+                             "--lambda-coefficient", "2e24", "--dt", "1e-8", "--t-final", "1e-6",
+                             "--store-every", "10", "--snapshots", "run.snap",
+                             "--output", "evolve.csv"])
+    runs.append(["--help"])
+    runs += [[command, "--help"] for command in SUBCOMMANDS]
+    return runs
+
+
+def run(tree: Path, args: list[str], workdir: Path) -> dict[str, bytes]:
+    """Every output of one invocation on one tree, by stream or file name."""
+    workdir.mkdir(parents=True)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, "-m", "gravidec.cli", *args], cwd=workdir, env=env,
+                          capture_output=True)
+    here = str(tree).encode()
+    outputs = {"exit code": str(proc.returncode).encode(),
+               "stdout": proc.stdout.replace(here, b"<tree>"),
+               "stderr": proc.stderr.replace(here, b"<tree>")}
+    for path in sorted(workdir.iterdir()):
+        outputs[f"file {path.name}"] = path.read_bytes()
+    return outputs
+
+
+def _clip(line: bytes) -> str:
+    text = repr(line.decode(errors="replace"))
+    return text if len(text) <= 90 else text[:87] + "...'"
+
+
+def first_difference(old: dict[str, bytes], new: dict[str, bytes]) -> str | None:
+    """The first output that differs and its changed lines; None if all are equal."""
+    for name in list(old) + [k for k in new if k not in old]:
+        if name not in new or name not in old:
+            return f"{name}: only {'in REV' if name in old else 'in the working tree'}"
+        if old[name] == new[name]:
+            continue
+        a, b = old[name].split(b"\n"), new[name].split(b"\n")
+        hunks = []
+        matcher = difflib.SequenceMatcher(None, a, b, autojunk=False)
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+            if tag != "equal":
+                lines = [f"-{_clip(x)}" for x in a[i1:i2]] + [f"+{_clip(x)}" for x in b[j1:j2]]
+                hunks.append(f"line {i1 + 1}: " + " ".join(lines))
+        return f"{name}: " + " | ".join(hunks)
+    return None
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    scratch = Path(tempfile.mkdtemp(prefix="same-bytes-"))
+    tree = scratch / "tree"
+    subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach", str(tree),
+                    argv[0]], check=True)
+    try:
+        runs, differing = invocations(), 0
+        for k, args in enumerate(runs):
+            old = run(tree, args, scratch / "rev" / str(k))
+            new = run(ROOT, args, scratch / "work" / str(k))
+            diff = first_difference(old, new)
+            differing += diff is not None
+            print(f"identical  gravidec {shlex.join(args)}" if diff is None
+                  else f"DIFFERS  gravidec {shlex.join(args)}  {diff}", flush=True)
+        print(f"{differing} of {len(runs)} invocations differ from {argv[0]}")
+        return int(differing > 0)
+    finally:
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                       check=False)
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
