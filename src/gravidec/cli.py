@@ -14,10 +14,12 @@ keys are the subcommand's parameter names (long flag names with dashes
 replaced by underscores, ``preset`` included); explicit flags override the
 file. Each value is checked against the type and choices of its flag and
 converted as the flag would be (an integer given for a real-valued parameter
-becomes a float); a bad value, ``null`` included, is a configuration error,
-and so is a parameter the rest of the command would leave unused (such as
-``tau --hawking`` with no central mass, or ``propertime --temperature`` with
-no internal state).
+becomes a float); a bad value, ``null`` included, is a configuration error.
+So is any parameter given, as a flag or a config key, that the run never
+reads (such as ``--g`` beside ``tau --central-mass``, ``--mass`` with no
+Hamiltonian, or ``--sigma0`` beside ``regime --emission-csv``): the message
+names the ignored flags and then the flags the run did use, by their long
+names, and nothing is written. Defaults and ``preset`` do not count.
 For oracle-check, values resolve in the order defaults, preset, file, flags;
 its number-state oracles truncate at ``OracleConfig``'s default tail mass.
 A ``"constants"`` object inside the file overrides individual physical
@@ -270,8 +272,23 @@ def _build_constants(overrides: dict) -> PhysicalConstants:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, PhysicalConstants]:
-    """Merge defaults, then the preset, then the config file, then the flags."""
+class _Params(dict):
+    """Merged parameters that record, in ``read``, each name a run reads.
+
+    ``given`` holds the names the user gave, as flags or config keys.
+    """
+
+    def __getitem__(self, name: str):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+def _resolve(args: argparse.Namespace, command: str) -> tuple[_Params, PhysicalConstants]:
+    """Merge defaults, then the preset, then the config file, then the flags.
+
+    The flags and config keys given, less ``preset``, which is consumed here,
+    are recorded so that :func:`_metadata` can refuse any the run never reads.
+    """
     rows = _COMMANDS[command][2]
     kinds = {name: kind for name, kind, _, _ in rows}
     section, constants_overrides = _load_config(args.config) if args.config else ({}, {})
@@ -293,7 +310,9 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[dict, PhysicalCons
     missing = sorted(k for k, v in merged.items() if v is _REQUIRED)
     if missing:
         raise ConfigError(f"missing required parameters: {', '.join(missing)}")
-    return merged, _build_constants(constants_overrides)
+    params = _Params(merged)
+    params.given, params.read = (set(section) | set(flags)) - {"preset"}, set()
+    return params, _build_constants(constants_overrides)
 
 
 def _jsonable(value):
@@ -310,7 +329,16 @@ def _jsonable(value):
     return value
 
 
-def _metadata(command: str, params: dict, consts: PhysicalConstants, **extra) -> dict:
+def _long_flags(names) -> str:
+    return ", ".join(sorted("--" + name.replace("_", "-") for name in names))
+
+
+def _metadata(command: str, params: _Params, consts: PhysicalConstants, **extra) -> dict:
+    """The output's metadata; a given parameter that the run never read is a ConfigError."""
+    ignored = params.given - params.read
+    if ignored:
+        raise ConfigError(f"{_long_flags(ignored)} would be ignored alongside "
+                          f"{_long_flags(params.given & params.read)}")
     meta = {
         "version": __version__,
         "command": command,
@@ -363,15 +391,12 @@ def _cmd_tau(params: dict, consts: PhysicalConstants, output, fmt) -> int:
     if params["central_mass"] is not None or params["radius"] is not None:
         if params["central_mass"] is None or params["radius"] is None:
             raise ConfigError("central_mass and radius must be given together")
-        if params["g"] is not None:
-            raise ConfigError("--g does not apply with --central-mass, whose field is GM/R^2")
-        if params["hawking"] and params["temperature"] is not None:
-            raise ConfigError("--hawking sets the temperature; drop --temperature")
         sw = SchwarzschildSpec(params["central_mass"], params["radius"])
-        temperature = params["temperature"]
         if params["hawking"]:
             temperature = hawking_temperature(params["central_mass"], consts)
             results["hawking_temperature"] = temperature
+        else:
+            temperature = params["temperature"]
         if temperature is None:
             raise ConfigError("need --temperature or --hawking")
         results["schwarzschild_radius"] = sw.schwarzschild_radius(consts)
@@ -399,8 +424,6 @@ def _cmd_tau(params: dict, consts: PhysicalConstants, output, fmt) -> int:
 
 
 def _cmd_visibility(params: dict, consts: PhysicalConstants, output, fmt) -> int:
-    g = params["g"] if params["g"] is not None else consts.g_earth
-
     if params["dtau"] is not None:
         # Single-point mode: visibility at one proper-time difference.
         spec = _internal_spec(params)
@@ -428,6 +451,7 @@ def _cmd_visibility(params: dict, consts: PhysicalConstants, output, fmt) -> int
     if params["n_times"] < 2:
         raise ConfigError("n_times must be >= 2")
     times = np.linspace(0.0, params["t_final"], params["n_times"])
+    g = params["g"] if params["g"] is not None else consts.g_earth
     curve = visibility_curve(
         law, times, n_modes, params["temperature"], params["delta_x"], g, consts,
         frequencies=frequencies,
@@ -439,30 +463,27 @@ def _cmd_visibility(params: dict, consts: PhysicalConstants, output, fmt) -> int
 
 
 def _cmd_evolve(params: dict, consts: PhysicalConstants, output, fmt) -> int:
-    g = params["g"] if params["g"] is not None else consts.g_earth
-    kernel = None
-    if params["n_modes"] is not None and params["temperature"] is not None:
-        kernel = memory_kernel_coefficients(
-            InternalStateSpec.high_temperature_limit(params["n_modes"], params["temperature"]),
-            consts,
-        )
-    if params["lambda_coefficient"] is not None:
-        lam = params["lambda_coefficient"]
-    elif kernel is not None:
+    ham_kind, lam = params["hamiltonian"], params["lambda_coefficient"]
+    # g and the internal state feed lambda (when not given) and the tilt's weight.
+    g, kernel = 0.0, None
+    if lam is None or ham_kind == "free_plus_linear":
+        g = params["g"] if params["g"] is not None else consts.g_earth
+        n_modes, temperature = params["n_modes"], params["temperature"]
+        if (n_modes is None) != (temperature is None):
+            raise ConfigError("--n-modes and --temperature must be given together")
+        if n_modes is not None:
+            kernel = memory_kernel_coefficients(
+                InternalStateSpec.high_temperature_limit(n_modes, temperature), consts
+            )
+    if lam is None:
+        if kernel is None:
+            raise ConfigError("need --lambda-coefficient or both --n-modes and --temperature")
         lam = g**2 * kernel.decoherence
-    else:
-        raise ConfigError("need --lambda-coefficient or both --n-modes and --temperature")
 
-    internal_energy = kernel.mean_energy if kernel is not None else 0.0
-    ham_kind = params["hamiltonian"]
-    if ham_kind != "none" and params["mass"] is None:
+    mass = params["mass"] if ham_kind != "none" else 0.0
+    if mass is None:
         raise ConfigError(f"hamiltonian {ham_kind!r} needs --mass")
-    ham = CMHamiltonianSpec(
-        kind=ham_kind,
-        mass=params["mass"] or 0.0,
-        g=g,
-        internal_mean_energy=internal_energy,
-    )
+    ham = CMHamiltonianSpec(ham_kind, mass, g, kernel.mean_energy if kernel is not None else 0.0)
     if params["snapshots"] and params["store_every"] == 0:
         raise ConfigError("--snapshots needs --store-every >= 1")
     cfg = EvolutionConfig(
@@ -477,13 +498,13 @@ def _cmd_evolve(params: dict, consts: PhysicalConstants, output, fmt) -> int:
     )
     result = evolve(rho0, ham, cfg, consts)
     curve = extract_visibility(result)
-    if params["snapshots"]:
-        save_snapshots(params["snapshots"], result.snapshot_times, result.x, result.snapshots)
     meta = _metadata(
         "evolve", params, consts,
         law="master-equation", form=result.form, lambda_coefficient=lam,
         n_snapshots=int(result.snapshot_times.size),
     )
+    if params["snapshots"]:
+        save_snapshots(params["snapshots"], result.snapshot_times, result.x, result.snapshots)
     _emit(
         fmt, output, meta,
         {
@@ -516,10 +537,12 @@ def _cmd_regime(params: dict, consts: PhysicalConstants, output, fmt) -> int:
             return blackbody_emission_model(temp, sigma, consts)
 
     kind = str(params["axis1"]).replace("-", "_")
-    if kind == "radius" and (params["mode_density"] is None or params["delta_x"] is None):
-        raise ConfigError("radius axis needs --mode-density and --delta-x")
-    if kind == "delta_x" and params["n_modes"] is None:
-        raise ConfigError("delta-x axis needs --n-modes")
+    if kind == "radius":
+        fixed = {"mode_density": params["mode_density"], "delta_x": params["delta_x"]}
+    else:
+        fixed = {"n_modes": params["n_modes"]}
+    if None in fixed.values():
+        raise ConfigError(f"{params['axis1']} axis needs {_long_flags(fixed)}")
     if params["n_axis1"] < 1 or params["n_temps"] < 1:
         raise ConfigError("n_axis1 and n_temps must be >= 1")
     edges = (params["axis1_min"], params["axis1_max"], params["t_min"], params["t_max"])
@@ -527,12 +550,7 @@ def _cmd_regime(params: dict, consts: PhysicalConstants, output, fmt) -> int:
         raise ConfigError("axis edges must be > 0 (grids are log-spaced)")
     axis1 = np.geomspace(params["axis1_min"], params["axis1_max"], params["n_axis1"])
     temps = np.geomspace(params["t_min"], params["t_max"], params["n_temps"])
-    rmap = regime_scan(
-        kind, axis1, temps, model_factory, g, consts,
-        mode_density=params["mode_density"],
-        delta_x=params["delta_x"],
-        n_modes=params["n_modes"],
-    )
+    rmap = regime_scan(kind, axis1, temps, model_factory, g, consts, **fixed)
     meta = _metadata("regime", params, consts, emission_model=label, g_used=g,
                      axis1_kind=kind, grid="log-spaced")
     _emit(
@@ -554,7 +572,8 @@ def _cmd_regime(params: dict, consts: PhysicalConstants, output, fmt) -> int:
 
 
 def _cmd_propertime(params: dict, consts: PhysicalConstants, output, fmt) -> int:
-    has_state = params["n_modes"] is not None or params["frequencies_csv"] is not None
+    # A table takes the place of --n-modes, which is then not read, as in _internal_spec.
+    has_state = params["frequencies_csv"] is not None or params["n_modes"] is not None
     if has_state != (params["temperature"] is not None):
         raise ConfigError("a visibility needs --temperature with --n-modes or --frequencies-csv")
     if params["trajectories"]:
@@ -598,6 +617,8 @@ def _cmd_oracle_check(params: dict, consts: PhysicalConstants, output, fmt) -> i
     cfg = OracleConfig(n_samples=params["samples"], seed=params["mc_seed"])
     cases = run_oracle_battery(params["cases"], cfg, consts, seed=params["seed"])
     summary, per_case = tally_verdicts(cases, params["mc_sigmas"], params["atol"])
+    verbose = params["verbose"]
+    meta = _metadata("oracle-check", params, consts)
     all_ok = all(case_ok for _, case_ok in per_case)
     lines = []
     reports = []
@@ -607,7 +628,7 @@ def _cmd_oracle_check(params: dict, consts: PhysicalConstants, output, fmt) -> i
             for name, ok in verdicts.items()
         )
         lines.append(f"case {idx:3d}: {'PASS' if case_ok else 'FAIL'}  {marks}")
-        if params["verbose"]:
+        if verbose:
             lines.append(
                 f"          modes={len(case.frequencies)} T={case.temperature:9.3f} K "
                 f"dtau={case.delta_tau:.6e} V_exact={case.v_exact:.9f} "
@@ -632,7 +653,7 @@ def _cmd_oracle_check(params: dict, consts: PhysicalConstants, output, fmt) -> i
     if fmt != "json" or output:
         sys.stdout.write("\n".join(lines) + "\n")
     if fmt == "json" or output:
-        _emit("json", output, _metadata("oracle-check", params, consts), body)
+        _emit("json", output, meta, body)
     return 0 if all_ok else 1
 
 

@@ -219,7 +219,6 @@ class EvolutionResult:
     times: np.ndarray
     coherence: np.ndarray
     form: str
-    pair: tuple[int, int]
     snapshot_times: np.ndarray
     snapshots: np.ndarray
 
@@ -322,7 +321,7 @@ def _drive(rho0: DensityMatrixGrid, cfg: EvolutionConfig, form: str, state: np.n
         state = states[-1]
         step += len(states)
     return EvolutionResult(x=rho0.x, times=times, coherence=coherence, form=form,
-                           pair=rho0.pair, snapshot_times=times[plan], snapshots=snapshots)
+                           snapshot_times=times[plan], snapshots=snapshots)
 
 
 def _products(rho0: DensityMatrixGrid, cfg: EvolutionConfig, factor) -> tuple:
@@ -536,8 +535,8 @@ def extract_visibility(result: EvolutionResult):
     """Visibility V(t) = 2 |rho(x1, x2, t)| of the tracked pair, at every step.
 
     The pair is the one the initial state marked (``DensityMatrixGrid.pair``),
-    which every run records. Discretization can make V(0) differ from 1, in
-    which case the curve is normalized by V(0).
+    whose element every run's coherence track holds. Discretization can make
+    V(0) differ from 1, in which case the curve is normalized by V(0).
     """
     from .visibility import VisibilityCurve
 

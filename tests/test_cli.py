@@ -452,9 +452,16 @@ def test_propertime_accepts_short_aliases(capsys, tmp_path):
 
 _BH = {"n_modes": 1e23, "delta_x": 1e-9, "central_mass": 9.945e30, "radius": 1.5e4}
 _STATIC = {"x1": 0.0, "x2": 1.0, "t_final": 1.0}
+_EVOLVE = {"x1": 0.0, "x2": 1e-3, "dt": 1e-2, "t_final": 0.1, "store_every": 1,
+           "snapshots": "{snapshots}"}
+_REGIME = {"axis1_min": 1e-6, "axis1_max": 1e-2, "n_axis1": 2, "t_min": 100.0, "t_max": 600.0,
+           "n_temps": 2, "sigma0": 3e-22, "k0": 1e7}
+_POINT = {"dtau": 1e-14, "n_modes": 1e20, "temperature": 300.0}
+_CURVE = {"law": "high-T", "n_modes": 1e23, "temperature": 300.0, "delta_x": 1e-3,
+          "t_final": 2e-6}
 
 #: Flag combinations the command would partly leave unused: (command, parameters,
-#: the flags the refusal names). "{table}" stands for a frequency table's path.
+#: the flags the refusal names). A value in _PLACEHOLDER_FILES stands for that file's path.
 _IGNORED_FLAGS = {
     "hawking-without-mass": ("tau", {**_TAU_CONFIG, "hawking": True},
                              ("--hawking", "--central-mass", "--radius")),
@@ -467,6 +474,55 @@ _IGNORED_FLAGS = {
                                   ("--temperature", "--frequencies-csv")),
     "temperature-without-state": ("propertime", {**_STATIC, "temperature": 300.0},
                                   ("--temperature", "--n-modes", "--frequencies-csv")),
+    "regime-power-law-with-table": ("regime", {**_REGIME, "axis1": "delta-x", "n_modes": 1e23,
+                                               "emission_csv": "{emission}"},
+                                    ("--k0", "--sigma0", "--emission-csv")),
+    "regime-modes-on-radius-axis": ("regime", {**_REGIME, "axis1": "radius", "mode_density": 1e28,
+                                               "delta_x": 1e-3, "n_modes": 5.0},
+                                    ("--n-modes", "--mode-density", "--delta-x")),
+    "regime-density-on-delta-x-axis": ("regime", {**_REGIME, "axis1": "delta-x", "n_modes": 1e23,
+                                                  "mode_density": 1e28},
+                                       ("--mode-density", "--n-modes")),
+    "evolve-mass-without-hamiltonian": ("evolve", {**_EVOLVE, "lambda_coefficient": 1e5,
+                                                   "mass": 5.0},
+                                        ("--mass", "--lambda-coefficient")),
+    "evolve-modes-without-temperature": ("evolve", {**_EVOLVE, "lambda_coefficient": 1e5,
+                                                    "n_modes": 1e23},
+                                         ("--n-modes", "--lambda-coefficient")),
+    "evolve-state-with-lambda": ("evolve", {**_EVOLVE, "lambda_coefficient": 1e5,
+                                            "n_modes": 1e23, "temperature": 300.0},
+                                 ("--n-modes", "--temperature", "--lambda-coefficient")),
+    "evolve-free-state-with-lambda": ("evolve", {**_EVOLVE, "hamiltonian": "free", "mass": 1e-25,
+                                                 "lambda_coefficient": 1e5, "n_modes": 1e23,
+                                                 "temperature": 300.0},
+                                      ("--n-modes", "--temperature", "--hamiltonian")),
+    "evolve-tilt-modes-without-temperature": ("evolve", {**_EVOLVE, "mass": 1e-25,
+                                                         "hamiltonian": "free_plus_linear",
+                                                         "lambda_coefficient": 1e5,
+                                                         "n_modes": 1e23},
+                                              ("--n-modes", "--temperature")),
+    "evolve-g-with-lambda": ("evolve", {**_EVOLVE, "lambda_coefficient": 1e5, "g": 3.0},
+                             ("--g", "--lambda-coefficient")),
+    "visibility-dtau-with-curve": ("visibility", {**_POINT, "t_final": 3.0, "delta_x": 1.0},
+                                   ("--delta-x", "--t-final", "--dtau")),
+    "visibility-dtau-with-law": ("visibility", {**_POINT, "law": "high-T"}, ("--law", "--dtau")),
+    "visibility-dtau-with-g": ("visibility", {**_POINT, "g": 3.0}, ("--g", "--dtau")),
+    "visibility-high-t-with-table": ("visibility", {**_CURVE, "frequencies_csv": "{table}"},
+                                     ("--frequencies-csv", "--law", "--n-modes")),
+    "propertime-trajectories-with-x1": ("propertime", {"trajectories": "{trajectories}",
+                                                       "x1": 0.0},
+                                        ("--x1", "--trajectories")),
+    "propertime-homogeneous-with-mass": ("propertime", {**_STATIC, "potential": "homogeneous",
+                                                        "central_mass": 1e30},
+                                         ("--central-mass", "--potential")),
+}
+
+#: Files the rows name by placeholder: file name, and contents (None: an output).
+_PLACEHOLDER_FILES = {
+    "{table}": ("freqs.csv", "1e12\n2e12\n"),
+    "{emission}": ("emission.csv", "1e6,1.0,1e-22\n2e6,1.0,1e-22\n"),
+    "{trajectories}": ("traj.csv", "0,0,0,1,0\n1,0,0,1,0\n2,0,0,1,0\n"),
+    "{snapshots}": ("run.snap", None),
 }
 
 
@@ -474,9 +530,11 @@ _IGNORED_FLAGS = {
 @pytest.mark.parametrize("source", ["flags", "config"])
 def test_flags_that_would_be_ignored_exit_2(capsys, tmp_path, case, source):
     command, params, named = _IGNORED_FLAGS[case]
-    table = tmp_path / "freqs.csv"
-    table.write_text("1e12\n2e12\n")
-    params = {k: str(table) if v == "{table}" else v for k, v in params.items()}
+    paths = {key: tmp_path / name for key, (name, _) in _PLACEHOLDER_FILES.items()}
+    for key, (_, text) in _PLACEHOLDER_FILES.items():
+        if text is not None:
+            paths[key].write_text(text)
+    params = {k: str(paths[v]) if v in paths else v for k, v in params.items()}
     if source == "flags":
         argv = [command]
         for key, value in params.items():
@@ -488,6 +546,7 @@ def test_flags_that_would_be_ignored_exit_2(capsys, tmp_path, case, source):
     out = tmp_path / "out.json"
     code, stdout, err = _run(capsys, *argv, "--output", str(out))
     assert code == 2 and stdout == "" and not out.exists()
+    assert not paths["{snapshots}"].exists()
     assert err.startswith("gravidec: configuration error: ")
     assert all(flag in err for flag in named), err
 
