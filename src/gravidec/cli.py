@@ -32,7 +32,8 @@ codes: 0 success, 1 oracle disagreement, 2 configuration error (a path that
 cannot be read or written included), 3 domain error (a malformed or
 non-finite input table included), 4 numerical instability. A warning from
 the library, such as the weak-field caveat inside 10 R_s, is one
-``gravidec: warning: ...`` line on stderr.
+``gravidec: warning: ...`` line on stderr; a run refused with exit code 2
+prints its refusal alone.
 """
 
 from __future__ import annotations
@@ -484,14 +485,16 @@ def _cmd_evolve(params: dict, consts: PhysicalConstants, output, fmt) -> int:
     if mass is None:
         raise ConfigError(f"hamiltonian {ham_kind!r} needs --mass")
     ham = CMHamiltonianSpec(ham_kind, mass, g, kernel.mean_energy if kernel is not None else 0.0)
-    if params["snapshots"] and params["store_every"] == 0:
+    # Snapshots are kept only to be written, so --store-every is read only with --snapshots.
+    store_every = params["store_every"] if params["snapshots"] else 0
+    if params["snapshots"] and store_every == 0:
         raise ConfigError("--snapshots needs --store-every >= 1")
     cfg = EvolutionConfig(
         dt=params["dt"],
         t_final=params["t_final"],
         lambda_coefficient=lam,
         form=params["form"],
-        store_every=params["store_every"],
+        store_every=store_every,
     )
     rho0 = DensityMatrixGrid.two_point_superposition(
         params["x1"], params["x2"], n_points=params["n_points"]
@@ -670,13 +673,16 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # A library UserWarning reaches stderr as one "gravidec: warning:" line,
-    # without Python's source path; other categories keep their filters.
+    # without Python's source path; other categories keep their filters. A run
+    # refused with exit 2 wrote nothing, so its one line is the refusal.
+    code = None
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)
-            return _run(args)
+            code = _run(args)
+            return code
     finally:
-        for w in caught:
+        for w in (caught if code != 2 else ()):
             if issubclass(w.category, UserWarning):
                 print(f"gravidec: warning: {w.message}", file=sys.stderr)
             else:

@@ -535,18 +535,14 @@ def extract_visibility(result: EvolutionResult):
     """Visibility V(t) = 2 |rho(x1, x2, t)| of the tracked pair, at every step.
 
     The pair is the one the initial state marked (``DensityMatrixGrid.pair``),
-    whose element every run's coherence track holds. Discretization can make
-    V(0) differ from 1, in which case the curve is normalized by V(0).
+    whose element every run's coherence track holds. The curve is 2 |rho_pair|
+    clipped to [0, 1] and is not rescaled: a pair whose V(0) is not 1 is a
+    DomainError (``VisibilityCurve`` checks it).
     """
     from .visibility import VisibilityCurve
 
-    values = 2.0 * np.abs(result.coherence)
-    if values[0] == 0:
-        raise DomainError("initial coherence at the tracked pair is zero")
-    if abs(values[0] - 1.0) > 1e-12:
-        values = values / values[0]
-    return VisibilityCurve(times=result.times, values=np.clip(values, 0.0, 1.0),
-                           law="master-equation")
+    values = np.clip(2.0 * np.abs(result.coherence), 0.0, 1.0)
+    return VisibilityCurve(times=result.times, values=values, law="master-equation")
 
 
 def save_snapshots(path: str, times: np.ndarray, x: np.ndarray, snapshots: np.ndarray) -> None:

@@ -337,19 +337,18 @@ def two_point_unitary_oracle(
     dphi = g * x1 - g * x2
     rate = dphi * t / (consts.hbar * consts.c**2)  # phase per unit energy
 
-    strides = np.ones(len(dims), dtype=np.int64)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-
     acc = 0.0 + 0.0j
     for start in range(0, joint_dim, _SHARD):
-        idx = np.arange(start, min(start + _SHARD, joint_dim), dtype=np.int64)
+        idx = np.arange(start, min(start + _SHARD, joint_dim))
         prob = np.ones(idx.size)
         energy = np.zeros(idx.size)
+        # each mode's level in every joint state of this shard (a spec with no modes has none)
+        levels = np.unravel_index(idx, dims) if dims else ()
         for i, (p, e) in enumerate(zip(pops, energies)):
-            n_i = (idx // strides[i]) % dims[i]
-            prob *= p[n_i]
-            energy += e[n_i]
+            prob *= p[levels[i]]
+            energy += e[levels[i]]
+        # the levels are views of one (states x modes) block: free it before the phase arrays
+        del levels
         # e^{i theta}, theta = -energy * rate: tau = tan(theta/2),
         # 1 + cos theta = 2/(1 + tau^2), sin theta = tau (1 + cos theta).
         tau = np.tan(energy * (-0.5 * rate))

@@ -503,6 +503,9 @@ _IGNORED_FLAGS = {
                                               ("--n-modes", "--temperature")),
     "evolve-g-with-lambda": ("evolve", {**_EVOLVE, "lambda_coefficient": 1e5, "g": 3.0},
                              ("--g", "--lambda-coefficient")),
+    "store-every-without-snapshots": ("evolve", {"x1": 0.0, "x2": 1e-3, "dt": 1e-2, "t_final": 0.1,
+                                                 "lambda_coefficient": 1e5, "store_every": 1},
+                                      ("--store-every", "--lambda-coefficient")),
     "visibility-dtau-with-curve": ("visibility", {**_POINT, "t_final": 3.0, "delta_x": 1.0},
                                    ("--delta-x", "--t-final", "--dtau")),
     "visibility-dtau-with-law": ("visibility", {**_POINT, "law": "high-T"}, ("--law", "--dtau")),
@@ -548,6 +551,7 @@ def test_flags_that_would_be_ignored_exit_2(capsys, tmp_path, case, source):
     assert code == 2 and stdout == "" and not out.exists()
     assert not paths["{snapshots}"].exists()
     assert err.startswith("gravidec: configuration error: ")
+    assert err.count("\n") == 1, err  # the refusal only: no warning from the discarded run
     assert all(flag in err for flag in named), err
 
 

@@ -377,6 +377,16 @@ def test_extract_visibility_reads_the_tracked_pair():
     assert np.all(np.diff(curve.values) <= 1e-15)
 
 
+def test_extract_visibility_refuses_a_pair_whose_initial_visibility_is_not_one():
+    # V(0) = 2 |rho_12| = 0.5: the curve is refused, not rescaled to start at 1
+    grid = DensityMatrixGrid(x=np.array([0.0, 1e-3]), rho=np.array([[0.5, 0.25], [0.25, 0.5]]),
+                             pair=(0, 1))
+    cfg = EvolutionConfig(dt=1e-2, t_final=0.1, lambda_coefficient=1e5)
+    result = evolve_markovian(grid, FREE, cfg, CONSTS)
+    with pytest.raises(DomainError, match="visibility at t = 0 must be 1"):
+        extract_visibility(result)
+
+
 def test_runaway_coefficient_raises_instability():
     cfg = EvolutionConfig(
         dt=1.0, t_final=10.0, lambda_coefficient=1e300, form="full_memory"

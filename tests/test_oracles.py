@@ -317,6 +317,9 @@ def test_tensor_phase_form_matches_complex_exp():
     assert compared >= 15
     cold = InternalStateSpec.from_frequencies((1e13, 3e13), 0.0)
     assert two_point_unitary_oracle(cold, 0.0, 1e-3, 1.0, 9.81, OracleConfig(), CONSTS)[0] == 1.0
+    # no modes: one joint state at energy 0, so V is exactly 1 and, at mass 0, the phase 0
+    bare = InternalStateSpec.from_frequencies((), 300.0)
+    assert two_point_unitary_oracle(bare, 0.0, 1e-3, 1.0, 9.81, OracleConfig(), CONSTS) == (1, 0)
 
 
 def test_tensor_matches_product_law_without_factorizing():

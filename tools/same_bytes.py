@@ -15,6 +15,10 @@ The list is:
 * ``evolve`` in both forms, for every Hamiltonian kind, at 2 and 64 grid
   points, with snapshots: its CSV prints every coherence with ``repr``, so
   equal files mean equal coherence bits, and the snapshot file is raw bytes;
+* two runs the CLI refuses because a given flag goes unread: ``evolve`` at 64
+  grid points with ``--store-every`` but no ``--snapshots``, and ``tau`` with
+  ``--g`` beside ``--central-mass`` inside 10 R_s, whose discarded timescale
+  warns;
 * ``--help`` of the program and of every subcommand.
 
 For each invocation the exit codes, stdout, stderr and every file written are
@@ -67,6 +71,11 @@ def invocations() -> list[list[str]]:
                              "--lambda-coefficient", "2e24", "--dt", "1e-8", "--t-final", "1e-6",
                              "--store-every", "10", "--snapshots", "run.snap",
                              "--output", "evolve.csv"])
+    runs.append(["evolve", "--x1", "0", "--x2", "1e-6", "--n-points", "64",
+                 "--lambda-coefficient", "2e24", "--dt", "1e-8", "--t-final", "1e-6",
+                 "--store-every", "10", "--output", "evolve.csv"])
+    runs.append(["tau", "--N", "1e23", "--dx", "1e-9", "--central-mass", "9.945e30",
+                 "--radius", "1.5e4", "--T", "300", "--g", "3"])
     runs.append(["--help"])
     runs += [[command, "--help"] for command in SUBCOMMANDS]
     return runs
