@@ -29,15 +29,20 @@ tautology.
 Monte Carlo sampling is split into fixed-size shards of 2^16 samples, each
 with its own child seed derived from (seed, shard index). A shard draws its
 standard exponentials (|alpha|^2 / nbar) one mode at a time, in stream
-order, into one row and adds each mode's terms before drawing the next. The
-shards run on a thread pool with one worker per CPU the process may use (no
-pool, and no ``concurrent.futures`` import, when there is one worker or one
-shard); each worker takes a strided set of shards and four rows of scratch,
-whatever the mode count, allocated by the caller. The shard kernel is numpy
-ufuncs and einsum reductions only, with no BLAS call, and shard partial sums
-are combined with a single np.sum over the shard-indexed array. The result
-is therefore bit-identical at fixed (seed, n_samples) whatever the worker
-count, the order in which shards run, or the BLAS thread count.
+order, into one row and adds each mode's terms before drawing the next. A
+battery samples in one pass after it has drawn all its cases, and
+:func:`mc_visibility` is the one-case call of the same pass. Every (case,
+shard) pair is one unit of work; the units are claimed in case-major order
+from one shared iterator by one worker per CPU the process may use, at most
+one per unit, on one thread pool (no pool, and no ``concurrent.futures``
+import, when there is one worker). Each worker holds four rows of scratch
+for the whole pass, 2 MiB at full shards, whatever the case and mode
+counts. The shard kernel is numpy ufuncs and einsum reductions only, with no
+BLAS call, each unit writes its sums into its own cell of a (cases, shards)
+array, and a case's sums are combined with a single np.sum over its row.
+The result is therefore bit-identical at fixed (seed, n_samples) whatever
+the worker count, the order in which units run, the other cases in the pass,
+or the BLAS thread count.
 
 Every phase e^{i theta} here, per Monte Carlo sample or per joint Fock
 state, comes from one tau = tan(theta/2) through the half-angle identities
@@ -48,8 +53,10 @@ scalar libm for each value.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -190,6 +197,55 @@ def _mc_worker(
         abs2[shard] = np.einsum("i,i->", mod_m, mod_m)
 
 
+def _mc_estimates(
+    tasks: list[tuple[int, np.ndarray, np.ndarray]], n_samples: int
+) -> list[tuple[float, float]]:
+    """``(visibility, standard_error)`` of each ``(seed, c_re, c_im)`` task.
+
+    One pass over every (task, shard) unit on one pool, as the module
+    docstring describes: no worker waits at a per-task barrier.
+    """
+    n_shards = math.ceil(n_samples / _SHARD)
+    sums = np.empty((len(tasks), n_shards), dtype=complex)
+    abs2 = np.empty((len(tasks), n_shards))
+    units = itertools.product(range(len(tasks)), range(n_shards))
+    workers = min(_usable_cpus(), len(tasks) * n_shards)
+    # Four separate rows per worker, not one (workers, 4, m) block: glibc
+    # raises its mmap threshold to the size of each large block it frees, and
+    # later mid-size arrays then stay on the heap. On Linux with glibc, one
+    # 4 MiB block left the library benchmark's peak RSS about 0.5 MB above
+    # what these 512 KiB rows leave.
+    buffers = [[np.empty(min(_SHARD, n_samples)) for _ in range(4)] for _ in range(workers)]
+
+    lock = threading.Lock()
+
+    def work(rows: list[np.ndarray]) -> None:
+        while True:
+            with lock:
+                unit = next(units, None)
+            if unit is None:
+                return
+            task, shard = unit
+            seed, c_re, c_im = tasks[task]
+            _mc_worker(seed, range(shard, shard + 1), n_samples, c_re, c_im,
+                       rows, sums[task], abs2[task])
+
+    if workers == 1:
+        work(buffers[0])
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, buffers))
+
+    estimates = []
+    for row_sums, row_abs2 in zip(sums, abs2):
+        mean = complex(np.sum(row_sums)) / n_samples
+        var = max(float(np.sum(row_abs2)) / n_samples - abs(mean) ** 2, 0.0)
+        estimates.append((abs(mean), math.sqrt(var / (n_samples - 1))))
+    return estimates
+
+
 def mc_visibility(
     spec: InternalStateSpec,
     delta_tau: float,
@@ -204,46 +260,22 @@ def mc_visibility(
     the modulus of the weight's sample mean. Returns ``(visibility,
     standard_error)``.
 
-    The shards run on one worker per usable CPU (at most one per shard),
-    each taking every workers-th shard with four rows of scratch allocated
-    here, so scratch does not grow with the mode count; a single worker runs
-    in the calling thread. The shard kernel uses no BLAS, and the shard sums
-    are combined by one np.sum over the shard index, so the result is
-    bit-identical at fixed (seed, n_samples) whatever the worker count, the
-    schedule or the BLAS thread count.
+    This is the one-case call of the pass that :func:`run_oracle_battery`
+    makes for all its cases at once: the shards run on one worker per usable
+    CPU (at most one per shard), each claiming the next shard in order and
+    holding four rows of scratch, 2 MiB at full shards, so scratch does not
+    grow with the mode count; a single worker runs in the calling thread. The
+    shard kernel uses no BLAS, and the shard sums are combined by one np.sum
+    over the shard index, so the result is bit-identical at fixed (seed,
+    n_samples) whatever the worker count, the schedule, the other cases in
+    the pass or the BLAS thread count.
 
     Raises DomainError when any mode has nbar * (1 - cos(w dtau)) above
     ``MC_WEIGHT_BOUND``: past that point the estimator's relative error grows
     too fast with mode count to be a usable cross-check.
     """
     c_re, c_im = _mc_coefficients(spec, delta_tau, consts)
-    n_shards = math.ceil(cfg.n_samples / _SHARD)
-    shard_sums = np.empty(n_shards, dtype=complex)
-    shard_abs2 = np.empty(n_shards)
-    workers = min(_usable_cpus(), n_shards)
-    # Four separate rows per worker, not one (workers, 4, m) block: glibc
-    # raises its mmap threshold to the size of each large block it frees, and
-    # later mid-size arrays then stay on the heap. On Linux with glibc, one
-    # 4 MiB block left the library benchmark's peak RSS about 0.5 MB above
-    # what these 512 KiB rows leave.
-    buffers = [[np.empty(min(_SHARD, cfg.n_samples)) for _ in range(4)] for _ in range(workers)]
-
-    def work(w: int) -> None:
-        _mc_worker(cfg.seed, range(w, n_shards, workers), cfg.n_samples, c_re, c_im,
-                   buffers[w], shard_sums, shard_abs2)
-
-    if workers == 1:
-        work(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, range(workers)))
-
-    mean = complex(np.sum(shard_sums)) / cfg.n_samples
-    var = max(float(np.sum(shard_abs2)) / cfg.n_samples - abs(mean) ** 2, 0.0)
-    se = math.sqrt(var / (cfg.n_samples - 1))
-    return abs(mean), se
+    return _mc_estimates([(cfg.seed, c_re, c_im)], cfg.n_samples)[0]
 
 
 def _thermal_populations(q: float, cfg: OracleConfig, limit: int) -> tuple[np.ndarray, float]:
@@ -457,6 +489,11 @@ def run_oracle_battery(
     with replacement is allowed. Deterministic in ``seed``, including the
     per-case Monte Carlo streams. ``n_cases`` must be >= 1: a battery of no
     sets certifies nothing.
+
+    The loop checks only the Monte Carlo precondition; once every oracle has
+    its sets, one Monte Carlo pass samples every case that met it (see the
+    module docstring), so a battery that cannot qualify raises before it
+    samples.
     """
     from .visibility import exact_visibility  # local import keeps the check one-way
 
@@ -464,6 +501,7 @@ def run_oracle_battery(
         raise DomainError(f"n_cases must be >= 1, got {n_cases}")
     rng = np.random.default_rng(seed)
     cases: list[OracleCase] = []
+    mc_tasks: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}  # by case index
     counts = dict.fromkeys(_ORACLES, 0)
     attempts = 0
     while min(counts.values()) < n_cases and attempts < 200 * n_cases:
@@ -481,30 +519,38 @@ def run_oracle_battery(
         v_exact = exact_visibility(spec, delta_tau, consts)
 
         case_seed = cfg.seed + attempts
-        case_cfg = replace(cfg, seed=case_seed)
+        skipped: list[str] = []
+        # Monte Carlo runs after the loop, in one pass over every case; here
+        # only its precondition decides whether the case gets a stream.
+        try:
+            mc_tasks[len(cases)] = (case_seed, *_mc_coefficients(spec, delta_tau, consts))
+            counts["mc"] += 1
+        except DomainError as exc:
+            skipped.append(f"mc: {exc}")
         calls = {
-            "mc": lambda: mc_visibility(spec, delta_tau, case_cfg, consts),
             "fock": lambda: fock_visibility(spec, delta_tau, cfg, consts),
             # Static arms with g t (x1 - x2) / c^2 = dtau reproduce the same dtau.
             "tensor": lambda: two_point_unitary_oracle(
-                spec, 0.0, -delta_tau * consts.c**2, 1.0, 1.0, case_cfg, consts
+                spec, 0.0, -delta_tau * consts.c**2, 1.0, 1.0, cfg, consts
             ),
         }
         results = dict.fromkeys(calls, (None, None))
-        skipped: list[str] = []
         for name, call in calls.items():
             try:
                 results[name] = call()
                 counts[name] += 1
             except DomainError as exc:
                 skipped.append(f"{name}: {exc}")
-        (mc, se_mc), (fock, fock_bound), (tensor, _) = results.values()
+        (fock, fock_bound), (tensor, _) = results.values()
 
         cases.append(OracleCase(
             frequencies=freqs, temperature=temperature, delta_tau=delta_tau, v_exact=v_exact,
-            v_mc=mc, se_mc=se_mc, v_fock=fock, fock_bound=fock_bound, v_tensor=tensor,
+            v_mc=None, se_mc=None, v_fock=fock, fock_bound=fock_bound, v_tensor=tensor,
             mc_seed=case_seed, n_samples=cfg.n_samples, skipped=tuple(skipped),
         ))
     if min(counts.values()) < n_cases:
         raise DomainError(f"could not collect {n_cases} valid sets per oracle; got {counts}")
+    estimates = _mc_estimates(list(mc_tasks.values()), cfg.n_samples)
+    for index, (v_mc, se_mc) in zip(mc_tasks, estimates):
+        cases[index] = replace(cases[index], v_mc=v_mc, se_mc=se_mc)
     return cases

@@ -100,22 +100,25 @@ def test_repeat_runs_are_byte_identical(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def _outputs_at_blas_threads(tmp_path, argv, exit_codes=(0,)) -> list[bytes]:
-    """The output file of one CLI run in a fresh process at 1 and at 2 BLAS threads."""
+def _cli_output(tmp_path, argv, name, exit_codes=(0,), env=None, preexec_fn=None) -> bytes:
+    """The output file of one CLI run in a fresh process, with ``env`` added."""
     src = str(Path(gravidec.__file__).resolve().parents[1])
     script = "import sys; from gravidec.cli import main; sys.exit(main(sys.argv[1:]))"
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"blas{threads}.out"
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *argv, "--output", str(out)],
-            env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode in exit_codes, proc.stderr
-        outputs.append(out.read_bytes())
-    return outputs
+    out = tmp_path / f"{name}.out"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--output", str(out)],
+        env=dict(os.environ, PYTHONPATH=src, **(env or {})), preexec_fn=preexec_fn,
+        capture_output=True, text=True,
+    )
+    assert proc.returncode in exit_codes, proc.stderr
+    return out.read_bytes()
+
+
+def _outputs_at_blas_threads(tmp_path, argv, exit_codes=(0,)) -> list[bytes]:
+    """The output file of one CLI run in a fresh process at 1 and at 2 BLAS threads."""
+    return [_cli_output(tmp_path, argv, f"blas{threads}", exit_codes,
+                        {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads})
+            for threads in ("1", "2")]
 
 
 def test_oracle_check_output_does_not_depend_on_blas_threads(tmp_path):
@@ -126,6 +129,21 @@ def test_oracle_check_output_does_not_depend_on_blas_threads(tmp_path):
         exit_codes=(0, 1),  # 1 is a statistical MC miss
     )
     assert first == second
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and at least 2 usable CPUs to compare 1 CPU against more",
+)
+def test_oracle_check_output_does_not_depend_on_cpu_count(tmp_path):
+    # The Monte Carlo pass runs one worker per usable CPU; a child pinned to
+    # one CPU runs it serially, and the README promises the same bytes.
+    argv = ["oracle-check", "--cases", "3", "--samples", "300000"]
+    cpu = min(os.sched_getaffinity(0))
+    pinned = _cli_output(tmp_path, argv, "one_cpu", (0, 1),  # 1 is a statistical MC miss
+                         preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    unpinned = _cli_output(tmp_path, argv, "all_cpus", (0, 1))
+    assert pinned == unpinned
 
 
 def test_markovian_evolution_does_not_depend_on_blas_threads(tmp_path):

@@ -171,28 +171,46 @@ def test_row_by_row_draws_give_the_one_draw_kernel_bits(nbars):
 @pytest.mark.parametrize("n_samples", [1_000, 200_001])
 @pytest.mark.parametrize("nbars", [(1.0,), (1.0, 0.3, 2.0, 0.05)])
 def test_mc_worker_scratch_is_four_rows_whatever_the_mode_count(monkeypatch, nbars, n_samples):
-    shapes = []
+    # One case alone, then a battery of 1-, 2- and 4-mode cases: every
+    # (case, shard) unit runs on one of at most `workers` sets of four rows
+    # of min(_SHARD, n_samples), whatever the case and mode counts.
+    units = []  # holds every row it saw, so no id is reused while recorded
 
     def recording_worker(seed, shards, n, c_re, c_im, buffers, sums, abs2):
-        shapes.append([row.shape for row in buffers])
+        units.append((tuple(buffers), [row.shape for row in buffers]))
         _mc_worker(seed, shards, n, c_re, c_im, buffers, sums, abs2)
 
     monkeypatch.setattr(oracles, "_mc_worker", recording_worker)
-    monkeypatch.setattr(oracles, "_usable_cpus", lambda: 1)
+    cfg = OracleConfig(n_samples=n_samples)
+    n_shards = math.ceil(n_samples / _SHARD)
     spec = _spec(nbars)
-    mc_visibility(spec, 0.3 / max(spec.frequencies), OracleConfig(n_samples=n_samples), CONSTS)
-    assert shapes == [[(min(_SHARD, n_samples),)] * 4]
+    for workers in (1, 2):
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda workers=workers: workers)
+        units.clear()
+        mc_visibility(spec, 0.3 / max(spec.frequencies), cfg, CONSTS)
+        cases = [case for case in run_oracle_battery(2, cfg, CONSTS, seed=3)
+                 if case.v_mc is not None]
+        assert len({len(case.frequencies) for case in cases}) == 3
+        assert len(units) == (1 + len(cases)) * n_shards
+        assert all(shapes == [(min(_SHARD, n_samples),)] * 4 for _, shapes in units)
+        row_sets = [tuple(map(id, rows)) for rows, _ in units]
+        assert len(set(row_sets[:n_shards])) <= min(workers, n_shards)
+        assert len(set(row_sets[n_shards:])) <= workers
 
 
 def test_single_shard_mc_starts_no_thread_pool():
-    # a one-shard call stays serial and leaves concurrent.futures unimported,
-    # so CLI start-up pays nothing for the pool
+    # a one-shard call, and a battery of one case of one shard, stay serial
+    # and leave concurrent.futures unimported, so CLI start-up pays nothing
+    # for the pool
     code = (
         "import sys\n"
         "import gravidec.cli\n"
-        "from gravidec import InternalStateSpec, OracleConfig, default_constants, mc_visibility\n"
+        "from gravidec import (InternalStateSpec, OracleConfig, default_constants,\n"
+        "                      mc_visibility, run_oracle_battery)\n"
         "spec = InternalStateSpec.from_frequencies((1e13, 3e13), 300.0)\n"
         "mc_visibility(spec, 1e-14, OracleConfig(n_samples=64), default_constants())\n"
+        "cases = run_oracle_battery(1, OracleConfig(n_samples=64), default_constants())\n"
+        "assert len(cases) == 1 and cases[0].v_mc is not None, cases\n"
         "assert 'concurrent.futures' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(gravidec.__file__).resolve().parents[1]))
@@ -420,6 +438,38 @@ def test_battery_small_run_is_deterministic_and_consistent():
     assert min(per_oracle.values()) >= 5
 
 
+def test_battery_mc_is_bit_identical_at_any_worker_count_and_to_each_case_alone(monkeypatch):
+    # 18 cases, one skipped by MC, of 4 shards each with a short last one:
+    # 68 (case, shard) units that 1, 2 and 3 workers claim in different
+    # interleavings, switching threads often. Each case must also equal
+    # mc_visibility on its own stream, so an estimate moved to its
+    # neighbour's case fails.
+    cfg = OracleConfig(n_samples=200_001)
+    assert cfg.n_samples % _SHARD != 0
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(oracles, "_usable_cpus", lambda workers=workers: workers)
+            runs[workers] = run_oracle_battery(8, cfg, CONSTS, seed=137)
+    finally:
+        sys.setswitchinterval(interval)
+    cases = runs[1]
+    assert runs[2] == cases and runs[3] == cases
+    assert len(cases) == 18 and sum(case.v_mc is None for case in cases) == 1
+
+    monkeypatch.setattr(oracles, "_usable_cpus", lambda: 1)  # a serial reference
+    for case in cases:
+        if case.v_mc is None:
+            assert case.se_mc is None
+            assert any(reason.startswith("mc: ") for reason in case.skipped)
+            continue
+        spec = InternalStateSpec.from_frequencies(case.frequencies, case.temperature)
+        case_cfg = OracleConfig(n_samples=cfg.n_samples, seed=case.mc_seed)
+        assert (case.v_mc, case.se_mc) == mc_visibility(spec, case.delta_tau, case_cfg, CONSTS)
+
+
 def test_tally_verdicts_counts_each_oracle_and_fails_a_case_on_any_disagreement():
     def case(v_mc, v_fock, v_tensor):
         return oracles.OracleCase(frequencies=(1e13,), temperature=300.0, delta_tau=1e-14,
@@ -442,6 +492,8 @@ def test_battery_raises_when_an_oracle_cannot_qualify(monkeypatch):
     # a 2-dimensional joint-spectrum budget is below any thermal cutoff in
     # the sampled envelope, so the tensor oracle can never reach quota
     monkeypatch.setattr(oracles, "TENSOR_MAX_JOINT_DIM", 2)
+    # and it refuses before the Monte Carlo pass draws a sample
+    monkeypatch.setattr(oracles, "_mc_worker", lambda *args: pytest.fail("sampled"))
     cfg = OracleConfig(n_samples=2, seed=1)
     with pytest.raises(DomainError, match="could not collect"):
         run_oracle_battery(2, cfg, CONSTS)

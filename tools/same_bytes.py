@@ -11,7 +11,9 @@ The list is:
 * every ``gravidec ...`` example in the working tree's README (the files they
   write, such as ``curve.csv``, included);
 * ``oracle-check --preset standard`` at ``--mc-seed 0`` and ``7``, with its
-  JSON report written to a file;
+  JSON report written to a file, and ``oracle-check --seed 137 --cases 8
+  --samples 200001``: 18 sets, one skipped by Monte Carlo, each of four
+  shards with a short last one;
 * ``evolve`` in both forms, for every Hamiltonian kind, at 2 and 64 grid
   points, with snapshots: its CSV prints every coherence with ``repr``, so
   equal files mean equal coherence bits, and the snapshot file is raw bytes;
@@ -62,6 +64,8 @@ def invocations() -> list[list[str]]:
     runs = readme_examples(ROOT / "README.md")
     runs += [["oracle-check", "--preset", "standard", "--mc-seed", seed, "--output", "report.json"]
              for seed in ("0", "7")]
+    runs.append(["oracle-check", "--seed", "137", "--cases", "8", "--samples", "200001",
+                 "--output", "report.json"])
     for form in ("markovian", "full_memory"):
         for kind in ("none", "free", "free_plus_linear"):
             for m in ("2", "64"):
