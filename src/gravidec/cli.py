@@ -181,7 +181,9 @@ _COMMANDS: dict[str, tuple[str, str | None, tuple]] = {
         ("preset", tuple(sorted(_PRESETS)), None,
          "named bundle of battery settings (standard: 50 cases, 1e6 samples)"),
         ("cases", int, 20, "valid parameter sets required per oracle"),
-        ("samples", int, 200_000, "Monte Carlo samples per case"),
+        ("samples", int, 200_000,
+         "Monte Carlo precision per case, that of this many plain samples; also the "
+         "most samples a case draws after its pilot"),
         ("seed", int, 20240811, "battery seed (draws the parameter sets)"),
         ("mc_seed", int, 0, "base seed of the sampling streams"),
         ("mc_sigmas", float, 5.0, "MC agreement window in standard errors"),
@@ -617,6 +619,14 @@ def _cmd_oracle_check(params: dict, consts: PhysicalConstants, output, fmt) -> i
         raise ConfigError("oracle reports are JSON only; drop --format or use json")
     if params["cases"] < 1:
         raise ConfigError(f"--cases must be >= 1, got {params['cases']}")
+    for name in ("seed", "mc_seed"):
+        if params[name] < 0:
+            raise ConfigError(f"{_long_flags([name])} must be >= 0, got {params[name]}")
+    # exit 1 means the oracles disagree, so a window that no estimate can meet is refused
+    if params["mc_sigmas"] <= 0:
+        raise ConfigError(f"--mc-sigmas must be > 0, got {params['mc_sigmas']!r}")
+    if params["atol"] < 0:
+        raise ConfigError(f"--atol must be >= 0, got {params['atol']!r}")
     cfg = OracleConfig(n_samples=params["samples"], seed=params["mc_seed"])
     cases = run_oracle_battery(params["cases"], cfg, consts, seed=params["seed"])
     summary, per_case = tally_verdicts(cases, params["mc_sigmas"], params["atol"])

@@ -71,6 +71,10 @@ EVOLUTION_FORMS = ("markovian", "full_memory")
 #: Hard cap on stored snapshots (bytes); keeps long runs from exhausting RAM.
 MAX_SNAPSHOT_BYTES = 1 << 30
 
+#: Most time steps one run may take: its coherence track and times then take
+#: 240 MB, allocated before the first step.
+MAX_STEPS = 10**7
+
 #: Largest grid (8192 points) whose one snapshot fits in MAX_SNAPSHOT_BYTES.
 _MAX_SNAPSHOT_GRID = math.isqrt(MAX_SNAPSHOT_BYTES // 16)
 
@@ -196,6 +200,11 @@ class EvolutionConfig:
             raise DomainError("dt and t_final must be > 0")
         if self.t_final < self.dt:
             raise DomainError("t_final must be >= dt")
+        if self.t_final / self.dt > MAX_STEPS + 0.5:
+            raise DomainError(
+                f"t_final / dt = {self.t_final / self.dt:.3g} steps is above the cap of "
+                f"{MAX_STEPS}; use a larger --dt or a shorter --t-final"
+            )
         if self.lambda_coefficient < 0:
             raise DomainError("lambda_coefficient must be >= 0")
         if self.form not in EVOLUTION_FORMS:
@@ -264,10 +273,9 @@ def dephasing_coefficient(
 def _snapshot_plan(cfg: EvolutionConfig, m: int) -> list[int]:
     if cfg.store_every == 0:
         return []
-    steps = list(range(0, cfg.n_steps + 1, cfg.store_every))
-    if steps[-1] != cfg.n_steps:
-        steps.append(cfg.n_steps)
-    need = len(steps) * m * m * 16
+    # every store_every-th step from 0, and the last; counted before any list is built
+    count = cfg.n_steps // cfg.store_every + 1 + (cfg.n_steps % cfg.store_every != 0)
+    need = count * m * m * 16
     if need > MAX_SNAPSHOT_BYTES:
         min_every = math.ceil(cfg.n_steps * m * m * 16 / MAX_SNAPSHOT_BYTES)
         max_t = MAX_SNAPSHOT_BYTES // (m * m * 16) * cfg.store_every * cfg.dt
@@ -275,7 +283,8 @@ def _snapshot_plan(cfg: EvolutionConfig, m: int) -> list[int]:
             f"snapshot storage would need {need} bytes (> {MAX_SNAPSHOT_BYTES}); "
             f"raise store_every to >= {min_every} or keep t_final <= {max_t:.6g} s"
         )
-    return steps
+    steps = list(range(0, cfg.n_steps + 1, cfg.store_every))
+    return steps if steps[-1] == cfg.n_steps else steps + [cfg.n_steps]
 
 
 def _drive(rho0: DensityMatrixGrid, cfg: EvolutionConfig, form: str, state: np.ndarray,

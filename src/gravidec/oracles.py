@@ -26,23 +26,37 @@ recomputed from exp(-hbar w / k_B T) on the spot, so agreement with
 ``visibility.exact_visibility`` is a genuine consistency check and not a
 tautology.
 
-Monte Carlo sampling is split into fixed-size shards of 2^16 samples, each
-with its own child seed derived from (seed, shard index). A shard draws its
-standard exponentials (|alpha|^2 / nbar) one mode at a time, in stream
-order, into one row and adds each mode's terms before drawing the next. A
-battery samples in one pass after it has drawn all its cases, and
-:func:`mc_visibility` is the one-case call of the same pass. Every (case,
-shard) pair is one unit of work; the units are claimed in case-major order
-from one shared iterator by one worker per CPU the process may use, at most
-one per unit, on one thread pool (no pool, and no ``concurrent.futures``
-import, when there is one worker). Each worker holds four rows of scratch
-for the whole pass, 2 MiB at full shards, whatever the case and mode
-counts. The shard kernel is numpy ufuncs and einsum reductions only, with no
-BLAS call, each unit writes its sums into its own cell of a (cases, shards)
-array, and a case's sums are combined with a single np.sum over its row.
+Monte Carlo samples w - sum_i beta_i (E_i - 1), the weight less one control
+per mode: E_i is the mode's standard exponential draw (|alpha|^2 / nbar),
+so each control has mean exactly 0 under the law sampled and the estimate
+stays unbiased for any beta, and no closed form enters here. A pilot of
+2^14 samples per case, from a child seed that no shard uses, fits each
+beta_i and predicts the residual's variance. ``n_samples`` then names a
+precision, that of n_samples plain samples of w, and a ceiling: the main
+pass draws the fewest whole shards (at least one, at most n_samples
+samples) whose predicted standard error, with a factor-2 margin in
+variance, is no larger than that of n_samples plain samples. The
+reported standard error is that of the samples the main pass drew.
+
+Main sampling is split into fixed-size shards of 2^16 samples, each with
+its own child seed derived from (seed, shard index). A shard draws its
+standard exponentials one mode at a time, in stream order, into one row
+and adds each mode's terms before drawing the next. A battery samples in
+two passes after it has drawn all its cases, and :func:`mc_visibility` is
+the one-case call of the same passes: first one pilot unit per case, then
+one unit per (case, shard) pair, each pass claiming its units in
+case-major order from one shared iterator, on one set of workers, one per
+CPU the process may use and at most one per shard that ``n_samples``
+allows (one thread pool for both passes, and none, nor a
+``concurrent.futures`` import, when there is one worker). Each worker holds
+six rows of scratch for both passes, 3 MiB at full shards and never less
+than the pilot's 2^14 samples, whatever the case and mode counts. The pilot
+and the shard kernel are numpy ufuncs and einsum reductions only, with no
+BLAS call, each unit writes its result into its own cell, and a case's
+shard sums are combined with a single np.sum over its cells.
 The result is therefore bit-identical at fixed (seed, n_samples) whatever
-the worker count, the order in which units run, the other cases in the pass,
-or the BLAS thread count.
+the worker count, the order in which units run, the other cases in the
+pass, or the BLAS thread count.
 
 Every phase e^{i theta} here, per Monte Carlo sample or per joint Fock
 state, comes from one tau = tan(theta/2) through the half-angle identities
@@ -67,6 +81,11 @@ from .internal_state import InternalStateSpec
 
 _SHARD = 1 << 16
 
+#: Pilot samples per Monte Carlo case, and the factor by which the main pass
+#: draws beyond the pilot's prediction of the samples its precision needs.
+_PILOT = 1 << 14
+_MARGIN = 2.0
+
 #: Monte Carlo relative-variance precondition: nbar*(1-cos d) above this makes
 #: the P-representation estimator too noisy to certify anything.
 MC_WEIGHT_BOUND = 0.5
@@ -88,7 +107,9 @@ _ORACLES = ("mc", "fock", "tensor")
 class OracleConfig:
     """Knobs shared by the brute-force oracles.
 
-    ``n_samples`` and ``seed`` drive the Monte Carlo oracle. ``tail_epsilon``
+    ``n_samples`` and ``seed`` drive the Monte Carlo oracle: ``n_samples``
+    is the precision of that many plain samples, and the most main samples
+    a case draws (see :func:`mc_visibility`). ``tail_epsilon``
     is the thermal tail mass each number-state truncation may drop: a mode
     that needs more quanta than its oracle's cap (``FOCK_MAX_CUTOFF`` or
     ``TENSOR_MAX_CUTOFF``) is refused with the required cutoff named rather
@@ -149,100 +170,191 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _mc_draw(
+    seq: np.random.SeedSequence,
+    m: int,
+    c_re: np.ndarray,
+    c_im: np.ndarray,
+    beta: np.ndarray,
+    rows: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw m samples w - sum_i beta_i (E_i - 1) from ``seq``'s stream.
+
+    E_i is mode i's |alpha|^2 / nbar. ``rows`` is six rows of at least m: the
+    draw of one mode, the log-modulus, the phase, a temporary, and the real
+    and imaginary parts of sum_i beta_i (E_i - 1). Returns views of the
+    samples' real parts (the temporary row) and imaginary parts (the phase
+    row). The generator fills sequentially, so drawing mode by mode reads the
+    stream in the order one (modes, m) draw would. The phase row holds half
+    of each weight's phase, and one tan of it gives the cosine and sine.
+    Only numpy ufuncs are used: no BLAS call, whose threading would change
+    the last bits.
+    """
+    e, mod_m, arg_m, tmp_m, cv_re, cv_im = (row[:m] for row in rows)
+    half_im = 0.5 * c_im  # exact, so arg holds exactly half the weight's phase
+    rng = np.random.default_rng(seq)
+    mod_m.fill(0.0)
+    arg_m.fill(0.0)
+    cv_re.fill(-np.sum(beta.real))
+    cv_im.fill(-np.sum(beta.imag))
+    for i in range(c_re.size):
+        rng.standard_exponential(out=e)
+        mod_m += np.multiply(e, c_re[i], out=tmp_m)
+        arg_m += np.multiply(e, half_im[i], out=tmp_m)
+        cv_re += np.multiply(e, beta.real[i], out=tmp_m)
+        cv_im += np.multiply(e, beta.imag[i], out=tmp_m)
+    np.exp(mod_m, out=mod_m)  # |w|
+    np.tan(arg_m, out=arg_m)  # tau
+    np.multiply(arg_m, arg_m, out=tmp_m)
+    tmp_m += 1.0
+    np.divide(2.0, tmp_m, out=tmp_m)  # 1 + cos
+    arg_m *= tmp_m  # sin
+    tmp_m -= 1.0  # cos
+    tmp_m *= mod_m
+    tmp_m -= cv_re
+    arg_m *= mod_m
+    arg_m -= cv_im
+    return tmp_m, arg_m
+
+
+def _mc_pilot(
+    seed: int, n_samples: int, c_re: np.ndarray, c_im: np.ndarray, rows: list[np.ndarray]
+) -> tuple[np.ndarray, int]:
+    """Each mode's control coefficient beta_i and the main samples to draw.
+
+    ``_PILOT`` samples come from ``SeedSequence(seed, spawn_key=(0,))``, the
+    first child ``SeedSequence(seed).spawn`` gives: numpy pads a spawned
+    sequence's entropy to its pool size before the spawn key, so no shard's
+    ``[seed, shard]`` reaches this stream. beta_i is the least-squares slope
+    of the weight on its mode's centred draw alone (the modes are drawn
+    independently), so a second pass over the same stream, one mode at a
+    time, fits it within the six ``rows`` of :func:`_mc_draw`, whatever the
+    mode count. The main pass then draws the fewest whole shards, at least
+    one and at most ``n_samples`` samples, whose predicted variance of the
+    mean, doubled as a margin, is no larger than that of ``n_samples``
+    plain samples; both variances are the pilot's sample variances of the
+    weight and of its control-variate residual. Ufuncs and einsum
+    reductions only, with no BLAS call.
+    """
+    seq = np.random.SeedSequence(seed, spawn_key=(0,))
+    w_re, w_im = _mc_draw(seq, _PILOT, c_re, c_im, np.zeros(c_re.size, dtype=complex), rows)
+    e, tmp, r_re, r_im = (row[:_PILOT] for row in (rows[0], rows[1], rows[4], rows[5]))
+    w_re -= np.mean(w_re)
+    w_im -= np.mean(w_im)
+    np.copyto(r_re, w_re)
+    np.copyto(r_im, w_im)
+    rng = np.random.default_rng(seq)
+    beta = np.empty(c_re.size, dtype=complex)
+    for i in range(c_re.size):
+        rng.standard_exponential(out=e)
+        e -= np.mean(e)  # the centred control
+        beta[i] = complex(np.einsum("i,i->", e, w_re),
+                          np.einsum("i,i->", e, w_im)) / np.einsum("i,i->", e, e)
+        r_re -= np.multiply(e, beta[i].real, out=tmp)
+        r_im -= np.multiply(e, beta[i].imag, out=tmp)
+    var_plain = np.einsum("i,i->", w_re, w_re) + np.einsum("i,i->", w_im, w_im)
+    var_cv = np.einsum("i,i->", r_re, r_re) + np.einsum("i,i->", r_im, r_im)
+    need = 1.0 + _MARGIN * var_cv / var_plain * (n_samples - 1) if var_plain > 0 else 1.0
+    shards = min(max(math.ceil(need / _SHARD), 1), math.ceil(n_samples / _SHARD))
+    return beta, min(shards * _SHARD, n_samples)
+
+
 def _mc_worker(
     seed: int,
     shards: range,
     n_samples: int,
     c_re: np.ndarray,
     c_im: np.ndarray,
-    buffers: list[np.ndarray],
+    beta: np.ndarray,
+    rows: list[np.ndarray],
     sums: np.ndarray,
     abs2: np.ndarray,
 ) -> None:
-    """Write each shard's sums of the weights and of their squared moduli.
+    """Write each shard's sums of the samples and of their squared moduli.
 
-    Shard k covers samples [k * _SHARD, (k + 1) * _SHARD) and draws from
-    ``SeedSequence([seed, k])`` alone, so its result does not depend on which
-    other shards run, in what order, or on which worker. Only numpy ufuncs
-    and einsum reductions are used: no BLAS call, whose threading would
-    change the last bits of the sums. ``buffers`` is four rows of at least
-    the shard length: the draw of one mode, the log-modulus, the phase and a
-    temporary. The generator fills sequentially, so drawing mode by mode
-    reads the stream in the order one (modes, m) draw would. The phase row
-    holds half of each weight's phase, and one tan of it gives the cosine
-    and sine.
+    Shard k covers samples [k * _SHARD, (k + 1) * _SHARD) of ``n_samples``
+    and draws from ``SeedSequence([seed, k])`` alone (see :func:`_mc_draw`),
+    so its result does not depend on which other shards run, in what order,
+    or on which worker. The sums are einsum reductions, with no BLAS call.
     """
-    half_im = 0.5 * c_im  # exact, so arg holds exactly half the weight's phase
     for shard in shards:
         m = min(_SHARD, n_samples - shard * _SHARD)
-        e, mod_m, arg_m, tmp_m = (row[:m] for row in buffers)  # e: one mode's |alpha|^2 / nbar
-        rng = np.random.default_rng(np.random.SeedSequence([seed, shard]))
-        rng.standard_exponential(out=e)
-        np.multiply(e, c_re[0], out=mod_m)
-        np.multiply(e, half_im[0], out=arg_m)
-        for i in range(1, c_re.size):
-            rng.standard_exponential(out=e)
-            mod_m += np.multiply(e, c_re[i], out=tmp_m)
-            arg_m += np.multiply(e, half_im[i], out=tmp_m)
-        np.exp(mod_m, out=mod_m)  # |w|
-        np.tan(arg_m, out=arg_m)  # tau
-        np.multiply(arg_m, arg_m, out=tmp_m)
-        tmp_m += 1.0
-        np.divide(2.0, tmp_m, out=tmp_m)  # 1 + cos
-        arg_m *= tmp_m  # sin
-        tmp_m -= 1.0  # cos
-        sums[shard] = complex(
-            np.einsum("i,i->", mod_m, tmp_m), np.einsum("i,i->", mod_m, arg_m)
-        )
-        abs2[shard] = np.einsum("i,i->", mod_m, mod_m)
+        re, im = _mc_draw(np.random.SeedSequence([seed, shard]), m, c_re, c_im, beta, rows)
+        sums[shard] = complex(np.einsum("i->", re), np.einsum("i->", im))
+        abs2[shard] = np.einsum("i,i->", re, re) + np.einsum("i,i->", im, im)
 
 
 def _mc_estimates(
     tasks: list[tuple[int, np.ndarray, np.ndarray]], n_samples: int
-) -> list[tuple[float, float]]:
-    """``(visibility, standard_error)`` of each ``(seed, c_re, c_im)`` task.
+) -> list[tuple[float, float, int]]:
+    """``(visibility, standard_error, main_samples)`` of each ``(seed, c_re, c_im)`` task.
 
-    One pass over every (task, shard) unit on one pool, as the module
-    docstring describes: no worker waits at a per-task barrier.
+    A pilot pass (one unit per task) and then a main pass over every (task,
+    shard) unit, both on one pool, as the module docstring describes: no
+    worker waits at a per-task barrier.
     """
-    n_shards = math.ceil(n_samples / _SHARD)
-    sums = np.empty((len(tasks), n_shards), dtype=complex)
-    abs2 = np.empty((len(tasks), n_shards))
-    units = itertools.product(range(len(tasks)), range(n_shards))
-    workers = min(_usable_cpus(), len(tasks) * n_shards)
-    # Four separate rows per worker, not one (workers, 4, m) block: glibc
+    workers = min(_usable_cpus(), len(tasks) * math.ceil(n_samples / _SHARD))
+    # Six separate rows per worker, not one (workers, 6, m) block: glibc
     # raises its mmap threshold to the size of each large block it frees, and
     # later mid-size arrays then stay on the heap. On Linux with glibc, one
     # 4 MiB block left the library benchmark's peak RSS about 0.5 MB above
-    # what these 512 KiB rows leave.
-    buffers = [[np.empty(min(_SHARD, n_samples)) for _ in range(4)] for _ in range(workers)]
-
-    lock = threading.Lock()
-
-    def work(rows: list[np.ndarray]) -> None:
-        while True:
-            with lock:
-                unit = next(units, None)
-            if unit is None:
-                return
-            task, shard = unit
-            seed, c_re, c_im = tasks[task]
-            _mc_worker(seed, range(shard, shard + 1), n_samples, c_re, c_im,
-                       rows, sums[task], abs2[task])
-
+    # what 512 KiB rows leave. The rows are made here, in the calling
+    # thread, and the passes allocate no sample-length array: blocks a
+    # worker thread frees stay in its own malloc arena. Pilots that drew
+    # into arrays of their own raised that peak by about 4 MB.
+    length = max(_PILOT, min(_SHARD, n_samples))
+    buffers = [[np.empty(length) for _ in range(6)] for _ in range(workers)]
     if workers == 1:
-        work(buffers[0])
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+        return _mc_passes(tasks, n_samples, buffers, map)
+    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, buffers))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return _mc_passes(tasks, n_samples, buffers, pool.map)
 
+
+def _mc_passes(tasks, n_samples, buffers, mapper) -> list[tuple[float, float, int]]:
+    """The pilot and main passes of :func:`_mc_estimates`, each unit run by
+    ``mapper`` on one of the workers, one per set of ``buffers``."""
+
+    def drain(units, run) -> None:
+        units, lock = iter(units), threading.Lock()
+
+        def work(rows: list[np.ndarray]) -> None:
+            while True:
+                with lock:
+                    unit = next(units, None)
+                if unit is None:
+                    return
+                run(unit, rows)
+
+        list(mapper(work, buffers))
+
+    fits = [None] * len(tasks)
+
+    def pilot(task, rows) -> None:
+        seed, c_re, c_im = tasks[task]
+        fits[task] = _mc_pilot(seed, n_samples, c_re, c_im, rows)
+
+    drain(range(len(tasks)), pilot)
+    # the ragged case-major unit list: task t owns cells first[t] .. first[t + 1] - 1
+    counts = [math.ceil(n_main / _SHARD) for _, n_main in fits]
+    first = list(itertools.accumulate(counts, initial=0))
+    sums = np.empty(first[-1], dtype=complex)
+    abs2 = np.empty(first[-1])
+
+    def main(unit, rows) -> None:
+        task, shard = unit
+        (seed, c_re, c_im), (beta, n_main) = tasks[task], fits[task]
+        _mc_worker(seed, range(shard, shard + 1), n_main, c_re, c_im, beta, rows,
+                   sums[first[task]:], abs2[first[task]:])
+
+    drain(((task, shard) for task, count in enumerate(counts) for shard in range(count)), main)
     estimates = []
-    for row_sums, row_abs2 in zip(sums, abs2):
-        mean = complex(np.sum(row_sums)) / n_samples
-        var = max(float(np.sum(row_abs2)) / n_samples - abs(mean) ** 2, 0.0)
-        estimates.append((abs(mean), math.sqrt(var / (n_samples - 1))))
+    for task, (_, n_main) in enumerate(fits):
+        cells = slice(first[task], first[task + 1])
+        mean = complex(np.sum(sums[cells])) / n_main
+        var = max(float(np.sum(abs2[cells])) / n_main - abs(mean) ** 2, 0.0)
+        estimates.append((abs(mean), math.sqrt(var / (n_main - 1)), n_main))
     return estimates
 
 
@@ -257,25 +369,34 @@ def mc_visibility(
     A thermal mode's P distribution is a complex Gaussian in alpha, so
     |alpha|^2 is exponential with mean nbar; each sample draws it per mode and
     carries the weight exp(|alpha|^2 (e^{-i w dtau} - 1)). The visibility is
-    the modulus of the weight's sample mean. Returns ``(visibility,
-    standard_error)``.
+    the modulus of the sample mean of the weight less its per-mode controls
+    beta_i (E_i - 1), with E_i = |alpha_i|^2 / nbar_i, whose mean is 0.
+    Returns ``(visibility, standard_error)``.
 
-    This is the one-case call of the pass that :func:`run_oracle_battery`
-    makes for all its cases at once: the shards run on one worker per usable
-    CPU (at most one per shard), each claiming the next shard in order and
-    holding four rows of scratch, 2 MiB at full shards, so scratch does not
-    grow with the mode count; a single worker runs in the calling thread. The
-    shard kernel uses no BLAS, and the shard sums are combined by one np.sum
-    over the shard index, so the result is bit-identical at fixed (seed,
-    n_samples) whatever the worker count, the schedule, the other cases in
-    the pass or the BLAS thread count.
+    ``cfg.n_samples`` is the precision asked for, that of n_samples plain
+    samples of the weight, and the most main samples drawn: a pilot of 2^14
+    samples on its own child seed fits beta and predicts the residual's
+    variance, and the main pass draws the fewest whole 2^16-sample shards
+    (at least one, at most n_samples samples) whose predicted standard error,
+    with a factor-2 margin in variance, is no larger than that precision.
+    The standard error is that of the samples drawn.
+
+    This is the one-case call of the passes that :func:`run_oracle_battery`
+    makes for all its cases at once: the pilot and then the shards run on
+    one worker per usable CPU (at most one per shard that n_samples allows),
+    each claiming the next unit in order and holding six rows of scratch,
+    3 MiB at full shards, so scratch does not grow with the mode count; a
+    single worker runs in the calling thread. Neither pass uses BLAS, and the shard sums are
+    combined by one np.sum over the shard index, so the result is
+    bit-identical at fixed (seed, n_samples) whatever the worker count, the
+    schedule, the other cases in the pass or the BLAS thread count.
 
     Raises DomainError when any mode has nbar * (1 - cos(w dtau)) above
     ``MC_WEIGHT_BOUND``: past that point the estimator's relative error grows
     too fast with mode count to be a usable cross-check.
     """
     c_re, c_im = _mc_coefficients(spec, delta_tau, consts)
-    return _mc_estimates([(cfg.seed, c_re, c_im)], cfg.n_samples)[0]
+    return _mc_estimates([(cfg.seed, c_re, c_im)], cfg.n_samples)[0][:2]
 
 
 def _thermal_populations(q: float, cfg: OracleConfig, limit: int) -> tuple[np.ndarray, float]:
@@ -394,7 +515,11 @@ def two_point_unitary_oracle(
 
 @dataclass(frozen=True)
 class OracleCase:
-    """One randomized parameter set plus every oracle's verdict on it."""
+    """One randomized parameter set plus every oracle's verdict on it.
+
+    ``n_samples`` is the number of main Monte Carlo samples the case drew
+    (see :func:`mc_visibility`), None where Monte Carlo skipped it.
+    """
 
     frequencies: tuple[float, ...]
     temperature: float
@@ -546,11 +671,11 @@ def run_oracle_battery(
         cases.append(OracleCase(
             frequencies=freqs, temperature=temperature, delta_tau=delta_tau, v_exact=v_exact,
             v_mc=None, se_mc=None, v_fock=fock, fock_bound=fock_bound, v_tensor=tensor,
-            mc_seed=case_seed, n_samples=cfg.n_samples, skipped=tuple(skipped),
+            mc_seed=case_seed, skipped=tuple(skipped),
         ))
     if min(counts.values()) < n_cases:
         raise DomainError(f"could not collect {n_cases} valid sets per oracle; got {counts}")
     estimates = _mc_estimates(list(mc_tasks.values()), cfg.n_samples)
-    for index, (v_mc, se_mc) in zip(mc_tasks, estimates):
-        cases[index] = replace(cases[index], v_mc=v_mc, se_mc=se_mc)
+    for index, (v_mc, se_mc, n_main) in zip(mc_tasks, estimates):
+        cases[index] = replace(cases[index], v_mc=v_mc, se_mc=se_mc, n_samples=n_main)
     return cases

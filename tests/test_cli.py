@@ -791,6 +791,37 @@ def test_oracle_check_refuses_an_empty_battery(capsys, tmp_path, cases):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "--seed must be >= 0, got -1"),
+    ("--mc-seed", "-5", "--mc-seed must be >= 0, got -5"),
+    ("--mc-sigmas", "0", "--mc-sigmas must be > 0, got 0.0"),
+    ("--mc-sigmas", "-1", "--mc-sigmas must be > 0, got -1.0"),
+    ("--atol", "-1", "--atol must be >= 0, got -1.0"),
+])
+def test_oracle_check_refuses_a_negative_seed_or_an_empty_window(capsys, tmp_path, flag, value,
+                                                                 message):
+    # a negative seed ended in numpy's traceback, and a window that no
+    # estimate can meet printed DISAGREEMENT, both with exit 1, the code
+    # that means the oracles disagree
+    out = tmp_path / "oracle.json"
+    code, stdout, err = _run(capsys, "oracle-check", "--cases", "1", "--samples", "64",
+                             flag, value, "--output", str(out))
+    assert (code, stdout, err) == (2, "", f"gravidec: configuration error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt, t_final", [("1e-300", "1e-2"), ("1e-15", "1")])
+def test_evolve_refuses_a_step_count_above_the_cap(capsys, tmp_path, dt, t_final):
+    # both ended in numpy's allocation error for the time grid, with exit 1
+    out, snap = tmp_path / "evolve.csv", tmp_path / "run.snap"
+    code, stdout, err = _run(capsys, "evolve", "--x1", "0", "--x2", "1e-9", "--N", "1e-6",
+                             "--T", "1e23", "--dt", dt, "--t-final", t_final,
+                             "--store-every", "1", "--snapshots", str(snap), "--output", str(out))
+    assert code == 3 and stdout == ""
+    assert "above the cap of 10000000; use a larger --dt or a shorter --t-final" in err
+    assert not out.exists() and not snap.exists()
+
+
 def test_oracle_check_preset_is_overridable(capsys, tmp_path):
     # the preset bundles cases=50; an explicit flag must still win
     out = tmp_path / "preset.json"

@@ -26,10 +26,12 @@ from gravidec import (
 from gravidec.errors import DomainError, NumericalInstabilityError
 from gravidec.internal_state import internal_energy_variance, mean_internal_energy
 from gravidec.master_equation import (
+    MAX_STEPS,
     _SNAPSHOT_MAGIC,
     _drive,
     _hamiltonian_matrix,
     _kernel_window,
+    _snapshot_plan,
 )
 
 CONSTS = default_constants()
@@ -324,6 +326,33 @@ def test_snapshot_memory_guard_names_remedy():
     cfg = EvolutionConfig(dt=1e-6, t_final=1.0, lambda_coefficient=0.0, store_every=1)
     with pytest.raises(DomainError, match="store_every"):
         evolve_markovian(grid, FREE, cfg, CONSTS)
+
+
+def test_config_caps_the_step_count_before_anything_is_allocated():
+    # the cap holds at t_final / dt = MAX_STEPS; above it, and for a ratio
+    # past float range, the refusal names the remedy
+    assert EvolutionConfig(dt=1e-7, t_final=1.0, lambda_coefficient=0.0).n_steps == MAX_STEPS
+    for dt, t_final in ((1e-7, 1.0 + 2e-7), (1e-300, 1e-2), (1e-300, 1e10)):
+        with pytest.raises(DomainError, match="use a larger --dt or a shorter --t-final"):
+            EvolutionConfig(dt=dt, t_final=t_final, lambda_coefficient=0.0)
+
+
+def test_snapshot_plan_refuses_by_its_count_before_building_the_plan():
+    # 10^6 + 1 snapshots of a 64-point grid pass the 1 GiB cap; the plan is
+    # refused by arithmetic, where a list of every step held 10^6 ints
+    import tracemalloc
+
+    cfg = EvolutionConfig(dt=1e-6, t_final=1.0, lambda_coefficient=0.0, store_every=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="store_every to >= 62 "):
+            _snapshot_plan(cfg, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    plan = EvolutionConfig(dt=1e-2, t_final=0.1, lambda_coefficient=0.0, store_every=5)
+    assert _snapshot_plan(plan, 64) == [0, 5, 10]
 
 
 def test_load_snapshots_rejects_foreign_file(tmp_path):

@@ -23,7 +23,7 @@ from gravidec import (
 )
 from gravidec.errors import DomainError
 from gravidec import oracles
-from gravidec.oracles import _SHARD, _mc_coefficients, _mc_worker
+from gravidec.oracles import _PILOT, _SHARD, _mc_coefficients, _mc_worker
 
 CONSTS = default_constants()
 
@@ -35,6 +35,11 @@ def _omega_for_nbar(nbar: float, temperature: float) -> float:
 def _spec(nbars, temperature: float = 300.0) -> InternalStateSpec:
     freqs = tuple(_omega_for_nbar(nb, temperature) for nb in nbars)
     return InternalStateSpec.from_frequencies(freqs, temperature)
+
+
+def _mc_pilot(seed: int, n_samples: int, c_re: np.ndarray, c_im: np.ndarray):
+    """The pilot's (beta, main samples), in rows of its own."""
+    return oracles._mc_pilot(seed, n_samples, c_re, c_im, [np.empty(_PILOT) for _ in range(6)])
 
 
 def test_mc_is_deterministic_and_shard_invariant():
@@ -52,15 +57,19 @@ def test_mc_is_bit_identical_under_any_shard_schedule(monkeypatch):
     dtau = 0.5 / max(spec.frequencies)
     cfg = OracleConfig(n_samples=200_001, seed=11)  # 4 shards, the last one short
     c_re, c_im = _mc_coefficients(spec, dtau, CONSTS)
+    # a margin no pilot meets, so the main pass draws all n_samples
+    monkeypatch.setattr(oracles, "_MARGIN", 1e12)
+    beta, n_main = _mc_pilot(cfg.seed, cfg.n_samples, c_re, c_im)
     n_shards = math.ceil(cfg.n_samples / _SHARD)
+    assert n_main == cfg.n_samples and np.all(beta != 0)
     assert n_shards == 4 and cfg.n_samples - (n_shards - 1) * _SHARD < _SHARD
 
     def run(shard_sets, mapper=map):
         sums, abs2 = np.zeros(n_shards, dtype=complex), np.zeros(n_shards)
 
         def work(shards):
-            buffers = [np.empty(_SHARD) for _ in range(4)]
-            _mc_worker(cfg.seed, shards, cfg.n_samples, c_re, c_im, buffers, sums, abs2)
+            buffers = [np.empty(_SHARD) for _ in range(6)]
+            _mc_worker(cfg.seed, shards, cfg.n_samples, c_re, c_im, beta, buffers, sums, abs2)
 
         list(mapper(work, shard_sets))
         return sums, abs2
@@ -90,12 +99,13 @@ def test_mc_is_bit_identical_under_any_shard_schedule(monkeypatch):
 
 
 def _libm_shard(seed: int, m: int, c_re: np.ndarray, c_im: np.ndarray) -> tuple[complex, float]:
-    """One shard's sums from the same draws, with the phase by np.cos and np.sin."""
+    """One shard's sum of the weights from the same draws, with the phase by
+    np.cos and np.sin, and the sum of their moduli."""
     e = np.random.default_rng(np.random.SeedSequence([seed, 0])).standard_exponential(
         size=(c_re.size, m))
     mod = np.exp(sum(e[i] * c_re[i] for i in range(c_re.size)))
     arg = sum(e[i] * c_im[i] for i in range(c_re.size))
-    total = complex(np.einsum("i,i->", mod, np.cos(arg)), np.einsum("i,i->", mod, np.sin(arg)))
+    total = complex(np.einsum("i->", mod * np.cos(arg)), np.einsum("i->", mod * np.sin(arg)))
     return total, float(np.einsum("i->", mod))
 
 
@@ -105,14 +115,15 @@ def test_mc_shard_sums_match_libm_phase_on_the_same_draws(nbars, phase):
     # crosses its poles. Per sample the half-angle cos and sin are within
     # 1.5 ulp of libm (measured); the sums are held to 4 eps * sum |w|.
     # At theta = 0 and |theta| < 1e-9 the two forms agree bit for bit.
+    # With no controls (beta = 0) the kernel's samples are the weights.
     spec = _spec(nbars)
     c_re, c_im = _mc_coefficients(spec, phase / max(spec.frequencies), CONSTS)
     eps = np.finfo(float).eps
     m, seed = 50_000, 3
     for scale in (1.0, 0.0, 1e-12):
         sums, abs2 = np.zeros(1, dtype=complex), np.zeros(1)
-        _mc_worker(seed, range(1), m, c_re, scale * c_im, [np.empty(m) for _ in range(4)],
-                   sums, abs2)
+        _mc_worker(seed, range(1), m, c_re, scale * c_im, np.zeros(c_re.size, dtype=complex),
+                   [np.empty(m) for _ in range(6)], sums, abs2)
         ref, moduli = _libm_shard(seed, m, c_re, scale * c_im)
         if scale == 1.0:
             assert abs(sums[0].real - ref.real) <= 4.0 * eps * moduli
@@ -122,22 +133,26 @@ def test_mc_shard_sums_match_libm_phase_on_the_same_draws(nbars, phase):
         assert sums[0].imag != 0.0 or scale == 0.0
 
 
-def _mc_worker_one_draw(seed, shards, n_samples, c_re, c_im, sums, abs2) -> None:
+def _mc_worker_one_draw(seed, shards, n_samples, c_re, c_im, beta, sums, abs2) -> None:
     """The shard kernel with every mode drawn at once into one (modes, m)
     array: the reference the row-by-row kernel must match bit for bit."""
     modes = c_re.size
-    draw, (mod, arg, tmp) = np.empty((modes, _SHARD)), np.empty((3, _SHARD))
+    draw, (mod, arg, tmp, cv_re, cv_im) = np.empty((modes, _SHARD)), np.empty((5, _SHARD))
     half_im = 0.5 * c_im
     for shard in shards:
         m = min(_SHARD, n_samples - shard * _SHARD)
         e = draw.reshape(-1)[: modes * m].reshape(modes, m)
         np.random.default_rng(np.random.SeedSequence([seed, shard])).standard_exponential(out=e)
-        mod_m, arg_m, tmp_m = mod[:m], arg[:m], tmp[:m]
-        np.multiply(e[0], c_re[0], out=mod_m)
-        np.multiply(e[0], half_im[0], out=arg_m)
-        for i in range(1, modes):
+        mod_m, arg_m, tmp_m, cv_re_m, cv_im_m = mod[:m], arg[:m], tmp[:m], cv_re[:m], cv_im[:m]
+        mod_m.fill(0.0)
+        arg_m.fill(0.0)
+        cv_re_m.fill(-np.sum(beta.real))
+        cv_im_m.fill(-np.sum(beta.imag))
+        for i in range(modes):
             mod_m += np.multiply(e[i], c_re[i], out=tmp_m)
             arg_m += np.multiply(e[i], half_im[i], out=tmp_m)
+            cv_re_m += np.multiply(e[i], beta.real[i], out=tmp_m)
+            cv_im_m += np.multiply(e[i], beta.imag[i], out=tmp_m)
         np.exp(mod_m, out=mod_m)
         np.tan(arg_m, out=arg_m)
         np.multiply(arg_m, arg_m, out=tmp_m)
@@ -145,57 +160,78 @@ def _mc_worker_one_draw(seed, shards, n_samples, c_re, c_im, sums, abs2) -> None
         np.divide(2.0, tmp_m, out=tmp_m)
         arg_m *= tmp_m
         tmp_m -= 1.0
-        sums[shard] = complex(
-            np.einsum("i,i->", mod_m, tmp_m), np.einsum("i,i->", mod_m, arg_m)
-        )
-        abs2[shard] = np.einsum("i,i->", mod_m, mod_m)
+        tmp_m *= mod_m
+        tmp_m -= cv_re_m
+        arg_m *= mod_m
+        arg_m -= cv_im_m
+        sums[shard] = complex(np.einsum("i->", tmp_m), np.einsum("i->", arg_m))
+        abs2[shard] = np.einsum("i,i->", tmp_m, tmp_m) + np.einsum("i,i->", arg_m, arg_m)
 
 
 @pytest.mark.parametrize("nbars", [(1.0,), (0.3, 2.0), (5.0, 0.3, 2.0), (1.0, 0.3, 2.0, 0.05)])
 def test_row_by_row_draws_give_the_one_draw_kernel_bits(nbars):
-    # Two full shards of 2^16 samples and a short last one: the row-by-row
-    # kernel reads the generator in the same order, so every shard's sums
-    # keep their bytes.
+    # Two full shards of 2^16 samples and a short last one, at the pilot's
+    # beta: the row-by-row kernel reads the generator in the same order, so
+    # every shard's sums keep their bytes.
     spec = _spec(nbars)
     c_re, c_im = _mc_coefficients(spec, 0.3 / max(spec.frequencies), CONSTS)
     n_samples = 2 * _SHARD + 12_345
+    beta, _ = _mc_pilot(19, n_samples, c_re, c_im)
+    assert np.all(beta.real != 0) and np.all(beta.imag != 0)
     shards = range(3)
     got = np.zeros(3, dtype=complex), np.zeros(3)
     ref = np.zeros(3, dtype=complex), np.zeros(3)
-    _mc_worker(19, shards, n_samples, c_re, c_im, [np.empty(_SHARD) for _ in range(4)], *got)
-    _mc_worker_one_draw(19, shards, n_samples, c_re, c_im, *ref)
+    _mc_worker(19, shards, n_samples, c_re, c_im, beta, [np.empty(_SHARD) for _ in range(6)],
+               *got)
+    _mc_worker_one_draw(19, shards, n_samples, c_re, c_im, beta, *ref)
     assert got[0].tobytes() == ref[0].tobytes()
     assert got[1].tobytes() == ref[1].tobytes()
 
 
 @pytest.mark.parametrize("n_samples", [1_000, 200_001])
 @pytest.mark.parametrize("nbars", [(1.0,), (1.0, 0.3, 2.0, 0.05)])
-def test_mc_worker_scratch_is_four_rows_whatever_the_mode_count(monkeypatch, nbars, n_samples):
-    # One case alone, then a battery of 1-, 2- and 4-mode cases: every
-    # (case, shard) unit runs on one of at most `workers` sets of four rows
-    # of min(_SHARD, n_samples), whatever the case and mode counts.
-    units = []  # holds every row it saw, so no id is reused while recorded
+def test_mc_worker_scratch_is_six_rows_whatever_the_mode_count(monkeypatch, nbars, n_samples):
+    # One case alone, then a battery of 1-, 2- and 4-mode cases: every pilot
+    # unit and every (case, shard) unit runs on one of at most `workers` sets
+    # of six rows of max(_PILOT, min(_SHARD, n_samples)), whatever the case
+    # and mode counts, and each case runs the shards of the main samples its
+    # pilot chose.
+    units, pilots = [], []  # hold every row they saw, so no id is reused while recorded
+    # a margin no pilot meets, so the main pass draws all n_samples: the
+    # 200_001-sample runs then have four units per case
+    monkeypatch.setattr(oracles, "_MARGIN", 1e12)
 
-    def recording_worker(seed, shards, n, c_re, c_im, buffers, sums, abs2):
+    def recording_worker(seed, shards, n, c_re, c_im, beta, buffers, sums, abs2):
         units.append((tuple(buffers), [row.shape for row in buffers]))
-        _mc_worker(seed, shards, n, c_re, c_im, buffers, sums, abs2)
+        _mc_worker(seed, shards, n, c_re, c_im, beta, buffers, sums, abs2)
+
+    pilot = oracles._mc_pilot
+
+    def recording_pilot(seed, n, c_re, c_im, buffers):
+        pilots.append((tuple(buffers), [row.shape for row in buffers]))
+        return pilot(seed, n, c_re, c_im, buffers)
 
     monkeypatch.setattr(oracles, "_mc_worker", recording_worker)
+    monkeypatch.setattr(oracles, "_mc_pilot", recording_pilot)
+    length = max(_PILOT, min(_SHARD, n_samples))
     cfg = OracleConfig(n_samples=n_samples)
     n_shards = math.ceil(n_samples / _SHARD)
     spec = _spec(nbars)
     for workers in (1, 2):
         monkeypatch.setattr(oracles, "_usable_cpus", lambda workers=workers: workers)
         units.clear()
+        pilots.clear()
         mc_visibility(spec, 0.3 / max(spec.frequencies), cfg, CONSTS)
         cases = [case for case in run_oracle_battery(2, cfg, CONSTS, seed=3)
                  if case.v_mc is not None]
         assert len({len(case.frequencies) for case in cases}) == 3
-        assert len(units) == (1 + len(cases)) * n_shards
-        assert all(shapes == [(min(_SHARD, n_samples),)] * 4 for _, shapes in units)
+        assert all(case.n_samples == n_samples for case in cases)
+        assert len(units) == (1 + len(cases)) * n_shards and len(pilots) == 1 + len(cases)
+        assert all(shapes == [(length,)] * 6 for _, shapes in units + pilots)
         row_sets = [tuple(map(id, rows)) for rows, _ in units]
-        assert len(set(row_sets[:n_shards])) <= min(workers, n_shards)
-        assert len(set(row_sets[n_shards:])) <= workers
+        pilot_sets = [tuple(map(id, rows)) for rows, _ in pilots]
+        assert len(set(row_sets[:n_shards] + pilot_sets[:1])) <= min(workers, n_shards)
+        assert len(set(row_sets[n_shards:] + pilot_sets[1:])) <= workers
 
 
 def test_single_shard_mc_starts_no_thread_pool():
@@ -219,20 +255,70 @@ def test_single_shard_mc_starts_no_thread_pool():
 
 
 def test_mc_standard_error_matches_theory():
-    # E|w|^2 = prod 1/(1 + 2 nbar (1 - cos d)) for the thermal P weight, so
-    # Var w = E|w|^2 - V^2; a mis-scaled |alpha|^2 draw (nbar/2 per mode)
-    # puts the ratio of se to theory near 0.61 here.
+    # Per mode the weight is exp(a E) with E standard exponential and
+    # a = nbar (e^{-i d} - 1), so E w = prod 1/(1 - a_i), E|w|^2 = prod
+    # 1/(1 + 2 nbar (1 - cos d)) and Cov(E_i, w) = E w a_i / (1 - a_i). At
+    # the pilot's beta, a sample w - sum beta_i (E_i - 1) has the variance
+    # Var w - 2 Re sum conj(beta_i) Cov(E_i, w) + sum |beta_i|^2, and the
+    # main pass draws the samples the pilot chose; a mis-scaled |alpha|^2
+    # draw (nbar/2 per mode) moves the ratio of se to theory far from 1.
     nbars = np.array([1.0, 0.3, 2.0])
     spec = _spec(tuple(nbars))
     dtau = 0.8 / max(spec.frequencies)
     deltas = np.array(spec.frequencies) * dtau
-    v = float(np.prod(1.0 / np.abs(1.0 + nbars * (1.0 - np.exp(-1j * deltas)))))
+    a = nbars * (np.exp(-1j * deltas) - 1.0)
+    mean = complex(np.prod(1.0 / (1.0 - a)))
     second = float(np.prod(1.0 / (1.0 + 2.0 * nbars * (1.0 - np.cos(deltas)))))
+    cov = mean * a / (1.0 - a)
+    c_re, c_im = _mc_coefficients(spec, dtau, CONSTS)
     n = 400_000
-    se_theory = math.sqrt((second - v * v) / (n - 1))
     for seed in range(4):
+        beta, n_main = _mc_pilot(seed, n, c_re, c_im)
+        var = second - abs(mean) ** 2 - 2.0 * np.sum(np.conj(beta) * cov).real + np.sum(
+            np.abs(beta) ** 2)
+        se_theory = math.sqrt(var / (n_main - 1))
         _, se = mc_visibility(spec, dtau, OracleConfig(n_samples=n, seed=seed), CONSTS)
         assert se == pytest.approx(se_theory, rel=0.05), seed
+        assert _SHARD < n_main < n  # past the one-shard floor, below the ceiling
+
+
+def test_mc_pilot_stream_is_no_shards_stream():
+    # the pilot's child seed is SeedSequence(seed).spawn's first child, whose
+    # padded entropy no [seed, shard] pair reaches, including a neighbouring
+    # case's seed + 1
+    for seed in (0, 7, 2**32 + 5):
+        pilot = np.random.SeedSequence(seed, spawn_key=(0,)).generate_state(4)
+        assert np.array_equal(pilot, np.random.SeedSequence(seed).spawn(1)[0].generate_state(4))
+        for base in (seed, seed + 1):
+            for shard in range(64):
+                shard_state = np.random.SeedSequence([base, shard]).generate_state(4)
+                assert not np.array_equal(pilot, shard_state), (seed, base, shard)
+
+
+def _plain_se(case: oracles.OracleCase, n: int) -> float:
+    """The closed-form standard error of n plain samples of the case's weight."""
+    freqs = np.array(case.frequencies)
+    nbars = 1.0 / np.expm1(CONSTS.hbar * freqs / (CONSTS.k_B * case.temperature))
+    deltas = freqs * case.delta_tau
+    v = float(np.prod(1.0 / np.abs(1.0 + nbars * (1.0 - np.exp(-1j * deltas)))))
+    second = float(np.prod(1.0 / (1.0 + 2.0 * nbars * (1.0 - np.cos(deltas)))))
+    return math.sqrt((second - v * v) / (n - 1))
+
+
+@pytest.mark.parametrize("mc_seed", [0, 7])
+def test_standard_preset_is_as_precise_as_plain_sampling_from_a_quarter_of_the_samples(mc_seed):
+    # oracle-check --preset standard: 50 sets per oracle, 10^6 samples. Each
+    # MC-valid case's se is no larger than n_samples plain samples give, and
+    # the main passes draw at most a quarter of the 10^6 per case that plain
+    # sampling drew.
+    cfg = OracleConfig(n_samples=1_000_000, seed=mc_seed)
+    cases = [case for case in run_oracle_battery(50, cfg, CONSTS) if case.v_mc is not None]
+    assert len(cases) == 70
+    for case in cases:
+        assert case.se_mc <= _plain_se(case, cfg.n_samples), case
+        assert 2 <= case.n_samples <= cfg.n_samples
+        assert case.n_samples % _SHARD == 0 or case.n_samples == cfg.n_samples
+    assert sum(case.n_samples for case in cases) <= 0.25 * len(cases) * cfg.n_samples
 
 
 def test_mc_agrees_with_product_law():
@@ -245,10 +331,16 @@ def test_mc_agrees_with_product_law():
 
 
 def test_mc_error_shrinks_with_samples():
+    # --samples N asks for the precision of N plain samples. Here the control
+    # variate cuts the variance about 90x, so both sizes are past the
+    # one-shard floor, where the main pass draws in proportion to N.
     spec = _spec((0.5,))
     dtau = 0.2 / spec.frequencies[0]
-    _, se_small = mc_visibility(spec, dtau, OracleConfig(n_samples=20_000, seed=1), CONSTS)
-    _, se_large = mc_visibility(spec, dtau, OracleConfig(n_samples=320_000, seed=1), CONSTS)
+    c_re, c_im = _mc_coefficients(spec, dtau, CONSTS)
+    small, large = 16_000_000, 256_000_000
+    assert _mc_pilot(1, small, c_re, c_im)[1] > 2 * _SHARD
+    _, se_small = mc_visibility(spec, dtau, OracleConfig(n_samples=small, seed=1), CONSTS)
+    _, se_large = mc_visibility(spec, dtau, OracleConfig(n_samples=large, seed=1), CONSTS)
     # 16x the samples should cut the standard error about 4x
     assert se_large < 0.35 * se_small
 

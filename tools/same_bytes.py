@@ -21,6 +21,9 @@ The list is:
   grid points with ``--store-every`` but no ``--snapshots``, and ``tau`` with
   ``--g`` beside ``--central-mass`` inside 10 R_s, whose discarded timescale
   warns;
+* runs refused for a value out of range: ``oracle-check`` with a negative
+  ``--seed`` or ``--mc-seed``, ``--mc-sigmas 0`` or ``--atol -1``, and
+  ``evolve`` with more time steps than ``EvolutionConfig`` allows;
 * ``--help`` of the program and of every subcommand.
 
 For each invocation the exit codes, stdout, stderr and every file written are
@@ -80,6 +83,12 @@ def invocations() -> list[list[str]]:
                  "--store-every", "10", "--output", "evolve.csv"])
     runs.append(["tau", "--N", "1e23", "--dx", "1e-9", "--central-mass", "9.945e30",
                  "--radius", "1.5e4", "--T", "300", "--g", "3"])
+    runs += [["oracle-check", "--cases", "1", "--samples", "64", flag, value,
+              "--output", "report.json"]
+             for flag, value in (("--seed", "-1"), ("--mc-seed", "-5"), ("--mc-sigmas", "0"),
+                                 ("--atol", "-1"))]
+    runs.append(["evolve", "--x1", "0", "--x2", "1e-9", "--N", "1e-6", "--T", "1e23",
+                 "--dt", "1e-300", "--t-final", "1e-2", "--output", "evolve.csv"])
     runs.append(["--help"])
     runs += [[command, "--help"] for command in SUBCOMMANDS]
     return runs
