@@ -27,7 +27,13 @@ constants, each checked as a real-valued parameter is. Unknown keys are
 rejected.
 
 Outputs are byte-deterministic: JSON is written with sorted keys, CSV carries
-a ``#``-commented metadata preamble, and nothing embeds timestamps. Exit
+a ``#``-commented metadata preamble, and nothing embeds timestamps. Each
+subcommand returns its run record (metadata, JSON body, CSV header and rows,
+and oracle-check's case lines and exit code); ``_run`` applies the read rule,
+builds the metadata and passes the record to the one writer, which opens its
+target once and writes a CSV row by row, so a long table's text is never
+held in memory. A refused run writes nothing: its refusal comes before the
+first write, ``evolve --snapshots`` included. Exit
 codes: 0 success, 1 oracle disagreement, 2 configuration error (a path that
 cannot be read or written included), 3 domain error (a malformed or
 non-finite input table included), 4 numerical instability. A warning from
@@ -39,10 +45,12 @@ prints its refusal alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 import warnings
+from collections import namedtuple
 from dataclasses import asdict
 
 import numpy as np
@@ -336,12 +344,17 @@ def _long_flags(names) -> str:
     return ", ".join(sorted("--" + name.replace("_", "-") for name in names))
 
 
-def _metadata(command: str, params: _Params, consts: PhysicalConstants, **extra) -> dict:
-    """The output's metadata; a given parameter that the run never read is a ConfigError."""
+def _refuse_unread(params: _Params) -> None:
+    """The read rule: a given parameter that the run never read is a ConfigError."""
     ignored = params.given - params.read
     if ignored:
         raise ConfigError(f"{_long_flags(ignored)} would be ignored alongside "
                           f"{_long_flags(params.given & params.read)}")
+
+
+def _metadata(command: str, params: _Params, consts: PhysicalConstants, **extra) -> dict:
+    """The output's metadata, once the read rule has passed."""
+    _refuse_unread(params)
     meta = {
         "version": __version__,
         "command": command,
@@ -352,28 +365,41 @@ def _metadata(command: str, params: _Params, consts: PhysicalConstants, **extra)
     return meta
 
 
-def _emit(fmt: str, output: str | None, meta: dict, json_body: dict,
-          csv_header: list[str] | None = None, csv_rows=()) -> None:
-    """Write JSON (sorted keys) or CSV (``#`` metadata preamble) to a file or stdout."""
-    if fmt == "json":
-        text = json.dumps(_jsonable({**meta, **json_body}), sort_keys=True, indent=2) + "\n"
-    else:
-        lines = [f"# {k} = {json.dumps(_jsonable(v), sort_keys=True)}"
-                 for k, v in sorted(meta.items())]
-        lines.append(",".join(csv_header))
-        lines.extend(",".join(_csv_cell(v) for v in row) for row in csv_rows)
-        text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+#: What one run computed, for _run to write: the metadata beside version,
+#: command, parameters and constants; the rest of the JSON object; the CSV
+#: header and its rows, produced one at a time; oracle-check's case lines
+#: (None for the other commands); and the exit code.
+_Record = namedtuple("_Record", "meta body header rows lines code", defaults=((), (), None, 0))
+
+
+def _write(fmt: str, output: str | None, meta: dict, record: _Record) -> None:
+    """Write JSON (sorted keys) or CSV (``#`` metadata preamble, then one row at a time)."""
+    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+        if fmt == "json":
+            fh.write(json.dumps(_jsonable({**meta, **record.body}), sort_keys=True, indent=2)
+                     + "\n")
+            return
+        fh.writelines(f"# {k} = {json.dumps(_jsonable(v), sort_keys=True)}\n"
+                      for k, v in sorted(meta.items()))
+        fh.write(",".join(record.header) + "\n")
+        fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in record.rows)
 
 
 def _csv_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def _results(results: dict, **meta) -> _Record:
+    """One ``results`` object in JSON, or one CSV row of its values by sorted key."""
+    keys = sorted(results)
+    return _Record(meta, {"results": results}, keys, [[results[k] for k in keys]])
+
+
+def _g(params: dict, consts: PhysicalConstants) -> float:
+    """``--g``, or Earth's surface gravity when it is not given."""
+    return consts.g_earth if params["g"] is None else params["g"]
 
 
 def _internal_spec(params: dict) -> InternalStateSpec | None:
@@ -389,7 +415,7 @@ def _internal_spec(params: dict) -> InternalStateSpec | None:
     return None
 
 
-def _cmd_tau(params: dict, consts: PhysicalConstants, output, fmt) -> int:
+def _cmd_tau(params: dict, consts: PhysicalConstants) -> _Record:
     results: dict = {}
     if params["central_mass"] is not None or params["radius"] is not None:
         if params["central_mass"] is None or params["radius"] is None:
@@ -413,30 +439,26 @@ def _cmd_tau(params: dict, consts: PhysicalConstants, output, fmt) -> int:
             raise ConfigError("--hawking needs --central-mass and --radius")
         if params["temperature"] is None:
             raise ConfigError("need --temperature")
-        g = params["g"] if params["g"] is not None else consts.g_earth
+        g = _g(params, consts)
         results["tau_dec"] = decoherence_time(
             params["n_modes"], params["temperature"], params["delta_x"], g, consts
         )
         results["temperature_used"] = params["temperature"]
         results["g_used"] = g
         results["field"] = "homogeneous"
-    meta = _metadata("tau", params, consts, law="gaussian-timescale")
-    keys = sorted(results)
-    _emit(fmt, output, meta, {"results": results}, keys, [[results[k] for k in keys]])
-    return 0
+    return _results(results, law="gaussian-timescale")
 
 
-def _cmd_visibility(params: dict, consts: PhysicalConstants, output, fmt) -> int:
+def _cmd_visibility(params: dict, consts: PhysicalConstants) -> _Record:
     if params["dtau"] is not None:
         # Single-point mode: visibility at one proper-time difference.
         spec = _internal_spec(params)
         if spec is None:
             raise ConfigError("--dtau needs --n-modes or --frequencies-csv")
         value = semiclassical_visibility(spec, params["dtau"], consts)
-        _emit(fmt, output, _metadata("visibility", params, consts, law="semiclassical"),
-              {"delta_tau": params["dtau"], "visibility": value},
-              ["delta_tau", "visibility", "law"], [[params["dtau"], value, "semiclassical"]])
-        return 0
+        return _Record({"law": "semiclassical"}, {"delta_tau": params["dtau"], "visibility": value},
+                       ["delta_tau", "visibility", "law"],
+                       [[params["dtau"], value, "semiclassical"]])
 
     law = params["law"]
     frequencies = None
@@ -454,23 +476,22 @@ def _cmd_visibility(params: dict, consts: PhysicalConstants, output, fmt) -> int
     if params["n_times"] < 2:
         raise ConfigError("n_times must be >= 2")
     times = np.linspace(0.0, params["t_final"], params["n_times"])
-    g = params["g"] if params["g"] is not None else consts.g_earth
+    g = _g(params, consts)
     curve = visibility_curve(
         law, times, n_modes, params["temperature"], params["delta_x"], g, consts,
         frequencies=frequencies,
     )
-    _emit(fmt, output, _metadata("visibility", params, consts, law=law, g_used=g),
-          {"times": curve.times, "values": curve.values},
-          ["t", "visibility", "law"], ([t, v, law] for t, v in zip(curve.times, curve.values)))
-    return 0
+    return _Record({"law": law, "g_used": g}, {"times": curve.times, "values": curve.values},
+                   ["t", "visibility", "law"],
+                   ([t, v, law] for t, v in zip(curve.times, curve.values)))
 
 
-def _cmd_evolve(params: dict, consts: PhysicalConstants, output, fmt) -> int:
+def _cmd_evolve(params: dict, consts: PhysicalConstants) -> _Record:
     ham_kind, lam = params["hamiltonian"], params["lambda_coefficient"]
     # g and the internal state feed lambda (when not given) and the tilt's weight.
     g, kernel = 0.0, None
     if lam is None or ham_kind == "free_plus_linear":
-        g = params["g"] if params["g"] is not None else consts.g_earth
+        g = _g(params, consts)
         n_modes, temperature = params["n_modes"], params["temperature"]
         if (n_modes is None) != (temperature is None):
             raise ConfigError("--n-modes and --temperature must be given together")
@@ -503,15 +524,12 @@ def _cmd_evolve(params: dict, consts: PhysicalConstants, output, fmt) -> int:
     )
     result = evolve(rho0, ham, cfg, consts)
     curve = extract_visibility(result)
-    meta = _metadata(
-        "evolve", params, consts,
-        law="master-equation", form=result.form, lambda_coefficient=lam,
-        n_snapshots=int(result.snapshot_times.size),
-    )
     if params["snapshots"]:
+        _refuse_unread(params)  # the one write before the output: a refused run writes nothing
         save_snapshots(params["snapshots"], result.snapshot_times, result.x, result.snapshots)
-    _emit(
-        fmt, output, meta,
+    return _Record(
+        {"law": "master-equation", "form": result.form, "lambda_coefficient": lam,
+         "n_snapshots": int(result.snapshot_times.size)},
         {
             "times": result.times,
             "coherence_re": result.coherence.real,
@@ -521,11 +539,10 @@ def _cmd_evolve(params: dict, consts: PhysicalConstants, output, fmt) -> int:
         ["t", "coherence_re", "coherence_im", "visibility"],
         zip(result.times, result.coherence.real, result.coherence.imag, curve.values),
     )
-    return 0
 
 
-def _cmd_regime(params: dict, consts: PhysicalConstants, output, fmt) -> int:
-    g = params["g"] if params["g"] is not None else consts.g_earth
+def _cmd_regime(params: dict, consts: PhysicalConstants) -> _Record:
+    g = _g(params, consts)
     if params["emission_csv"]:
         fixed_model = emission_model_from_csv(params["emission_csv"])
         label = fixed_model.label
@@ -556,10 +573,8 @@ def _cmd_regime(params: dict, consts: PhysicalConstants, output, fmt) -> int:
     axis1 = np.geomspace(params["axis1_min"], params["axis1_max"], params["n_axis1"])
     temps = np.geomspace(params["t_min"], params["t_max"], params["n_temps"])
     rmap = regime_scan(kind, axis1, temps, model_factory, g, consts, **fixed)
-    meta = _metadata("regime", params, consts, emission_model=label, g_used=g,
-                     axis1_kind=kind, grid="log-spaced")
-    _emit(
-        fmt, output, meta,
+    return _Record(
+        {"emission_model": label, "g_used": g, "axis1_kind": kind, "grid": "log-spaced"},
         {
             "axis1": rmap.axis1,
             "temperatures": rmap.temperatures,
@@ -573,10 +588,9 @@ def _cmd_regime(params: dict, consts: PhysicalConstants, output, fmt) -> int:
          for i, a in enumerate(rmap.axis1)
          for j, temp in enumerate(rmap.temperatures)),
     )
-    return 0
 
 
-def _cmd_propertime(params: dict, consts: PhysicalConstants, output, fmt) -> int:
+def _cmd_propertime(params: dict, consts: PhysicalConstants) -> _Record:
     # A table takes the place of --n-modes, which is then not read, as in _internal_spec.
     has_state = params["frequencies_csv"] is not None or params["n_modes"] is not None
     if has_state != (params["temperature"] is not None):
@@ -592,8 +606,7 @@ def _cmd_propertime(params: dict, consts: PhysicalConstants, output, fmt) -> int
         )
     kind = params["potential"]
     if kind == "homogeneous":
-        g = params["g"] if params["g"] is not None else consts.g_earth
-        potential = HomogeneousPotential(g)
+        potential = HomogeneousPotential(_g(params, consts))
     elif kind == "schwarzschild":
         if params["central_mass"] is None:
             raise ConfigError("schwarzschild potential needs --central-mass")
@@ -608,15 +621,10 @@ def _cmd_propertime(params: dict, consts: PhysicalConstants, output, fmt) -> int
     if has_state:
         results["visibility"] = semiclassical_visibility(_internal_spec(params), dtau, consts)
         results["law"] = "semiclassical"
-    keys = sorted(results)
-    _emit(fmt, output, _metadata("propertime", params, consts), {"results": results},
-          keys, [[results[k] for k in keys]])
-    return 0
+    return _results(results)
 
 
-def _cmd_oracle_check(params: dict, consts: PhysicalConstants, output, fmt) -> int:
-    if fmt == "csv":
-        raise ConfigError("oracle reports are JSON only; drop --format or use json")
+def _cmd_oracle_check(params: dict, consts: PhysicalConstants) -> _Record:
     if params["cases"] < 1:
         raise ConfigError(f"--cases must be >= 1, got {params['cases']}")
     for name in ("seed", "mc_seed"):
@@ -631,7 +639,6 @@ def _cmd_oracle_check(params: dict, consts: PhysicalConstants, output, fmt) -> i
     cases = run_oracle_battery(params["cases"], cfg, consts, seed=params["seed"])
     summary, per_case = tally_verdicts(cases, params["mc_sigmas"], params["atol"])
     verbose = params["verbose"]
-    meta = _metadata("oracle-check", params, consts)
     all_ok = all(case_ok for _, case_ok in per_case)
     lines = []
     reports = []
@@ -662,12 +669,7 @@ def _cmd_oracle_check(params: dict, consts: PhysicalConstants, output, fmt) -> i
         "all_within_tolerance": all_ok,
         "n_cases": len(cases),
     }
-    # ``--format json`` without ``--output`` puts the report on stdout in place of the lines.
-    if fmt != "json" or output:
-        sys.stdout.write("\n".join(lines) + "\n")
-    if fmt == "json" or output:
-        _emit("json", output, meta, body)
-    return 0 if all_ok else 1
+    return _Record({}, body, lines=lines, code=0 if all_ok else 1)
 
 
 _HANDLERS = {
@@ -700,11 +702,25 @@ def main(argv=None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Run the parsed subcommand and map each error class to its exit code."""
+    """Run the parsed subcommand, write what it returns, and map each error class to its exit code.
+
+    A command whose default format is None (oracle-check) prints its lines
+    and has no CSV; its JSON report goes to ``--output``, or to stdout in
+    place of the lines under ``--format json``.
+    """
     try:
         params, consts = _resolve(args, args.command)
-        fmt = args.format or _COMMANDS[args.command][1]
-        return _HANDLERS[args.command](params, consts, args.output, fmt)
+        default = _COMMANDS[args.command][1]
+        if default is None and args.format == "csv":
+            raise ConfigError("oracle reports are JSON only; drop --format or use json")
+        record = _HANDLERS[args.command](params, consts)
+        meta = _metadata(args.command, params, consts, **record.meta)
+        fmt = args.format or default or ("json" if args.output else None)
+        if record.lines is not None and (args.output or fmt is None):
+            sys.stdout.write("\n".join(record.lines) + "\n")
+        if fmt is not None:
+            _write(fmt, args.output, meta, record)
+        return record.code
     except ConfigError as exc:
         print(f"gravidec: configuration error: {exc}", file=sys.stderr)
         return 2

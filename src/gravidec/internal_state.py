@@ -118,11 +118,17 @@ def _log_mode_product(
     0.5 log1p(4 nbar (nbar+1) s^2); unlike 1 - exp(-i phi) it keeps the nbar
     term to full precision at small phi. Returns an array shaped like
     ``delta_tau``, built in blocks of at most _CHUNK_ELEMENTS elements.
+    A phase w dtau past float64's range is a DomainError, checked once on
+    the largest |dtau| and w: sin() of it would be NaN.
     """
     omega, nbar = _mode_occupations(spec.frequencies, spec.temperature, consts)
     gain = 4.0 * nbar * (nbar + 1.0)
     dtau = np.asarray(delta_tau, dtype=float)
     flat = dtau.reshape(-1)
+    dtau_max, omega_max = float(np.abs(flat).max(initial=0.0)), float(omega.max(initial=0.0))
+    if not math.isfinite(dtau_max * omega_max):  # a Python product overflows to inf, silently
+        raise DomainError(f"mode phase w*dtau overflows float64: max |dtau| = {dtau_max:.6g} s "
+                          f"times max w = {omega_max:.6g} rad/s")
     out = np.zeros(flat.size, dtype=complex)
     cols = max(1, min(omega.size, _CHUNK_ELEMENTS))
     rows = max(1, _CHUNK_ELEMENTS // cols)

@@ -107,6 +107,10 @@ class DensityMatrixGrid:
                 raise DomainError(f"{name} has non-finite entries")
         if x.ndim != 1 or x.size < 2:
             raise DomainError("grid needs at least two points")
+        span = float(x.max()) - float(x.min())  # Python floats overflow to inf without a warning
+        if not math.isfinite(span * span):
+            raise DomainError(f"grid span {span:.6g} m is too wide: its square, the dephasing's "
+                              "largest (x_i - x_j)^2, overflows float64")
         dx = np.diff(x)
         if not np.all(dx > 0) or not np.allclose(dx, dx[0], rtol=1e-9, atol=0):
             raise DomainError("grid must be uniform and increasing")

@@ -157,8 +157,11 @@ def decoherence_time(n_modes, temperature, delta_x, g, consts: PhysicalConstants
     if np.any(n_modes < 0) or np.any(temperature < 0):
         raise DomainError("n_modes and temperature must be >= 0")
     # A zero N or denominator divides to exactly +inf, the no-decoherence
-    # answer; the numerator sqrt(2/N) hbar c^2 is never 0, so no NaN arises.
-    with np.errstate(divide="ignore"):
+    # answer. A timescale past float64's range (say N = T = 1e-300) overflows
+    # to the same +inf on purpose: no time a float64 holds shows decoherence.
+    # The numerator sqrt(2/N) hbar c^2 is never 0, so no NaN arises unless it
+    # and the denominator both overflow (N below 1.1e-308), which still warns.
+    with np.errstate(divide="ignore", over="ignore"):
         tau = (
             np.sqrt(2.0 / n_modes)
             * consts.hbar

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 
 import gravidec
 from gravidec import default_constants, dephasing_coefficient, load_snapshots
+from gravidec import cli
 from gravidec.cli import main
 
 CONSTS = default_constants()
@@ -820,6 +822,60 @@ def test_evolve_refuses_a_step_count_above_the_cap(capsys, tmp_path, dt, t_final
     assert code == 3 and stdout == ""
     assert "above the cap of 10000000; use a larger --dt or a shorter --t-final" in err
     assert not out.exists() and not snap.exists()
+
+
+def test_visibility_refuses_a_mode_phase_past_float64_exit_3(capsys, tmp_path):
+    # w dtau = 5e313 overflowed to inf; sin() of it wrote visibility = nan with
+    # three RuntimeWarnings and exit 0
+    freqs, out = tmp_path / "freqs.csv", tmp_path / "vis.csv"
+    freqs.write_text("1e13\n2e13\n5e13\n")
+    code, stdout, err = _run(capsys, "visibility", "--dtau", "1e300", "--frequencies-csv",
+                             str(freqs), "--T", "300", "--output", str(out))
+    assert (code, stdout) == (3, "")
+    assert err == ("gravidec: domain error: mode phase w*dtau overflows float64: "
+                   "max |dtau| = 1e+300 s times max w = 5e+13 rad/s\n")
+    assert not out.exists()
+
+
+def test_tau_past_float64_range_is_inf_without_a_warning(capsys):
+    # the quotient overflows: "inf" is the answer on purpose, not a raw
+    # "overflow in scalar divide" warning
+    code, stdout, err = _run(capsys, "tau", "--N", "1e-300", "--T", "1e-300", "--dx", "9.945e30")
+    assert (code, err) == (0, "")
+    assert json.loads(stdout)["results"]["tau_dec"] == "inf"
+
+
+def test_evolve_refuses_a_grid_whose_squared_span_overflows(capsys, tmp_path):
+    # (x_i - x_j)^2 overflowed with a raw "overflow in square" warning, and
+    # lambda = 0 would have turned the inf into NaN
+    out, snap = tmp_path / "evolve.csv", tmp_path / "run.snap"
+    code, stdout, err = _run(capsys, "evolve", "--x1", "0", "--x2", "1e300", "--n-points", "2",
+                             "--lambda-coefficient", "1", "--dt", "1", "--t-final", "3",
+                             "--store-every", "1", "--snapshots", str(snap), "--output", str(out))
+    assert (code, stdout) == (3, "")
+    assert err == ("gravidec: domain error: grid span 1e+300 m is too wide: its square, the "
+                   "dephasing's largest (x_i - x_j)^2, overflows float64\n")
+    assert not out.exists() and not snap.exists()
+
+
+def test_csv_rows_are_written_as_they_are_formatted(monkeypatch):
+    # each row is formatted only once the rows before it are written, so a
+    # long run never holds its whole CSV text in memory
+    sink, lines_at = io.StringIO(), []
+
+    def spy(value):
+        lines_at.append(sink.getvalue().count("\n"))
+        return cell(value)
+
+    cell = cli._csv_cell
+    monkeypatch.setattr(sys, "stdout", sink)
+    monkeypatch.setattr(cli, "_csv_cell", spy)
+    assert main(["evolve", "--x1", "0", "--x2", "1e-3", "--n-points", "2",
+                 "--lambda-coefficient", "1e5", "--dt", "1e-2", "--t-final", "0.1"]) == 0
+    lines = sink.getvalue().splitlines()
+    first = lines.index("t,coherence_re,coherence_im,visibility") + 1
+    assert len(lines) - first == 11
+    assert lines_at == [first + row for row in range(11) for _ in range(4)]
 
 
 def test_oracle_check_preset_is_overridable(capsys, tmp_path):

@@ -24,7 +24,18 @@ The list is:
 * runs refused for a value out of range: ``oracle-check`` with a negative
   ``--seed`` or ``--mc-seed``, ``--mc-sigmas 0`` or ``--atol -1``, and
   ``evolve`` with more time steps than ``EvolutionConfig`` allows;
+* every output mode of the one writer: ``--format json`` on ``visibility``,
+  ``evolve`` and ``regime``, ``--format csv`` on ``tau`` and ``propertime``,
+  ``oracle-check --verbose``, ``oracle-check --format json`` to stdout and
+  ``oracle-check --format csv`` (refused), and an ``--output`` (JSON, and CSV
+  beside ``--snapshots``) inside a missing directory;
+* three runs at the edge of float64: ``visibility --dtau 1e300`` over the
+  modes of ``modes.csv`` (w dtau overflows), ``tau`` with a timescale past
+  float64's range, and ``evolve`` on a grid whose squared span overflows;
 * ``--help`` of the program and of every subcommand.
+
+Every invocation starts in a directory that holds only ``modes.csv``, a
+three-mode frequency table; that input is not compared.
 
 For each invocation the exit codes, stdout, stderr and every file written are
 compared, and one line is printed: ``identical``, or ``DIFFERS`` with the
@@ -50,6 +61,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SUBCOMMANDS = ("tau", "visibility", "evolve", "regime", "propertime", "oracle-check")
+
+#: Input tables written into each invocation's directory before it runs.
+INPUTS = {"modes.csv": "# rad/s\n1e13\n2e13\n5e13\n"}
 
 
 def readme_examples(readme: Path) -> list[list[str]]:
@@ -89,6 +103,27 @@ def invocations() -> list[list[str]]:
                                  ("--atol", "-1"))]
     runs.append(["evolve", "--x1", "0", "--x2", "1e-9", "--N", "1e-6", "--T", "1e23",
                  "--dt", "1e-300", "--t-final", "1e-2", "--output", "evolve.csv"])
+    base = {"visibility": ["visibility", "--law", "high-T", "--N", "1e23", "--T", "300",
+                           "--dx", "1e-3", "--t-final", "2e-6", "--n-times", "5"],
+            "evolve": ["evolve", "--x1", "0", "--x2", "1e-3", "--n-points", "2", "--N", "1e23",
+                       "--T", "300", "--dt", "1e-7", "--t-final", "1e-6"],
+            "regime": ["regime", "--axis1", "delta-x", "--axis1-min", "1e-6", "--axis1-max",
+                       "1e-2", "--n-axis1", "3", "--t-min", "100", "--t-max", "600",
+                       "--n-temps", "2", "--n-modes", "1e23", "--sigma0", "3e-22", "--k0", "1e7"],
+            "tau": ["tau", "--N", "1e23", "--T", "300", "--dx", "1e-3"],
+            "propertime": ["propertime", "--x1", "0", "--x2", "1", "--t-final", "1",
+                           "--N", "1e20", "--T", "300"]}
+    runs += [[*base[c], "--format", "json"] for c in ("visibility", "evolve", "regime")]
+    runs += [[*base[c], "--format", "csv"] for c in ("tau", "propertime")]
+    oracle = ["oracle-check", "--cases", "3", "--samples", "20000"]
+    runs += [[*oracle, "--verbose"], [*oracle, "--format", "json"], [*oracle, "--format", "csv"]]
+    runs.append([*base["tau"], "--output", "missing/tau.json"])
+    runs.append([*base["evolve"], "--store-every", "5", "--snapshots", "run.snap",
+                 "--output", "missing/evolve.csv"])
+    runs.append(["visibility", "--dtau", "1e300", "--frequencies-csv", "modes.csv", "--T", "300"])
+    runs.append(["tau", "--N", "1e-300", "--T", "1e-300", "--dx", "9.945e30"])
+    runs.append(["evolve", "--x1", "0", "--x2", "1e300", "--n-points", "2",
+                 "--lambda-coefficient", "1", "--dt", "1", "--t-final", "3"])
     runs.append(["--help"])
     runs += [[command, "--help"] for command in SUBCOMMANDS]
     return runs
@@ -97,6 +132,8 @@ def invocations() -> list[list[str]]:
 def run(tree: Path, args: list[str], workdir: Path) -> dict[str, bytes]:
     """Every output of one invocation on one tree, by stream or file name."""
     workdir.mkdir(parents=True)
+    for name, text in INPUTS.items():
+        (workdir / name).write_text(text)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable, "-m", "gravidec.cli", *args], cwd=workdir, env=env,
                           capture_output=True)
@@ -105,7 +142,8 @@ def run(tree: Path, args: list[str], workdir: Path) -> dict[str, bytes]:
                "stdout": proc.stdout.replace(here, b"<tree>"),
                "stderr": proc.stderr.replace(here, b"<tree>")}
     for path in sorted(workdir.iterdir()):
-        outputs[f"file {path.name}"] = path.read_bytes()
+        if path.name not in INPUTS:
+            outputs[f"file {path.name}"] = path.read_bytes()
     return outputs
 
 
