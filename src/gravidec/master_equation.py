@@ -315,24 +315,30 @@ def _drive(rho0: DensityMatrixGrid, cfg: EvolutionConfig, form: str, state: np.n
     snapshots[:1] = rho0.rho  # step 0, when any snapshot is stored
     stored = min(1, len(plan))
     step = 0
-    while step < n_steps:
-        states = advance(state, step)
-        # min and max over real and imaginary parts allocate no m x m
-        # temporary and cannot overflow: NaN propagates, +inf shows in the max
-        # and -inf in the min. Only a failing block is searched state by state.
-        parts = states.reshape(len(states), -1).view(float)
-        if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
-            finite = np.isfinite(parts.min(axis=1)) & np.isfinite(parts.max(axis=1))
-            bad = np.flatnonzero(~finite)
-            raise NumericalInstabilityError(
-                f"non-finite density matrix at step {step + 1 + bad[0]}; reduce dt"
-            )
-        coherence[step + 1:step + 1 + len(states)] = readout(states)
-        while stored < len(plan) and plan[stored] <= step + len(states):
-            expand(states[plan[stored] - step - 1], snapshots[stored])
-            stored += 1
-        state = states[-1]
-        step += len(states)
+    # A step's arithmetic may overflow float64. Where that leaves a finite
+    # state (exp(-inf) = 0 is the float64 value of an exact dephasing
+    # factor) the run goes on; an inf or NaN it leaves is refused by the
+    # check below, which is then the only report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < n_steps:
+            states = advance(state, step)
+            # min and max over real and imaginary parts allocate no m x m
+            # temporary and cannot overflow: NaN propagates, +inf shows in the
+            # max and -inf in the min. Only a failing block is searched state
+            # by state.
+            parts = states.reshape(len(states), -1).view(float)
+            if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
+                finite = np.isfinite(parts.min(axis=1)) & np.isfinite(parts.max(axis=1))
+                bad = np.flatnonzero(~finite)
+                raise NumericalInstabilityError(
+                    f"non-finite density matrix at step {step + 1 + bad[0]}; reduce dt"
+                )
+            coherence[step + 1:step + 1 + len(states)] = readout(states)
+            while stored < len(plan) and plan[stored] <= step + len(states):
+                expand(states[plan[stored] - step - 1], snapshots[stored])
+                stored += 1
+            state = states[-1]
+            step += len(states)
     return EvolutionResult(x=rho0.x, times=times, coherence=coherence, form=form,
                            snapshot_times=times[plan], snapshots=snapshots)
 

@@ -41,22 +41,23 @@ reported standard error is that of the samples the main pass drew.
 Main sampling is split into fixed-size shards of 2^16 samples, each with
 its own child seed derived from (seed, shard index). A shard draws its
 standard exponentials one mode at a time, in stream order, into one row
-and adds each mode's terms before drawing the next. A battery samples in
-two passes after it has drawn all its cases, and :func:`mc_visibility` is
-the one-case call of the same passes: first one pilot unit per case, then
-one unit per (case, shard) pair, each pass claiming its units in
-case-major order from one shared iterator, on one set of workers, one per
-CPU the process may use and at most one per shard that ``n_samples``
-allows (one thread pool for both passes, and none, nor a
-``concurrent.futures`` import, when there is one worker). Each worker holds
-six rows of scratch for both passes, 3 MiB at full shards and never less
-than the pilot's 2^14 samples, whatever the case and mode counts. The pilot
-and the shard kernel are numpy ufuncs and einsum reductions only, with no
-BLAS call, each unit writes its result into its own cell, and a case's
-shard sums are combined with a single np.sum over its cells.
-The result is therefore bit-identical at fixed (seed, n_samples) whatever
-the worker count, the order in which units run, the other cases in the
-pass, or the BLAS thread count.
+and adds each mode's terms before drawing the next.
+
+The schedule is two ordered maps, run after a battery has drawn all its
+cases (:func:`mc_visibility` is the one-case call of the same maps): one
+pilot unit per case, then one unit per (case, shard) pair in case-major
+order. Each unit returns its result, and a case's shard sums are combined
+with a single np.sum in shard order. Both maps run on one set of workers,
+one per CPU the process may use and at most one per shard that
+``n_samples`` allows: a thread pool's map for both, or the builtin map, in
+the calling thread and with no ``concurrent.futures`` import, when there
+is one worker. The calling thread makes one row set per worker, six rows of
+max(2^14, min(2^16, n_samples)) samples, 3 MiB at full shards, whatever the
+case and mode counts; each worker thread takes one on its first unit and
+keeps it for both maps. The pilot and the shard kernel are numpy ufuncs and
+einsum reductions only, with no BLAS call, so the result is bit-identical
+at fixed (seed, n_samples) whatever the worker count, the thread that runs
+a unit, the other cases in the pass, or the BLAS thread count.
 
 Every phase e^{i theta} here, per Monte Carlo sample or per joint Fock
 state, comes from one tau = tan(theta/2) through the half-angle identities
@@ -259,29 +260,26 @@ def _mc_pilot(
     return beta, min(shards * _SHARD, n_samples)
 
 
-def _mc_worker(
+def _mc_shard(
     seed: int,
-    shards: range,
-    n_samples: int,
+    shard: int,
+    n_main: int,
     c_re: np.ndarray,
     c_im: np.ndarray,
     beta: np.ndarray,
     rows: list[np.ndarray],
-    sums: np.ndarray,
-    abs2: np.ndarray,
-) -> None:
-    """Write each shard's sums of the samples and of their squared moduli.
+) -> tuple[complex, float]:
+    """One shard's sums of the samples and of their squared moduli.
 
-    Shard k covers samples [k * _SHARD, (k + 1) * _SHARD) of ``n_samples``
+    Shard k covers samples [k * _SHARD, (k + 1) * _SHARD) of ``n_main``
     and draws from ``SeedSequence([seed, k])`` alone (see :func:`_mc_draw`),
     so its result does not depend on which other shards run, in what order,
     or on which worker. The sums are einsum reductions, with no BLAS call.
     """
-    for shard in shards:
-        m = min(_SHARD, n_samples - shard * _SHARD)
-        re, im = _mc_draw(np.random.SeedSequence([seed, shard]), m, c_re, c_im, beta, rows)
-        sums[shard] = complex(np.einsum("i->", re), np.einsum("i->", im))
-        abs2[shard] = np.einsum("i,i->", re, re) + np.einsum("i,i->", im, im)
+    m = min(_SHARD, n_main - shard * _SHARD)
+    re, im = _mc_draw(np.random.SeedSequence([seed, shard]), m, c_re, c_im, beta, rows)
+    return (complex(np.einsum("i->", re), np.einsum("i->", im)),
+            np.einsum("i,i->", re, re) + np.einsum("i,i->", im, im))
 
 
 def _mc_estimates(
@@ -289,9 +287,8 @@ def _mc_estimates(
 ) -> list[tuple[float, float, int]]:
     """``(visibility, standard_error, main_samples)`` of each ``(seed, c_re, c_im)`` task.
 
-    A pilot pass (one unit per task) and then a main pass over every (task,
-    shard) unit, both on one pool, as the module docstring describes: no
-    worker waits at a per-task barrier.
+    Runs the two ordered maps of the module docstring, the pilots and then
+    every (task, shard) unit, on one set of workers.
     """
     workers = min(_usable_cpus(), len(tasks) * math.ceil(n_samples / _SHARD))
     # Six separate rows per worker, not one (workers, 6, m) block: glibc
@@ -303,59 +300,44 @@ def _mc_estimates(
     # worker thread frees stay in its own malloc arena. Pilots that drew
     # into arrays of their own raised that peak by about 4 MB.
     length = max(_PILOT, min(_SHARD, n_samples))
-    buffers = [[np.empty(length) for _ in range(6)] for _ in range(workers)]
+    spare = [[np.empty(length) for _ in range(6)] for _ in range(workers)]
+    held = threading.local()
+
+    def rows() -> list[np.ndarray]:
+        # a worker thread takes its row set on its first unit and keeps it;
+        # list.pop is one atomic call, so no two threads take the same set
+        if not hasattr(held, "rows"):
+            held.rows = spare.pop()
+        return held.rows
+
+    def pilot(task):
+        seed, c_re, c_im = task
+        return _mc_pilot(seed, n_samples, c_re, c_im, rows())
+
+    def shard(unit):
+        (seed, c_re, c_im), (beta, n_main), k = unit
+        return _mc_shard(seed, k, n_main, c_re, c_im, beta, rows())
+
+    def passes(mapper) -> list[tuple[float, float, int]]:
+        fits = list(mapper(pilot, tasks))
+        counts = [math.ceil(n_main / _SHARD) for _, n_main in fits]
+        units = ((task, fit, k) for task, fit, count in zip(tasks, fits, counts)
+                 for k in range(count))
+        results = mapper(shard, units)
+        estimates = []
+        for (_, n_main), count in zip(fits, counts):
+            sums, abs2 = zip(*itertools.islice(results, count))
+            mean = complex(np.sum(sums)) / n_main
+            var = max(float(np.sum(abs2)) / n_main - abs(mean) ** 2, 0.0)
+            estimates.append((abs(mean), math.sqrt(var / (n_main - 1)), n_main))
+        return estimates
+
     if workers == 1:
-        return _mc_passes(tasks, n_samples, buffers, map)
+        return passes(map)
     from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _mc_passes(tasks, n_samples, buffers, pool.map)
-
-
-def _mc_passes(tasks, n_samples, buffers, mapper) -> list[tuple[float, float, int]]:
-    """The pilot and main passes of :func:`_mc_estimates`, each unit run by
-    ``mapper`` on one of the workers, one per set of ``buffers``."""
-
-    def drain(units, run) -> None:
-        units, lock = iter(units), threading.Lock()
-
-        def work(rows: list[np.ndarray]) -> None:
-            while True:
-                with lock:
-                    unit = next(units, None)
-                if unit is None:
-                    return
-                run(unit, rows)
-
-        list(mapper(work, buffers))
-
-    fits = [None] * len(tasks)
-
-    def pilot(task, rows) -> None:
-        seed, c_re, c_im = tasks[task]
-        fits[task] = _mc_pilot(seed, n_samples, c_re, c_im, rows)
-
-    drain(range(len(tasks)), pilot)
-    # the ragged case-major unit list: task t owns cells first[t] .. first[t + 1] - 1
-    counts = [math.ceil(n_main / _SHARD) for _, n_main in fits]
-    first = list(itertools.accumulate(counts, initial=0))
-    sums = np.empty(first[-1], dtype=complex)
-    abs2 = np.empty(first[-1])
-
-    def main(unit, rows) -> None:
-        task, shard = unit
-        (seed, c_re, c_im), (beta, n_main) = tasks[task], fits[task]
-        _mc_worker(seed, range(shard, shard + 1), n_main, c_re, c_im, beta, rows,
-                   sums[first[task]:], abs2[first[task]:])
-
-    drain(((task, shard) for task, count in enumerate(counts) for shard in range(count)), main)
-    estimates = []
-    for task, (_, n_main) in enumerate(fits):
-        cells = slice(first[task], first[task + 1])
-        mean = complex(np.sum(sums[cells])) / n_main
-        var = max(float(np.sum(abs2[cells])) / n_main - abs(mean) ** 2, 0.0)
-        estimates.append((abs(mean), math.sqrt(var / (n_main - 1)), n_main))
-    return estimates
+        return passes(pool.map)
 
 
 def mc_visibility(
@@ -381,15 +363,10 @@ def mc_visibility(
     with a factor-2 margin in variance, is no larger than that precision.
     The standard error is that of the samples drawn.
 
-    This is the one-case call of the passes that :func:`run_oracle_battery`
-    makes for all its cases at once: the pilot and then the shards run on
-    one worker per usable CPU (at most one per shard that n_samples allows),
-    each claiming the next unit in order and holding six rows of scratch,
-    3 MiB at full shards, so scratch does not grow with the mode count; a
-    single worker runs in the calling thread. Neither pass uses BLAS, and the shard sums are
-    combined by one np.sum over the shard index, so the result is
-    bit-identical at fixed (seed, n_samples) whatever the worker count, the
-    schedule, the other cases in the pass or the BLAS thread count.
+    This is the one-case call of the Monte Carlo schedule in the module
+    docstring, which :func:`run_oracle_battery` runs for all its cases at
+    once, so the result is bit-identical at fixed (seed, n_samples) whatever
+    the worker count, the schedule or the BLAS thread count.
 
     Raises DomainError when any mode has nbar * (1 - cos(w dtau)) above
     ``MC_WEIGHT_BOUND``: past that point the estimator's relative error grows

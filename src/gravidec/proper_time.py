@@ -170,19 +170,25 @@ def proper_time_difference(pair: TrajectoryPair, potential, consts: PhysicalCons
     (f[1:] + f[:-1]) * (t[1:] - t[:-1]) into its slice of one (n - 1) row.
     One np.sum over that row gives the same pairwise-summation tree, and so
     the same bits, as the unblocked pass; the extra memory is that row plus a
-    few _BLOCK-sized temporaries.
+    few _BLOCK-sized temporaries. An integral past float64's range is a
+    DomainError.
     """
     pair.validate_velocities(consts)
     terms = np.empty(pair.times.size - 1)
-    for start in range(0, terms.size, _BLOCK):
-        block = slice(start, start + _BLOCK + 1)  # its last sample starts the next block
-        f = gamma_coupling(pair.x_b[block], pair.v_b[block], potential, consts) - gamma_coupling(
-            pair.x_a[block], pair.v_a[block], potential, consts
-        )
-        out = terms[start:start + _BLOCK]
-        np.add(f[1:], f[:-1], out=out)
-        np.multiply(out, np.diff(pair.times[block]), out=out)
-    return float(0.5 * np.sum(terms) / consts.c**2)
+    # An integrand, term or sum past float64's range is refused below: an
+    # intermediate inf does not say whether dtau itself would fit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, terms.size, _BLOCK):
+            block = slice(start, start + _BLOCK + 1)  # its last sample starts the next block
+            f = gamma_coupling(pair.x_b[block], pair.v_b[block], potential, consts)
+            f -= gamma_coupling(pair.x_a[block], pair.v_a[block], potential, consts)
+            out = terms[start:start + _BLOCK]
+            np.add(f[1:], f[:-1], out=out)
+            np.multiply(out, np.diff(pair.times[block]), out=out)
+        total = np.sum(terms)
+    if not np.isfinite(total):
+        raise DomainError("proper-time integral overflows float64: a term or their sum is inf")
+    return float(0.5 * total / consts.c**2)
 
 
 def internal_characteristic_function(

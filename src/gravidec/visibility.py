@@ -126,10 +126,14 @@ def highT_visibility(n_modes, temperature, delta_x, g, t, consts: PhysicalConsta
     broadcast together); scalar inputs give a float.
     """
     _require_nonnegative(n_modes, temperature, t)
-    theta = consts.k_B * temperature * g * delta_x * np.asarray(t, dtype=float) / (
-        consts.hbar * consts.c**2
-    )
-    return _scalar_or_array(np.exp(_highT_log_modulus(n_modes, theta)))
+    # theta, or theta^2 in the log modulus, past float64's range is inf and
+    # gives V = 0: V = theta^-N is below the least subnormal float64 there
+    # once N > 2.1 (theta^2 overflows at theta = 1.3e154).
+    with np.errstate(over="ignore"):
+        theta = consts.k_B * temperature * g * delta_x * np.asarray(t, dtype=float) / (
+            consts.hbar * consts.c**2
+        )
+        return _scalar_or_array(np.exp(_highT_log_modulus(n_modes, theta)))
 
 
 def gaussian_visibility(n_modes, temperature, delta_x, g, t, consts: PhysicalConstants):
@@ -140,7 +144,10 @@ def gaussian_visibility(n_modes, temperature, delta_x, g, t, consts: PhysicalCon
     """
     _require_nonnegative(n_modes, temperature, t)
     tau = decoherence_time(n_modes, temperature, delta_x, g, consts)
-    return _scalar_or_array(np.exp(-((np.asarray(t, dtype=float) / tau) ** 2)))
+    # t / tau, or its square, past float64's range gives exp(-inf) = 0, V's
+    # float64 value: exp(-(t/tau)^2) underflows to 0 once t/tau > 27.3.
+    with np.errstate(over="ignore"):
+        return _scalar_or_array(np.exp(-((np.asarray(t, dtype=float) / tau) ** 2)))
 
 
 def decoherence_time(n_modes, temperature, delta_x, g, consts: PhysicalConstants):
@@ -159,15 +166,17 @@ def decoherence_time(n_modes, temperature, delta_x, g, consts: PhysicalConstants
     # A zero N or denominator divides to exactly +inf, the no-decoherence
     # answer. A timescale past float64's range (say N = T = 1e-300) overflows
     # to the same +inf on purpose: no time a float64 holds shows decoherence.
-    # The numerator sqrt(2/N) hbar c^2 is never 0, so no NaN arises unless it
-    # and the denominator both overflow (N below 1.1e-308), which still warns.
-    with np.errstate(divide="ignore", over="ignore"):
+    # The numerator sqrt(2/N) hbar c^2 is never 0, so NaN arises only where it
+    # and the denominator are both inf (N = 0 or below 1.1e-308), and is refused.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         tau = (
             np.sqrt(2.0 / n_modes)
             * consts.hbar
             * consts.c**2
             / (consts.k_B * temperature * abs(g) * np.abs(delta_x))
         )
+    if np.any(np.isnan(tau)):
+        raise DomainError("tau_dec = sqrt(2/N) hbar c^2 / (k_B T g |dx|) is inf / inf in float64")
     return _scalar_or_array(tau)
 
 
@@ -199,7 +208,9 @@ def hawking_temperature(mass: float, consts: PhysicalConstants) -> float:
 
 def proper_time_lab(delta_x: float, g: float, t: float, consts: PhysicalConstants) -> float:
     """Proper-time difference t*g*dx/c^2 between static arms in a homogeneous field."""
-    return t * g * delta_x / consts.c**2
+    # A product past float64's range is inf; the mode product refuses w * inf by name.
+    with np.errstate(over="ignore"):
+        return t * g * delta_x / consts.c**2
 
 
 def visibility_curve(

@@ -858,6 +858,63 @@ def test_evolve_refuses_a_grid_whose_squared_span_overflows(capsys, tmp_path):
     assert not out.exists() and not snap.exists()
 
 
+@pytest.mark.parametrize("hamiltonian", ["none", "free", "free_plus_linear"])
+@pytest.mark.parametrize("form", ["markovian", "full_memory"])
+def test_evolve_overflow_inside_a_step_is_reported_by_the_finiteness_check_alone(
+        capsys, form, hamiltonian):
+    # lambda (x_i - x_j)^2 t dt overflows though the squared span 1e308 is
+    # finite. The Markovian factor exp(-inf) = 0 is the exact factor's float64
+    # value; the full-memory step's inf and NaN are refused. Either way no raw
+    # numpy warning reaches stderr.
+    mass = [] if hamiltonian == "none" else ["--mass", "1e-25"]
+    code, stdout, err = _run(capsys, "evolve", "--form", form, "--hamiltonian", hamiltonian,
+                             *mass, "--x1", "0", "--x2", "1e154", "--n-points", "2",
+                             "--lambda-coefficient", "1", "--dt", "1", "--t-final", "3")
+    if form == "markovian":
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in stdout.splitlines() if not line.startswith("#")]
+        assert rows[0][-1] == "visibility"
+        assert [float(row[-1]) for row in rows[2:]] == [0.0, 0.0, 0.0]
+    else:
+        assert (code, stdout) == (4, "")
+        assert err == ("gravidec: numerical instability: non-finite density matrix at step 1; "
+                       "reduce dt\n")
+
+
+_EDGE = ["--dx", "1e300", "--t-final", "1e300"]
+_PROPERTIME_OVERFLOW = "proper-time integral overflows float64: a term or their sum is inf"
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["tau", "--N", "1e-320", "--T", "1e300", "--dx", "1e300"],
+     "tau_dec = sqrt(2/N) hbar c^2 / (k_B T g |dx|) is inf / inf in float64"),
+    (["propertime", "--x1", "0", "--x2", "1e300", "--t-final", "1e300"], _PROPERTIME_OVERFLOW),
+    (["propertime", "--x1", "0", "--x2", "1e300", "--t-final", "1e300",
+      "--frequencies-csv", "FREQS", "--T", "300"], _PROPERTIME_OVERFLOW),
+    (["visibility", "--law", "exact-product", "--frequencies-csv", "FREQS", "--T", "300", *_EDGE],
+     "mode phase w*dtau overflows float64: max |dtau| = inf s times max w = 5e+13 rad/s"),
+    (["visibility", "--law", "high-T", "--N", "1e20", "--T", "300", *_EDGE], None),
+    (["visibility", "--law", "gaussian", "--N", "1e20", "--T", "300", *_EDGE], None),
+], ids=["tau-inf-over-inf", "propertime", "propertime-with-state", "visibility-exact-product",
+        "visibility-high-T", "visibility-gaussian"])
+def test_closed_forms_at_the_edge_of_float64_write_their_value_or_refuse_alone(
+        capsys, tmp_path, argv, refusal):
+    # Each wrote NaN or "inf", or was refused, behind a raw numpy warning. A
+    # value is now written only where it is float64's value (V = 0), and a
+    # refusal is the only line on stderr.
+    freqs = tmp_path / "freqs.csv"
+    freqs.write_text("1e13\n2e13\n5e13\n")
+    code, stdout, err = _run(capsys, *(str(freqs) if a == "FREQS" else a for a in argv))
+    if refusal is not None:
+        assert (code, stdout) == (3, "")
+        assert err == f"gravidec: domain error: {refusal}\n"
+    else:
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in stdout.splitlines() if not line.startswith("#")]
+        values = [float(row[1]) for row in rows[1:]]
+        assert values[0] == 1.0 and set(values[1:]) == {0.0} and len(values) == 200
+
+
 def test_csv_rows_are_written_as_they_are_formatted(monkeypatch):
     # each row is formatted only once the rows before it are written, so a
     # long run never holds its whole CSV text in memory

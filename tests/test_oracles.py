@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from gravidec import (
 )
 from gravidec.errors import DomainError
 from gravidec import oracles
-from gravidec.oracles import _PILOT, _SHARD, _mc_coefficients, _mc_worker
+from gravidec.oracles import _PILOT, _SHARD, _mc_coefficients, _mc_shard
 
 CONSTS = default_constants()
 
@@ -69,7 +70,8 @@ def test_mc_is_bit_identical_under_any_shard_schedule(monkeypatch):
 
         def work(shards):
             buffers = [np.empty(_SHARD) for _ in range(6)]
-            _mc_worker(cfg.seed, shards, cfg.n_samples, c_re, c_im, beta, buffers, sums, abs2)
+            for k in shards:
+                sums[k], abs2[k] = _mc_shard(cfg.seed, k, cfg.n_samples, c_re, c_im, beta, buffers)
 
         list(mapper(work, shard_sets))
         return sums, abs2
@@ -121,19 +123,18 @@ def test_mc_shard_sums_match_libm_phase_on_the_same_draws(nbars, phase):
     eps = np.finfo(float).eps
     m, seed = 50_000, 3
     for scale in (1.0, 0.0, 1e-12):
-        sums, abs2 = np.zeros(1, dtype=complex), np.zeros(1)
-        _mc_worker(seed, range(1), m, c_re, scale * c_im, np.zeros(c_re.size, dtype=complex),
-                   [np.empty(m) for _ in range(6)], sums, abs2)
+        total, _ = _mc_shard(seed, 0, m, c_re, scale * c_im, np.zeros(c_re.size, dtype=complex),
+                             [np.empty(m) for _ in range(6)])
         ref, moduli = _libm_shard(seed, m, c_re, scale * c_im)
         if scale == 1.0:
-            assert abs(sums[0].real - ref.real) <= 4.0 * eps * moduli
-            assert abs(sums[0].imag - ref.imag) <= 4.0 * eps * moduli
+            assert abs(total.real - ref.real) <= 4.0 * eps * moduli
+            assert abs(total.imag - ref.imag) <= 4.0 * eps * moduli
         else:
-            assert sums[0] == ref, scale
-        assert sums[0].imag != 0.0 or scale == 0.0
+            assert total == ref, scale
+        assert total.imag != 0.0 or scale == 0.0
 
 
-def _mc_worker_one_draw(seed, shards, n_samples, c_re, c_im, beta, sums, abs2) -> None:
+def _one_draw_shards(seed, shards, n_samples, c_re, c_im, beta, sums, abs2) -> None:
     """The shard kernel with every mode drawn at once into one (modes, m)
     array: the reference the row-by-row kernel must match bit for bit."""
     modes = c_re.size
@@ -181,9 +182,10 @@ def test_row_by_row_draws_give_the_one_draw_kernel_bits(nbars):
     shards = range(3)
     got = np.zeros(3, dtype=complex), np.zeros(3)
     ref = np.zeros(3, dtype=complex), np.zeros(3)
-    _mc_worker(19, shards, n_samples, c_re, c_im, beta, [np.empty(_SHARD) for _ in range(6)],
-               *got)
-    _mc_worker_one_draw(19, shards, n_samples, c_re, c_im, beta, *ref)
+    rows = [np.empty(_SHARD) for _ in range(6)]
+    for k in shards:
+        got[0][k], got[1][k] = _mc_shard(19, k, n_samples, c_re, c_im, beta, rows)
+    _one_draw_shards(19, shards, n_samples, c_re, c_im, beta, *ref)
     assert got[0].tobytes() == ref[0].tobytes()
     assert got[1].tobytes() == ref[1].tobytes()
 
@@ -194,24 +196,24 @@ def test_mc_worker_scratch_is_six_rows_whatever_the_mode_count(monkeypatch, nbar
     # One case alone, then a battery of 1-, 2- and 4-mode cases: every pilot
     # unit and every (case, shard) unit runs on one of at most `workers` sets
     # of six rows of max(_PILOT, min(_SHARD, n_samples)), whatever the case
-    # and mode counts, and each case runs the shards of the main samples its
-    # pilot chose.
+    # and mode counts, each thread on one set that no other thread uses, and
+    # each case runs the shards of the main samples its pilot chose.
     units, pilots = [], []  # hold every row they saw, so no id is reused while recorded
     # a margin no pilot meets, so the main pass draws all n_samples: the
     # 200_001-sample runs then have four units per case
     monkeypatch.setattr(oracles, "_MARGIN", 1e12)
 
-    def recording_worker(seed, shards, n, c_re, c_im, beta, buffers, sums, abs2):
-        units.append((tuple(buffers), [row.shape for row in buffers]))
-        _mc_worker(seed, shards, n, c_re, c_im, beta, buffers, sums, abs2)
+    def recording_shard(seed, shard, n, c_re, c_im, beta, rows):
+        units.append((threading.get_ident(), tuple(rows), [row.shape for row in rows]))
+        return _mc_shard(seed, shard, n, c_re, c_im, beta, rows)
 
     pilot = oracles._mc_pilot
 
-    def recording_pilot(seed, n, c_re, c_im, buffers):
-        pilots.append((tuple(buffers), [row.shape for row in buffers]))
-        return pilot(seed, n, c_re, c_im, buffers)
+    def recording_pilot(seed, n, c_re, c_im, rows):
+        pilots.append((threading.get_ident(), tuple(rows), [row.shape for row in rows]))
+        return pilot(seed, n, c_re, c_im, rows)
 
-    monkeypatch.setattr(oracles, "_mc_worker", recording_worker)
+    monkeypatch.setattr(oracles, "_mc_shard", recording_shard)
     monkeypatch.setattr(oracles, "_mc_pilot", recording_pilot)
     length = max(_PILOT, min(_SHARD, n_samples))
     cfg = OracleConfig(n_samples=n_samples)
@@ -227,11 +229,16 @@ def test_mc_worker_scratch_is_six_rows_whatever_the_mode_count(monkeypatch, nbar
         assert len({len(case.frequencies) for case in cases}) == 3
         assert all(case.n_samples == n_samples for case in cases)
         assert len(units) == (1 + len(cases)) * n_shards and len(pilots) == 1 + len(cases)
-        assert all(shapes == [(length,)] * 6 for _, shapes in units + pilots)
-        row_sets = [tuple(map(id, rows)) for rows, _ in units]
-        pilot_sets = [tuple(map(id, rows)) for rows, _ in pilots]
-        assert len(set(row_sets[:n_shards] + pilot_sets[:1])) <= min(workers, n_shards)
-        assert len(set(row_sets[n_shards:] + pilot_sets[1:])) <= workers
+        assert all(shapes == [(length,)] * 6 for _, _, shapes in units + pilots)
+        calls = ((units[:n_shards] + pilots[:1], min(workers, n_shards)),
+                 (units[n_shards:] + pilots[1:], workers))
+        for records, most in calls:
+            sets_by_thread = {}
+            for thread, rows, _ in records:
+                sets_by_thread.setdefault(thread, set()).add(tuple(map(id, rows)))
+            assert all(len(sets) == 1 for sets in sets_by_thread.values())
+            held = [rows for sets in sets_by_thread.values() for rows in sets]
+            assert len(set(held)) == len(held) <= most
 
 
 def test_single_shard_mc_starts_no_thread_pool():
@@ -585,7 +592,8 @@ def test_battery_raises_when_an_oracle_cannot_qualify(monkeypatch):
     # the sampled envelope, so the tensor oracle can never reach quota
     monkeypatch.setattr(oracles, "TENSOR_MAX_JOINT_DIM", 2)
     # and it refuses before the Monte Carlo pass draws a sample
-    monkeypatch.setattr(oracles, "_mc_worker", lambda *args: pytest.fail("sampled"))
+    monkeypatch.setattr(oracles, "_mc_pilot", lambda *args: pytest.fail("sampled"))
+    monkeypatch.setattr(oracles, "_mc_shard", lambda *args: pytest.fail("sampled"))
     cfg = OracleConfig(n_samples=2, seed=1)
     with pytest.raises(DomainError, match="could not collect"):
         run_oracle_battery(2, cfg, CONSTS)

@@ -13,7 +13,8 @@ The list is:
 * ``oracle-check --preset standard`` at ``--mc-seed 0`` and ``7``, with its
   JSON report written to a file, and ``oracle-check --seed 137 --cases 8
   --samples 200001``: 18 sets, one skipped by Monte Carlo, each of four
-  shards with a short last one;
+  shards with a short last one; and ``oracle-check --cases 1 --samples 64``,
+  whose Monte Carlo pass runs on one worker with no thread pool;
 * ``evolve`` in both forms, for every Hamiltonian kind, at 2 and 64 grid
   points, with snapshots: its CSV prints every coherence with ``repr``, so
   equal files mean equal coherence bits, and the snapshot file is raw bytes;
@@ -29,9 +30,14 @@ The list is:
   ``oracle-check --verbose``, ``oracle-check --format json`` to stdout and
   ``oracle-check --format csv`` (refused), and an ``--output`` (JSON, and CSV
   beside ``--snapshots``) inside a missing directory;
-* three runs at the edge of float64: ``visibility --dtau 1e300`` over the
-  modes of ``modes.csv`` (w dtau overflows), ``tau`` with a timescale past
-  float64's range, and ``evolve`` on a grid whose squared span overflows;
+* runs at the edge of float64: ``visibility --dtau 1e300`` over the modes of
+  ``modes.csv`` (w dtau overflows), ``tau`` with a timescale past float64's
+  range and with one that is inf / inf (N = 1e-320), ``evolve`` on a grid
+  whose squared span overflows, ``evolve`` in both forms and for every
+  Hamiltonian kind where lambda (x_i - x_j)^2 t dt overflows inside a step,
+  ``propertime`` whose integral overflows (alone and with ``modes.csv``), and
+  ``visibility`` curves whose dtau, theta or t / tau_dec overflow (the
+  exact-product, high-T and Gaussian laws);
 * ``--help`` of the program and of every subcommand.
 
 Every invocation starts in a directory that holds only ``modes.csv``, a
@@ -83,6 +89,7 @@ def invocations() -> list[list[str]]:
              for seed in ("0", "7")]
     runs.append(["oracle-check", "--seed", "137", "--cases", "8", "--samples", "200001",
                  "--output", "report.json"])
+    runs.append(["oracle-check", "--cases", "1", "--samples", "64"])
     for form in ("markovian", "full_memory"):
         for kind in ("none", "free", "free_plus_linear"):
             for m in ("2", "64"):
@@ -124,6 +131,20 @@ def invocations() -> list[list[str]]:
     runs.append(["tau", "--N", "1e-300", "--T", "1e-300", "--dx", "9.945e30"])
     runs.append(["evolve", "--x1", "0", "--x2", "1e300", "--n-points", "2",
                  "--lambda-coefficient", "1", "--dt", "1", "--t-final", "3"])
+    for form in ("markovian", "full_memory"):
+        for kind in ("none", "free", "free_plus_linear"):
+            mass = [] if kind == "none" else ["--mass", "1e-25"]
+            runs.append(["evolve", "--form", form, "--hamiltonian", kind, *mass, "--x1", "0",
+                         "--x2", "1e154", "--n-points", "2", "--lambda-coefficient", "1",
+                         "--dt", "1", "--t-final", "3"])
+    runs.append(["tau", "--N", "1e-320", "--T", "1e300", "--dx", "1e300"])
+    edge = ["--x1", "0", "--x2", "1e300", "--t-final", "1e300"]
+    runs += [["propertime", *edge], ["propertime", *edge, "--frequencies-csv", "modes.csv",
+                                     "--T", "300"]]
+    edge = ["--T", "300", "--dx", "1e300", "--t-final", "1e300"]
+    runs += [["visibility", "--law", "exact-product", "--frequencies-csv", "modes.csv", *edge],
+             ["visibility", "--law", "high-T", "--N", "1e20", *edge],
+             ["visibility", "--law", "gaussian", "--N", "1e20", *edge]]
     runs.append(["--help"])
     runs += [[command, "--help"] for command in SUBCOMMANDS]
     return runs
