@@ -41,11 +41,19 @@ With no Hamiltonian each step of either form multiplies rho elementwise by a
 factor that depends only on t, so a whole run is a cumulative product of
 those factors, taken in blocks of bounded size.
 
-Memory: a Strang step runs in one (m, m) work buffer that is allocated once
-per run, and the shared stepping loop writes every snapshot into one
-preallocated (n_snapshots, m, m) store. A Markovian run with a Hamiltonian
-therefore holds the snapshots plus a few m x m arrays, and it makes no
-per-step allocation of size m^2.
+Memory: a Strang step runs in one zeroed (m, m + 1) block that is allocated
+once per run. Its FFT passes work on the first m columns, and its two
+factors (one outer(kin, kin*) in momentum space, one Toeplitz view of a row
+of 2m values in position space) each multiply the whole block once. The
+shared stepping loop writes every snapshot into one preallocated
+(n_snapshots, m, m) store. A Markovian run with a Hamiltonian therefore holds
+the snapshots plus a few m x m arrays, and it makes no per-step allocation of
+size m^2. The Lawson step keeps H's eigenbasis real, so each product with
+the eigenvectors or with X is one real matrix product on the complex
+operand's float view. Both steps reorder the arithmetic of the two-factor
+Strang step and the complex-eigenbasis Lawson step they replaced: on a grid
+near the origin, outputs agree with those within 1e-13 in V and in each
+snapshot entry.
 
 Lambda carries units 1/(m^2 s^2). For N high-temperature modes it is
 N (k_B T g / (hbar c^2))^2; the general kernel is parameterized by the
@@ -367,31 +375,36 @@ def _midpoint_dephasing(cfg: EvolutionConfig, dsq: np.ndarray, steps) -> np.ndar
     return np.exp(-cfg.lambda_coefficient * dsq * t_mid[..., None, None] * cfg.dt)
 
 
-def _kinetic(rho: np.ndarray, kin: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """A rho A+ for the circulant A = ifft diag(kin) fft: four FFT passes,
-    each written into ``out``, which may be ``rho`` itself."""
-    np.fft.fft(rho, axis=0, out=out)
-    np.multiply(kin[:, None], out, out=out)
-    np.fft.ifft(out, axis=0, out=out)
-    np.fft.ifft(out, axis=1, out=out)
-    np.multiply(kin.conj()[None, :], out, out=out)
-    return np.fft.fft(out, axis=1, out=out)
+def _kinetic(rho: np.ndarray, factor: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A rho A+ for the circulant A = ifft diag(kin) fft, written into ``out``.
+
+    ``factor`` is outer(kin, kin*) with a spare column of zeros. The four FFT
+    passes run on the first m columns of ``out``, which ``rho`` may be; the
+    one factor multiplies the whole of ``out``, spare column included.
+    """
+    view = out[:, :rho.shape[0]]
+    np.fft.fft(rho, axis=0, out=view)
+    np.fft.ifft(view, axis=1, out=view)
+    np.multiply(out, factor[:, :out.shape[1]], out=out)
+    np.fft.ifft(view, axis=0, out=view)
+    return np.fft.fft(view, axis=1, out=view)
 
 
 def _hamiltonian_matrix(
     x: np.ndarray, ham: CMHamiltonianSpec, consts: PhysicalConstants
 ) -> np.ndarray | None:
-    """Dense H on the grid (spectral kinetic term, periodic convention)."""
+    """Dense real symmetric H on the grid (spectral kinetic term, periodic convention)."""
     if ham.kind == "none":
         return None
     m = x.size
     dx = float(x[1] - x[0])
     k = 2.0 * math.pi * np.fft.fftfreq(m, d=dx)
     kin_diag = (consts.hbar * k) ** 2 / (2.0 * ham.mass)
-    h = np.fft.ifft(kin_diag[:, None] * np.fft.fft(np.eye(m), axis=0), axis=0)
+    # kin_diag is even in k, so the kinetic matrix is real up to rounding
+    h = np.fft.ifft(kin_diag[:, None] * np.fft.fft(np.eye(m), axis=0), axis=0).real
     if ham.kind == "free_plus_linear":
-        h = h + np.diag(ham.gravitational_weight(consts) * ham.g * x).astype(complex)
-    return 0.5 * (h + h.conj().T)
+        h = h + np.diag(ham.gravitational_weight(consts) * ham.g * x)
+    return 0.5 * (h + h.T)
 
 
 def evolve_markovian(
@@ -408,47 +421,64 @@ def evolve_markovian(
     leading half-step would undo into a full step. With kind="none" every
     step is exact regardless of dt.
 
-    Every step runs in one complex (m, m) work buffer. The four FFT passes
-    write into it, and the kinetic, potential and dephasing factors multiply
-    it in place. -Lambda dsq is formed once per run, and each step's
-    dephasing exponent goes into one real (m, m) buffer. Step 0 only reads
-    rho0.rho; later steps read and overwrite the work buffer.
+    The state is one zeroed complex (m, m + 1) block, allocated once per run:
+    the FFT passes run on its first m columns, and each elementwise factor
+    multiplies the whole contiguous block (the spare column breaks the
+    4 KiB row stride that makes column passes alias in cache at m = 256).
+    A step is fft along axis 0, ifft along axis 1, one momentum-space factor
+    outer(kin, kin*), ifft along axis 0, fft along axis 1, then one
+    position-space factor. On a uniform grid the tilt phase and the
+    dephasing depend on x_j - x_i = (j - i) dx alone, so that factor is a
+    Toeplitz view of one row over the 2m - 1 offsets (and a spare offset of
+    0): one complex exp of 2m values per step. dx is the mean spacing
+    (x[-1] - x[0]) / (m - 1). Reordering the passes and merging the factors
+    changes outputs by rounding only, within 1e-13 of the two-factor step in
+    V and in each snapshot entry on a grid near the origin. Far from it the
+    stored positions are uniform only to about |x| eps, which the dense
+    x_j - x_i of the two-factor step carried and the Toeplitz row does not.
     """
     if ham.kind == "none":
         return _drive(rho0, cfg, "markovian", *_products(rho0, cfg, _midpoint_dephasing))
-    x = rho0.x
-    m = x.size
-    dsq = (x[:, None] - x[None, :]) ** 2
+    m = rho0.x.size
     k = 2.0 * math.pi * np.fft.fftfreq(m, d=rho0.dx)
     half_kin = np.exp(-1j * consts.hbar * k**2 * cfg.dt / (4.0 * ham.mass))
-    full_kin = half_kin**2
-    pot_phase = None  # kind="free" has no potential phase to multiply by
+    half, full = np.zeros((2, m, m + 1), dtype=complex)
+    np.multiply.outer(half_kin, half_kin.conj(), out=half[:, :m])
+    np.multiply.outer(half_kin**2, (half_kin**2).conj(), out=full[:, :m])
+
+    # exponent[m - 1 + d] is the position factor's log at offset d = j - i,
+    # x_j - x_i taken as d times the mean spacing; its imaginary part, the
+    # tilt phase, is the same at every step
+    offsets = np.arange(1 - m, m + 1) * ((rho0.x[-1] - rho0.x[0]) / (m - 1))
+    offsets[-1] = 0.0
+    neg_lam_dsq = -cfg.lambda_coefficient * offsets**2
+    exponent = np.zeros(2 * m, dtype=complex)
     if ham.kind == "free_plus_linear":
-        v = ham.gravitational_weight(consts) * ham.g * x
-        pot_phase = np.exp(-1j * (v[:, None] - v[None, :]) * cfg.dt / consts.hbar)
+        exponent.imag = ham.gravitational_weight(consts) * ham.g * offsets * cfg.dt / consts.hbar
+    toeplitz = np.empty(2 * m, dtype=complex)
+    position = np.lib.stride_tricks.as_strided(toeplitz[m - 1:], (m, m + 1),
+                                               (-toeplitz.itemsize, toeplitz.itemsize),
+                                               writeable=False)
+    block = np.zeros((m, m + 1), dtype=complex)
+    block[:, :m] = rho0.rho
 
-    neg_lam_dsq = -cfg.lambda_coefficient * dsq
-    work = np.empty((m, m), dtype=complex)
-    exponent = np.empty((m, m))
-
-    def advance(rho: np.ndarray, step: int) -> np.ndarray:
-        # rho is rho0.rho at step 0 (only read) and ``work`` itself after it
-        _kinetic(rho, half_kin if step == 0 else full_kin, work)
-        if pot_phase is not None:
-            np.multiply(work, pot_phase, out=work)
-        np.multiply(neg_lam_dsq, (step + 0.5) * cfg.dt, out=exponent)
-        np.multiply(exponent, cfg.dt, out=exponent)
-        np.multiply(work, np.exp(exponent, out=exponent), out=work)
-        return work[None]
+    def advance(state: np.ndarray, step: int) -> np.ndarray:
+        # state is ``block`` itself: every step overwrites it
+        _kinetic(state[:, :m], half if step == 0 else full, state)
+        np.multiply(neg_lam_dsq, (step + 0.5) * cfg.dt, out=exponent.real)
+        np.multiply(exponent.real, cfg.dt, out=exponent.real)
+        np.exp(exponent, out=toeplitz)
+        np.multiply(state, position, out=state)
+        return state[None]
 
     # The tracked pair of A rho A+ from the circulant A's rows, O(m^2).
     i, j = rho0.pair
     col = np.fft.ifft(half_kin)
     row_i = col[(i - np.arange(m)) % m]
-    row_j = col[(j - np.arange(m)) % m].conj()
-    return _drive(rho0, cfg, "markovian", rho0.rho, advance,
+    row_j = np.append(col[(j - np.arange(m)) % m].conj(), 0.0)
+    return _drive(rho0, cfg, "markovian", block, advance,
                   lambda states: row_i @ states @ row_j,
-                  lambda rho, out: _kinetic(rho, half_kin, out))
+                  lambda state, out: _kinetic(state[:, :m], half, out))
 
 
 def _rk4_amplification(cfg: EvolutionConfig, dsq: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -480,6 +510,18 @@ def _kernel_window(omega: np.ndarray):
     return window
 
 
+def _real_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for real a and complex b (last axis contiguous): one real
+    product on b's float view, half the arithmetic of a complex one."""
+    return (a @ b.view(float)).view(complex)
+
+
+def _sandwich(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """a rho a^T for real a, as two real products: (a (a rho)^T)^T, a
+    transposed view."""
+    return _real_times(a, np.ascontiguousarray(_real_times(a, np.ascontiguousarray(rho)).T)).T
+
+
 def evolve_full_memory(
     rho0: DensityMatrixGrid,
     ham: CMHamiltonianSpec,
@@ -499,6 +541,13 @@ def evolve_full_memory(
     anti-Hermitian, [X, W] = X W + (X W)+: one matmul per commutator. With
     kind="none" each step is classic RK4 of -Lambda t [x, [x, rho]], an
     elementwise factor.
+
+    H is real symmetric, so its eigenvectors q and X = q^T x q are real, and
+    every product of them with a complex matrix (both in each commutator, the
+    basis change of rho0, the pair readout and each snapshot) is one real
+    product on the complex operand's float view, half the arithmetic of a
+    complex one. Against complex eigenvectors this changes outputs by
+    rounding only, within 1e-13 in V and in each snapshot entry.
     """
     x = rho0.x
     h = _hamiltonian_matrix(x, ham, consts)
@@ -507,14 +556,13 @@ def evolve_full_memory(
     dt = cfg.dt
     evals, q = np.linalg.eigh(h)
     omega = (evals[:, None] - evals[None, :]) / consts.hbar
-    qh = q.conj().T
-    xq = qh @ (x[:, None] * q)
+    xq = q.T @ (x[:, None] * q)
     half = np.exp(-0.5j * omega * dt)
     kernel_window = _kernel_window(omega)
 
     def dissipator(window: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        c = xq @ rho
-        d = xq @ (window * (c - c.conj().T))
+        c = _real_times(xq, rho)
+        d = _real_times(xq, window * (c - c.conj().T))
         return -cfg.lambda_coefficient * (d + d.conj().T)
 
     window_end = kernel_window(0.0)
@@ -533,9 +581,9 @@ def evolve_full_memory(
                 + (dt / 6.0) * k4)[None]
 
     i, j = rho0.pair
-    return _drive(rho0, cfg, "full_memory", qh @ rho0.rho @ q, advance,
-                  lambda states: q[i] @ states @ q[j].conj(),
-                  lambda rho, out: np.matmul(q @ rho, qh, out=out))
+    return _drive(rho0, cfg, "full_memory", np.ascontiguousarray(_sandwich(q.T, rho0.rho)),
+                  advance, lambda states: _real_times(q[i], states) @ q[j],
+                  lambda rho, out: np.copyto(out, _sandwich(q, rho)))
 
 
 def evolve(

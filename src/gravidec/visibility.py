@@ -126,9 +126,9 @@ def highT_visibility(n_modes, temperature, delta_x, g, t, consts: PhysicalConsta
     broadcast together); scalar inputs give a float.
     """
     _require_nonnegative(n_modes, temperature, t)
-    # theta, or theta^2 in the log modulus, past float64's range is inf and
-    # gives V = 0: V = theta^-N is below the least subnormal float64 there
-    # once N > 2.1 (theta^2 overflows at theta = 1.3e154).
+    # theta past float64's range is inf and gives V = 0 (or 1 at N = 0):
+    # V = theta^-N is below the least subnormal float64 there once N > 1.05.
+    # theta^2 past it is taken as 2 log theta in the log modulus.
     with np.errstate(over="ignore"):
         theta = consts.k_B * temperature * g * delta_x * np.asarray(t, dtype=float) / (
             consts.hbar * consts.c**2
@@ -144,6 +144,9 @@ def gaussian_visibility(n_modes, temperature, delta_x, g, t, consts: PhysicalCon
     """
     _require_nonnegative(n_modes, temperature, t)
     tau = decoherence_time(n_modes, temperature, delta_x, g, consts)
+    if np.any(np.asarray(tau) == 0.0):
+        raise DomainError("tau_dec = sqrt(2/N) hbar c^2 / (k_B T g |dx|) underflows to 0 in "
+                          "float64, so the Gaussian law's t / tau_dec is 0 / 0 at t = 0")
     # t / tau, or its square, past float64's range gives exp(-inf) = 0, V's
     # float64 value: exp(-(t/tau)^2) underflows to 0 once t/tau > 27.3.
     with np.errstate(over="ignore"):

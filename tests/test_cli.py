@@ -915,6 +915,48 @@ def test_closed_forms_at_the_edge_of_float64_write_their_value_or_refuse_alone(
         assert values[0] == 1.0 and set(values[1:]) == {0.0} and len(values) == 200
 
 
+def _visibility_values(stdout: str) -> list[float]:
+    rows = [line.split(",") for line in stdout.splitlines() if not line.startswith("#")]
+    return [float(row[1]) for row in rows[1:]]
+
+
+def test_high_T_law_with_no_modes_is_one_where_theta_overflows(capsys):
+    # theta = inf: -N/2 log1p(theta^2) was 0 * inf, written as nan behind a
+    # raw "invalid value encountered in multiply" warning
+    code, stdout, err = _run(capsys, "visibility", "--law", "high-T", "--N", "0", "--T", "300",
+                             *_EDGE, "--n-times", "3")
+    assert (code, err) == (0, "")
+    assert _visibility_values(stdout) == [1.0, 1.0, 1.0]
+
+
+def test_high_T_law_is_theta_to_the_minus_n_where_theta_squared_overflows(capsys):
+    # theta ~ 2e197: theta^2 overflows, and log1p(inf) wrote V = 0 where
+    # V = (1 + theta^2)^(-1/2) = 1 / theta is a normal float64
+    code, stdout, err = _run(capsys, "visibility", "--law", "high-T", "--N", "1", "--T", "300",
+                             "--dx", "1e100", "--t-final", "1e100", "--n-times", "3")
+    assert (code, err) == (0, "")
+    values = _visibility_values(stdout)
+    rate = CONSTS.k_B * 300.0 * CONSTS.g_earth / (CONSTS.hbar * CONSTS.c**2)  # theta / (dx t)
+    expected = [1.0 / (rate * 1e100 * t) for t in (5e99, 1e100)]
+    assert values[0] == 1.0 and 1e-199 < values[2] < values[1] < 1e-196
+    # V is exp(log V), log V ~ -454, so V keeps about 454 eps of relative error
+    assert all(math.isclose(v, e, rel_tol=1e-12) for v, e in zip(values[1:], expected))
+
+
+def test_gaussian_law_refuses_a_tau_dec_that_underflows_to_zero(capsys, tmp_path):
+    # k_B T g |dx| overflows, so tau_dec = 0 and t / tau_dec is 0 / 0 at t = 0:
+    # raw divide and invalid-value warnings, then a refusal naming V(0)
+    out = tmp_path / "vis.csv"
+    code, stdout, err = _run(capsys, "visibility", "--law", "gaussian", "--N", "1e20",
+                             "--T", "1e300", "--dx", "1e300", "--t-final", "1", "--n-times", "3",
+                             "--output", str(out))
+    assert (code, stdout) == (3, "")
+    assert err == ("gravidec: domain error: tau_dec = sqrt(2/N) hbar c^2 / (k_B T g |dx|) "
+                   "underflows to 0 in float64, so the Gaussian law's t / tau_dec is 0 / 0 "
+                   "at t = 0\n")
+    assert not out.exists()
+
+
 def test_csv_rows_are_written_as_they_are_formatted(monkeypatch):
     # each row is formatted only once the rows before it are written, so a
     # long run never holds its whole CSV text in memory

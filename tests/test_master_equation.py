@@ -477,11 +477,12 @@ def _strang_unmerged(grid, ham, cfg):
     return _track(grid, cfg, step_fn)
 
 
-def _strang_merged_allocating(grid, ham, cfg):
-    """The merged Strang step as it ran before it had one work buffer: a
-    fresh array for every FFT pass and factor, the pair read from a stack of
-    one state, and snapshots collected in a list. The in-place step must
-    reproduce it bit for bit."""
+def _strang_two_factor(grid, ham, cfg):
+    """The merged Strang step of the two-factor form, the pass order and
+    factors the one-block step replaced: per step fft and ifft along axis 0
+    around the kinetic factor of the rows, then ifft and fft along axis 1
+    around that of the columns, then the dense tilt phase and the dense
+    dephasing factor, each a multiply of its own."""
     m = grid.x.size
     half = _kinetic_half(grid, ham, cfg.dt)
     full = half**2
@@ -503,6 +504,85 @@ def _strang_merged_allocating(grid, ham, cfg):
         coherence.append((row_i @ rho[None] @ row_j)[0])
         if (step + 1) % cfg.store_every == 0 or step + 1 == cfg.n_steps:
             snaps.append(_kinetic_alloc(rho, half))
+    return np.array(coherence), np.array(snaps)
+
+
+def _strang_merged_allocating(grid, ham, cfg):
+    """The merged Strang step with a fresh array for every FFT pass and
+    factor: fft along axis 0, ifft along axis 1, the momentum-space factor
+    outer(kin, kin*), ifft along axis 0, fft along axis 1, then the
+    position-space factor built densely from (j - i) times the mean spacing.
+    The pair is read from a stack of one state, and snapshots are collected
+    in a list. The one-block step must reproduce it bit for bit."""
+    m = grid.x.size
+    half = _kinetic_half(grid, ham, cfg.dt)
+    full = half**2
+    outer_half = np.multiply.outer(half, half.conj())
+    outer_full = np.multiply.outer(full, full.conj())
+    spacing = (grid.x[-1] - grid.x[0]) / (m - 1)
+    offset = (np.arange(m)[None, :] - np.arange(m)[:, None]) * spacing
+    tilt = np.zeros((m, m))
+    if ham.kind == "free_plus_linear":
+        tilt = ham.gravitational_weight(CONSTS) * ham.g * offset * cfg.dt / CONSTS.hbar
+    i, j = grid.pair
+    col = np.fft.ifft(half)
+    row_i = col[(i - np.arange(m)) % m]
+    row_j = col[(j - np.arange(m)) % m].conj()
+
+    def kinetic(rho, outer):
+        rho = np.fft.ifft(np.fft.fft(rho, axis=0), axis=1) * outer
+        return np.fft.fft(np.fft.ifft(rho, axis=0), axis=1)
+
+    rho = grid.rho
+    coherence, snaps = [rho[grid.pair]], [rho.copy()]
+    for step in range(cfg.n_steps):
+        exponent = np.empty((m, m), dtype=complex)
+        exponent.real = -cfg.lambda_coefficient * offset**2 * ((step + 0.5) * cfg.dt) * cfg.dt
+        exponent.imag = tilt
+        rho = kinetic(rho, outer_half if step == 0 else outer_full) * np.exp(exponent)
+        coherence.append((row_i @ rho[None] @ row_j)[0])
+        if (step + 1) % cfg.store_every == 0 or step + 1 == cfg.n_steps:
+            snaps.append(kinetic(rho, outer_half))
+    return np.array(coherence), np.array(snaps)
+
+
+def _lawson_complex_eigenbasis(grid, ham, cfg):
+    """Lawson RK4 of the kernel equation in the eigenbasis of a complex
+    Hermitian H: zheevd's eigenvectors, a complex X, and complex matrix
+    products for every product with them, the form the real eigenbasis
+    replaced."""
+    m = grid.x.size
+    k = 2.0 * math.pi * np.fft.fftfreq(m, d=grid.dx)
+    h = np.fft.ifft(((CONSTS.hbar * k) ** 2 / (2.0 * ham.mass))[:, None]
+                    * np.fft.fft(np.eye(m), axis=0), axis=0)
+    if ham.kind == "free_plus_linear":
+        h = h + np.diag(_potential(grid, ham)).astype(complex)
+    evals, q = np.linalg.eigh(0.5 * (h + h.conj().T))
+    omega = (evals[:, None] - evals[None, :]) / CONSTS.hbar
+    qh = q.conj().T
+    xq = qh @ (grid.x[:, None] * q)
+    half = np.exp(-0.5j * omega * cfg.dt)
+    window, lam, dt = _kernel_window(omega), cfg.lambda_coefficient, cfg.dt
+
+    def dissipator(w, rho):
+        c = xq @ rho
+        d = xq @ (w * (c - c.conj().T))
+        return -lam * (d + d.conj().T)
+
+    i, j = grid.pair
+    rho = qh @ grid.rho @ q
+    coherence, snaps = [grid.rho[grid.pair]], [grid.rho.copy()]
+    for step in range(cfg.n_steps):
+        t = step * dt
+        k1 = dissipator(window(t), rho)
+        k2 = dissipator(window(t + 0.5 * dt), half * (rho + 0.5 * dt * k1))
+        k3 = dissipator(window(t + 0.5 * dt), half * rho + 0.5 * dt * k2)
+        k4 = dissipator(window(t + dt), half * (half * rho + dt * k3))
+        rho = (half * (half * (rho + (dt / 6.0) * k1) + (dt / 3.0) * (k2 + k3))
+               + (dt / 6.0) * k4)
+        coherence.append(q[i] @ rho @ q[j].conj())
+        if (step + 1) % cfg.store_every == 0 or step + 1 == cfg.n_steps:
+            snaps.append(q @ rho @ qh)
     return np.array(coherence), np.array(snaps)
 
 
@@ -567,9 +647,9 @@ def _strang_case(m: int, n_steps: int, kind: str, store_every: int, form: str = 
     return grid, ham, cfg
 
 
+@pytest.mark.parametrize("m", [64, 256])
 @pytest.mark.parametrize("kind", ["free", "free_plus_linear"])
-def test_merged_strang_matches_unmerged_half_steps(kind):
-    m = 64
+def test_merged_strang_matches_unmerged_half_steps(kind, m):
     grid, ham, cfg = _strang_case(m, 100, kind, store_every=3)
     result = evolve_markovian(grid, ham, cfg, CONSTS)
     coherence, snaps = _strang_unmerged(grid, ham, cfg)
@@ -589,6 +669,43 @@ def test_in_place_strang_is_bit_identical_to_allocating_step(kind, m):
     # bytes, not array_equal, so that a sign flip of an exact zero shows
     assert result.coherence.tobytes() == coherence.tobytes()
     assert result.snapshots.tobytes() == snaps.tobytes()
+
+
+@pytest.mark.parametrize("form, m, n_steps", [("markovian", 64, 60), ("markovian", 256, 60),
+                                              ("full_memory", 64, 60), ("full_memory", 256, 20)])
+@pytest.mark.parametrize("kind", ["free", "free_plus_linear"])
+def test_evolve_matches_the_two_factor_strang_and_complex_eigenbasis_lawson_steps(
+        kind, form, m, n_steps):
+    # the one-block Strang step and the real-eigenbasis Lawson step reorder
+    # and merge the arithmetic of the forms they replaced: rounding only
+    grid, ham, cfg = _strang_case(m, n_steps, kind, store_every=7, form=form)
+    result = evolve(grid, ham, cfg, CONSTS)
+    reference = _strang_two_factor if form == "markovian" else _lawson_complex_eigenbasis
+    coherence, snaps = reference(grid, ham, cfg)
+    assert result.snapshots.shape == snaps.shape
+    assert np.max(np.abs(2.0 * np.abs(result.coherence) - 2.0 * np.abs(coherence))) <= 1e-13
+    assert np.max(np.abs(result.coherence - coherence)) <= 1e-13
+    assert np.max(np.abs(result.snapshots - snaps)) <= 1e-13
+
+
+@pytest.mark.parametrize("form", ["markovian", "full_memory"])
+def test_evolve_reads_no_uninitialised_memory(form, monkeypatch):
+    # Every buffer np.empty hands out is filled with NaN bytes, so a step that
+    # reads an element it never wrote (the Strang block's spare column, say)
+    # leaves a NaN that the finiteness check refuses or that shows in the bytes.
+    grid, ham, cfg = _strang_case(64, 30, "free_plus_linear", store_every=7, form=form)
+    clean = evolve(grid, ham, cfg, CONSTS)
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.view(np.uint8).fill(0xFF)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    result = evolve(grid, ham, cfg, CONSTS)
+    assert result.coherence.tobytes() == clean.coherence.tobytes()
+    assert result.snapshots.tobytes() == clean.snapshots.tobytes()
 
 
 @pytest.mark.parametrize("form", ["markovian", "full_memory"])

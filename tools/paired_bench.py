@@ -3,7 +3,7 @@
 Usage: python3 tools/paired_bench.py REV --pairs N --seconds S
                                      [--first-seed K] [--workload W ...]
 
-REV is checked out with ``git worktree add`` into a temporary directory. For
+REV is exported with ``git archive`` into a temporary directory. For
 each workload declared in the working tree's ``BENCHMARK.json`` (or each
 ``--workload`` given), N pairs of runs follow. Pair i uses seed K + i on both
 trees; REV runs first in odd pairs (the first, third, ...) and the working
@@ -19,7 +19,7 @@ For each workload and end-to-end metric one line is printed: the median and
 the quartiles of REV's runs and of the working tree's, the relative change
 of the medians, how many pairs the working tree won (by the metric's
 ``better`` direction), and the metric's bound with whether the change of the
-medians stays inside it. The worktree is removed at the end. Exit status: 0
+medians stays inside it. The exported tree is removed at the end. Exit status: 0
 when every run succeeded and read correct, 1 otherwise.
 """
 
@@ -33,6 +33,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from same_bytes import export  # the script's own directory is on sys.path
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -82,8 +84,7 @@ def main(argv: list[str]) -> int:
 
     scratch = Path(tempfile.mkdtemp(prefix="paired-bench-"))
     tree = scratch / "tree"
-    subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach", str(tree),
-                    args.rev], check=True)
+    export(args.rev, tree)
     ok = True
     try:
         lines = []
@@ -117,8 +118,6 @@ def main(argv: list[str]) -> int:
         print("\n".join(lines))
         return 0 if ok else 1
     finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
-                       check=False)
         shutil.rmtree(scratch, ignore_errors=True)
 
 

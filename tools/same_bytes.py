@@ -2,7 +2,7 @@
 
 Usage: python3 tools/same_bytes.py REV
 
-REV is checked out with ``git worktree add`` into a temporary directory. One
+REV is exported with ``git archive`` into a temporary directory. One
 fixed list of CLI invocations then runs on that tree and on the working tree,
 each as ``python -m gravidec.cli`` in a fresh empty directory, with
 ``OPENBLAS_NUM_THREADS=1`` and that tree's ``src`` alone on ``PYTHONPATH``.
@@ -16,8 +16,9 @@ The list is:
   shards with a short last one; and ``oracle-check --cases 1 --samples 64``,
   whose Monte Carlo pass runs on one worker with no thread pool;
 * ``evolve`` in both forms, for every Hamiltonian kind, at 2 and 64 grid
-  points, with snapshots: its CSV prints every coherence with ``repr``, so
-  equal files mean equal coherence bits, and the snapshot file is raw bytes;
+  points, and with the tilt at 256 (the benchmark's largest Strang grid),
+  with snapshots: its CSV prints every coherence with ``repr``, so equal
+  files mean equal coherence bits, and the snapshot file is raw bytes;
 * two runs the CLI refuses because a given flag goes unread: ``evolve`` at 64
   grid points with ``--store-every`` but no ``--snapshots``, and ``tau`` with
   ``--g`` beside ``--central-mass`` inside 10 R_s, whose discarded timescale
@@ -37,7 +38,9 @@ The list is:
   Hamiltonian kind where lambda (x_i - x_j)^2 t dt overflows inside a step,
   ``propertime`` whose integral overflows (alone and with ``modes.csv``), and
   ``visibility`` curves whose dtau, theta or t / tau_dec overflow (the
-  exact-product, high-T and Gaussian laws);
+  exact-product, high-T and Gaussian laws), the high-T law at N = 0 where
+  theta overflows and at N = 1 where only theta^2 does, and the Gaussian law
+  where tau_dec underflows to 0;
 * ``--help`` of the program and of every subcommand.
 
 Every invocation starts in a directory that holds only ``modes.csv``, a
@@ -46,15 +49,19 @@ three-mode frequency table; that input is not compared.
 For each invocation the exit codes, stdout, stderr and every file written are
 compared, and one line is printed: ``identical``, or ``DIFFERS`` with the
 first output that differs and each of its changed runs of lines (``-`` REV,
-``+`` working tree). Each tree's own path is replaced by ``<tree>`` in stdout
-and stderr, so a source path in a warning or traceback does not count as a
-difference. The worktree is removed at the end. Exit status: 0 when every
-invocation is identical, 1 otherwise.
+``+`` working tree). A ``DIFFERS`` line is followed by one line per differing
+output that parses alike on both trees: the largest absolute difference in
+each numeric column of a CSV, in each JSON number (list indices folded into
+``[]``), or in the times and entries of a snapshot file. Each tree's own path
+is replaced by ``<tree>`` in stdout and stderr, so a source path in a warning
+or traceback does not count as a difference. The exported tree is removed at
+the end. Exit status: 0 when every invocation is identical, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import difflib
+import json
 import os
 import re
 import shlex
@@ -63,6 +70,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,7 +101,7 @@ def invocations() -> list[list[str]]:
     runs.append(["oracle-check", "--cases", "1", "--samples", "64"])
     for form in ("markovian", "full_memory"):
         for kind in ("none", "free", "free_plus_linear"):
-            for m in ("2", "64"):
+            for m in ("2", "64", "256")[:3 if kind == "free_plus_linear" else 2]:
                 mass = [] if kind == "none" else ["--mass", "1e-25"]
                 runs.append(["evolve", "--form", form, "--hamiltonian", kind, *mass,
                              "--x1", "0", "--x2", "1e-6", "--n-points", m,
@@ -144,10 +153,23 @@ def invocations() -> list[list[str]]:
     edge = ["--T", "300", "--dx", "1e300", "--t-final", "1e300"]
     runs += [["visibility", "--law", "exact-product", "--frequencies-csv", "modes.csv", *edge],
              ["visibility", "--law", "high-T", "--N", "1e20", *edge],
-             ["visibility", "--law", "gaussian", "--N", "1e20", *edge]]
+             ["visibility", "--law", "gaussian", "--N", "1e20", *edge],
+             ["visibility", "--law", "high-T", "--N", "0", *edge, "--n-times", "3"],
+             ["visibility", "--law", "high-T", "--N", "1", "--T", "300", "--dx", "1e100",
+              "--t-final", "1e100", "--n-times", "3"],
+             ["visibility", "--law", "gaussian", "--N", "1e20", "--T", "1e300", "--dx", "1e300",
+              "--t-final", "1", "--n-times", "3"]]
     runs.append(["--help"])
     runs += [[command, "--help"] for command in SUBCOMMANDS]
     return runs
+
+
+def export(rev: str, tree: Path) -> None:
+    """Write the files of ``rev`` into the new directory ``tree`` (``git archive``)."""
+    tree.mkdir()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
 
 
 def run(tree: Path, args: list[str], workdir: Path) -> dict[str, bytes]:
@@ -191,14 +213,77 @@ def first_difference(old: dict[str, bytes], new: dict[str, bytes]) -> str | None
     return None
 
 
+def _json_numbers(value, path: str = "", found: dict | None = None) -> dict[str, list[float]]:
+    """Every number in a parsed JSON value, keyed by its path with list indices folded."""
+    found = {} if found is None else found
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _json_numbers(item, f"{path}.{key}" if path else key, found)
+    elif isinstance(value, list):
+        for item in value:
+            _json_numbers(item, f"{path}[]", found)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        found.setdefault(path, []).append(float(value))
+    return found
+
+
+def _csv_columns(text: str) -> dict[str, list[float]] | None:
+    """The numeric columns of a CSV after its ``#`` comments, or None if it is not one."""
+    rows = [line.split(",") for line in text.splitlines() if line and not line.startswith("#")]
+    if len(rows) < 2 or any(len(row) != len(rows[0]) for row in rows):
+        return None
+    columns = {}
+    for k, name in enumerate(rows[0]):
+        try:
+            columns[name] = [float(row[k]) for row in rows[1:]]
+        except ValueError:
+            continue
+    return columns
+
+
+def _snapshot_parts(data: bytes) -> dict[str, np.ndarray] | None:
+    """Times and entries of a snapshot file (see ``save_snapshots``), or None."""
+    if data[:8] != b"GDSNAP01" or len(data) < 40:
+        return None
+    n, m = (int(v) for v in np.frombuffer(data[8:24], dtype="<i8"))
+    if len(data) != 40 + n * (8 + 16 * m * m):
+        return None
+    rows = np.frombuffer(data[40:], dtype="<f8").reshape(n, 1 + 2 * m * m)
+    return {"times": rows[:, 0], "entries": rows[:, 1:].view("<c16")}
+
+
+def largest_differences(old: bytes, new: bytes) -> str | None:
+    """Largest |new - old| of each number in one output, if both parse alike."""
+    parts = [_snapshot_parts(old), _snapshot_parts(new)]
+    if None in parts:
+        try:
+            parts = [_json_numbers(json.loads(old)), _json_numbers(json.loads(new))]
+        except ValueError:
+            parts = [_csv_columns(old.decode(errors="replace")),
+                     _csv_columns(new.decode(errors="replace"))]
+    a, b = parts
+    if a is None or b is None or a.keys() != b.keys():
+        return None
+    cells = []
+    for name in a:
+        x, y = np.asarray(a[name]), np.asarray(b[name])
+        if x.shape != y.shape:
+            return None
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(y - x)
+        # equal non-finite values (inf, or nan in both) are no difference
+        gap[(x == y) | (np.isnan(x) & np.isnan(y))] = 0.0
+        cells.append(f"{name or 'value'} {float(gap.max(initial=0.0)):.3g}")
+    return ", ".join(cells)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     scratch = Path(tempfile.mkdtemp(prefix="same-bytes-"))
     tree = scratch / "tree"
-    subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach", str(tree),
-                    argv[0]], check=True)
+    export(argv[0], tree)
     try:
         runs, differing = invocations(), 0
         for k, args in enumerate(runs):
@@ -208,11 +293,14 @@ def main(argv: list[str]) -> int:
             differing += diff is not None
             print(f"identical  gravidec {shlex.join(args)}" if diff is None
                   else f"DIFFERS  gravidec {shlex.join(args)}  {diff}", flush=True)
+            changed = [name for name in old if diff is not None and new.get(name) != old[name]]
+            for name in changed:
+                gaps = largest_differences(old[name], new.get(name, b""))
+                if gaps is not None:
+                    print(f"    max |difference| in {name}: {gaps}", flush=True)
         print(f"{differing} of {len(runs)} invocations differ from {argv[0]}")
         return int(differing > 0)
     finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
-                       check=False)
         shutil.rmtree(scratch, ignore_errors=True)
 
 
