@@ -142,19 +142,24 @@ def _log_mode_product(
     return out.reshape(dtau.shape)
 
 
-def _highT_log_modulus(n_modes, theta):
+def _highT_log_modulus(n_modes, theta, log_theta=None):
     """log |(1 + i theta)^-N| = -N/2 log1p(theta^2) at every theta.
 
     The high-temperature limit of the real part of :func:`_log_mode_product`,
     theta being k_B T dtau / hbar; broadcasts over arrays. Where theta^2
     overflows (|theta| > 1.3e154) log1p(theta^2) is 2 log |theta| to float64
-    precision, so V = |theta|^-N keeps its value down to the least subnormal;
-    and N = 0 gives -0.0 at every theta, theta = inf included.
+    precision, so V = |theta|^-N keeps its value down to the least subnormal.
+    Where theta itself overflows to inf, ``log_theta``, when given, is that
+    log |theta|, formed by the caller from its factors. N = 0 gives -0.0 at
+    every theta, theta = inf included.
     """
     with np.errstate(over="ignore"):
         square = theta * theta
     huge = np.isinf(square)
-    log_1p = np.where(huge, 2.0 * np.log(np.where(huge, np.abs(theta), 1.0)), np.log1p(square))
+    log_abs = np.log(np.where(huge, np.abs(theta), 1.0))
+    if log_theta is not None:
+        log_abs = np.where(np.isinf(theta), log_theta, log_abs)
+    log_1p = np.where(huge, 2.0 * log_abs, np.log1p(square))
     return -0.5 * n_modes * np.where(huge & (n_modes == 0), 0.0, log_1p)
 
 

@@ -16,7 +16,9 @@ Three independent routes to the same number:
   it never factorizes over modes, and it also returns the accumulated
   relative phase (m g dx t / hbar for a cold particle). Its size caps are
   the constants ``TENSOR_MAX_MODES``, ``TENSOR_MAX_CUTOFF`` and
-  ``TENSOR_MAX_JOINT_DIM``.
+  ``TENSOR_MAX_JOINT_DIM``. It builds each joint state's probability and
+  energy by broadcasting over the trailing modes and gathering the leading
+  ones once per row, each product and sum taken mode by mode from the first.
 
 :meth:`OracleCase.estimates` alone pairs each oracle with its field; the
 verdicts, the tally and the ``oracle-check`` report iterate over it.
@@ -33,15 +35,16 @@ stays unbiased for any beta, and no closed form enters here. A pilot of
 2^14 samples per case, from a child seed that no shard uses, fits each
 beta_i and predicts the residual's variance. ``n_samples`` then names a
 precision, that of n_samples plain samples of w, and a ceiling: the main
-pass draws the fewest whole shards (at least one, at most n_samples
-samples) whose predicted standard error, with a factor-2 margin in
-variance, is no larger than that of n_samples plain samples. The
+pass draws the fewest multiples of the pilot's 2^14 samples (at least one,
+at most n_samples samples) whose predicted standard error, with a factor-2
+margin in variance, is no larger than that of n_samples plain samples. The
 reported standard error is that of the samples the main pass drew.
 
 Main sampling is split into fixed-size shards of 2^16 samples, each with
-its own child seed derived from (seed, shard index). A shard draws its
-standard exponentials one mode at a time, in stream order, into one row
-and adds each mode's terms before drawing the next.
+its own child seed derived from (seed, shard index); only a case's last
+shard may be short. A shard draws its standard exponentials one mode at a
+time, in stream order, into one row and adds each mode's terms before
+drawing the next.
 
 The schedule is two ordered maps, run after a battery has drawn all its
 cases (:func:`mc_visibility` is the one-case call of the same maps): one
@@ -110,12 +113,13 @@ class OracleConfig:
 
     ``n_samples`` and ``seed`` drive the Monte Carlo oracle: ``n_samples``
     is the precision of that many plain samples, and the most main samples
-    a case draws (see :func:`mc_visibility`). ``tail_epsilon``
-    is the thermal tail mass each number-state truncation may drop: a mode
-    that needs more quanta than its oracle's cap (``FOCK_MAX_CUTOFF`` or
-    ``TENSOR_MAX_CUTOFF``) is refused with the required cutoff named rather
-    than silently truncated. The caps are module constants, not knobs, and
-    ``oracle-check`` runs at the default ``tail_epsilon``; no flag sets it.
+    a case draws, in steps of 2^14 (see :func:`mc_visibility`).
+    ``tail_epsilon`` is the thermal tail mass each number-state truncation
+    may drop: a mode that needs more quanta than its oracle's cap
+    (``FOCK_MAX_CUTOFF`` or ``TENSOR_MAX_CUTOFF``) is refused with the
+    required cutoff named rather than silently truncated. The caps are
+    module constants, not knobs, and ``oracle-check`` runs at the default
+    ``tail_epsilon``; no flag sets it.
     """
 
     n_samples: int = 200_000
@@ -230,12 +234,13 @@ def _mc_pilot(
     of the weight on its mode's centred draw alone (the modes are drawn
     independently), so a second pass over the same stream, one mode at a
     time, fits it within the six ``rows`` of :func:`_mc_draw`, whatever the
-    mode count. The main pass then draws the fewest whole shards, at least
-    one and at most ``n_samples`` samples, whose predicted variance of the
-    mean, doubled as a margin, is no larger than that of ``n_samples``
-    plain samples; both variances are the pilot's sample variances of the
-    weight and of its control-variate residual. Ufuncs and einsum
-    reductions only, with no BLAS call.
+    mode count. The main pass then draws the fewest multiples of ``_PILOT``
+    samples, at least one and at most ``n_samples`` samples, whose predicted
+    variance of the mean, doubled as a margin, is no larger than that of
+    ``n_samples`` plain samples; both variances are the pilot's sample
+    variances of the weight and of its control-variate residual. The count
+    need not fill whole shards: a case's last shard is then short. Ufuncs
+    and einsum reductions only, with no BLAS call.
     """
     seq = np.random.SeedSequence(seed, spawn_key=(0,))
     w_re, w_im = _mc_draw(seq, _PILOT, c_re, c_im, np.zeros(c_re.size, dtype=complex), rows)
@@ -256,8 +261,7 @@ def _mc_pilot(
     var_plain = np.einsum("i,i->", w_re, w_re) + np.einsum("i,i->", w_im, w_im)
     var_cv = np.einsum("i,i->", r_re, r_re) + np.einsum("i,i->", r_im, r_im)
     need = 1.0 + _MARGIN * var_cv / var_plain * (n_samples - 1) if var_plain > 0 else 1.0
-    shards = min(max(math.ceil(need / _SHARD), 1), math.ceil(n_samples / _SHARD))
-    return beta, min(shards * _SHARD, n_samples)
+    return beta, min(max(math.ceil(need / _PILOT), 1) * _PILOT, n_samples)
 
 
 def _mc_shard(
@@ -358,10 +362,12 @@ def mc_visibility(
     ``cfg.n_samples`` is the precision asked for, that of n_samples plain
     samples of the weight, and the most main samples drawn: a pilot of 2^14
     samples on its own child seed fits beta and predicts the residual's
-    variance, and the main pass draws the fewest whole 2^16-sample shards
+    variance, and the main pass draws the fewest multiples of 2^14 samples
     (at least one, at most n_samples samples) whose predicted standard error,
     with a factor-2 margin in variance, is no larger than that precision.
-    The standard error is that of the samples drawn.
+    They are drawn in 2^16-sample shards, the last one short where the count
+    is not a whole number of shards. The standard error is that of the
+    samples drawn.
 
     This is the one-case call of the Monte Carlo schedule in the module
     docstring, which :func:`run_oracle_battery` runs for all its cases at
@@ -467,23 +473,42 @@ def two_point_unitary_oracle(
     dphi = g * x1 - g * x2
     rate = dphi * t / (consts.hbar * consts.c**2)  # phase per unit energy
 
+    # The trailing modes whose joint block fits in a sixteenth of a shard are
+    # broadcast, so the rows a shard spans overrun it by at most an eighth;
+    # the leading modes are gathered once per row of that block.
+    lead = next(j for j in range(len(dims) + 1) if math.prod(dims[j:]) <= _SHARD >> 4)
+    block = math.prod(dims[lead:])
     acc = 0.0 + 0.0j
     for start in range(0, joint_dim, _SHARD):
-        idx = np.arange(start, min(start + _SHARD, joint_dim))
-        prob = np.ones(idx.size)
-        energy = np.zeros(idx.size)
-        # each mode's level in every joint state of this shard (a spec with no modes has none)
-        levels = np.unravel_index(idx, dims) if dims else ()
-        for i, (p, e) in enumerate(zip(pops, energies)):
-            prob *= p[levels[i]]
-            energy += e[levels[i]]
-        # the levels are views of one (states x modes) block: free it before the phase arrays
-        del levels
+        stop = min(start + _SHARD, joint_dim)
+        first = start // block
+        rows = np.arange(first, -(-stop // block))
+        prob = np.ones(rows.size)
+        energy = np.zeros(rows.size)
+        # each leading mode's level in every row this shard spans (with no leading mode, none)
+        levels = np.unravel_index(rows, dims[:lead]) if lead else ()
+        for i in range(lead):
+            prob *= pops[i][levels[i]]
+            energy += energies[i][levels[i]]
+        # mode by mode, so each state's product and sum still run from its first mode to its last
+        for p, e in zip(pops[lead:], energies[lead:]):
+            prob = prob[..., None] * p
+            energy = energy[..., None] + e
+        lo = start - first * block
+        prob = prob.reshape(-1)[lo:lo + stop - start]
+        energy = energy.reshape(-1)[lo:lo + stop - start]
         # e^{i theta}, theta = -energy * rate: tau = tan(theta/2),
         # 1 + cos theta = 2/(1 + tau^2), sin theta = tau (1 + cos theta).
+        # In place: p cos theta = p ((1 + cos theta) - 1), p sin theta = (p tau)(1 + cos theta).
         tau = np.tan(energy * (-0.5 * rate))
-        one_plus_cos = 2.0 / (1.0 + tau * tau)
-        acc += complex(np.sum(prob * (one_plus_cos - 1.0)), np.sum(prob * tau * one_plus_cos))
+        one_plus_cos = np.multiply(tau, tau)
+        one_plus_cos += 1.0
+        np.divide(2.0, one_plus_cos, out=one_plus_cos)
+        tau *= prob
+        tau *= one_plus_cos  # p sin theta
+        one_plus_cos -= 1.0
+        one_plus_cos *= prob  # p cos theta
+        acc += complex(np.sum(one_plus_cos), np.sum(tau))
 
     # rho_12 of the reduced state is acc/2; report V = 2|rho_12| = |acc|.
     amp = acc * np.exp(-1j * mass * dphi * t / consts.hbar)

@@ -126,14 +126,21 @@ def highT_visibility(n_modes, temperature, delta_x, g, t, consts: PhysicalConsta
     broadcast together); scalar inputs give a float.
     """
     _require_nonnegative(n_modes, temperature, t)
-    # theta past float64's range is inf and gives V = 0 (or 1 at N = 0):
-    # V = theta^-N is below the least subnormal float64 there once N > 1.05.
-    # theta^2 past it is taken as 2 log theta in the log modulus.
+    # theta^2 past float64's range is taken as 2 log theta in the log
+    # modulus; where theta itself overflows, log theta is the sum of its
+    # factors' logs, so V = theta^-N keeps its value down to the least
+    # subnormal float64 (it is nonzero there while N <= 1.05).
     with np.errstate(over="ignore"):
         theta = consts.k_B * temperature * g * delta_x * np.asarray(t, dtype=float) / (
             consts.hbar * consts.c**2
         )
-        return _scalar_or_array(np.exp(_highT_log_modulus(n_modes, theta)))
+        log_theta = None
+        if np.any(np.isinf(theta)):
+            with np.errstate(divide="ignore"):  # a zero factor's entries keep a finite theta
+                log_theta = (math.log(consts.k_B) + np.log(temperature) + np.log(np.abs(g))
+                             + np.log(np.abs(delta_x)) + np.log(t)
+                             - math.log(consts.hbar) - 2.0 * math.log(consts.c))
+        return _scalar_or_array(np.exp(_highT_log_modulus(n_modes, theta, log_theta)))
 
 
 def gaussian_visibility(n_modes, temperature, delta_x, g, t, consts: PhysicalConstants):

@@ -943,6 +943,21 @@ def test_high_T_law_is_theta_to_the_minus_n_where_theta_squared_overflows(capsys
     assert all(math.isclose(v, e, rel_tol=1e-12) for v, e in zip(values[1:], expected))
 
 
+def test_high_T_law_is_theta_to_the_minus_n_where_theta_itself_overflows(capsys):
+    # theta ~ 2e597: theta = inf wrote V = 0 where V = theta^-0.5 ~ 2e-299 is
+    # a float64; log theta is now the sum of its factors' logs
+    code, stdout, err = _run(capsys, "visibility", "--law", "high-T", "--N", "0.5", "--T", "300",
+                             *_EDGE, "--n-times", "3")
+    assert (code, err) == (0, "")
+    values = _visibility_values(stdout)
+    log_rate = math.log(CONSTS.k_B * 300.0 * CONSTS.g_earth / (CONSTS.hbar * CONSTS.c**2))
+    expected = [math.exp(-0.5 * (log_rate + math.log(1e300) + math.log(t)))
+                for t in (5e299, 1e300)]
+    assert values[0] == 1.0 and 1e-300 < values[2] < values[1] < 1e-298
+    # log V ~ -687, so V keeps about 687 eps of relative error
+    assert all(math.isclose(v, e, rel_tol=1e-12) for v, e in zip(values[1:], expected))
+
+
 def test_gaussian_law_refuses_a_tau_dec_that_underflows_to_zero(capsys, tmp_path):
     # k_B T g |dx| overflows, so tau_dec = 0 and t / tau_dec is 0 / 0 at t = 0:
     # raw divide and invalid-value warnings, then a refusal naming V(0)

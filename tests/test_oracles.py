@@ -317,15 +317,37 @@ def test_standard_preset_is_as_precise_as_plain_sampling_from_a_quarter_of_the_s
     # oracle-check --preset standard: 50 sets per oracle, 10^6 samples. Each
     # MC-valid case's se is no larger than n_samples plain samples give, and
     # the main passes draw at most a quarter of the 10^6 per case that plain
-    # sampling drew.
+    # sampling drew; in steps of the pilot's size, about a tenth (6.82e6 and
+    # 6.88e6 of the 7e7 at seeds 0 and 7).
     cfg = OracleConfig(n_samples=1_000_000, seed=mc_seed)
     cases = [case for case in run_oracle_battery(50, cfg, CONSTS) if case.v_mc is not None]
     assert len(cases) == 70
     for case in cases:
         assert case.se_mc <= _plain_se(case, cfg.n_samples), case
         assert 2 <= case.n_samples <= cfg.n_samples
-        assert case.n_samples % _SHARD == 0 or case.n_samples == cfg.n_samples
+        assert case.n_samples % _PILOT == 0 or case.n_samples == cfg.n_samples
     assert sum(case.n_samples for case in cases) <= 0.25 * len(cases) * cfg.n_samples
+    assert sum(case.n_samples for case in cases) <= 7.0e6
+
+
+@pytest.mark.parametrize("n_samples", [2, 1000, _PILOT - 1, _PILOT, _PILOT + 1, 100_000,
+                                       1_000_000, 10**9])
+def test_mc_pilot_draws_whole_pilot_steps_up_to_n_samples(n_samples):
+    # the main pass draws a multiple of _PILOT in [_PILOT, n_samples], or
+    # n_samples itself when that is fewer
+    drawn = set()
+    for nbars, phase in (((0.5,), 0.2), ((1.0, 0.3, 2.0), 0.5), ((0.01,) * 4, 0.05)):
+        spec = _spec(nbars)
+        c_re, c_im = _mc_coefficients(spec, phase / max(spec.frequencies), CONSTS)
+        for seed in range(3):
+            n_main = _mc_pilot(seed, n_samples, c_re, c_im)[1]
+            assert n_main == n_samples or (n_main % _PILOT == 0
+                                           and _PILOT <= n_main < n_samples), (nbars, seed)
+            drawn.add(n_main)
+    if n_samples <= _PILOT:
+        assert drawn == {n_samples}
+    if n_samples >= 1_000_000:  # past the first step, and not in whole shards only
+        assert any(n % _SHARD for n in drawn) and max(drawn) > _PILOT
 
 
 def test_mc_agrees_with_product_law():
@@ -448,6 +470,65 @@ def test_tensor_matches_product_law_without_factorizing():
         spec, 0.0, -dtau * CONSTS.c**2, 1.0, 1.0, OracleConfig(), CONSTS
     )
     assert abs(v_tensor - v_exact) < 1e-6
+
+
+def _gathered_joint_spectrum(spec, x1, x2, t, g, mass):
+    """The joint-spectrum oracle as one gather per state and mode: each joint
+    state's levels by np.unravel_index, its probability and energy built mode
+    by mode from the left, and each 2^16-state shard summed in turn."""
+    pops, energies = [], []
+    for w in spec.frequencies:
+        q = oracles._boltzmann_q(w, spec.temperature, CONSTS)
+        p, _ = oracles._thermal_populations(q, OracleConfig(), oracles.TENSOR_MAX_CUTOFF)
+        pops.append(p)
+        energies.append(CONSTS.hbar * w * np.arange(p.size))
+    dims = [p.size for p in pops]
+    joint_dim = math.prod(dims)
+    dphi = g * x1 - g * x2
+    rate = dphi * t / (CONSTS.hbar * CONSTS.c**2)
+    acc = 0.0 + 0.0j
+    for start in range(0, joint_dim, _SHARD):
+        idx = np.arange(start, min(start + _SHARD, joint_dim))
+        prob = np.ones(idx.size)
+        energy = np.zeros(idx.size)
+        levels = np.unravel_index(idx, dims) if dims else ()
+        for i, (p, e) in enumerate(zip(pops, energies)):
+            prob *= p[levels[i]]
+            energy += e[levels[i]]
+        tau = np.tan(energy * (-0.5 * rate))
+        one_plus_cos = 2.0 / (1.0 + tau * tau)
+        acc += complex(np.sum(prob * (one_plus_cos - 1.0)), np.sum(prob * tau * one_plus_cos))
+    amp = acc * np.exp(-1j * mass * dphi * t / CONSTS.hbar)
+    return abs(amp), float(np.angle(amp)), dims
+
+
+def _spec_with_dims(dims, temperature: float = 300.0) -> InternalStateSpec:
+    """A spec whose modes truncate at the given number-state counts: a mode
+    with Boltzmann factor q = tail_epsilon^(1 / (d - 1/2)) keeps d states."""
+    eps = OracleConfig().tail_epsilon
+    kt_over_h = CONSTS.k_B * temperature / CONSTS.hbar
+    return InternalStateSpec.from_frequencies(
+        tuple(-math.log(eps) / (d - 0.5) * kt_over_h for d in dims), temperature)
+
+
+@pytest.mark.parametrize("dims", [
+    (),  # no modes: one joint state
+    (40,),  # one mode
+    (5, 34, 38, 27),  # 174420 states: the last shard is short
+    (34, 26, 63, 43),  # two leading modes gathered per row
+    (16, 64, 64),  # exactly one shard
+    (33, 45, 50),  # 74250 states, a short second shard
+])
+def test_tensor_broadcast_matches_one_gather_per_state_bit_for_bit(dims):
+    spec = _spec_with_dims(dims)
+    dtau = 0.7 / max(spec.frequencies, default=1e13)
+    for mass in (0.0, 1e-36):
+        args = (0.0, -dtau * CONSTS.c**2, 1.0, 1.0)
+        *ref, ref_dims = _gathered_joint_spectrum(spec, *args, mass)
+        assert ref_dims == list(dims)
+        got = two_point_unitary_oracle(spec, *args, OracleConfig(), CONSTS, mass=mass)
+        assert got == tuple(ref), (dims, mass)
+        assert 0.0 < got[0] <= 1.0 and (not dims or got[1] != 0.0)
 
 
 def _large_phase_cases():

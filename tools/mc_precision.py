@@ -4,15 +4,15 @@ Usage: python3 tools/mc_precision.py [--mc-seed K]
 
 Runs ``oracle-check --preset standard --mc-seed K`` (default 0) in-process
 from this tree's ``src``, with its JSON report written to a temporary file.
-For each case that Monte Carlo sampled it prints one line: the main shards of
-2^16 samples it drew, the ratio of its reported ``se_mc`` to the standard
-error of the preset's plain samples, and z = (v_mc - v_exact) / se_mc. The
+For each case that Monte Carlo sampled it prints one line: the main samples
+it drew, the ratio of its reported ``se_mc`` to the standard error of the
+preset's plain samples, and z = (v_mc - v_exact) / se_mc. The
 plain standard error is the closed form sqrt((E|w|^2 - V^2) / (n - 1)), with
 E|w|^2 = prod 1 / (1 + 2 nbar (1 - cos d)) and V = prod |1 / (1 + nbar
 (1 - e^{-i d}))|. It is computed here, so the oracle module stays free of
-closed forms. A last line gives the case count, the total shards against
-the cases times ceil(n / 2^16) that plain sampling drew, the largest ratio,
-and the sum of z^2. Exit status: 0 when every ratio is at most 1, 1
+closed forms. A last line gives the case count, the total main samples
+drawn against the cases times n that plain sampling drew, the largest
+ratio, and the sum of z^2. Exit status: 0 when every ratio is at most 1, 1
 otherwise.
 """
 
@@ -33,8 +33,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from gravidec.cli import main as gravidec_main  # noqa: E402
-
-SHARD = 1 << 16
 
 
 def plain_se(case: dict, consts: dict, n: int) -> float:
@@ -60,16 +58,15 @@ def main(argv: list[str]) -> int:
             report = json.load(fh)
     n = report["parameters"]["samples"]
     rows = [case for case in report["cases"] if case["v_mc"] is not None]
-    shards, ratios, sum_z2 = 0, [], 0.0
-    print("case  shards  se/plain_se       z")
+    drawn, ratios, sum_z2 = 0, [], 0.0
+    print("case    samples  se/plain_se       z")
     for case in rows:
-        k = math.ceil(case["n_samples"] / SHARD)
         ratio = case["se_mc"] / plain_se(case, report["constants"], n)
         z = (case["v_mc"] - case["v_exact"]) / case["se_mc"]
-        shards, sum_z2 = shards + k, sum_z2 + z * z
+        drawn, sum_z2 = drawn + case["n_samples"], sum_z2 + z * z
         ratios.append(ratio)
-        print(f"{case['index']:4d}  {k:6d}  {ratio:11.4f}  {z:+7.3f}")
-    print(f"{len(rows)} cases: {shards} shards (plain: {len(rows) * math.ceil(n / SHARD)}), "
+        print(f"{case['index']:4d}  {case['n_samples']:9d}  {ratio:11.4f}  {z:+7.3f}")
+    print(f"{len(rows)} cases: {drawn} samples drawn (plain: {len(rows) * n}), "
           f"largest se/plain_se {max(ratios):.4f}, sum z^2 {sum_z2:.2f}")
     return int(max(ratios) > 1.0)
 
