@@ -36,7 +36,8 @@ held in memory. A refused run writes nothing: its refusal comes before the
 first write, ``evolve --snapshots`` included. Exit
 codes: 0 success, 1 oracle disagreement, 2 configuration error (a path that
 cannot be read or written included), 3 domain error (a malformed or
-non-finite input table included), 4 numerical instability. A warning from
+non-finite input table included), 4 numerical instability, 141 stdout closed
+by its reader (say ``head``) before the output was written. A warning from
 the library, such as the weak-field caveat inside 10 R_s, is one
 ``gravidec: warning: ...`` line on stderr; a run refused with exit code 2
 prints its refusal alone.
@@ -48,6 +49,8 @@ import argparse
 import contextlib
 import json
 import math
+import os
+import re
 import sys
 import warnings
 from collections import namedtuple
@@ -200,6 +203,11 @@ _COMMANDS: dict[str, tuple[str, str | None, tuple]] = {
     )),
 }
 
+#: A negative number, scientific notation included, is a flag's value and not
+#: an option. argparse's own pattern, which Python 3.11 has, takes -1 and -0.5
+#: but reads -1e-3 as an unknown option.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
 #: JSON types a config value may have, per row type, and how to name them.
 _JSON_TYPES = {
     float: ((int, float), "a number"),
@@ -218,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, _, rows) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for name, kind, _, text in rows:
             flags = ["--" + name.replace("_", "-")]
             if name in _ALIASES:
@@ -402,17 +411,18 @@ def _g(params: dict, consts: PhysicalConstants) -> float:
     return consts.g_earth if params["g"] is None else params["g"]
 
 
-def _internal_spec(params: dict) -> InternalStateSpec | None:
-    """The internal state from ``frequencies_csv``, else from ``n_modes``, else None."""
+def _internal_spec(params: dict) -> InternalStateSpec:
+    """The internal state from ``frequencies_csv``, else from ``n_modes``.
+
+    Only ``visibility --dtau`` reaches it with neither given, and is refused.
+    """
     if params["frequencies_csv"] is not None:
         return InternalStateSpec.from_frequency_csv(
             params["frequencies_csv"], params["temperature"]
         )
-    if params["n_modes"] is not None:
-        return InternalStateSpec.high_temperature_limit(
-            params["n_modes"], params["temperature"]
-        )
-    return None
+    if params["n_modes"] is None:
+        raise ConfigError("--dtau needs --n-modes or --frequencies-csv")
+    return InternalStateSpec.high_temperature_limit(params["n_modes"], params["temperature"])
 
 
 def _cmd_tau(params: dict, consts: PhysicalConstants) -> _Record:
@@ -452,10 +462,7 @@ def _cmd_tau(params: dict, consts: PhysicalConstants) -> _Record:
 def _cmd_visibility(params: dict, consts: PhysicalConstants) -> _Record:
     if params["dtau"] is not None:
         # Single-point mode: visibility at one proper-time difference.
-        spec = _internal_spec(params)
-        if spec is None:
-            raise ConfigError("--dtau needs --n-modes or --frequencies-csv")
-        value = semiclassical_visibility(spec, params["dtau"], consts)
+        value = semiclassical_visibility(_internal_spec(params), params["dtau"], consts)
         return _Record({"law": "semiclassical"}, {"delta_tau": params["dtau"], "visibility": value},
                        ["delta_tau", "visibility", "law"],
                        [[params["dtau"], value, "semiclassical"]])
@@ -701,6 +708,17 @@ def main(argv=None) -> int:
                 warnings.showwarning(w.message, w.category, w.filename, w.lineno)
 
 
+#: The exit code and stderr label of each error a run may end in.
+_FAILURES = {
+    ConfigError: (2, "configuration error"),
+    # an input that cannot be read or an --output that cannot be written;
+    # str(exc) names the path: numpy's FileNotFoundError carries no .filename
+    OSError: (2, "configuration error: cannot access"),
+    DomainError: (3, "domain error"),
+    NumericalInstabilityError: (4, "numerical instability"),
+}
+
+
 def _run(args: argparse.Namespace) -> int:
     """Run the parsed subcommand, write what it returns, and map each error class to its exit code.
 
@@ -720,22 +738,18 @@ def _run(args: argparse.Namespace) -> int:
             sys.stdout.write("\n".join(record.lines) + "\n")
         if fmt is not None:
             _write(fmt, args.output, meta, record)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return record.code
-    except ConfigError as exc:
-        print(f"gravidec: configuration error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:  # stdout closed by a reader such as head: not a path error
-        raise
-    except OSError as exc:  # an input that cannot be read or an --output that cannot be written
-        # str(exc) names the path: numpy's FileNotFoundError carries no .filename
-        print(f"gravidec: configuration error: cannot access: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"gravidec: domain error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalInstabilityError as exc:
-        print(f"gravidec: numerical instability: {exc}", file=sys.stderr)
-        return 4
+    except BrokenPipeError:  # a reader such as head closed stdout: not a path error
+        # the exit flushes stdout again; it goes to devnull, where it cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    except tuple(_FAILURES) as exc:
+        code, label = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
+        print(f"gravidec: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

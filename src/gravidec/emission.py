@@ -64,8 +64,6 @@ def blackbody_spectral_density(
     temperature: float, consts: PhysicalConstants
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Thermal photon-number spectrum (k^2/pi^2) / (exp(hbar c k / k_B T) - 1)."""
-    if temperature <= 0:
-        raise DomainError("temperature must be > 0")
 
     def g(k: np.ndarray) -> np.ndarray:
         k = np.asarray(k, dtype=float)
@@ -78,12 +76,18 @@ def blackbody_spectral_density(
 def power_law_cross_section(
     sigma0: float, k0: float, alpha: float
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """sigma(k) = sigma0 * (k/k0)^alpha."""
+    """sigma(k) = sigma0 * (k/k0)^alpha; a value past float64's range is refused by name."""
     if sigma0 < 0 or k0 <= 0:
         raise DomainError("need sigma0 >= 0 and k0 > 0")
 
     def sigma(k: np.ndarray) -> np.ndarray:
-        return sigma0 * (np.asarray(k, dtype=float) / k0) ** alpha
+        k = np.asarray(k, dtype=float)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+            value = sigma0 * (k / k0) ** alpha
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"cross-section {sigma0:g} (k / {k0:g})^{alpha:g} overflows "
+                              f"float64 at k = {k[~np.isfinite(value)][0]:.6g} 1/m")
+        return value
 
     return sigma
 
@@ -97,9 +101,20 @@ def blackbody_emission_model(
 
     The grid is ``BLACKBODY_K_POINTS`` geometrically spaced wavenumbers
     covering hbar c k / k_B T from 1e-3 to 40, which holds the whole
-    integrand for any cross-section of sub-exponential growth.
+    integrand for any cross-section of sub-exponential growth. A temperature
+    whose grid leaves float64's range, where hbar c k is subnormal or k^2
+    overflows, is refused by name.
     """
+    if temperature <= 0:
+        raise DomainError("temperature must be > 0")
     k_thermal = consts.k_B * temperature / (consts.hbar * consts.c)
+    if not (1e-3 * consts.k_B * temperature >= np.finfo(float).tiny
+            and 40.0 * k_thermal < math.sqrt(np.finfo(float).max)):
+        raise DomainError(
+            f"temperature {temperature:.6g} K is outside the blackbody stand-in's float64 range: "
+            "on its wavenumbers, 1e-3 to 40 times k_B T / (hbar c), hbar c k is subnormal or "
+            "k^2 overflows"
+        )
     k_grid = np.geomspace(1e-3 * k_thermal, 40.0 * k_thermal, BLACKBODY_K_POINTS)
     return EmissionModel(
         spectral_density=blackbody_spectral_density(temperature, consts),
@@ -129,13 +144,22 @@ def emission_model_from_csv(path: str) -> EmissionModel:
 
 
 def emission_rate_integral(model: EmissionModel, consts: PhysicalConstants) -> float:
-    """Trapezoid integral int dk k^2 c g(k) sigma(k) over the model's grid."""
+    """Trapezoid integral int dk k^2 c g(k) sigma(k) over the model's grid.
+
+    A negative or non-finite g or sigma is the model's fault; an integrand or
+    integral past float64's range from finite ones is refused as an overflow.
+    """
     k = model.k_grid
-    f = k**2 * consts.c * model.spectral_density(k) * model.cross_section(k)
-    if not 0 <= f.min() <= f.max() < np.inf:  # a NaN makes the min NaN
+    g, sigma = model.spectral_density(k), model.cross_section(k)
+    if not (0 <= g.min() <= g.max() < np.inf and 0 <= sigma.min() <= sigma.max() < np.inf):
         raise DomainError(f"emission model {model.label!r}: integrand negative or not finite")
-    dk = np.diff(k)
-    return float(0.5 * np.sum((f[1:] + f[:-1]) * dk))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0 = NaN, refused below
+        f = k**2 * consts.c * g * sigma
+        total = float(0.5 * np.sum((f[1:] + f[:-1]) * np.diff(k)))
+    if not total < math.inf:
+        raise DomainError(f"emission model {model.label!r}: the integrand k^2 c g sigma or its "
+                          "integral overflows float64")
+    return total
 
 
 def compare_timescales(tau_dec, tau_em):
@@ -146,8 +170,8 @@ def compare_timescales(tau_dec, tau_em):
     "time_dilation", "emission" or "boundary" per element.
     """
     tau_dec, tau_em = np.asarray(tau_dec, dtype=float), np.asarray(tau_em, dtype=float)
-    if np.any(tau_dec < 0) or np.any(tau_em < 0):
-        raise DomainError("timescales must be >= 0")
+    if not (np.all(tau_dec >= 0) and np.all(tau_em >= 0)):  # NaN fails too
+        raise DomainError("timescales must be >= 0 and not NaN")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN; the equality catches inf == inf
         tie = (tau_dec == tau_em) | (
             np.abs(tau_dec - tau_em) <= BOUNDARY_RTOL * np.minimum(tau_dec, tau_em)
@@ -209,7 +233,12 @@ def regime_scan(
             raise DomainError("radius axis needs mode_density and a fixed delta_x")
         if np.any(axis1 <= 0) or mode_density <= 0:
             raise DomainError("radius and mode_density must be > 0")
-        n_of = (4.0 / 3.0 * math.pi * axis1**3 * mode_density)[:, None]
+        with np.errstate(over="ignore"):
+            n_of = (4.0 / 3.0 * math.pi * axis1**3 * mode_density)[:, None]
+        if np.any(np.isinf(n_of)):
+            radius = float(axis1[np.isinf(n_of[:, 0])][0])
+            raise DomainError(f"radius {radius:.6g} m: r^3, or the mode count (4/3) pi r^3 "
+                              "mode_density, overflows float64")
         dx_of = np.full((axis1.size, 1), float(delta_x))
     elif axis1_kind == "delta_x":
         if n_modes is None:
@@ -223,8 +252,12 @@ def regime_scan(
         [emission_rate_integral(model_factory(float(temp)), consts) for temp in temperatures]
     )
     tau_d = decoherence_time(n_of, temperatures, dx_of, g, consts)
-    with np.errstate(divide="ignore"):  # a zero dx^2 I divides to +inf
-        tau_e = 1.0 / (dx_of**2 * integrals)
+    # 1 / (dx^2 I) from the mantissas and exponents of dx and I, so that no
+    # product leaves float64's range before the quotient does. In the normal
+    # range these are the plain quotient's bits; a zero dx or I gives +inf.
+    (m_dx, e_dx), (m_i, e_i) = np.frexp(dx_of), np.frexp(integrals)
+    with np.errstate(divide="ignore", over="ignore"):
+        tau_e = np.ldexp(1.0 / (m_dx * m_dx * m_i), -(2 * e_dx + e_i))
     return RegimeMap(
         axis1_kind=axis1_kind,
         axis1=axis1,

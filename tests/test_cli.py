@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1038,3 +1039,136 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "gravidec" in capsys.readouterr().out
+
+
+_REGIME_EDGE = ["regime", "--axis1", "delta-x", "--axis1-min", "1e-6", "--axis1-max", "1e300",
+                "--n-axis1", "3", "--t-min", "100", "--t-max", "600", "--n-temps", "2",
+                "--n-modes", "1e23", "--k0", "1e7"]
+
+
+def _regime_rows(stdout: str) -> list[list[str]]:
+    return [line.split(",") for line in stdout.splitlines() if not line.startswith("#")][1:]
+
+
+def test_regime_with_no_emission_is_time_dilation_past_float64(capsys):
+    # dx^2 overflowed and times I = 0 gave tau_em = nan, flagged emission,
+    # behind raw overflow and invalid-value warnings
+    code, stdout, err = _run(capsys, *_REGIME_EDGE, "--sigma0", "0")
+    assert (code, err) == (0, "")
+    rows = _regime_rows(stdout)
+    assert len(rows) == 6
+    assert all(row[3] == "inf" and row[4] == "time_dilation" for row in rows)
+
+
+def test_regime_tau_em_is_its_float64_value_where_dx_squared_overflows(capsys):
+    code, stdout, err = _run(capsys, *_REGIME_EDGE, "--sigma0", "3e-22")
+    assert (code, err) == (0, "")
+    sigma = gravidec.power_law_cross_section(3e-22, 1e7, 0.0)
+    for dx, temp, _, tau_em, flag in _regime_rows(stdout):
+        rate = gravidec.emission_rate_integral(
+            gravidec.blackbody_emission_model(float(temp), sigma, CONSTS), CONSTS)
+        exact = float(1 / (Fraction(float(dx)) ** 2 * Fraction(rate)))  # correctly rounded
+        # a few eps, or one unit of the last place where tau_em is subnormal
+        assert math.isclose(float(tau_em), exact, rel_tol=4 * np.finfo(float).eps,
+                            abs_tol=np.finfo(float).smallest_subnormal)
+    assert (tau_em, flag) == ("0.0", "emission")  # 1 / (1e600 I) is below the least subnormal
+
+
+_SEPARATIONS = ["--axis1", "delta-x", "--axis1-min", "1e-6", "--axis1-max", "1e-2",
+                "--n-modes", "1e23", "--k0", "1e7"]
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["--axis1", "radius", "--axis1-min", "1e-6", "--axis1-max", "1e200", "--mode-density",
+      "1e28", "--delta-x", "1e-3", "--t-min", "100", "--t-max", "600", "--k0", "1e7"],
+     "radius 1e+97 m: r^3, or the mode count (4/3) pi r^3 mode_density, overflows float64"),
+    ([*_SEPARATIONS, "--t-min", "100", "--t-max", "1e300"],
+     "temperature 1e+300 K is outside the blackbody stand-in's float64 range: on its "
+     "wavenumbers, 1e-3 to 40 times k_B T / (hbar c), hbar c k is subnormal or k^2 overflows"),
+    ([*_SEPARATIONS, "--t-min", "1e-300", "--t-max", "600"],
+     "temperature 1e-300 K is outside the blackbody stand-in's float64 range: on its "
+     "wavenumbers, 1e-3 to 40 times k_B T / (hbar c), hbar c k is subnormal or k^2 overflows"),
+    ([*_SEPARATIONS, "--t-min", "100", "--t-max", "1e100"],
+     "emission model 'blackbody-standin': the integrand k^2 c g sigma or its integral "
+     "overflows float64"),
+    ([*_SEPARATIONS[:-2], "--k0", "1e-300", "--alpha", "2", "--t-min", "100", "--t-max", "600"],
+     "cross-section 3e-22 (k / 1e-300)^2 overflows float64 at k = 43.6703 1/m"),
+], ids=["radius-cubed", "t-max", "t-min", "integrand", "cross-section"])
+def test_regime_refuses_a_grid_past_float64_by_name(capsys, tmp_path, argv, refusal):
+    # each printed raw numpy warnings, and the temperatures then blamed the model
+    out = tmp_path / "regime.csv"
+    code, stdout, err = _run(capsys, "regime", *argv, "--n-axis1", "3", "--n-temps", "2",
+                             "--sigma0", "3e-22", "--output", str(out))
+    assert (code, stdout, err) == (3, "", f"gravidec: domain error: {refusal}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-1.e-3", "-.1e-2", "-0.001"])
+def test_negative_numbers_in_scientific_notation_are_flag_values(value):
+    args = cli.build_parser().parse_args(["evolve", "--x1", value, "--x2", "1", "--dt", "1",
+                                          "--t-final", "1"])
+    assert args.x1 == -1e-3
+
+
+def test_a_negative_value_gives_the_same_bytes_as_a_flag_or_a_config_key(capsys, tmp_path):
+    # argparse read --x1 -1e-3 as an unknown option and exited 2
+    argv = ["evolve", "--x2", "1e-3", "--N", "1e23", "--T", "300", "--dt", "1e-8",
+            "--t-final", "1e-7"]
+    config = tmp_path / "x1.json"
+    config.write_text('{"x1": -1e-3}\n')
+    outputs = []
+    for given in (["--x1", "-1e-3"], ["--x1=-1e-3"], ["--config", str(config)]):
+        out = tmp_path / f"run{len(outputs)}.csv"
+        assert main(argv + given + ["--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert capsys.readouterr().err == ""
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_a_closed_stdout_ends_with_141_and_no_traceback():
+    # the BrokenPipeError was re-raised: a traceback and exit 1, the code of
+    # an oracle disagreement
+    src = str(Path(gravidec.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gravidec.cli", "visibility", "--law", "high-T", "--N", "1e23",
+         "--T", "300", "--dx", "1e-3", "--t-final", "2e-6", "--n-times", "200000"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
+    assert first == b'# command = "visibility"\n'
+
+
+def test_propertime_in_the_schwarzschild_potential(capsys):
+    code, stdout, err = _run(capsys, "propertime", "--potential", "schwarzschild",
+                             "--central-mass", "5.972e24", "--x1", "6.4e6", "--x2", "6400001",
+                             "--t-final", "1")
+    assert (code, err) == (0, "")
+    results = json.loads(stdout)["results"]
+    # dtau = t GM (1/x_a - 1/x_b) / c^2, with the difference taken exactly
+    gm = CONSTS.G * 5.972e24
+    expected = gm * (6400001 - 6.4e6) / (6.4e6 * 6400001) / CONSTS.c**2
+    # phi(x_b) - phi(x_a) cancels: it keeps about eps R / d of relative accuracy
+    tol = 8.0 * np.finfo(float).eps * 6.4e6 / 1.0
+    assert results["potential"] == "schwarzschild"
+    assert math.isclose(results["delta_tau"], expected, rel_tol=tol)
+
+
+def test_a_closed_stdout_ends_the_run_in_process_too(capsys, monkeypatch, tmp_path):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["tau", "--N", "1e23", "--T", "300", "--dx", "1e-3"]) == 141
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""

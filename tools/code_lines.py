@@ -7,6 +7,9 @@ string spans count when that string is not a docstring.
 
 Usage: python3 tools/code_lines.py [PATH]   (PATH: a file or a directory,
 default src/gravidec; directories are searched for *.py recursively)
+
+Beside the total it prints the number of names in the directory's
+``__init__.py`` ``__all__``, where it has one.
 """
 
 from __future__ import annotations
@@ -44,6 +47,18 @@ def code_lines(path: Path) -> int:
     return len(lines - skip)
 
 
+def all_size(root: Path) -> int | None:
+    """The number of names in ``root/__init__.py``'s ``__all__``, or None without one."""
+    init = root / "__init__.py"
+    if not init.is_file():
+        return None
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            return len(node.value.elts)
+    return None
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else "src/gravidec")
     files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
@@ -52,7 +67,8 @@ def main(argv: list[str]) -> int:
         n = code_lines(path)
         total += n
         print(f"{n:6d}  {path}")
-    print(f"{total:6d}  total")
+    names = all_size(root)
+    print(f"{total:6d}  total" + ("" if names is None else f", {names} names in __all__"))
     return 0
 
 

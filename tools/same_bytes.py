@@ -40,7 +40,11 @@ The list is:
   ``visibility`` curves whose dtau, theta or t / tau_dec overflow (the
   exact-product, high-T and Gaussian laws), the high-T law at N = 0 where
   theta overflows and at N = 1 where only theta^2 does, and the Gaussian law
-  where tau_dec underflows to 0;
+  where tau_dec underflows to 0; and ``regime`` where dx^2 overflows, with
+  and without emission, and where r^3, a temperature's blackbody
+  wavenumbers, the power-law cross-section or the emission integrand leave
+  float64's range;
+* ``evolve --x1 -1e-3``, a negative flag value in scientific notation;
 * ``--help`` of the program and of every subcommand.
 
 Every invocation starts in a directory that holds only ``modes.csv``, a
@@ -159,6 +163,21 @@ def invocations() -> list[list[str]]:
               "--t-final", "1e100", "--n-times", "3"],
              ["visibility", "--law", "gaussian", "--N", "1e20", "--T", "1e300", "--dx", "1e300",
               "--t-final", "1", "--n-times", "3"]]
+    edge = ["regime", "--n-axis1", "3", "--n-temps", "2", "--axis1-min", "1e-6"]
+    separations = [*edge, "--axis1", "delta-x", "--n-modes", "1e23"]
+    runs += [[*separations, "--sigma0", sigma0, "--k0", "1e7", "--axis1-max", "1e300",
+              "--t-min", "100", "--t-max", "600"] for sigma0 in ("3e-22", "0")]
+    runs += [[*separations, "--sigma0", "3e-22", "--k0", k0, "--alpha", alpha,
+              "--axis1-max", "1e-2", "--t-min", t_min, "--t-max", t_max]
+             for k0, alpha, t_min, t_max in (("1e7", "0", "100", "1e300"),
+                                             ("1e7", "0", "1e-300", "600"),
+                                             ("1e7", "0", "100", "1e100"),
+                                             ("1e-300", "2", "100", "600"))]
+    runs.append([*edge, "--sigma0", "3e-22", "--k0", "1e7", "--axis1", "radius",
+                 "--axis1-max", "1e200", "--mode-density", "1e28", "--delta-x", "1e-3",
+                 "--t-min", "100", "--t-max", "600"])
+    runs.append(["evolve", "--x1", "-1e-3", "--x2", "1e-3", "--N", "1e23", "--T", "300",
+                 "--dt", "1e-8", "--t-final", "1e-7"])
     runs.append(["--help"])
     runs += [[command, "--help"] for command in SUBCOMMANDS]
     return runs
