@@ -203,10 +203,9 @@ _COMMANDS: dict[str, tuple[str, str | None, tuple]] = {
     )),
 }
 
-#: A negative number, scientific notation included, is a flag's value and not
-#: an option. argparse's own pattern, which Python 3.11 has, takes -1 and -0.5
-#: but reads -1e-3 as an unknown option.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+#: A negative number, scientific notation included. argparse takes -1 and
+#: -0.5 as values but, in some versions, reads -1e-3 as an unknown option.
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 #: JSON types a config value may have, per row type, and how to name them.
 _JSON_TYPES = {
@@ -226,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, _, rows) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
-        p._negative_number_matcher = _NEGATIVE_NUMBER
         for name, kind, _, text in rows:
             flags = ["--" + name.replace("_", "-")]
             if name in _ALIASES:
@@ -411,18 +409,17 @@ def _g(params: dict, consts: PhysicalConstants) -> float:
     return consts.g_earth if params["g"] is None else params["g"]
 
 
-def _internal_spec(params: dict) -> InternalStateSpec:
-    """The internal state from ``frequencies_csv``, else from ``n_modes``.
-
-    Only ``visibility --dtau`` reaches it with neither given, and is refused.
-    """
+def _internal_spec(params: dict) -> InternalStateSpec | None:
+    """The internal state from ``frequencies_csv``, else from ``n_modes``, else None."""
     if params["frequencies_csv"] is not None:
         return InternalStateSpec.from_frequency_csv(
             params["frequencies_csv"], params["temperature"]
         )
-    if params["n_modes"] is None:
-        raise ConfigError("--dtau needs --n-modes or --frequencies-csv")
-    return InternalStateSpec.high_temperature_limit(params["n_modes"], params["temperature"])
+    if params["n_modes"] is not None:
+        return InternalStateSpec.high_temperature_limit(
+            params["n_modes"], params["temperature"]
+        )
+    return None
 
 
 def _cmd_tau(params: dict, consts: PhysicalConstants) -> _Record:
@@ -462,7 +459,10 @@ def _cmd_tau(params: dict, consts: PhysicalConstants) -> _Record:
 def _cmd_visibility(params: dict, consts: PhysicalConstants) -> _Record:
     if params["dtau"] is not None:
         # Single-point mode: visibility at one proper-time difference.
-        value = semiclassical_visibility(_internal_spec(params), params["dtau"], consts)
+        spec = _internal_spec(params)
+        if spec is None:
+            raise ConfigError("--dtau needs --n-modes or --frequencies-csv")
+        value = semiclassical_visibility(spec, params["dtau"], consts)
         return _Record({"law": "semiclassical"}, {"delta_tau": params["dtau"], "visibility": value},
                        ["delta_tau", "visibility", "law"],
                        [[params["dtau"], value, "semiclassical"]])
@@ -689,8 +689,20 @@ _HANDLERS = {
 }
 
 
+def _joined_values(argv: list[str]) -> list[str]:
+    """Each ``--flag -1e-3`` as ``--flag=-1e-3``, which every argparse reads as the flag's value."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and re.fullmatch(r"--[A-Za-z][\w-]*", joined[-1]) \
+                and _NEGATIVE_NUMBER.fullmatch(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     # A library UserWarning reaches stderr as one "gravidec: warning:" line,
     # without Python's source path; other categories keep their filters. A run
     # refused with exit 2 wrote nothing, so its one line is the refusal.
@@ -706,17 +718,6 @@ def main(argv=None) -> int:
                 print(f"gravidec: warning: {w.message}", file=sys.stderr)
             else:
                 warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-
-
-#: The exit code and stderr label of each error a run may end in.
-_FAILURES = {
-    ConfigError: (2, "configuration error"),
-    # an input that cannot be read or an --output that cannot be written;
-    # str(exc) names the path: numpy's FileNotFoundError carries no .filename
-    OSError: (2, "configuration error: cannot access"),
-    DomainError: (3, "domain error"),
-    NumericalInstabilityError: (4, "numerical instability"),
-}
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -741,16 +742,35 @@ def _run(args: argparse.Namespace) -> int:
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return record.code
     except BrokenPipeError:  # a reader such as head closed stdout: not a path error
-        # the exit flushes stdout again; it goes to devnull, where it cannot fail
+        return 141
+    except ConfigError as exc:
+        print(f"gravidec: configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an input that cannot be read or an --output that cannot be written
+        # str(exc) names the path: numpy's FileNotFoundError carries no .filename
+        print(f"gravidec: configuration error: cannot access: {exc}", file=sys.stderr)
+        return 2
+    except DomainError as exc:
+        print(f"gravidec: domain error: {exc}", file=sys.stderr)
+        return 3
+    except NumericalInstabilityError as exc:
+        print(f"gravidec: numerical instability: {exc}", file=sys.stderr)
+        return 4
+
+
+def console() -> None:
+    """Exit with what ``main`` returns: the ``gravidec`` command and ``python -m gravidec.cli``.
+
+    After a closed stdout (141) the interpreter's exit flush would fail
+    again, so stdout's descriptor is pointed at the null device first.
+    """
+    code = main()
+    if code == 141:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 141
-    except tuple(_FAILURES) as exc:
-        code, label = next(v for kind, v in _FAILURES.items() if isinstance(exc, kind))
-        print(f"gravidec: {label}: {exc}", file=sys.stderr)
-        return code
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

@@ -1,6 +1,6 @@
 """Trace which statements and ``if`` sides of ``src/gravidec`` the project's traffic runs.
 
-Usage: python3 tools/line_trace.py [--tests] [--check] [--seed N]
+Usage: python3 tools/line_trace.py [--tests] [--check]
 
 The traffic is what the program is for, run in this process under
 ``sys.settrace`` and ``threading.settrace`` (the Monte Carlo pass runs on
@@ -10,7 +10,7 @@ pool threads), from an empty temporary directory:
 * each ``gravidec ...`` example of README.md's ``sh`` blocks, through
   ``gravidec.cli.main``;
 * one in-process pass of each workload in ``perfbench/workloads.py``: every
-  operation of ``build(seed, True)`` runs, and its check judges it.
+  operation of ``build(SEED, True)`` runs, and its check judges it.
 
 ``--tests`` adds a second traced pass, Tier-1 through ``pytest.main``, and
 splits what the traffic misses into what only Tier-1 reaches and what
@@ -37,7 +37,8 @@ Every statement and ``if`` side that the traffic misses is deleted from
   begins on the text's line (the outermost one), or else the innermost
   statement that holds it, and everything inside: a true side when the
   first body statement is covered, a false side when the first ``else``
-  statement is, or when the ``if`` itself is.
+  statement is, or, with no ``else``, when the ``if`` itself or the
+  statement after it is.
 
 The report gives, per file, each statement and ``if`` side that the traffic
 misses, with its class or ``UNLISTED``, then the totals. ``--check`` exits 1
@@ -81,9 +82,13 @@ CLASSES = {
                      "or a degenerate one the README and the benchmark never give (T = 0)",
     "float64 edge": "a path taken only where a value leaves float64's range",
     "platform": "a path that depends on the host",
-    "entry point": "runs only when the module is run as a script",
+    "entry point": "runs only when the package is run as a command",
     "named by perfbench": "a public name that perfbench/ binds by name; it goes when that does",
 }
+
+#: The seed of the benchmark workloads the traffic runs; one, so that a tree
+#: has one verdict.
+SEED = 1
 
 #: Classes whose rows may cover what no traced in-process run reaches.
 UNREACHABLE = ("platform", "entry point")
@@ -110,8 +115,14 @@ LISTED: tuple[tuple[str, str, str], ...] = (
     ("cli.py", "if has_state:", "documented flag"),
     ("cli.py", "if verbose:", "documented flag"),
     ("cli.py", "if issubclass(w.category, UserWarning):", "float64 edge"),
+    ("cli.py", "return None", "refusal"),
+    ("cli.py", 'joined[-1] += "=" + token', "documented flag"),
     ("cli.py", "except BrokenPipeError:", "platform"),
-    ("cli.py", "except tuple(_FAILURES) as exc:", "refusal"),
+    ("cli.py", "except ConfigError as exc:", "refusal"),
+    ("cli.py", "except OSError as exc:", "refusal"),
+    ("cli.py", "except DomainError as exc:\n        print", "refusal"),
+    ("cli.py", "except NumericalInstabilityError as exc:", "refusal"),
+    ("cli.py", "def console(", "entry point"),
     ("cli.py", 'if __name__ == "__main__":', "entry point"),
     ("emission.py", "def tabulated_emission_model(", "documented flag"),
     ("emission.py", "def emission_model_from_csv(", "documented flag"),
@@ -189,7 +200,7 @@ def traced(hits: Hits):
         threading.settrace(None)
 
 
-def trace_traffic(seed: int) -> tuple[Hits, list[str]]:
+def trace_traffic() -> tuple[Hits, list[str]]:
     """Hits of the traffic, and each failure it met, run in an empty temporary directory."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     hits, failures, home = Hits.empty(), [], os.getcwd()
@@ -208,7 +219,7 @@ def trace_traffic(seed: int) -> tuple[Hits, list[str]]:
                 if code != 0:
                     failures.append(f"gravidec {shlex.join(args)} exited {code}")
             for name, workload in workloads.WORKLOADS.items():
-                for k, op in enumerate(workload.build(seed, True)):
+                for k, op in enumerate(workload.build(SEED, True)):
                     path = os.path.join(work, f"{name}-{k}.out")
                     failures += [f"{name} {op.name}: {bad}" for bad in op.check(op.run(path), path)]
         finally:
@@ -238,14 +249,14 @@ def trace_tests() -> tuple[Hits, list[str]]:
 class Item:
     """A statement or an ``if`` side.
 
-    A span covers the item when it holds ``anchor``: a statement's first
-    line, the first statement a side enters, or a false side's ``if`` where
-    that side has no ``else``.
+    A span covers the item when it holds one of its ``anchors``: a
+    statement's first line, the first statement a side enters, or, for a
+    false side with no ``else``, its ``if`` and the statement after it.
     """
 
     line: int
     kind: str  # "statement", "true side" or "false side"
-    anchor: int
+    anchors: tuple
     own: frozenset = frozenset()  # a statement's executable lines
     test: frozenset = frozenset()  # an if side's test lines
     into: tuple = ()  # the (first, last) lines the side enters, or () for any outside body
@@ -279,6 +290,15 @@ def _is_docstring(node: ast.AST, parent: ast.AST) -> bool:
             and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str))
 
 
+def _following(parent: ast.AST, node: ast.stmt) -> ast.stmt | None:
+    """The statement after ``node`` in its block, or None."""
+    for block in (getattr(parent, field, None) for field in ("body", "orelse", "finalbody")):
+        if isinstance(block, list) and node in block:  # AST nodes compare by identity
+            rest = block[block.index(node) + 1:]
+            return rest[0] if rest else None
+    return None
+
+
 def source_items(tree: ast.Module, executable: set[int]) -> list[Item]:
     """The counted statements and ``if`` sides of one file."""
     items = []
@@ -295,16 +315,20 @@ def source_items(tree: ast.Module, executable: set[int]) -> list[Item]:
                 last = node.end_lineno
             own = frozenset(range(first, last + 1)) & executable
             if own:
-                items.append(Item(first, "statement", first, own=own))
+                items.append(Item(first, "statement", (first,), own=own))
             if isinstance(node, ast.If):
                 test = frozenset(range(node.lineno, last + 1))
-                items.append(Item(node.lineno, "true side", node.body[0].lineno, test=test,
+                items.append(Item(node.lineno, "true side", (node.body[0].lineno,), test=test,
                                   into=(node.body[0].lineno, node.body[0].end_lineno)))
                 if node.orelse:
-                    items.append(Item(node.lineno, "false side", node.orelse[0].lineno, test=test,
+                    items.append(Item(node.lineno, "false side", (node.orelse[0].lineno,),
+                                      test=test,
                                       into=(node.orelse[0].lineno, node.orelse[0].end_lineno)))
                 else:
-                    items.append(Item(node.lineno, "false side", node.lineno, test=test,
+                    after = _following(parent, node)
+                    items.append(Item(node.lineno, "false side",
+                                      (node.lineno,) + ((after.lineno,) if after else ()),
+                                      test=test,
                                       body=(node.body[0].lineno, node.body[0].end_lineno)))
     return sorted(items, key=lambda item: (item.line, item.kind))
 
@@ -372,7 +396,8 @@ def report(traffic: Hits, tests: Hits | None) -> int:
             if reached:
                 continue
             by_tests = tests is not None and item.reached(tests.lines[key], tests.arcs[key])
-            covering = [(text, cls) for (lo, hi), text, cls in spans if lo <= item.anchor <= hi]
+            covering = [(text, cls) for (lo, hi), text, cls in spans
+                        if any(lo <= anchor <= hi for anchor in item.anchors)]
             used.update(text for text, _ in covering)
             tag = covering[0][1] if covering else "UNLISTED"
             totals[item.kind, "missed"] += 1
@@ -408,9 +433,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--tests", action="store_true", help="also trace Tier-1")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 on anything unlisted, a bad row, or a failing run")
-    parser.add_argument("--seed", type=int, default=1, help="benchmark workload seed")
     args = parser.parse_args(argv)
-    traffic, failures = trace_traffic(args.seed)
+    traffic, failures = trace_traffic()
     tests = None
     if args.tests:
         tests, failed = trace_tests()
