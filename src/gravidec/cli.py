@@ -41,11 +41,18 @@ by its reader (say ``head``) before the output was written. A warning from
 the library, such as the weak-field caveat inside 10 R_s, is one
 ``gravidec: warning: ...`` line on stderr; a run refused with exit code 2
 prints its refusal alone.
+
+The ``gravidec`` command and ``python -m gravidec.cli`` enter through
+:func:`console`: once :func:`main` returns, it flushes stdout and stderr, runs
+the ``atexit`` callbacks and ends the process with ``os._exit``, without the
+interpreter's teardown. :func:`main` itself only returns the exit code, so
+an in-process caller keeps its normal exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import json
 import math
@@ -761,15 +768,22 @@ def _run(args: argparse.Namespace) -> int:
 def console() -> None:
     """Exit with what ``main`` returns: the ``gravidec`` command and ``python -m gravidec.cli``.
 
-    After a closed stdout (141) the interpreter's exit flush would fail
-    again, so stdout's descriptor is pointed at the null device first.
+    Once ``main`` returns, the command is over: every file it opened is
+    closed, because each write sits in a ``with``, and no thread but the
+    caller's is alive, because the oracle pool is joined by its ``with``.
+    So the process flushes stdout (not after 141: its reader is gone, and
+    what stdout still buffers is dropped), flushes stderr, runs the
+    ``atexit`` callbacks and ends with ``os._exit``, skipping the
+    interpreter's teardown of its modules and its last garbage collection. A
+    ``SystemExit`` from argparse and an escaping exception keep Python's
+    normal exit, and so does every in-process caller of ``main``.
     """
     code = main()
-    if code == 141:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    sys.exit(code)
+    if code != 141:
+        sys.stdout.flush()
+    sys.stderr.flush()
+    atexit._run_exitfuncs()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -76,12 +76,15 @@ def blackbody_spectral_density(
 def power_law_cross_section(
     sigma0: float, k0: float, alpha: float
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """sigma(k) = sigma0 * (k/k0)^alpha."""
+    """sigma(k) = sigma0 * (k/k0)^alpha; exactly 0 at sigma0 = 0, where (k/k0)^alpha is inf too."""
     if sigma0 < 0 or k0 <= 0:
         raise DomainError("need sigma0 >= 0 and k0 > 0")
 
     def sigma(k: np.ndarray) -> np.ndarray:
-        return sigma0 * (np.asarray(k, dtype=float) / k0) ** alpha
+        k = np.asarray(k, dtype=float)
+        if sigma0 == 0:
+            return np.zeros_like(k)
+        return sigma0 * (k / k0) ** alpha
 
     return sigma
 
@@ -142,14 +145,15 @@ def emission_rate_integral(model: EmissionModel, consts: PhysicalConstants) -> f
 
     A negative or non-finite g or sigma is the model's fault; an integrand or
     integral past float64's range from finite ones is refused as an overflow.
+    The integrand is exactly 0 wherever sigma is, even where k^2 c g overflows.
     """
     k = model.k_grid
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
         g, sigma = model.spectral_density(k), model.cross_section(k)
     if not (0 <= g.min() <= g.max() < np.inf and 0 <= sigma.min() <= sigma.max() < np.inf):
         raise DomainError(f"emission model {model.label!r}: integrand negative or not finite")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0 = NaN, refused below
-        f = k**2 * consts.c * g * sigma
+    with np.errstate(over="ignore", invalid="ignore"):  # inf refused below; inf * 0 masked
+        f = np.where(sigma == 0, 0.0, k**2 * consts.c * g * sigma)
         total = float(0.5 * np.sum((f[1:] + f[:-1]) * np.diff(k)))
     if not total < math.inf:
         raise DomainError(f"emission model {model.label!r}: the integrand k^2 c g sigma or its "
@@ -275,9 +279,14 @@ def crossover_separation(
     A = tau_dec * dx is the separation-free part of the time-dilation law and
     I the emission rate integral. Since tau_dec = A / dx while
     tau_em = 1 / (dx^2 I), time dilation wins below dx* and emission above.
+    With no emission (I = 0) time dilation wins everywhere and dx* is inf;
+    with no time-dilation decoherence (A = inf, as at N = 0) emission wins
+    everywhere and dx* is 0. Where A I falls below float64's range, dx* is
+    past it and inf too.
     """
     a = decoherence_time(n_modes, temperature, 1.0, g, consts)
     integral = emission_rate_integral(model, consts)
-    if math.isinf(a) or integral == 0.0:
+    if integral == 0.0:
         return math.inf
-    return 1.0 / (a * integral)
+    with np.errstate(divide="ignore"):
+        return float(1.0 / np.float64(a * integral))

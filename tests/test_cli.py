@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -1103,6 +1104,20 @@ def test_regime_refuses_a_grid_past_float64_by_name(capsys, tmp_path, argv, refu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    [*_SEPARATIONS, "--t-min", "100", "--t-max", "1e100"],
+    [*_SEPARATIONS[:-2], "--k0", "1e-300", "--alpha", "2", "--t-min", "100", "--t-max", "600"],
+], ids=["integrand", "cross-section"])
+def test_regime_with_no_cross_section_has_no_emission_where_its_terms_overflow(capsys, argv):
+    # inf * 0 was NaN, refused with exit 3, though no cross-section means tau_em = inf
+    code, stdout, err = _run(capsys, "regime", *argv, "--n-axis1", "3", "--n-temps", "2",
+                             "--sigma0", "0", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(stdout)
+    assert payload["tau_em"] == [["inf", "inf"]] * 3
+    assert payload["flags"] == [["time_dilation", "time_dilation"]] * 3
+
+
 @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-1.e-3", "-.1e-2", "-0.001"])
 def test_negative_numbers_in_scientific_notation_are_flag_values(value):
     argv = ["evolve", "--x1", value, "--x2", "1", "--dt", "1", "--t-final", "1"]
@@ -1167,32 +1182,101 @@ def test_a_closed_stdout_ends_the_run_in_process_too(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
-def test_the_command_points_a_closed_stdout_at_the_null_device(monkeypatch, tmp_path):
-    # so that the interpreter's exit flush cannot fail again after exit 141
+def _stub_the_exit(monkeypatch) -> list:
+    """Record console's atexit run and raise SystemExit(code) in place of os._exit.
+
+    Unstubbed, os._exit would end the test process, and the atexit run would
+    run the test runner's own callbacks.
+    """
+    events: list = []
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: events.append("atexit"))
+
+    def _exit(code):
+        events.append(("_exit", code))
+        raise SystemExit(code)
+
+    monkeypatch.setattr(cli.os, "_exit", _exit)
+    return events
+
+
+def test_the_command_exits_141_without_flushing_a_closed_stdout(monkeypatch):
+    # flushing what a closed stdout still buffers would raise BrokenPipeError again
     class ClosedPipe(io.StringIO):
         def write(self, text):
             raise BrokenPipeError(32, "Broken pipe")
 
-        def fileno(self):
-            return fd
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
 
-    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
-    try:
-        monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        monkeypatch.setattr(sys, "argv", ["gravidec", "tau", "--N", "1e23", "--T", "300",
-                                          "--dx", "1e-3"])
-        with pytest.raises(SystemExit) as exit_:
-            cli.console()
-        os.write(fd, b"after exit")
-    finally:
-        os.close(fd)
+    events = _stub_the_exit(monkeypatch)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(sys, "argv", ["gravidec", "tau", "--N", "1e23", "--T", "300",
+                                      "--dx", "1e-3"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.console()
     assert exit_.value.code == 141
-    assert (tmp_path / "stdout").read_bytes() == b""
+    assert events == ["atexit", ("_exit", 141)]
 
 
 def test_the_command_exits_with_the_code_main_returns(capsys, monkeypatch):
+    events = _stub_the_exit(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["gravidec", "tau", "--N", "1e23", "--T", "300"])
     with pytest.raises(SystemExit) as exit_:
         cli.console()
     assert exit_.value.code == 2
+    assert events == ["atexit", ("_exit", 2)]
     assert capsys.readouterr().err.startswith("gravidec: configuration error: ")
+
+
+def test_the_command_runs_atexit_callbacks_and_writes_what_main_writes(capsys, monkeypatch,
+                                                                       tmp_path):
+    # the command ends with os._exit, past the interpreter's teardown
+    argv = ["oracle-check", "--cases", "2", "--samples", "20000", "--output", "report.json"]
+    (tmp_path / "command").mkdir()
+    (tmp_path / "main").mkdir()
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(lambda: sys.stderr.write('atexit callback ran\\n'))\n"
+              "runpy.run_module('gravidec.cli', run_name='__main__')\n")
+    src = str(Path(gravidec.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path / "command",
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"atexit callback ran\n")
+
+    monkeypatch.chdir(tmp_path / "main")
+    code, stdout, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert proc.stdout == stdout.encode()
+    report = (tmp_path / "command" / "report.json").read_bytes()
+    assert report == (tmp_path / "main" / "report.json").read_bytes()
+    assert "summary" in json.loads(report)  # written whole, not cut at a buffer's end
+
+
+def _readme_commands() -> list[list[str]]:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+    try:
+        from same_bytes import readme_examples
+    finally:
+        sys.path.pop(0)
+    return readme_examples(Path(__file__).resolve().parents[1] / "README.md")
+
+
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(argv, id=f"readme-{i}-{argv[0]}")
+      for i, argv in enumerate(_readme_commands()) if argv[0] != "oracle-check"),
+    pytest.param(["oracle-check", "--cases", "2"], id="oracle-check-cases-2"),
+    pytest.param(["evolve", "--x1", "0", "--x2", "1e-3", "--n-points", "2", "--N", "1e23",
+                  "--T", "300", "--dt", "1e-8", "--t-final", "1e-6", "--store-every", "10",
+                  "--snapshots", "run.snap", "--output", "evolve.csv"], id="evolve-snapshots"),
+])
+def test_main_returns_with_every_file_closed_and_no_thread_left(capsys, monkeypatch, tmp_path,
+                                                               argv):
+    # what lets the command end with os._exit: nothing is left to flush, close or join
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("no /proc/self/fd on this platform")
+    monkeypatch.chdir(tmp_path)
+    before, threads = set(os.listdir(fds)), threading.active_count()
+    code, _, _ = _run(capsys, *argv)
+    assert code == 0
+    assert set(os.listdir(fds)) <= before
+    assert threading.active_count() == threads

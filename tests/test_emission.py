@@ -68,6 +68,16 @@ def test_zero_cross_section_means_no_emission_channel():
     assert _cell(_constant_rate_model(1e6, 2e6, 1e-30), 0.0)[2] == math.inf
 
 
+def test_a_zero_cross_section_is_zero_where_its_terms_overflow():
+    # sigma0 (k/k0)^alpha was 0 * inf = NaN, and k^2 c g times sigma = 0 was inf * 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma = power_law_cross_section(0.0, 1e-300, 2.0)
+        assert sigma(np.array([1.0, 1e200])).tolist() == [0.0, 0.0]
+        hot = blackbody_emission_model(1e100, power_law_cross_section(0.0, 1e7, 0.0), CONSTS)
+        assert emission_rate_integral(hot, CONSTS) == 0.0
+
+
 def test_emission_time_quarter_at_double_separation():
     model = _constant_rate_model(1e6, 2e6, 1e-30)
     dx = 1e-3
@@ -144,7 +154,24 @@ def test_crossover_is_unique_along_separation():
 
     # at the crossover itself neither channel is declared dominant
     assert _cell(model, dx_star, n, t, g)[0] == "boundary"
-    assert crossover_separation(0.0, t, g, model, CONSTS) == math.inf
+    # with no time-dilation decoherence (N = 0) emission wins at every separation
+    assert crossover_separation(0.0, t, g, model, CONSTS) == 0.0
+
+
+@pytest.mark.parametrize("n, sigma0, dx_star, flag", [
+    (0.0, 3e-22, 0.0, "emission"),  # tau_dec = inf, I > 0
+    (0.0, 0.0, math.inf, "boundary"),  # both timescales inf
+    (1e300, 3e-22, math.inf, "time_dilation"),  # tau_dec underflows to 0: A I is below float64
+], ids=["no-time-dilation", "neither", "no-crossover-in-float64"])
+def test_crossover_agrees_with_regime_scan_at_the_degenerate_ends(n, sigma0, dx_star, flag):
+    # it returned inf where tau_dec was inf, and divided by zero where A I underflowed
+    model = blackbody_emission_model(300.0, power_law_cross_section(sigma0, 1e7, 0.0), CONSTS)
+    t, g = (300.0, 9.81) if n == 0.0 else (1e300, 1e300)
+    assert crossover_separation(n, t, g, model, CONSTS) == dx_star
+    separations = np.geomspace(1e-100, 1e100, 9)
+    rm = regime_scan("delta_x", separations, np.array([t]), lambda temp: model, g, CONSTS,
+                     n_modes=n)
+    assert set(rm.flags[:, 0]) == {flag}
 
 
 def test_regime_scan_matches_pointwise_calls():

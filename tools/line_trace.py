@@ -127,7 +127,8 @@ LISTED: tuple[tuple[str, str, str], ...] = (
     ("emission.py", "def tabulated_emission_model(", "documented flag"),
     ("emission.py", "def emission_model_from_csv(", "documented flag"),
     ("emission.py", 'if axis1_kind == "radius":', "documented flag"),
-    ("emission.py", "if math.isinf(a) or integral == 0.0:", "library input"),
+    ("emission.py", "if sigma0 == 0:", "documented flag"),
+    ("emission.py", "if integral == 0.0:", "library input"),
     ("internal_state.py", "def from_frequency_csv(", "documented flag"),
     ("internal_state.py", "def thermal_occupation(", "named by perfbench"),
     ("internal_state.py", "if temperature > 0:", "library input"),

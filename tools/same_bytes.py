@@ -43,7 +43,8 @@ The list is:
   where tau_dec underflows to 0; and ``regime`` where dx^2 overflows, with
   and without emission, and where r^3, a temperature's blackbody
   wavenumbers, the power-law cross-section or the emission integrand leave
-  float64's range;
+  float64's range, the last two also at ``--sigma0 0``, where a zero
+  cross-section leaves no emission (tau_em = inf);
 * ``evolve --x1 -1e-3``, a negative flag value in scientific notation;
 * ``--help`` of the program and of every subcommand.
 
@@ -173,6 +174,9 @@ def invocations() -> list[list[str]]:
                                              ("1e7", "0", "1e-300", "600"),
                                              ("1e7", "0", "100", "1e100"),
                                              ("1e-300", "2", "100", "600"))]
+    runs += [[*separations, "--sigma0", "0", "--k0", k0, "--alpha", alpha,
+              "--axis1-max", "1e-2", "--t-min", "100", "--t-max", t_max]
+             for k0, alpha, t_max in (("1e7", "0", "1e100"), ("1e-300", "2", "600"))]
     runs.append([*edge, "--sigma0", "3e-22", "--k0", "1e7", "--axis1", "radius",
                  "--axis1-max", "1e200", "--mode-density", "1e28", "--delta-x", "1e-3",
                  "--t-min", "100", "--t-max", "600"])
