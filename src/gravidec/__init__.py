@@ -8,72 +8,119 @@ timescales, proper-time integration along arbitrary arm trajectories, a
 position-basis master equation (time-local and with the full memory kernel),
 independent brute-force oracles, and the competing photon-emission channel,
 plus a deterministic CLI over all of it.
+
+Importing the package loads neither numpy nor the modules that use it, so
+that a command such as ``gravidec tau`` runs without numpy. Those modules are
+registered unloaded with importlib's ``LazyLoader`` and run on their first
+attribute access, a ``from`` import of them included; each public name they
+define loads its module on its first lookup here (PEP 562). ``gravidec.cli``
+is never deferred: ``python -m gravidec.cli`` would load it once before
+running it as ``__main__``. No deferred module may be touched first on an
+oracle-pool thread, since the ``LazyLoader`` of Python 3.11 is not
+thread-safe on a first load: the battery's modules load on the calling
+thread, before its pool starts.
 """
 
+import importlib.util
+import sys
+
 from .constants import PhysicalConstants, default_constants
-from .emission import (
-    EmissionModel,
-    RegimeMap,
-    blackbody_emission_model,
-    crossover_separation,
-    emission_model_from_csv,
-    emission_rate_integral,
-    power_law_cross_section,
-    regime_scan,
-    tabulated_emission_model,
-)
 from .errors import DomainError, NumericalInstabilityError
-from .internal_state import (
-    InternalStateSpec,
-    internal_energy_variance,
-    mean_internal_energy,
-    thermal_occupation,
-)
-from .master_equation import (
-    CMHamiltonianSpec,
-    DensityMatrixGrid,
-    EvolutionConfig,
-    EvolutionResult,
-    MemoryKernelCoefficients,
-    dephasing_coefficient,
-    evolve,
-    evolve_full_memory,
-    evolve_markovian,
-    extract_visibility,
-    load_snapshots,
-    memory_kernel_coefficients,
-    save_snapshots,
-)
-from .oracles import (
-    OracleCase,
-    OracleConfig,
-    fock_visibility,
-    mc_visibility,
-    run_oracle_battery,
-    two_point_unitary_oracle,
-)
-from .proper_time import (
-    HomogeneousPotential,
-    SchwarzschildWeakPotential,
-    TabulatedPotential,
-    TrajectoryPair,
-    internal_characteristic_function,
-    proper_time_difference,
-    semiclassical_visibility,
-)
-from .visibility import (
+from .timescales import (
     SchwarzschildSpec,
-    VisibilityCurve,
     decoherence_time,
-    exact_visibility,
-    gaussian_visibility,
-    hawking_temperature,
-    highT_visibility,
     decoherence_time_schwarzschild,
-    visibility_curve,
+    hawking_temperature,
 )
 
 __version__ = "0.1.0"
+
+#: The submodules that import numpy, with the public names each defines.
+_DEFERRED = {
+    "_tables": (),
+    "internal_state": (
+        "InternalStateSpec",
+        "internal_energy_variance",
+        "mean_internal_energy",
+        "thermal_occupation",
+    ),
+    "visibility": (
+        "VisibilityCurve",
+        "exact_visibility",
+        "gaussian_visibility",
+        "highT_visibility",
+        "visibility_curve",
+    ),
+    "proper_time": (
+        "HomogeneousPotential",
+        "SchwarzschildWeakPotential",
+        "TabulatedPotential",
+        "TrajectoryPair",
+        "internal_characteristic_function",
+        "proper_time_difference",
+        "semiclassical_visibility",
+    ),
+    "emission": (
+        "EmissionModel",
+        "RegimeMap",
+        "blackbody_emission_model",
+        "crossover_separation",
+        "emission_model_from_csv",
+        "emission_rate_integral",
+        "power_law_cross_section",
+        "regime_scan",
+        "tabulated_emission_model",
+    ),
+    "master_equation": (
+        "CMHamiltonianSpec",
+        "DensityMatrixGrid",
+        "EvolutionConfig",
+        "EvolutionResult",
+        "MemoryKernelCoefficients",
+        "dephasing_coefficient",
+        "evolve",
+        "evolve_full_memory",
+        "evolve_markovian",
+        "extract_visibility",
+        "load_snapshots",
+        "memory_kernel_coefficients",
+        "save_snapshots",
+    ),
+    "oracles": (
+        "OracleCase",
+        "OracleConfig",
+        "fock_visibility",
+        "mc_visibility",
+        "run_oracle_battery",
+        "two_point_unitary_oracle",
+    ),
+}
+
+#: The module that defines each deferred public name.
+_HOMES = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def _defer(module: str):
+    """Register the submodule ``module`` unloaded, to run on its first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{module}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    sys.modules[spec.name] = lazy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lazy)
+    return lazy
+
+
+for _module in _DEFERRED:
+    globals()[_module] = _defer(_module)
+del _module
+
+
+def __getattr__(name: str):
+    """A deferred public name, looked up in its module (which loads it) and kept here."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(globals()[_HOMES[name]], name)
+    return value
+
 
 __all__ = [
     "blackbody_emission_model",

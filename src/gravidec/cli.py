@@ -47,6 +47,14 @@ The ``gravidec`` command and ``python -m gravidec.cli`` enter through
 the ``atexit`` callbacks and ends the process with ``os._exit``, without the
 interpreter's teardown. :func:`main` itself only returns the exit code, so
 an in-process caller keeps its normal exit.
+
+This module imports nothing that needs numpy: each subcommand's handler
+imports the modules it calls, so ``tau`` runs without numpy. The package
+registers those modules unloaded, and each loads on its first use (see
+:mod:`gravidec`). This module is never deferred, and a handler first touches
+every deferred module it uses on the calling thread, before oracle-check's
+pool starts: the ``LazyLoader`` of Python 3.11 is not thread-safe on a first
+load.
 """
 
 from __future__ import annotations
@@ -63,44 +71,14 @@ import warnings
 from collections import namedtuple
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__
-from .constants import PhysicalConstants, default_constants
-from .emission import (
-    blackbody_emission_model,
-    emission_model_from_csv,
-    power_law_cross_section,
-    regime_scan,
-)
+from .constants import EVOLUTION_FORMS, HAMILTONIAN_KINDS, PhysicalConstants, default_constants
 from .errors import DomainError, NumericalInstabilityError
-from .internal_state import InternalStateSpec
-from .master_equation import (
-    EVOLUTION_FORMS,
-    HAMILTONIAN_KINDS,
-    CMHamiltonianSpec,
-    DensityMatrixGrid,
-    EvolutionConfig,
-    evolve,
-    extract_visibility,
-    memory_kernel_coefficients,
-    save_snapshots,
-)
-from .oracles import OracleConfig, run_oracle_battery, tally_verdicts
-from .proper_time import (
-    HomogeneousPotential,
-    SchwarzschildWeakPotential,
-    TabulatedPotential,
-    TrajectoryPair,
-    proper_time_difference,
-    semiclassical_visibility,
-)
-from .visibility import (
+from .timescales import (
     SchwarzschildSpec,
     decoherence_time,
     decoherence_time_schwarzschild,
     hawking_temperature,
-    visibility_curve,
 )
 
 
@@ -343,14 +321,12 @@ def _resolve(args: argparse.Namespace, command: str) -> tuple[_Params, PhysicalC
 def _jsonable(value):
     if isinstance(value, float) and math.isinf(value):
         return "inf" if value > 0 else "-inf"
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if hasattr(value, "tolist"):  # a numpy array or scalar, without importing numpy
+        return _jsonable(value.tolist())
     return value
 
 
@@ -400,7 +376,7 @@ def _write(fmt: str, output: str | None, meta: dict, record: _Record) -> None:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):  # numpy's float64, the type of every array cell, included
         return repr(float(value))
     return str(value)
 
@@ -418,6 +394,8 @@ def _g(params: dict, consts: PhysicalConstants) -> float:
 
 def _internal_spec(params: dict) -> InternalStateSpec | None:
     """The internal state from ``frequencies_csv``, else from ``n_modes``, else None."""
+    from .internal_state import InternalStateSpec
+
     if params["frequencies_csv"] is not None:
         return InternalStateSpec.from_frequency_csv(
             params["frequencies_csv"], params["temperature"]
@@ -464,6 +442,11 @@ def _cmd_tau(params: dict, consts: PhysicalConstants) -> _Record:
 
 
 def _cmd_visibility(params: dict, consts: PhysicalConstants) -> _Record:
+    import numpy as np
+
+    from .proper_time import semiclassical_visibility
+    from .visibility import visibility_curve
+
     if params["dtau"] is not None:
         # Single-point mode: visibility at one proper-time difference.
         spec = _internal_spec(params)
@@ -501,6 +484,17 @@ def _cmd_visibility(params: dict, consts: PhysicalConstants) -> _Record:
 
 
 def _cmd_evolve(params: dict, consts: PhysicalConstants) -> _Record:
+    from .internal_state import InternalStateSpec
+    from .master_equation import (
+        CMHamiltonianSpec,
+        DensityMatrixGrid,
+        EvolutionConfig,
+        evolve,
+        extract_visibility,
+        memory_kernel_coefficients,
+        save_snapshots,
+    )
+
     ham_kind, lam = params["hamiltonian"], params["lambda_coefficient"]
     # g and the internal state feed lambda (when not given) and the tilt's weight.
     g, kernel = 0.0, None
@@ -556,6 +550,15 @@ def _cmd_evolve(params: dict, consts: PhysicalConstants) -> _Record:
 
 
 def _cmd_regime(params: dict, consts: PhysicalConstants) -> _Record:
+    import numpy as np
+
+    from .emission import (
+        blackbody_emission_model,
+        emission_model_from_csv,
+        power_law_cross_section,
+        regime_scan,
+    )
+
     g = _g(params, consts)
     if params["emission_csv"]:
         fixed_model = emission_model_from_csv(params["emission_csv"])
@@ -605,6 +608,15 @@ def _cmd_regime(params: dict, consts: PhysicalConstants) -> _Record:
 
 
 def _cmd_propertime(params: dict, consts: PhysicalConstants) -> _Record:
+    from .proper_time import (
+        HomogeneousPotential,
+        SchwarzschildWeakPotential,
+        TabulatedPotential,
+        TrajectoryPair,
+        proper_time_difference,
+        semiclassical_visibility,
+    )
+
     # A table takes the place of --n-modes, which is then not read, as in _internal_spec.
     has_state = params["frequencies_csv"] is not None or params["n_modes"] is not None
     if has_state != (params["temperature"] is not None):
@@ -639,6 +651,8 @@ def _cmd_propertime(params: dict, consts: PhysicalConstants) -> _Record:
 
 
 def _cmd_oracle_check(params: dict, consts: PhysicalConstants) -> _Record:
+    from .oracles import OracleConfig, run_oracle_battery, tally_verdicts
+
     if params["cases"] < 1:
         raise ConfigError(f"--cases must be >= 1, got {params['cases']}")
     for name in ("seed", "mc_seed"):

@@ -7,6 +7,9 @@ This keeps formula structure testable in natural units (set
 ``sqrt(2/N) / (T * g * dx)``) independently of constant precision.
 
 Defaults are CODATA SI values; the surface gravity default is 9.81 m/s^2.
+
+The names of the master equation's Hamiltonians and evolution forms live here
+too, so that the CLI offers them as choices without importing numpy.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
+
+HAMILTONIAN_KINDS = ("none", "free", "free_plus_linear")
+EVOLUTION_FORMS = ("markovian", "full_memory")
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:

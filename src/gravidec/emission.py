@@ -32,7 +32,7 @@ import numpy as np
 from ._tables import linear_interpolant, read_table
 from .constants import PhysicalConstants
 from .errors import DomainError
-from .visibility import decoherence_time
+from .timescales import decoherence_time
 
 #: Relative timescale difference below which neither channel is called dominant.
 BOUNDARY_RTOL = 1e-9
@@ -221,7 +221,9 @@ def regime_scan(
     the emission model per column (thermal spectra move with T; a fixed
     tabulated model can ignore the argument), whose rate integral I is
     evaluated once for the column. The timescales and flags of all cells are
-    then one array call each: tau_em = 1 / (dx^2 I), +inf where dx or I is 0.
+    then one call each: tau_dec takes each cell from the one scalar law of
+    :func:`decoherence_time`, and tau_em = 1 / (dx^2 I), +inf where dx or I
+    is 0.
     """
     axis1 = np.asarray(axis1, dtype=float)
     temperatures = np.asarray(temperatures, dtype=float)

@@ -69,12 +69,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import PhysicalConstants
+from .constants import EVOLUTION_FORMS, HAMILTONIAN_KINDS, PhysicalConstants
 from .errors import DomainError, NumericalInstabilityError
 from .internal_state import InternalStateSpec, internal_energy_variance, mean_internal_energy
-
-HAMILTONIAN_KINDS = ("none", "free", "free_plus_linear")
-EVOLUTION_FORMS = ("markovian", "full_memory")
 
 #: Hard cap on stored snapshots (bytes); keeps long runs from exhausting RAM.
 MAX_SNAPSHOT_BYTES = 1 << 30

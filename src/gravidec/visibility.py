@@ -12,8 +12,8 @@ limit the frequencies drop out and V collapses to a closed form in (N, T)
 alone, with the Gaussian decay exp(-(t/tau_dec)^2) as its small-angle limit.
 
 The laws are array functions: the high-T and Gaussian laws take an array of
-times, :func:`decoherence_time` arrays of N, T and dx, and each evaluates a
-whole grid in one numpy expression (scalar inputs give a Python float). All
+times and evaluate a whole grid in one numpy expression (scalar inputs give a
+Python float). The timescale tau_dec lives in :mod:`gravidec.timescales`. All
 products are accumulated in log space; nothing here ever materializes 1e23
 factors. Degenerate no-decoherence inputs (N, T, dx or g equal to 0) yield an
 infinite timescale and V = 1 rather than an exception: these are physically
@@ -23,7 +23,6 @@ meaningful regimes the CLI reports as such.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,44 +30,13 @@ import numpy as np
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .internal_state import InternalStateSpec, _highT_log_modulus, _log_mode_product
+from .timescales import decoherence_time
 
 #: Laws a VisibilityCurve can be tagged with.
 VISIBILITY_LAWS = ("exact-product", "high-T", "gaussian", "master-equation")
 
 #: Explicit-frequency mode counts above this refuse to evaluate the product.
 DEFAULT_MODE_LIMIT = 10**6
-
-
-@dataclass(frozen=True)
-class SchwarzschildSpec:
-    """Central mass M and the distance R of the particle from its centre."""
-
-    central_mass: float
-    radius: float
-
-    def __post_init__(self) -> None:
-        for name in ("central_mass", "radius"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite")
-            if value <= 0:
-                raise DomainError(f"{name} must be > 0")
-
-    def schwarzschild_radius(self, consts: PhysicalConstants) -> float:
-        return 2.0 * consts.G * self.central_mass / consts.c**2
-
-    def validate_weak_field(self, consts: PhysicalConstants) -> None:
-        """Reject R below the horizon; warn where the weak-field form is marginal."""
-        r_s = self.schwarzschild_radius(consts)
-        if self.radius < r_s:
-            raise DomainError(
-                f"radius {self.radius} m lies inside the Schwarzschild radius {r_s:.6g} m"
-            )
-        if self.radius < 10.0 * r_s:
-            warnings.warn(
-                "weak-field timescale used at R < 10 R_s; treat as an order-of-magnitude estimate",
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -158,62 +126,6 @@ def gaussian_visibility(n_modes, temperature, delta_x, g, t, consts: PhysicalCon
     # float64 value: exp(-(t/tau)^2) underflows to 0 once t/tau > 27.3.
     with np.errstate(over="ignore"):
         return _scalar_or_array(np.exp(-((np.asarray(t, dtype=float) / tau) ** 2)))
-
-
-def decoherence_time(n_modes, temperature, delta_x, g, consts: PhysicalConstants):
-    """Time at which the Gaussian law reaches 1/e: sqrt(2/N) hbar c^2 / (k_B T g |dx|).
-
-    Takes arrays of N, T and dx that broadcast together; scalar inputs give
-    a float. Degenerate inputs (N, T, dx or g equal to 0) mean no
-    decoherence and give inf. The sign of the separation (and of g) is
-    irrelevant.
-    """
-    n_modes, temperature, delta_x = (
-        np.asarray(a, dtype=float) for a in (n_modes, temperature, delta_x)
-    )
-    if np.any(n_modes < 0) or np.any(temperature < 0):
-        raise DomainError("n_modes and temperature must be >= 0")
-    # A zero N or denominator divides to exactly +inf, the no-decoherence
-    # answer. A timescale past float64's range (say N = T = 1e-300) overflows
-    # to the same +inf on purpose: no time a float64 holds shows decoherence.
-    # The numerator sqrt(2/N) hbar c^2 is never 0, so NaN arises only where it
-    # and the denominator are both inf (N = 0 or below 1.1e-308), and is refused.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        tau = (
-            np.sqrt(2.0 / n_modes)
-            * consts.hbar
-            * consts.c**2
-            / (consts.k_B * temperature * abs(g) * np.abs(delta_x))
-        )
-    if np.any(np.isnan(tau)):
-        raise DomainError("tau_dec = sqrt(2/N) hbar c^2 / (k_B T g |dx|) is inf / inf in float64")
-    return _scalar_or_array(tau)
-
-
-def decoherence_time_schwarzschild(
-    n_modes: float,
-    temperature: float,
-    delta_x: float,
-    sw: SchwarzschildSpec,
-    consts: PhysicalConstants,
-) -> float:
-    """Decoherence time sqrt(8/N) hbar R^2 / (k_B T R_s |dx|) near a mass M.
-
-    This is :func:`decoherence_time` at the local acceleration g = G M / R^2,
-    after the weak-field check.
-    """
-    sw.validate_weak_field(consts)
-    g = consts.G * sw.central_mass / sw.radius**2
-    return decoherence_time(n_modes, temperature, delta_x, g, consts)
-
-
-def hawking_temperature(mass: float, consts: PhysicalConstants) -> float:
-    """Hawking temperature hbar c^3 / (8 pi k_B G M) of a mass M."""
-    if not math.isfinite(mass):
-        raise DomainError("mass must be finite")
-    if mass <= 0:
-        raise DomainError("mass must be > 0")
-    return consts.hbar * consts.c**3 / (8.0 * math.pi * consts.k_B * consts.G * mass)
 
 
 def proper_time_lab(delta_x: float, g: float, t: float, consts: PhysicalConstants) -> float:

@@ -847,6 +847,41 @@ def test_tau_past_float64_range_is_inf_without_a_warning(capsys):
     assert json.loads(stdout)["results"]["tau_dec"] == "inf"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    # 8 pi k_B G M underflows to 0: T_H = hbar c^3 / (8 pi k_B G M) is past
+    # float64's range, like its neighbour at M = 1e-291
+    (["--central-mass", "1e-300", "--radius", "1", "--hawking"],
+     {"hawking_temperature": "inf", "tau_dec": 0.0}),
+    # R^2 overflows: g = G M / R^2 ~ 7e-411 is 0 in float64, and tau_dec is
+    # past its range, like its neighbour at R = 1e150
+    (["--T", "300", "--central-mass", "1", "--radius", "1e200"], {"tau_dec": "inf"}),
+    # R^2 underflows to 0: g = G M / R / R ~ 7e239, and tau_dec ~ 4e-511 is 0
+    (["--central-mass", "1e-250", "--radius", "1e-250", "--hawking"], {"tau_dec": 0.0}),
+], ids=["hawking-denominator-underflows", "radius-squared-overflows",
+        "radius-squared-underflows"])
+def test_tau_near_a_mass_writes_its_float64_value_where_a_term_leaves_the_range(
+        capsys, argv, expected):
+    # each raised ZeroDivisionError or OverflowError, a traceback with exit 1
+    code, stdout, err = _run(capsys, "tau", "--N", "1e23", "--dx", "1e-9", *argv)
+    assert (code, err) == (0, "")
+    results = json.loads(stdout)["results"]
+    assert {key: results[key] for key in expected} == expected
+
+
+def test_tau_near_a_mass_keeps_a_normal_g_where_radius_squared_overflows(capsys):
+    # R^2 = 1e320 overflows, yet g = G M / R^2 ~ 7e-151 and tau_dec ~ 1.5e151
+    # are normal floats: the overflow must not turn g into 0 and tau_dec into inf
+    code, stdout, err = _run(capsys, "tau", "--N", "1e23", "--T", "300", "--dx", "1e-9",
+                             "--central-mass", "1e180", "--radius", "1e160")
+    assert (code, err) == (0, "")
+    tau = json.loads(stdout)["results"]["tau_dec"]
+    c = CONSTS
+    exact_squared = (Fraction(2, 10**23) * (Fraction(c.hbar) * Fraction(c.c) ** 2) ** 2
+                     / (Fraction(c.k_B) * 300 * Fraction(c.G) * Fraction(1e180)
+                        / Fraction(1e160) ** 2 * Fraction(1e-9)) ** 2)
+    assert math.isclose(tau, math.sqrt(exact_squared), rel_tol=1e-14)
+
+
 def test_evolve_refuses_a_grid_whose_squared_span_overflows(capsys, tmp_path):
     # (x_i - x_j)^2 overflowed with a raw "overflow in square" warning, and
     # lambda = 0 would have turned the inf into NaN
@@ -1280,3 +1315,20 @@ def test_main_returns_with_every_file_closed_and_no_thread_left(capsys, monkeypa
     assert code == 0
     assert set(os.listdir(fds)) <= before
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=f"readme-{i}-{argv[0]}")
+                                  for i, argv in enumerate(_readme_commands())])
+def test_each_readme_command_writes_what_main_writes(capsys, monkeypatch, tmp_path, argv):
+    # the command, in a fresh interpreter that loads only what it runs, and
+    # main in this process, where earlier tests have loaded every module
+    (tmp_path / "command").mkdir()
+    (tmp_path / "main").mkdir()
+    src = str(Path(gravidec.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "gravidec.cli", *argv], cwd=tmp_path / "command",
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+    monkeypatch.chdir(tmp_path / "main")
+    code, stdout, err = _run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout.encode(), err.encode())
+    written = {path.name: path.read_bytes() for path in (tmp_path / "command").iterdir()}
+    assert written == {path.name: path.read_bytes() for path in (tmp_path / "main").iterdir()}

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gravidec
 import gravidec.oracles
@@ -130,3 +134,66 @@ def test_every_public_name_is_reached_beyond_the_tests():
             reached.add(name)
             todo |= uses.get(name, set())
     assert [name for name in gravidec.__all__ if name not in reached] == []
+
+
+def _in_a_fresh_interpreter(code: str) -> None:
+    """Run code in a new Python, where no earlier test has loaded a module."""
+    root = Path(gravidec.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                        str(root / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["tau", "--N", "1e23", "--T", "300", "--dx", "1e-3"],
+    ["tau", "--N", "1e23", "--dx", "1e-9", "--central-mass", "9.945e30", "--radius", "1.5e4",
+     "--hawking"],
+], ids=["import", "tau", "tau-hawking"])
+def test_the_cli_and_tau_run_without_numpy(argv):
+    run = "" if argv is None else (
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    assert gravidec.cli.main({argv!r}) == 0\n"
+        "assert '\"tau_dec\"' in out.getvalue()\n")
+    _in_a_fresh_interpreter("import sys\nimport gravidec.cli\n" + run
+                            + "assert 'numpy' not in sys.modules, 'numpy loaded'\n")
+
+
+def test_each_module_the_tracer_names_is_registered_and_loads_on_first_access():
+    # perfbench's tracer reads sys.modules["gravidec.<module>"] after these
+    # two imports, then rebinds functions in each module's namespace
+    _in_a_fresh_interpreter(
+        "import sys, types\n"
+        "import gravidec\n"
+        "import gravidec.cli\n"
+        "import tracing\n"
+        "names = [(mod, fn) for mod, fn, *_ in tracing.SPANNED] + tracing.COUNTED\n"
+        "assert 'numpy' not in sys.modules\n"
+        "modules = {mod: sys.modules[f'gravidec.{mod}'] for mod, _ in names}\n"
+        "for mod, module in modules.items():\n"
+        "    assert (type(module) is types.ModuleType) == (mod == 'cli'), mod\n"
+        "for mod, fn in names:\n"
+        "    assert callable(getattr(modules[mod], fn)), (mod, fn)\n"
+        "    assert type(modules[mod]) is types.ModuleType, mod\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+
+
+def test_each_public_name_is_its_defining_modules_object():
+    # a deferred name's module comes from the package's table, unloaded; the
+    # names imported eagerly are bound at import; together they are __all__
+    _in_a_fresh_interpreter(
+        "import sys\n"
+        "import gravidec\n"
+        "homes = gravidec._HOMES\n"
+        "eager = {name for name in gravidec.__all__ if name in vars(gravidec)}\n"
+        "assert not eager & set(homes), eager & set(homes)\n"
+        "assert eager | set(homes) == set(gravidec.__all__)\n"
+        "for name in gravidec.__all__:\n"
+        "    value = getattr(gravidec, name)\n"
+        "    if name in homes:\n"
+        "        assert value.__module__ == f'gravidec.{homes[name]}', name\n"
+        "    assert getattr(sys.modules[value.__module__], name) is value, name\n"
+    )

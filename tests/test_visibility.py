@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -262,6 +263,13 @@ def test_scalar_inputs_give_python_floats():
     assert type(gaussian_visibility(*args, 1e-6, CONSTS)) is float
     assert type(decoherence_time(*args, CONSTS)) is float
     assert type(decoherence_time(0.0, 300.0, 1e-3, 9.81, CONSTS)) is float
+    # numpy scalars and 0-d arrays too, with the bits of the Python floats
+    tau = decoherence_time(*args, CONSTS)
+    for kind in (np.float64, np.array):
+        value = decoherence_time(*map(kind, args), CONSTS)
+        assert type(value) is float and value == tau
+    assert type(decoherence_time(*map(np.float32, args), CONSTS)) is float
+    assert type(decoherence_time(np.int64(10**18), np.int64(300), 1e-3, 9.81, CONSTS)) is float
 
 
 def test_degenerate_arrays_give_no_decoherence_without_warnings():
@@ -284,6 +292,42 @@ def test_decoherence_time_rejects_negative():
         decoherence_time(-1.0, 300.0, 1e-3, 9.81, CONSTS)
     with pytest.raises(DomainError):
         decoherence_time(1e23, -300.0, 1e-3, 9.81, CONSTS)
+
+
+def test_decoherence_time_has_the_bits_of_the_numpy_formula():
+    # the reference is the array formula the scalar law replaced: its IEEE
+    # quotients keep every bit, signed zeros and infinities included, and a
+    # NaN there is a refusal here
+    edges = [0.0, -0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e23, 1e300, 1.7e308, math.inf, math.nan]
+    n, t, dx, g = (a.ravel() for a in np.meshgrid(edges, edges, edges, edges, indexing="ij"))
+    c = CONSTS
+    with np.errstate(all="ignore"):
+        ref = np.sqrt(2.0 / n) * c.hbar * c.c**2 / (c.k_B * t * np.abs(g) * np.abs(dx))
+    for *args, want in zip(n.tolist(), t.tolist(), dx.tolist(), g.tolist(), ref.tolist()):
+        if math.isnan(want):
+            with pytest.raises(DomainError, match="is inf / inf in float64"):
+                decoherence_time(*args, c)
+        else:
+            got = decoherence_time(*args, c)
+            assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want)), args
+    ok = ~np.isnan(ref)
+    assert np.array_equal(decoherence_time(n[ok], t[ok], dx[ok], g[ok], c).view(np.int64),
+                          ref[ok].view(np.int64))
+
+
+def test_decoherence_time_refuses_inf_over_inf_in_any_cell():
+    # N = 1e-320 makes sqrt(2/N) inf, and T dx = 1e600 makes the denominator
+    # inf; a negative cell anywhere is refused first, as a negative scalar is
+    n = np.array([1e23, 1e-320])
+    for args in ((1e-320, 1e300, 1e300), (n, 1e300, 1e300),
+                 (n[:, None], [300.0, 1e300], 1e300)):
+        with pytest.raises(DomainError, match="is inf / inf in float64"):
+            decoherence_time(*args, 9.81, CONSTS)
+    with pytest.raises(DomainError, match="must be >= 0"):
+        decoherence_time(np.array([1e-320, -1.0]), 1e300, 1e300, 9.81, CONSTS)
+    # N = inf and T = 0 make it 0 / 0, NaN as well, which the same check refuses
+    with pytest.raises(DomainError, match="in float64"):
+        decoherence_time(math.inf, 0.0, 1e-3, 9.81, CONSTS)
 
 
 def test_decoherence_time_sign_independent():
@@ -366,6 +410,16 @@ def test_hawking_temperature_frozen():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="^mass must be finite"):
             hawking_temperature(bad, CONSTS)
+
+
+def test_hawking_temperature_where_its_denominator_underflows():
+    # 8 pi k_B G M ~ 2e-332 is 0 in float64: at the SI constants T_H is past
+    # float64's range, and with a small enough hbar it is a normal float
+    assert hawking_temperature(1e-300, CONSTS) == math.inf
+    small = PhysicalConstants(hbar=1e-300)
+    exact = (Fraction(small.hbar) * Fraction(small.c) ** 3
+             / (8 * Fraction(math.pi) * Fraction(small.k_B) * Fraction(small.G) * Fraction(1e-300)))
+    assert math.isclose(hawking_temperature(1e-300, small), float(exact), rel_tol=1e-14)
 
 
 def test_proper_time_lab_frozen():

@@ -95,12 +95,12 @@ UNREACHABLE = ("platform", "entry point")
 
 #: (file in src/gravidec, text that occurs once in it, class).
 LISTED: tuple[tuple[str, str, str], ...] = (
+    ("__init__.py", "if name not in _HOMES:", "library input"),
     ("_tables.py", "def read_table(", "documented flag"),
     ("_tables.py", "def linear_interpolant(", "documented flag"),
     ("cli.py", "def _load_config(", "documented flag"),
     ("cli.py", "def _check_config_value(", "documented flag"),
     ("cli.py", "if isinstance(value, float) and math.isinf(value):", "float64 edge"),
-    ("cli.py", "if isinstance(value, np.ndarray):", "documented flag"),
     ("cli.py", "def _long_flags(", "refusal"),
     ("cli.py", 'if params["frequencies_csv"] is not None:', "documented flag"),
     ("cli.py", 'temperature = params["temperature"]', "documented flag"),
@@ -143,7 +143,10 @@ LISTED: tuple[tuple[str, str, str], ...] = (
     ("oracles.py", 'skipped.append(f"mc: {exc}")', "documented flag"),
     ("proper_time.py", "class TabulatedPotential:", "documented flag"),
     ("proper_time.py", 'def from_csv(cls, path: str) -> "TrajectoryPair":', "documented flag"),
-    ("visibility.py", "if self.radius < 10.0 * r_s:", "documented flag"),
+    ("timescales.py", "if self.radius < 10.0 * r_s:", "documented flag"),
+    ("timescales.py", "def _quotient(", "library input"),
+    ("timescales.py", "g = g / sw.radius / sw.radius", "float64 edge"),
+    ("timescales.py", "return numerator / (8.0 * math.pi) /", "float64 edge"),
     ("visibility.py", "if np.any(np.isinf(theta)):", "float64 edge"),
 )
 

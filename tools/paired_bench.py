@@ -19,8 +19,11 @@ For each workload and end-to-end metric one line is printed: the median and
 the quartiles of REV's runs and of the working tree's, the relative change
 of the medians, how many pairs the working tree won (by the metric's
 ``better`` direction), and the metric's bound with whether the change of the
-medians stays inside it. The exported tree is removed at the end. Exit status: 0
-when every run succeeded and read correct, 1 otherwise.
+medians stays inside it. A second line applies the rule for claiming a gain
+on that metric: the working tree wins at least nine pairs in ten, and the
+gap between the medians, in the better direction, exceeds the distance
+between REV's quartiles (its IQR). The exported tree is removed at the end.
+Exit status: 0 when every run succeeded and read correct, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -57,16 +60,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def report(workload: str, metric: dict, old: list[float], new: list[float]) -> str:
-    """One summary line for a workload and metric over paired runs."""
+    """Two summary lines for a workload and metric over paired runs: the
+    change against the metric's bound, and the claim rule."""
     sign = 1.0 if metric["better"] == "lower" else -1.0
     (o1, om, o3), (n1, nm, n3) = quartiles(old), quartiles(new)
     wins = sum(sign * (b - a) < 0 for a, b in zip(old, new))
     change = (nm - om) / om if om else float("inf")
     inside = sign * change <= metric["bound"]
+    gap, most_pairs = sign * (om - nm), wins >= 0.9 * len(old)
+    claim = gap > o3 - o1 and most_pairs
     return (f"{workload} {metric['name']} ({metric['unit']}, {metric['better']} is better): "
             f"REV {om:.6g} [{o1:.6g}, {o3:.6g}] -> working tree {nm:.6g} [{n1:.6g}, {n3:.6g}] "
             f"({change:+.1%}); working tree better in {wins} of {len(old)} pairs; "
-            f"bound {metric['bound']:.0%}: {'inside' if inside else 'OUTSIDE'}")
+            f"bound {metric['bound']:.0%}: {'inside' if inside else 'OUTSIDE'}\n"
+            f"  claim rule: gain of the medians {gap:.6g} "
+            f"{'exceeds' if gap > o3 - o1 else 'does not exceed'} REV's IQR {o3 - o1:.6g}; "
+            f"{wins} of {len(old)} pairs {'is' if most_pairs else 'is not'} at least nine in "
+            f"ten; a gain {'can' if claim else 'cannot'} be claimed")
 
 
 def main(argv: list[str]) -> int:

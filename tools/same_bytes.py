@@ -33,7 +33,9 @@ The list is:
   beside ``--snapshots``) inside a missing directory;
 * runs at the edge of float64: ``visibility --dtau 1e300`` over the modes of
   ``modes.csv`` (w dtau overflows), ``tau`` with a timescale past float64's
-  range and with one that is inf / inf (N = 1e-320), ``evolve`` on a grid
+  range and with one that is inf / inf (N = 1e-320), ``tau`` near a mass
+  where 8 pi k_B G M underflows to 0 (``--hawking``), where R^2 overflows and
+  where it underflows to 0, ``evolve`` on a grid
   whose squared span overflows, ``evolve`` in both forms and for every
   Hamiltonian kind where lambda (x_i - x_j)^2 t dt overflows inside a step,
   ``propertime`` whose integral overflows (alone and with ``modes.csv``), and
@@ -152,6 +154,10 @@ def invocations() -> list[list[str]]:
                          "--x2", "1e154", "--n-points", "2", "--lambda-coefficient", "1",
                          "--dt", "1", "--t-final", "3"])
     runs.append(["tau", "--N", "1e-320", "--T", "1e300", "--dx", "1e300"])
+    near = ["tau", "--N", "1e23", "--dx", "1e-9", "--central-mass"]
+    runs += [[*near, "1e-300", "--radius", "1", "--hawking"],
+             [*near, "1", "--radius", "1e200", "--T", "300"],
+             [*near, "1e-250", "--radius", "1e-250", "--hawking"]]
     edge = ["--x1", "0", "--x2", "1e300", "--t-final", "1e300"]
     runs += [["propertime", *edge], ["propertime", *edge, "--frequencies-csv", "modes.csv",
                                      "--T", "300"]]
