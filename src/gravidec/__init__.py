@@ -12,13 +12,19 @@ plus a deterministic CLI over all of it.
 Importing the package loads neither numpy nor the modules that use it, so
 that a command such as ``gravidec tau`` runs without numpy. Those modules are
 registered unloaded with importlib's ``LazyLoader`` and run on their first
-attribute access, a ``from`` import of them included; each public name they
-define loads its module on its first lookup here (PEP 562). ``gravidec.cli``
-is never deferred: ``python -m gravidec.cli`` would load it once before
-running it as ``__main__``. No deferred module may be touched first on an
-oracle-pool thread, since the ``LazyLoader`` of Python 3.11 is not
-thread-safe on a first load: the battery's modules load on the calling
-thread, before its pool starts.
+attribute access, a ``from`` import of them included. ``__all__`` is the one
+list of public names. The first lookup here of a name in it that is not bound
+at import (PEP 562) tries the deferred modules in the order ``_tables``,
+``internal_state``, ``visibility``, ``proper_time``, ``emission``,
+``master_equation``, ``oracles``, loading each it tries, and keeps the value
+of the first that holds the name: ``gravidec.evolve`` so also loads
+``visibility``, ``proper_time`` and ``emission``. Any other name is refused
+with ``AttributeError`` before anything loads. ``gravidec.cli`` is never
+deferred: ``python -m gravidec.cli`` would load it once before running it as
+``__main__``. No deferred module may be touched first on an oracle-pool
+thread, since the ``LazyLoader`` of Python 3.11 is not thread-safe on a first
+load: the battery's modules load on the calling thread, before its pool
+starts.
 """
 
 import importlib.util
@@ -35,69 +41,10 @@ from .timescales import (
 
 __version__ = "0.1.0"
 
-#: The submodules that import numpy, with the public names each defines.
-_DEFERRED = {
-    "_tables": (),
-    "internal_state": (
-        "InternalStateSpec",
-        "internal_energy_variance",
-        "mean_internal_energy",
-        "thermal_occupation",
-    ),
-    "visibility": (
-        "VisibilityCurve",
-        "exact_visibility",
-        "gaussian_visibility",
-        "highT_visibility",
-        "visibility_curve",
-    ),
-    "proper_time": (
-        "HomogeneousPotential",
-        "SchwarzschildWeakPotential",
-        "TabulatedPotential",
-        "TrajectoryPair",
-        "internal_characteristic_function",
-        "proper_time_difference",
-        "semiclassical_visibility",
-    ),
-    "emission": (
-        "EmissionModel",
-        "RegimeMap",
-        "blackbody_emission_model",
-        "crossover_separation",
-        "emission_model_from_csv",
-        "emission_rate_integral",
-        "power_law_cross_section",
-        "regime_scan",
-        "tabulated_emission_model",
-    ),
-    "master_equation": (
-        "CMHamiltonianSpec",
-        "DensityMatrixGrid",
-        "EvolutionConfig",
-        "EvolutionResult",
-        "MemoryKernelCoefficients",
-        "dephasing_coefficient",
-        "evolve",
-        "evolve_full_memory",
-        "evolve_markovian",
-        "extract_visibility",
-        "load_snapshots",
-        "memory_kernel_coefficients",
-        "save_snapshots",
-    ),
-    "oracles": (
-        "OracleCase",
-        "OracleConfig",
-        "fock_visibility",
-        "mc_visibility",
-        "run_oracle_battery",
-        "two_point_unitary_oracle",
-    ),
-}
-
-#: The module that defines each deferred public name.
-_HOMES = {name: module for module, names in _DEFERRED.items() for name in names}
+#: The submodules that import numpy, in import order: a deferred public name
+#: is looked up in each in turn.
+_DEFERRED = ("_tables", "internal_state", "visibility", "proper_time", "emission",
+             "master_equation", "oracles")
 
 
 def _defer(module: str):
@@ -115,10 +62,11 @@ del _module
 
 
 def __getattr__(name: str):
-    """A deferred public name, looked up in its module (which loads it) and kept here."""
-    if name not in _HOMES:
+    """A deferred public name, from the first deferred module that holds it, kept here."""
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(globals()[_HOMES[name]], name)
+    home = next(module for module in map(globals().get, _DEFERRED) if hasattr(module, name))
+    value = globals()[name] = getattr(home, name)
     return value
 
 

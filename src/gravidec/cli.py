@@ -72,7 +72,13 @@ from collections import namedtuple
 from dataclasses import asdict
 
 from . import __version__
-from .constants import EVOLUTION_FORMS, HAMILTONIAN_KINDS, PhysicalConstants, default_constants
+from .constants import (
+    EVOLUTION_FORMS,
+    HAMILTONIAN_KINDS,
+    PhysicalConstants,
+    default_constants,
+    power,
+)
 from .errors import DomainError, NumericalInstabilityError
 from .timescales import (
     SchwarzschildSpec,
@@ -510,7 +516,7 @@ def _cmd_evolve(params: dict, consts: PhysicalConstants) -> _Record:
     if lam is None:
         if kernel is None:
             raise ConfigError("need --lambda-coefficient or both --n-modes and --temperature")
-        lam = g**2 * kernel.decoherence
+        lam = power(g, 2) * kernel.decoherence
 
     mass = params["mass"] if ham_kind != "none" else 0.0
     if mass is None:

@@ -9,7 +9,10 @@ This keeps formula structure testable in natural units (set
 Defaults are CODATA SI values; the surface gravity default is 9.81 m/s^2.
 
 The names of the master equation's Hamiltonians and evolution forms live here
-too, so that the CLI offers them as choices without importing numpy.
+too, so that the CLI offers them as choices without importing numpy, and so
+does :func:`power`, through which the package raises each constant and each
+input to a power (R^2 in ``decoherence_time_schwarzschild`` keeps a guard of
+its own, which falls back to G M / R / R).
 """
 
 from __future__ import annotations
@@ -45,6 +48,19 @@ class PhysicalConstants:
         for name in ("hbar", "c", "k_B", "G", "g_earth"):
             if not 0 < getattr(self, name) < math.inf:
                 raise DomainError(f"constant {name} must be finite and strictly positive")
+
+
+def power(x: float, n: int) -> float:
+    """x**n for a Python float x, but +-inf where it leaves float64's range.
+
+    Python's ``**`` raises OverflowError there; numpy's power and every float
+    product give inf, and the float64-edge rule then refuses the run or
+    writes the value. Inside the range this is ``x**n``, bit for bit.
+    """
+    try:
+        return x**n
+    except OverflowError:
+        return math.copysign(math.inf, x) if n % 2 else math.inf
 
 
 def default_constants() -> PhysicalConstants:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._tables import read_table
-from .constants import PhysicalConstants
+from .constants import PhysicalConstants, power
 from .errors import DomainError
 
 # expm1 overflows float64 from here on; 1/expm1(x) there is below 1.4e-308 and is taken as 0
@@ -179,6 +179,6 @@ def internal_energy_variance(spec: InternalStateSpec, consts: PhysicalConstants)
     high-T closed form is recovered as hbar*w/k_B*T -> 0.
     """
     if spec.is_high_temperature:
-        return spec.n_modes * (consts.k_B * spec.temperature) ** 2
+        return spec.n_modes * power(consts.k_B * spec.temperature, 2)
     omega, nbar = _mode_occupations(spec.frequencies, spec.temperature, consts)
     return float(np.sum((consts.hbar * omega) ** 2 * nbar * (nbar + 1.0)))

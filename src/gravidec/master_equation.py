@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EVOLUTION_FORMS, HAMILTONIAN_KINDS, PhysicalConstants
+from .constants import EVOLUTION_FORMS, HAMILTONIAN_KINDS, PhysicalConstants, power
 from .errors import DomainError, NumericalInstabilityError
 from .internal_state import InternalStateSpec, internal_energy_variance, mean_internal_energy
 
@@ -189,7 +189,7 @@ class CMHamiltonianSpec:
 
     def gravitational_weight(self, consts: PhysicalConstants) -> float:
         """m + E_internal/c^2, the mass that couples to the linear potential."""
-        return self.mass + self.internal_mean_energy / consts.c**2
+        return self.mass + self.internal_mean_energy / power(consts.c, 2)
 
 
 @dataclass(frozen=True)
@@ -263,7 +263,7 @@ def memory_kernel_coefficients(
     return MemoryKernelCoefficients(
         mean_energy=e0,
         energy_variance=var,
-        decoherence=var / (consts.hbar * consts.c**2) ** 2,
+        decoherence=var / power(consts.hbar * power(consts.c, 2), 2),
     )
 
 
@@ -276,7 +276,7 @@ def dephasing_coefficient(
     same number :func:`memory_kernel_coefficients` gives.
     """
     spec = InternalStateSpec.high_temperature_limit(n_modes, temperature)
-    return g**2 * memory_kernel_coefficients(spec, consts).decoherence
+    return power(g, 2) * memory_kernel_coefficients(spec, consts).decoherence
 
 
 def _snapshot_plan(cfg: EvolutionConfig, m: int) -> list[int]:

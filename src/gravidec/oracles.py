@@ -79,7 +79,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constants import PhysicalConstants
+from .constants import PhysicalConstants, power
 from .errors import DomainError
 from .internal_state import InternalStateSpec
 
@@ -471,7 +471,7 @@ def two_point_unitary_oracle(
         )
 
     dphi = g * x1 - g * x2
-    rate = dphi * t / (consts.hbar * consts.c**2)  # phase per unit energy
+    rate = dphi * t / (consts.hbar * power(consts.c, 2))  # phase per unit energy
 
     # The trailing modes whose joint block fits in a sixteenth of a shard are
     # broadcast, so the rows a shard spans overrun it by at most an eighth;
@@ -658,7 +658,7 @@ def run_oracle_battery(
             "fock": lambda: fock_visibility(spec, delta_tau, cfg, consts),
             # Static arms with g t (x1 - x2) / c^2 = dtau reproduce the same dtau.
             "tensor": lambda: two_point_unitary_oracle(
-                spec, 0.0, -delta_tau * consts.c**2, 1.0, 1.0, cfg, consts
+                spec, 0.0, -delta_tau * power(consts.c, 2), 1.0, 1.0, cfg, consts
             ),
         }
         results = dict.fromkeys(calls, (None, None))

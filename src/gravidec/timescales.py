@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .constants import PhysicalConstants
+from .constants import PhysicalConstants, power
 from .errors import DomainError
 
 _INF_OVER_INF = "tau_dec = sqrt(2/N) hbar c^2 / (k_B T g |dx|) is inf / inf in float64"
@@ -40,7 +40,7 @@ class SchwarzschildSpec:
                 raise DomainError(f"{name} must be > 0")
 
     def schwarzschild_radius(self, consts: PhysicalConstants) -> float:
-        return 2.0 * consts.G * self.central_mass / consts.c**2
+        return 2.0 * consts.G * self.central_mass / power(consts.c, 2)
 
     def validate_weak_field(self, consts: PhysicalConstants) -> None:
         """Reject R below the horizon; warn where the weak-field form is marginal."""
@@ -71,15 +71,16 @@ def _tau(n_modes: float, temperature: float, delta_x: float, g: float,
     if n_modes < 0 or temperature < 0:
         raise DomainError("n_modes and temperature must be >= 0")
     # A zero N or denominator divides to exactly +inf, the no-decoherence
-    # answer. A timescale past float64's range (say N = T = 1e-300) overflows
-    # to the same +inf on purpose: no time a float64 holds shows decoherence.
-    # The numerator sqrt(2/N) hbar c^2 is never 0 for a finite N, so NaN
-    # arises only where it and the denominator are both inf (N = 0 or below
-    # 1.1e-308), or from N = -0 (sqrt(-inf)).
-    root = _quotient(2.0, n_modes)
-    root = math.sqrt(root) if root >= 0 else math.nan
-    return _quotient(root * consts.hbar * consts.c**2,
-                     consts.k_B * temperature * abs(g) * abs(delta_x))
+    # answer; abs makes a -0 N or T that zero, and changes no other value.
+    # A timescale past float64's range (say N = T = 1e-300) overflows to the
+    # same +inf on purpose: no time a float64 holds shows decoherence. The
+    # numerator sqrt(2/N) hbar c^2 is 0 only at N = inf or where hbar c^2
+    # underflows, so NaN arises only where it and the denominator are both 0
+    # (T, g or dx = 0 there) or both inf (N = 0 or below 1.1e-308, or c^2
+    # past float64's range).
+    root = math.sqrt(_quotient(2.0, abs(n_modes)))
+    return _quotient(root * consts.hbar * power(consts.c, 2),
+                     consts.k_B * abs(temperature) * abs(g) * abs(delta_x))
 
 
 def decoherence_time(n_modes, temperature, delta_x, g, consts: PhysicalConstants):
@@ -140,7 +141,7 @@ def hawking_temperature(mass: float, consts: PhysicalConstants) -> float:
         raise DomainError("mass must be finite")
     if mass <= 0:
         raise DomainError("mass must be > 0")
-    numerator = consts.hbar * consts.c**3
+    numerator = consts.hbar * power(consts.c, 3)
     try:
         return numerator / (8.0 * math.pi * consts.k_B * consts.G * mass)
     except ZeroDivisionError:  # each factor is > 0, so no quotient below divides by 0

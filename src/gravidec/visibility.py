@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import PhysicalConstants
+from .constants import PhysicalConstants, power
 from .errors import DomainError
 from .internal_state import InternalStateSpec, _highT_log_modulus, _log_mode_product
 from .timescales import decoherence_time
@@ -100,7 +100,7 @@ def highT_visibility(n_modes, temperature, delta_x, g, t, consts: PhysicalConsta
     # subnormal float64 (it is nonzero there while N <= 1.05).
     with np.errstate(over="ignore"):
         theta = consts.k_B * temperature * g * delta_x * np.asarray(t, dtype=float) / (
-            consts.hbar * consts.c**2
+            consts.hbar * power(consts.c, 2)
         )
         log_theta = None
         if np.any(np.isinf(theta)):
@@ -132,7 +132,7 @@ def proper_time_lab(delta_x: float, g: float, t: float, consts: PhysicalConstant
     """Proper-time difference t*g*dx/c^2 between static arms in a homogeneous field."""
     # A product past float64's range is inf; the mode product refuses w * inf by name.
     with np.errstate(over="ignore"):
-        return t * g * delta_x / consts.c**2
+        return t * g * delta_x / power(consts.c, 2)
 
 
 def visibility_curve(

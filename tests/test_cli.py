@@ -957,6 +957,58 @@ def _visibility_values(stdout: str) -> list[float]:
     return [float(row[1]) for row in rows[1:]]
 
 
+_EVOLVE_2 = ["evolve", "--x1", "0", "--x2", "1e-3", "--n-points", "2", "--dt", "1e-8",
+             "--t-final", "1e-6"]
+
+
+@pytest.mark.parametrize("argv, constants", [
+    (["tau", "--N", "1e23", "--T", "300", "--dx", "1e-3"], {"c": 1e200}),
+    (["visibility", "--law", "high-T", "--N", "1e23", "--T", "300", "--dx", "1e-3",
+      "--t-final", "1e-6"], {"c": 1e200}),
+    (["tau", "--N", "1e23", "--dx", "1e-9", "--central-mass", "9.945e30", "--radius", "1.5e4",
+      "--hawking"], {"c": 1e120}),
+    ([*_EVOLVE_2, "--N", "1e23", "--T", "1e200"], {}),
+    ([*_EVOLVE_2, "--N", "1e23", "--T", "300"], {"hbar": 1e150}),
+], ids=["tau-c-squared", "visibility-c-squared", "tau-hawking-c-cubed",
+        "evolve-kT-squared", "evolve-hbar-c-squared-squared"])
+def test_a_power_past_float64_writes_its_value_or_refuses_by_name(capsys, tmp_path, argv,
+                                                                 constants):
+    # Python's float ** raised OverflowError, a traceback with exit 1, where
+    # numpy's power and a product give inf: c^2 = 1e400, c^3 = 1e360,
+    # (k_B T)^2 ~ 1e354 and (hbar c^2)^2 ~ 1e333
+    config = tmp_path / "constants.json"
+    config.write_text(json.dumps({"constants": constants}))
+    code, stdout, err = _run(capsys, *argv, "--config", str(config))
+    if argv[0] == "tau":  # tau_dec is past float64's range, or T_H is
+        assert (code, err) == (0, "")
+        results = json.loads(stdout)["results"]
+        expected = ({"hawking_temperature": "inf", "tau_dec": 0.0} if "--hawking" in argv
+                    else {"tau_dec": "inf"})
+        assert {key: results[key] for key in expected} == expected
+    elif argv[0] == "visibility":  # dtau = t g dx / c^2 is 0, and so V = 1
+        assert (code, err) == (0, "")
+        assert _visibility_values(stdout) == [1.0] * 200
+    elif not constants:  # lambda = g^2 N (k_B T)^2 / (hbar c^2)^2 is inf
+        assert (code, stdout) == (3, "")
+        assert err == ("gravidec: domain error: dt, t_final and lambda_coefficient must be "
+                       "finite\n")
+    else:  # lambda is 0, the run without dephasing
+        assert (code, err) == (0, "")
+        body = [line for line in stdout.splitlines() if not line.startswith("#")]
+        assert "# lambda_coefficient = 0.0" in stdout.splitlines()
+        _, reference, _ = _run(capsys, *_EVOLVE_2, "--lambda-coefficient", "0")
+        assert body == [line for line in reference.splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("argv", [["--N", "1e23", "--T", "-0"], ["--N", "-0", "--T", "300"]],
+                         ids=["T", "N"])
+def test_tau_at_a_signed_zero_is_the_no_decoherence_inf(capsys, argv):
+    # T = -0 gave -inf, and N = -0 was refused as inf / inf
+    code, stdout, err = _run(capsys, "tau", *argv, "--dx", "1e-3")
+    assert (code, err) == (0, "")
+    assert json.loads(stdout)["results"]["tau_dec"] == "inf"
+
+
 def test_high_T_law_with_no_modes_is_one_where_theta_overflows(capsys):
     # theta = inf: -N/2 log1p(theta^2) was 0 * inf, written as nan behind a
     # raw "invalid value encountered in multiply" warning

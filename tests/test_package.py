@@ -181,19 +181,69 @@ def test_each_module_the_tracer_names_is_registered_and_loads_on_first_access():
     )
 
 
+def _defining_modules() -> dict[str, list[str]]:
+    """The modules whose top level defines each public name, read from the source."""
+    homes: dict[str, list[str]] = {}
+    for path in sorted(Path(gravidec.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gravidec.__all__:
+                homes.setdefault(node.name, []).append(path.stem)
+    return homes
+
+
 def test_each_public_name_is_its_defining_modules_object():
-    # a deferred name's module comes from the package's table, unloaded; the
-    # names imported eagerly are bound at import; together they are __all__
+    # each name is defined in one module, read from the source rather than from
+    # the package; in a fresh interpreter, where the deferred names are looked
+    # up in order, the package serves that module's object
+    homes = {name: modules[0] for name, modules in _defining_modules().items()
+             if len(modules) == 1}
+    assert set(homes) == set(gravidec.__all__)
     _in_a_fresh_interpreter(
         "import sys\n"
         "import gravidec\n"
-        "homes = gravidec._HOMES\n"
-        "eager = {name for name in gravidec.__all__ if name in vars(gravidec)}\n"
-        "assert not eager & set(homes), eager & set(homes)\n"
-        "assert eager | set(homes) == set(gravidec.__all__)\n"
+        f"homes = {homes!r}\n"
         "for name in gravidec.__all__:\n"
         "    value = getattr(gravidec, name)\n"
-        "    if name in homes:\n"
-        "        assert value.__module__ == f'gravidec.{homes[name]}', name\n"
+        "    assert value.__module__ == f'gravidec.{homes[name]}', name\n"
         "    assert getattr(sys.modules[value.__module__], name) is value, name\n"
+    )
+
+
+def _unloaded_around(lookup: str) -> str:
+    """Code that imports the package and binds ``before`` and ``after``, the
+    registered submodules still unloaded before and after running lookup."""
+    return (
+        "import sys, types\n"
+        "import gravidec\n"
+        "def unloaded():\n"
+        "    return {name.removeprefix('gravidec.') for name, module in sys.modules.items()\n"
+        "            if name.startswith('gravidec.') and type(module) is not types.ModuleType}\n"
+        "before = unloaded()\n"
+        f"{lookup}\n"
+        "after = unloaded()\n"
+    )
+
+
+def test_a_name_loads_no_deferred_module_after_its_home():
+    _in_a_fresh_interpreter(
+        _unloaded_around("assert gravidec.InternalStateSpec.__name__ == 'InternalStateSpec'")
+        + "assert before - after == {'_tables', 'internal_state'}, before - after\n"
+        + "assert {'master_equation', 'oracles'} <= after, after\n"
+    )
+
+
+def test_an_unknown_name_is_refused_before_anything_loads():
+    _in_a_fresh_interpreter(
+        _unloaded_around(
+            "try:\n"
+            "    gravidec.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    assert 'no_such_name' in str(exc), exc\n"
+            "else:\n"
+            "    raise AssertionError('no AttributeError')"
+        )
+        + "assert after == before and len(before) == 7, (before, after)\n"
+        + "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
     )

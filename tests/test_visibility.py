@@ -295,14 +295,15 @@ def test_decoherence_time_rejects_negative():
 
 
 def test_decoherence_time_has_the_bits_of_the_numpy_formula():
-    # the reference is the array formula the scalar law replaced: its IEEE
-    # quotients keep every bit, signed zeros and infinities included, and a
-    # NaN there is a refusal here
+    # the reference is the array formula the scalar law replaced, with a -0 N
+    # or T read as the zero it is: its IEEE quotients keep every bit, signed
+    # zeros and infinities included, and a NaN there is a refusal here
     edges = [0.0, -0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e23, 1e300, 1.7e308, math.inf, math.nan]
     n, t, dx, g = (a.ravel() for a in np.meshgrid(edges, edges, edges, edges, indexing="ij"))
     c = CONSTS
     with np.errstate(all="ignore"):
-        ref = np.sqrt(2.0 / n) * c.hbar * c.c**2 / (c.k_B * t * np.abs(g) * np.abs(dx))
+        ref = (np.sqrt(2.0 / np.abs(n)) * c.hbar * c.c**2
+               / (c.k_B * np.abs(t) * np.abs(g) * np.abs(dx)))
     for *args, want in zip(n.tolist(), t.tolist(), dx.tolist(), g.tolist(), ref.tolist()):
         if math.isnan(want):
             with pytest.raises(DomainError, match="is inf / inf in float64"):
@@ -313,6 +314,16 @@ def test_decoherence_time_has_the_bits_of_the_numpy_formula():
     ok = ~np.isnan(ref)
     assert np.array_equal(decoherence_time(n[ok], t[ok], dx[ok], g[ok], c).view(np.int64),
                           ref[ok].view(np.int64))
+
+
+def test_decoherence_time_at_a_signed_zero_is_inf():
+    # a -0 N or T means no decoherence, as +0 does, for a scalar and in a cell
+    for n, t in ((-0.0, 300.0), (1e23, -0.0), (-0.0, -0.0)):
+        assert decoherence_time(n, t, 1e-3, 9.81, CONSTS) == math.inf
+    tau = decoherence_time(1e23, 300.0, 1e-3, 9.81, CONSTS)
+    cells = decoherence_time(np.array([-0.0, 1e23]), np.array([[300.0], [-0.0]]), 1e-3, 9.81,
+                             CONSTS)
+    assert cells.tolist() == [[math.inf, tau], [math.inf, math.inf]]
 
 
 def test_decoherence_time_refuses_inf_over_inf_in_any_cell():

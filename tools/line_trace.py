@@ -95,7 +95,7 @@ UNREACHABLE = ("platform", "entry point")
 
 #: (file in src/gravidec, text that occurs once in it, class).
 LISTED: tuple[tuple[str, str, str], ...] = (
-    ("__init__.py", "if name not in _HOMES:", "library input"),
+    ("__init__.py", "if name not in __all__:", "library input"),
     ("_tables.py", "def read_table(", "documented flag"),
     ("_tables.py", "def linear_interpolant(", "documented flag"),
     ("cli.py", "def _load_config(", "documented flag"),
@@ -124,6 +124,7 @@ LISTED: tuple[tuple[str, str, str], ...] = (
     ("cli.py", "except NumericalInstabilityError as exc:", "refusal"),
     ("cli.py", "def console(", "entry point"),
     ("cli.py", 'if __name__ == "__main__":', "entry point"),
+    ("constants.py", "except OverflowError:", "float64 edge"),
     ("emission.py", "def tabulated_emission_model(", "documented flag"),
     ("emission.py", "def emission_model_from_csv(", "documented flag"),
     ("emission.py", 'if axis1_kind == "radius":', "documented flag"),

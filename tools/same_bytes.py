@@ -46,12 +46,19 @@ The list is:
   and without emission, and where r^3, a temperature's blackbody
   wavenumbers, the power-law cross-section or the emission integrand leave
   float64's range, the last two also at ``--sigma0 0``, where a zero
-  cross-section leaves no emission (tau_em = inf);
+  cross-section leaves no emission (tau_em = inf); and a power of a Python
+  float past float64's range, through a ``"constants"`` file: c^2 in ``tau``
+  and in ``visibility`` at c = 1e200, c^3 in the README's ``tau --hawking``
+  at c = 1e120, (hbar c^2)^2 in ``evolve`` at hbar = 1e150, and (k_B T)^2 in
+  ``evolve --T 1e200``;
+* ``tau`` at ``--T -0`` and at ``--N -0``, signed zeros that mean no
+  decoherence (tau_dec = inf);
 * ``evolve --x1 -1e-3``, a negative flag value in scientific notation;
 * ``--help`` of the program and of every subcommand.
 
-Every invocation starts in a directory that holds only ``modes.csv``, a
-three-mode frequency table; that input is not compared.
+Every invocation starts in a directory that holds only ``INPUTS``: a
+three-mode frequency table and three ``"constants"`` files; these inputs are
+not compared.
 
 For each invocation the exit codes, stdout, stderr and every file written are
 compared, and one line is printed: ``identical``, or ``DIFFERS`` with the
@@ -85,7 +92,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SUBCOMMANDS = ("tau", "visibility", "evolve", "regime", "propertime", "oracle-check")
 
 #: Input tables written into each invocation's directory before it runs.
-INPUTS = {"modes.csv": "# rad/s\n1e13\n2e13\n5e13\n"}
+INPUTS = {"modes.csv": "# rad/s\n1e13\n2e13\n5e13\n",
+          "c200.json": '{"constants": {"c": 1e200}}\n',
+          "c120.json": '{"constants": {"c": 1e120}}\n',
+          "hbar150.json": '{"constants": {"hbar": 1e150}}\n'}
 
 
 def readme_examples(readme: Path) -> list[list[str]]:
@@ -186,6 +196,15 @@ def invocations() -> list[list[str]]:
     runs.append([*edge, "--sigma0", "3e-22", "--k0", "1e7", "--axis1", "radius",
                  "--axis1-max", "1e200", "--mode-density", "1e28", "--delta-x", "1e-3",
                  "--t-min", "100", "--t-max", "600"])
+    runs += [[*base["tau"], "--config", "c200.json"],
+             ["visibility", "--law", "high-T", "--N", "1e23", "--T", "300", "--dx", "1e-3",
+              "--t-final", "1e-6", "--config", "c200.json"],
+             [*near, "9.945e30", "--radius", "1.5e4", "--hawking", "--config", "c120.json"]]
+    powers = ["evolve", "--x1", "0", "--x2", "1e-3", "--n-points", "2", "--N", "1e23",
+              "--dt", "1e-8", "--t-final", "1e-6"]
+    runs += [[*powers, "--T", "1e200"], [*powers, "--T", "300", "--config", "hbar150.json"]]
+    runs += [["tau", "--N", "1e23", "--T", "-0", "--dx", "1e-3"],
+             ["tau", "--N", "-0", "--T", "300", "--dx", "1e-3"]]
     runs.append(["evolve", "--x1", "-1e-3", "--x2", "1e-3", "--N", "1e23", "--T", "300",
                  "--dt", "1e-8", "--t-final", "1e-7"])
     runs.append(["--help"])
