@@ -23,8 +23,8 @@ names, and nothing is written. Defaults and ``preset`` do not count.
 For oracle-check, values resolve in the order defaults, preset, file, flags;
 its number-state oracles truncate at ``OracleConfig``'s default tail mass.
 A ``"constants"`` object inside the file overrides individual physical
-constants, each checked as a real-valued parameter is. Unknown keys are
-rejected.
+constants, each checked as a real-valued parameter is, and a set whose c^2
+or (hbar c^2)^2 underflows to 0 is refused. Unknown keys are rejected.
 
 Outputs are byte-deterministic: JSON is written with sorted keys, CSV carries
 a ``#``-commented metadata preamble, and nothing embeds timestamps. Each
@@ -276,9 +276,18 @@ def _build_constants(overrides: dict) -> PhysicalConstants:
         raise ConfigError(f"unknown constants: {', '.join(unknown)}")
     checked = {k: _check_config_value(f"constants.{k}", float, v) for k, v in overrides.items()}
     try:
-        return PhysicalConstants(**{**base, **checked})
+        consts = PhysicalConstants(**{**base, **checked})
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    # The commands divide by c^2, hbar c^2 and (hbar c^2)^2, so none may
+    # underflow to 0. A power that overflows is inf, left to the float64-edge
+    # rule of the formula that meets it.
+    if power(consts.c, 2) == 0.0:
+        raise ConfigError(f"constant c = {consts.c:g}: c^2 underflows to 0 in float64")
+    if power(consts.hbar * power(consts.c, 2), 2) == 0.0:
+        raise ConfigError(f"constants hbar = {consts.hbar:g} and c = {consts.c:g}: "
+                          "(hbar c^2)^2 underflows to 0 in float64")
+    return consts
 
 
 class _Params(dict):

@@ -22,6 +22,9 @@ from .errors import DomainError
 # expm1 overflows float64 from here on; 1/expm1(x) there is below 1.4e-308 and is taken as 0
 _EXPM1_OVERFLOW = math.log(np.finfo(float).max)
 
+#: Explicit-frequency mode counts above this refuse to evaluate the product.
+DEFAULT_MODE_LIMIT = 10**6
+
 # Most (delta_tau x mode) elements the mode-product kernel holds in one temporary.
 _CHUNK_ELEMENTS = 2**16
 
@@ -33,7 +36,9 @@ class InternalStateSpec:
     ``frequencies=None`` is the high-temperature marker: frequencies drop out
     and closed forms in (N, T) are used. With explicit frequencies, ``n_modes``
     must equal the list length. ``n_modes`` is a float so that closed-form
-    evaluations at N ~ 1e23 stay representable.
+    evaluations at N ~ 1e23 stay representable. The validated frequencies
+    are also held once as a read-only float64 array, ``_omega`` (None for
+    the marker), which is no field: equality and hashing see the tuple.
     """
 
     n_modes: float
@@ -47,12 +52,15 @@ class InternalStateSpec:
                 raise DomainError(f"{name} must be finite")
             if value < 0:
                 raise DomainError(f"{name} must be >= 0")
+        object.__setattr__(self, "_omega", None)
         if self.frequencies is not None:
-            freqs = np.asarray(self.frequencies, dtype=float)
+            freqs = np.array(self.frequencies, dtype=float)  # a copy: the caller's stays writable
             n_modes_ok = self.n_modes == int(self.n_modes) == freqs.size
             if freqs.ndim != 1 or not n_modes_ok:
                 raise DomainError("explicit frequency list length must equal n_modes")
+            freqs.flags.writeable = False
             object.__setattr__(self, "frequencies", tuple(freqs.tolist()))
+            object.__setattr__(self, "_omega", freqs)
             if not np.all(np.isfinite(freqs)):
                 raise DomainError("frequencies has non-finite entries")
             if np.any(freqs <= 0):
@@ -107,7 +115,7 @@ def _mode_occupations(
 
 
 def _log_mode_product(
-    spec: InternalStateSpec, delta_tau, consts: PhysicalConstants
+    spec: InternalStateSpec, delta_tau, consts: PhysicalConstants, phase: bool = True
 ) -> np.ndarray:
     """log chi(dtau) = -sum_i log(1 + nbar_i (1 - exp(-i w_i dtau))) at every dtau.
 
@@ -117,11 +125,18 @@ def _log_mode_product(
     s = sin(phi/2) and phi = w dtau, whose log modulus is
     0.5 log1p(4 nbar (nbar+1) s^2); unlike 1 - exp(-i phi) it keeps the nbar
     term to full precision at small phi. Returns an array shaped like
-    ``delta_tau``, built in blocks of at most _CHUNK_ELEMENTS elements.
-    A phase w dtau past float64's range is a DomainError, checked once on
-    the largest |dtau| and w: sin() of it would be NaN.
+    ``delta_tau``, built in blocks of at most _CHUNK_ELEMENTS elements: the
+    complex log chi, or with ``phase=False`` its real part alone, log V,
+    with the same bits and without the phase's arctan2 and sin.
+    A spec of more than DEFAULT_MODE_LIMIT modes is a DomainError, and so is
+    a phase w dtau past float64's range, checked once on the largest |dtau|
+    and w: sin() of it would be NaN.
     """
-    omega, nbar = _mode_occupations(spec.frequencies, spec.temperature, consts)
+    if len(spec.frequencies) > DEFAULT_MODE_LIMIT:
+        raise DomainError(
+            f"{len(spec.frequencies)} modes exceeds DEFAULT_MODE_LIMIT={DEFAULT_MODE_LIMIT}"
+        )
+    omega, nbar = _mode_occupations(spec._omega, spec.temperature, consts)
     gain = 4.0 * nbar * (nbar + 1.0)
     dtau = np.asarray(delta_tau, dtype=float)
     flat = dtau.reshape(-1)
@@ -129,16 +144,17 @@ def _log_mode_product(
     if not math.isfinite(dtau_max * omega_max):  # a Python product overflows to inf, silently
         raise DomainError(f"mode phase w*dtau overflows float64: max |dtau| = {dtau_max:.6g} s "
                           f"times max w = {omega_max:.6g} rad/s")
-    out = np.zeros(flat.size, dtype=complex)
+    out = np.zeros(flat.size, dtype=complex if phase else float)
     cols = max(1, min(omega.size, _CHUNK_ELEMENTS))
     rows = max(1, _CHUNK_ELEMENTS // cols)
     for i in range(0, flat.size, rows):
         for j in range(0, omega.size, cols):
-            n = nbar[j:j + cols]
             phi = flat[i:i + rows, None] * omega[j:j + cols]
             s2 = np.sin(0.5 * phi) ** 2
             out[i:i + rows] -= 0.5 * np.log1p(gain[j:j + cols] * s2).sum(axis=1)
-            out[i:i + rows] -= 1j * np.arctan2(n * np.sin(phi), 1.0 + 2.0 * n * s2).sum(axis=1)
+            if phase:
+                n = nbar[j:j + cols]
+                out[i:i + rows] -= 1j * np.arctan2(n * np.sin(phi), 1.0 + 2.0 * n * s2).sum(axis=1)
     return out.reshape(dtau.shape)
 
 
@@ -167,7 +183,7 @@ def mean_internal_energy(spec: InternalStateSpec, consts: PhysicalConstants) -> 
     """Mean internal energy: N*k_B*T in the high-T limit, else sum of hbar*w*nbar."""
     if spec.is_high_temperature:
         return spec.n_modes * consts.k_B * spec.temperature
-    omega, nbar = _mode_occupations(spec.frequencies, spec.temperature, consts)
+    omega, nbar = _mode_occupations(spec._omega, spec.temperature, consts)
     return float(np.sum(consts.hbar * omega * nbar))
 
 
@@ -180,5 +196,5 @@ def internal_energy_variance(spec: InternalStateSpec, consts: PhysicalConstants)
     """
     if spec.is_high_temperature:
         return spec.n_modes * power(consts.k_B * spec.temperature, 2)
-    omega, nbar = _mode_occupations(spec.frequencies, spec.temperature, consts)
+    omega, nbar = _mode_occupations(spec._omega, spec.temperature, consts)
     return float(np.sum((consts.hbar * omega) ** 2 * nbar * (nbar + 1.0)))

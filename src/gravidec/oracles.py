@@ -46,21 +46,21 @@ shard may be short. A shard draws its standard exponentials one mode at a
 time, in stream order, into one row and adds each mode's terms before
 drawing the next.
 
-The schedule is two ordered maps, run after a battery has drawn all its
-cases (:func:`mc_visibility` is the one-case call of the same maps): one
-pilot unit per case, then one unit per (case, shard) pair in case-major
-order. Each unit returns its result, and a case's shard sums are combined
-with a single np.sum in shard order. Both maps run on one set of workers,
-one per CPU the process may use and at most one per shard that
-``n_samples`` allows: a thread pool's map for both, or the builtin map, in
+The schedule is one ordered map, run after a battery has drawn all its
+cases (:func:`mc_visibility` is the one-case call of the same map), with
+one unit per case: the unit runs the case's pilot and then its shards in
+shard order, all on one row set, and combines the shard sums with a single
+np.sum in shard order. The map runs on one worker per CPU the process may
+use and at most one per case: a thread pool's map, or the builtin map, in
 the calling thread and with no ``concurrent.futures`` import, when there
 is one worker. The calling thread makes one row set per worker, six rows of
 max(2^14, min(2^16, n_samples)) samples, 3 MiB at full shards, whatever the
-case and mode counts; each worker thread takes one on its first unit and
-keeps it for both maps. The pilot and the shard kernel are numpy ufuncs and
-einsum reductions only, with no BLAS call, so the result is bit-identical
-at fixed (seed, n_samples) whatever the worker count, the thread that runs
-a unit, the other cases in the pass, or the BLAS thread count.
+case and mode counts; a unit takes a set from that free list and returns it
+when its case is done. A single case's shards thus run on one worker. The
+pilot and the shard kernel are numpy ufuncs and einsum reductions only,
+with no BLAS call, so the result is bit-identical at fixed (seed,
+n_samples) whatever the worker count, the thread that runs a unit, the
+other cases in the pass, or the BLAS thread count.
 
 Every phase e^{i theta} here, per Monte Carlo sample or per joint Fock
 state, comes from one tau = tan(theta/2) through the half-angle identities
@@ -71,10 +71,8 @@ scalar libm for each value.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -291,10 +289,9 @@ def _mc_estimates(
 ) -> list[tuple[float, float, int]]:
     """``(visibility, standard_error, main_samples)`` of each ``(seed, c_re, c_im)`` task.
 
-    Runs the two ordered maps of the module docstring, the pilots and then
-    every (task, shard) unit, on one set of workers.
+    Runs the one ordered map of the module docstring, one unit per task.
     """
-    workers = min(_usable_cpus(), len(tasks) * math.ceil(n_samples / _SHARD))
+    workers = min(_usable_cpus(), len(tasks))
     # Six separate rows per worker, not one (workers, 6, m) block: glibc
     # raises its mmap threshold to the size of each large block it frees, and
     # later mid-size arrays then stay on the heap. On Linux with glibc, one
@@ -305,43 +302,26 @@ def _mc_estimates(
     # into arrays of their own raised that peak by about 4 MB.
     length = max(_PILOT, min(_SHARD, n_samples))
     spare = [[np.empty(length) for _ in range(6)] for _ in range(workers)]
-    held = threading.local()
 
-    def rows() -> list[np.ndarray]:
-        # a worker thread takes its row set on its first unit and keeps it;
-        # list.pop is one atomic call, so no two threads take the same set
-        if not hasattr(held, "rows"):
-            held.rows = spare.pop()
-        return held.rows
-
-    def pilot(task):
+    def estimate(task) -> tuple[float, float, int]:
         seed, c_re, c_im = task
-        return _mc_pilot(seed, n_samples, c_re, c_im, rows())
-
-    def shard(unit):
-        (seed, c_re, c_im), (beta, n_main), k = unit
-        return _mc_shard(seed, k, n_main, c_re, c_im, beta, rows())
-
-    def passes(mapper) -> list[tuple[float, float, int]]:
-        fits = list(mapper(pilot, tasks))
-        counts = [math.ceil(n_main / _SHARD) for _, n_main in fits]
-        units = ((task, fit, k) for task, fit, count in zip(tasks, fits, counts)
-                 for k in range(count))
-        results = mapper(shard, units)
-        estimates = []
-        for (_, n_main), count in zip(fits, counts):
-            sums, abs2 = zip(*itertools.islice(results, count))
-            mean = complex(np.sum(sums)) / n_main
-            var = max(float(np.sum(abs2)) / n_main - abs(mean) ** 2, 0.0)
-            estimates.append((abs(mean), math.sqrt(var / (n_main - 1)), n_main))
-        return estimates
+        # at most `workers` units run at once, each on a set it alone holds;
+        # list.pop and list.append are each one atomic call
+        rows = spare.pop()
+        beta, n_main = _mc_pilot(seed, n_samples, c_re, c_im, rows)
+        sums, abs2 = zip(*(_mc_shard(seed, k, n_main, c_re, c_im, beta, rows)
+                           for k in range(math.ceil(n_main / _SHARD))))
+        spare.append(rows)
+        mean = complex(np.sum(sums)) / n_main
+        var = max(float(np.sum(abs2)) / n_main - abs(mean) ** 2, 0.0)
+        return abs(mean), math.sqrt(var / (n_main - 1)), n_main
 
     if workers == 1:
-        return passes(map)
+        return list(map(estimate, tasks))
     from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return passes(pool.map)
+        return list(pool.map(estimate, tasks))
 
 
 def mc_visibility(

@@ -35,9 +35,6 @@ from .timescales import decoherence_time
 #: Laws a VisibilityCurve can be tagged with.
 VISIBILITY_LAWS = ("exact-product", "high-T", "gaussian", "master-equation")
 
-#: Explicit-frequency mode counts above this refuse to evaluate the product.
-DEFAULT_MODE_LIMIT = 10**6
-
 
 @dataclass(frozen=True)
 class VisibilityCurve:
@@ -65,15 +62,11 @@ class VisibilityCurve:
 
 
 def _exact_log_visibility(spec: InternalStateSpec, delta_tau, consts: PhysicalConstants):
-    """log V at each delta_tau, refusing the high-T marker and oversized specs."""
+    """log V at each delta_tau, refusing the high-T marker."""
     if spec.is_high_temperature:
         raise DomainError("exact_visibility requires explicit frequencies; "
                           "use highT_visibility for the high-T marker")
-    if len(spec.frequencies) > DEFAULT_MODE_LIMIT:
-        raise DomainError(
-            f"{len(spec.frequencies)} modes exceeds DEFAULT_MODE_LIMIT={DEFAULT_MODE_LIMIT}"
-        )
-    return _log_mode_product(spec, delta_tau, consts).real
+    return _log_mode_product(spec, delta_tau, consts, phase=False)
 
 
 def exact_visibility(spec: InternalStateSpec, delta_tau: float, consts: PhysicalConstants) -> float:
@@ -81,8 +74,9 @@ def exact_visibility(spec: InternalStateSpec, delta_tau: float, consts: Physical
 
     Even in ``delta_tau``; equals 1 at delta_tau = 0 and at T = 0. Accumulated
     as exp(-sum log|z_i|) so arbitrarily small visibilities do not underflow
-    intermediate products. Specs with more than DEFAULT_MODE_LIMIT explicit
-    modes are refused (the high-temperature law exists precisely to avoid them).
+    intermediate products. Specs with more than
+    ``internal_state.DEFAULT_MODE_LIMIT`` explicit modes are refused (the
+    high-temperature law exists precisely to avoid them).
     """
     return math.exp(_exact_log_visibility(spec, delta_tau, consts))
 

@@ -13,6 +13,7 @@ from gravidec import (
     thermal_occupation,
 )
 from gravidec.errors import DomainError
+from gravidec.internal_state import _log_mode_product
 
 CONSTS = default_constants()
 
@@ -78,6 +79,33 @@ def test_explicit_frequencies():
     assert not spec.is_high_temperature
     assert spec.n_modes == 2.0
     assert spec.frequencies == (1e12, 2e12)
+
+
+def test_frequencies_are_held_once_as_a_read_only_array():
+    # the array that validation made is kept beside the tuple and is no
+    # field: equality and hashing still see the tuple alone, and the
+    # caller's array stays its own and writable
+    given = np.array([1e12, 2.5e12])
+    spec = InternalStateSpec.from_frequencies(given, 77.0)
+    assert spec._omega.dtype == np.float64 and spec._omega.tolist() == list(spec.frequencies)
+    assert not spec._omega.flags.writeable and given.flags.writeable
+    assert not np.shares_memory(spec._omega, given)
+    twin = InternalStateSpec.from_frequencies((1e12, 2.5e12), 77.0)
+    assert spec == twin and hash(spec) == hash(twin)
+    assert InternalStateSpec.high_temperature_limit(1e23, 300.0)._omega is None
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+def test_mode_product_without_its_phase_is_the_real_part_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    t = 300.0
+    freqs = CONSTS.k_B * t / CONSTS.hbar * np.exp(rng.uniform(-3.0, 3.0, 40))
+    spec = InternalStateSpec.from_frequencies(freqs, t)
+    dtau = rng.uniform(-20.0, 20.0, shape) / freqs.max()
+    log_chi = _log_mode_product(spec, dtau, CONSTS)
+    log_v = _log_mode_product(spec, dtau, CONSTS, phase=False)
+    assert log_chi.dtype == complex and log_v.dtype == float and log_v.shape == shape
+    assert log_v.tobytes() == log_chi.real.tobytes()
 
 
 def test_from_frequencies_validation():

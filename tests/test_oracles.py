@@ -193,24 +193,25 @@ def test_row_by_row_draws_give_the_one_draw_kernel_bits(nbars):
 @pytest.mark.parametrize("n_samples", [1_000, 200_001])
 @pytest.mark.parametrize("nbars", [(1.0,), (1.0, 0.3, 2.0, 0.05)])
 def test_mc_worker_scratch_is_six_rows_whatever_the_mode_count(monkeypatch, nbars, n_samples):
-    # One case alone, then a battery of 1-, 2- and 4-mode cases: every pilot
-    # unit and every (case, shard) unit runs on one of at most `workers` sets
-    # of six rows of max(_PILOT, min(_SHARD, n_samples)), whatever the case
-    # and mode counts, each thread on one set that no other thread uses, and
-    # each case runs the shards of the main samples its pilot chose.
-    units, pilots = [], []  # hold every row they saw, so no id is reused while recorded
+    # One case alone, then a battery of 1-, 2- and 4-mode cases: each case
+    # runs its pilot and then every shard of the main samples its pilot
+    # chose, in shard order, on one thread and one set of six rows of
+    # max(_PILOT, min(_SHARD, n_samples)), whatever the case and mode
+    # counts. At most one set per worker and per case serves a call, and no
+    # set serves two cases at once.
+    calls = []  # holds every row it saw, so no id is reused while recorded
     # a margin no pilot meets, so the main pass draws all n_samples: the
-    # 200_001-sample runs then have four units per case
+    # 200_001-sample runs then have four shards per case
     monkeypatch.setattr(oracles, "_MARGIN", 1e12)
 
     def recording_shard(seed, shard, n, c_re, c_im, beta, rows):
-        units.append((threading.get_ident(), tuple(rows), [row.shape for row in rows]))
+        calls.append((seed, shard, threading.get_ident(), tuple(rows)))
         return _mc_shard(seed, shard, n, c_re, c_im, beta, rows)
 
     pilot = oracles._mc_pilot
 
     def recording_pilot(seed, n, c_re, c_im, rows):
-        pilots.append((threading.get_ident(), tuple(rows), [row.shape for row in rows]))
+        calls.append((seed, None, threading.get_ident(), tuple(rows)))
         return pilot(seed, n, c_re, c_im, rows)
 
     monkeypatch.setattr(oracles, "_mc_shard", recording_shard)
@@ -219,26 +220,40 @@ def test_mc_worker_scratch_is_six_rows_whatever_the_mode_count(monkeypatch, nbar
     cfg = OracleConfig(n_samples=n_samples)
     n_shards = math.ceil(n_samples / _SHARD)
     spec = _spec(nbars)
-    for workers in (1, 2):
-        monkeypatch.setattr(oracles, "_usable_cpus", lambda workers=workers: workers)
-        units.clear()
-        pilots.clear()
-        mc_visibility(spec, 0.3 / max(spec.frequencies), cfg, CONSTS)
-        cases = [case for case in run_oracle_battery(2, cfg, CONSTS, seed=3)
-                 if case.v_mc is not None]
-        assert len({len(case.frequencies) for case in cases}) == 3
-        assert all(case.n_samples == n_samples for case in cases)
-        assert len(units) == (1 + len(cases)) * n_shards and len(pilots) == 1 + len(cases)
-        assert all(shapes == [(length,)] * 6 for _, _, shapes in units + pilots)
-        calls = ((units[:n_shards] + pilots[:1], min(workers, n_shards)),
-                 (units[n_shards:] + pilots[1:], workers))
-        for records, most in calls:
-            sets_by_thread = {}
-            for thread, rows, _ in records:
-                sets_by_thread.setdefault(thread, set()).add(tuple(map(id, rows)))
-            assert all(len(sets) == 1 for sets in sets_by_thread.values())
-            held = [rows for sets in sets_by_thread.values() for rows in sets]
-            assert len(set(held)) == len(held) <= most
+
+    def check(n_cases: int, most: int) -> None:
+        assert all([row.shape for row in rows] == [(length,)] * 6 for *_, rows in calls)
+        by_case: dict[int, list] = {}
+        for index, (seed, shard, thread, rows) in enumerate(calls):
+            by_case.setdefault(seed, []).append((index, shard, thread, tuple(map(id, rows))))
+        assert len(by_case) == n_cases
+        spans: dict[tuple, list] = {}  # each set's cases, as (first, last) call indices
+        for records in by_case.values():
+            assert [shard for _, shard, _, _ in records] == [None, *range(n_shards)]
+            assert len({(thread, ids) for _, _, thread, ids in records}) == 1
+            spans.setdefault(records[0][3], []).append((records[0][0], records[-1][0]))
+        assert len(spans) <= most
+        for cases in spans.values():
+            cases.sort()
+            assert all(last < first for (_, last), (first, _) in zip(cases, cases[1:]))
+
+    # up to more workers than cores, switching threads often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(oracles, "_usable_cpus", lambda workers=workers: workers)
+            calls.clear()
+            mc_visibility(spec, 0.3 / max(spec.frequencies), cfg, CONSTS)
+            check(1, 1)
+            calls.clear()
+            cases = [case for case in run_oracle_battery(2, cfg, CONSTS, seed=3)
+                     if case.v_mc is not None]
+            assert len({len(case.frequencies) for case in cases}) == 3
+            assert all(case.n_samples == n_samples for case in cases)
+            check(len(cases), workers)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_single_shard_mc_starts_no_thread_pool():
@@ -620,7 +635,7 @@ def test_battery_small_run_is_deterministic_and_consistent():
 
 def test_battery_mc_is_bit_identical_at_any_worker_count_and_to_each_case_alone(monkeypatch):
     # 18 cases, one skipped by MC, of 4 shards each with a short last one:
-    # 68 (case, shard) units that 1, 2 and 3 workers claim in different
+    # 17 case units that 1, 2 and 3 workers claim in different
     # interleavings, switching threads often. Each case must also equal
     # mc_visibility on its own stream, so an estimate moved to its
     # neighbour's case fails.

@@ -26,6 +26,7 @@ from gravidec import (
 from gravidec.cli import main
 from gravidec.emission import compare_timescales
 from gravidec.errors import DomainError
+from gravidec.internal_state import DEFAULT_MODE_LIMIT
 
 CONSTS = default_constants()
 
@@ -34,6 +35,9 @@ _FILES = {
     "list.json": "[1, 2]\n",
     "constants-list.json": '{"constants": [1]}\n',
     "zero-c.json": '{"constants": {"c": 0}}\n',
+    "small-c.json": '{"constants": {"c": 1e-200}}\n',
+    "small-hbar.json": '{"constants": {"hbar": 1e-300}}\n',
+    "many-modes.csv": "1e13\n" * (DEFAULT_MODE_LIMIT + 1),
     "unsorted.csv": "0,0\n2,1\n1,2\n",
     "one-row.csv": "0,0,0,1,0\n",
 }
@@ -46,6 +50,9 @@ _REGIME = ["regime", "--axis1", "delta-x", "--axis1-min", "1e-6", "--axis1-max",
            "--t-min", "100", "--t-max", "600", "--n-modes", "1e23"]
 _STATIC = ["propertime", "--x1", "6.4e6", "--x2", "6400001", "--t-final", "1"]
 
+_TOO_MANY_MODES = (f"domain error: {DEFAULT_MODE_LIMIT + 1} modes exceeds "
+                   f"DEFAULT_MODE_LIMIT={DEFAULT_MODE_LIMIT}")
+
 _CLI_REFUSALS = [
     (["tau", "--config", "@list.json"], 2, "configuration error: config @list.json must be a "
      "JSON object"),
@@ -53,6 +60,15 @@ _CLI_REFUSALS = [
      'configuration error: "constants" must be a JSON object'),
     ([*_TAU, "--T", "300", "--config", "@zero-c.json"], 2,
      "configuration error: constant c must be finite and strictly positive"),
+    ([*_TAU[:-2], "--dx", "1e-9", "--central-mass", "9.945e30", "--radius", "1.5e4", "--hawking",
+      "--config", "@small-c.json"], 2,
+     "configuration error: constant c = 1e-200: c^2 underflows to 0 in float64"),
+    ([*_CURVE, "--law", "high-T", "--N", "1e23", "--n-times", "3", "--config", "@small-c.json"], 2,
+     "configuration error: constant c = 1e-200: c^2 underflows to 0 in float64"),
+    (["evolve", "--x1", "0", "--x2", "1e-3", "--n-points", "2", "--N", "1e23", "--T", "300",
+      "--dt", "1e-8", "--t-final", "1e-6", "--config", "@small-hbar.json"], 2,
+     "configuration error: constants hbar = 1e-300 and c = 2.99792e+08: (hbar c^2)^2 "
+     "underflows to 0 in float64"),
     ([*_TAU, "--T", "300", "--central-mass", "1e30"], 2,
      "configuration error: central_mass and radius must be given together"),
     ([*_TAU, "--central-mass", "1e30", "--radius", "1e9"], 2,
@@ -100,6 +116,13 @@ _CLI_REFUSALS = [
     (["propertime", "--x1", "0", "--x2", "1", "--t-final", "0"], 3,
      "domain error: need t_final > 0 and n_samples >= 2"),
     ([*_CURVE, "--N", "-1"], 3, "domain error: n_modes, temperature and t must be >= 0"),
+    # every route to the mode product refuses a table past the mode limit alike
+    ([*_CURVE, "--law", "exact-product", "--frequencies-csv", "@many-modes.csv"], 3,
+     _TOO_MANY_MODES),
+    (["visibility", "--dtau", "1e-15", "--T", "300", "--frequencies-csv", "@many-modes.csv"], 3,
+     _TOO_MANY_MODES),
+    ([*_STATIC[:1], "--x1", "0", "--x2", "1", "--t-final", "1", "--T", "300",
+      "--frequencies-csv", "@many-modes.csv"], 3, _TOO_MANY_MODES),
 ]
 
 
@@ -107,7 +130,8 @@ _CLI_REFUSALS = [
                          ids=[m.split(": ", 1)[1][:40] for _, _, m in _CLI_REFUSALS])
 def test_cli_refusal_is_its_one_stderr_line(capsys, tmp_path, argv, code, message):
     for name, text in _FILES.items():
-        (tmp_path / name).write_text(text)
+        if "@" + name in argv:
+            (tmp_path / name).write_text(text)
     out = tmp_path / "out.txt"
 
     def local(word: str) -> str:

@@ -10,7 +10,6 @@ import pytest
 from conftest import SOLAR_MASS
 
 import gravidec.internal_state as internal_state_module
-import gravidec.visibility as visibility_module
 from gravidec import (
     InternalStateSpec,
     PhysicalConstants,
@@ -94,7 +93,7 @@ def test_exact_visibility_rejects_marker_and_mode_limit(monkeypatch):
     with pytest.raises(DomainError):
         exact_visibility(marker, 1e-12, CONSTS)
     spec = InternalStateSpec.from_frequencies((1e12, 2e12, 3e12), 300.0)
-    monkeypatch.setattr(visibility_module, "DEFAULT_MODE_LIMIT", 2)
+    monkeypatch.setattr(internal_state_module, "DEFAULT_MODE_LIMIT", 2)
     with pytest.raises(DomainError):
         exact_visibility(spec, 1e-12, CONSTS)
     with pytest.raises(DomainError):

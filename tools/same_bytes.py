@@ -50,15 +50,20 @@ The list is:
   float past float64's range, through a ``"constants"`` file: c^2 in ``tau``
   and in ``visibility`` at c = 1e200, c^3 in the README's ``tau --hawking``
   at c = 1e120, (hbar c^2)^2 in ``evolve`` at hbar = 1e150, and (k_B T)^2 in
-  ``evolve --T 1e200``;
+  ``evolve --T 1e200``; and ``"constants"`` whose powers underflow to 0: c^2
+  in the README's ``tau --hawking`` and in ``visibility`` at c = 1e-200, and
+  (hbar c^2)^2 in ``evolve`` at hbar = 1e-300;
+* a frequency table one mode past ``DEFAULT_MODE_LIMIT`` on each route to
+  the mode product: ``visibility --law exact-product``, ``visibility
+  --dtau`` and ``propertime`` with a state;
 * ``tau`` at ``--T -0`` and at ``--N -0``, signed zeros that mean no
   decoherence (tau_dec = inf);
 * ``evolve --x1 -1e-3``, a negative flag value in scientific notation;
 * ``--help`` of the program and of every subcommand.
 
-Every invocation starts in a directory that holds only ``INPUTS``: a
-three-mode frequency table and three ``"constants"`` files; these inputs are
-not compared.
+Every invocation starts in a directory that holds only the ``INPUTS`` it
+names: a three-mode frequency table, one of 10^6 + 1 modes, and five
+``"constants"`` files; these inputs are not compared.
 
 For each invocation the exit codes, stdout, stderr and every file written are
 compared, and one line is printed: ``identical``, or ``DIFFERS`` with the
@@ -93,9 +98,12 @@ SUBCOMMANDS = ("tau", "visibility", "evolve", "regime", "propertime", "oracle-ch
 
 #: Input tables written into each invocation's directory before it runs.
 INPUTS = {"modes.csv": "# rad/s\n1e13\n2e13\n5e13\n",
+          "many-modes.csv": "1e13\n" * (10**6 + 1),
           "c200.json": '{"constants": {"c": 1e200}}\n',
           "c120.json": '{"constants": {"c": 1e120}}\n',
-          "hbar150.json": '{"constants": {"hbar": 1e150}}\n'}
+          "hbar150.json": '{"constants": {"hbar": 1e150}}\n',
+          "c-200.json": '{"constants": {"c": 1e-200}}\n',
+          "hbar-300.json": '{"constants": {"hbar": 1e-300}}\n'}
 
 
 def readme_examples(readme: Path) -> list[list[str]]:
@@ -203,6 +211,14 @@ def invocations() -> list[list[str]]:
     powers = ["evolve", "--x1", "0", "--x2", "1e-3", "--n-points", "2", "--N", "1e23",
               "--dt", "1e-8", "--t-final", "1e-6"]
     runs += [[*powers, "--T", "1e200"], [*powers, "--T", "300", "--config", "hbar150.json"]]
+    runs += [[*near, "9.945e30", "--radius", "1.5e4", "--hawking", "--config", "c-200.json"],
+             ["visibility", "--law", "high-T", "--N", "1e23", "--T", "300", "--dx", "1e-3",
+              "--t-final", "1e-6", "--n-times", "3", "--config", "c-200.json"],
+             [*powers, "--T", "300", "--config", "hbar-300.json"]]
+    many = ["--T", "300", "--frequencies-csv", "many-modes.csv"]
+    runs += [["visibility", "--law", "exact-product", "--dx", "1e-3", "--t-final", "1e-6", *many],
+             ["visibility", "--dtau", "1e-15", *many],
+             ["propertime", "--x1", "0", "--x2", "1", "--t-final", "1", *many]]
     runs += [["tau", "--N", "1e23", "--T", "-0", "--dx", "1e-3"],
              ["tau", "--N", "-0", "--T", "300", "--dx", "1e-3"]]
     runs.append(["evolve", "--x1", "-1e-3", "--x2", "1e-3", "--N", "1e23", "--T", "300",
@@ -224,7 +240,8 @@ def run(tree: Path, args: list[str], workdir: Path) -> dict[str, bytes]:
     """Every output of one invocation on one tree, by stream or file name."""
     workdir.mkdir(parents=True)
     for name, text in INPUTS.items():
-        (workdir / name).write_text(text)
+        if name in args:
+            (workdir / name).write_text(text)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
     proc = subprocess.run([sys.executable, "-m", "gravidec.cli", *args], cwd=workdir, env=env,
                           capture_output=True)
