@@ -8,11 +8,19 @@ This keeps formula structure testable in natural units (set
 
 Defaults are CODATA SI values; the surface gravity default is 9.81 m/s^2.
 
+Every law divides by c^2, so a :class:`PhysicalConstants` value computes its
+derived powers once: ``c2``, ``c3`` and ``hbar_c2`` (hbar times c2). They are
+attributes, not fields, so equality, hashing and ``asdict`` see the five
+constants alone. A set whose c^2 or hbar c^2 underflows to 0 is refused when
+it is built; a power that overflows is inf, left to the float64-edge rule of
+the formula that meets it.
+
 The names of the master equation's Hamiltonians and evolution forms live here
 too, so that the CLI offers them as choices without importing numpy, and so
-does :func:`power`, through which the package raises each constant and each
-input to a power (R^2 in ``decoherence_time_schwarzschild`` keeps a guard of
-its own, which falls back to G M / R / R).
+does :func:`power`. Besides the derived constants, it raises only inputs
+(g^2, (k_B T)^2) and (hbar c^2)^2 to a power; R^2 in
+``decoherence_time_schwarzschild`` keeps a guard of its own, which falls
+back to G M / R / R.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ class PhysicalConstants:
         k_B: Boltzmann constant (J/K).
         G: Newtonian gravitational constant (m^3 kg^-1 s^-2).
         g_earth: surface gravitational acceleration (m/s^2).
+
+    ``c2``, ``c3`` and ``hbar_c2`` (hbar times c2) are computed once, with
+    :func:`power`, and are no fields.
     """
 
     hbar: float = 1.054571817e-34
@@ -48,6 +59,15 @@ class PhysicalConstants:
         for name in ("hbar", "c", "k_B", "G", "g_earth"):
             if not 0 < getattr(self, name) < math.inf:
                 raise DomainError(f"constant {name} must be finite and strictly positive")
+        c2 = power(self.c, 2)
+        for name, value in (("c2", c2), ("c3", power(self.c, 3)), ("hbar_c2", self.hbar * c2)):
+            object.__setattr__(self, name, value)
+        # every law divides by c^2 or hbar c^2; an overflow to inf is left to its float64 edge
+        if c2 == 0.0:
+            raise DomainError(f"constant c = {self.c:g}: c^2 underflows to 0 in float64")
+        if self.hbar_c2 == 0.0:
+            raise DomainError(f"constants hbar = {self.hbar:g} and c = {self.c:g}: "
+                              "hbar c^2 underflows to 0 in float64")
 
 
 def power(x: float, n: int) -> float:

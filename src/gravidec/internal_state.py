@@ -103,14 +103,19 @@ def _mode_occupations(
     """Frequencies as an array and their thermal occupations 1/expm1(hbar w / k_B T).
 
     Occupations are 0 at T = 0 and wherever expm1 would overflow, so no
-    overflow warning is raised.
+    overflow warning is raised. An occupation past float64's range (hbar w /
+    k_B T below 5.6e-309, or 0 in float64) is a DomainError naming the mode.
     """
     omega = np.asarray(frequencies, dtype=float)
     nbar = np.zeros_like(omega)
     if temperature > 0:
         x = consts.hbar * omega / (consts.k_B * temperature)
         live = x < _EXPM1_OVERFLOW
-        nbar[live] = 1.0 / np.expm1(x[live])
+        with np.errstate(over="ignore", divide="ignore"):
+            nbar[live] = 1.0 / np.expm1(x[live])
+        if np.isinf(nbar).any():
+            raise DomainError(f"mode w = {omega[np.argmax(nbar)]:.6g} rad/s: its occupation "
+                              "1 / expm1(hbar w / k_B T) overflows float64")
     return omega, nbar
 
 
@@ -130,14 +135,20 @@ def _log_mode_product(
     with the same bits and without the phase's arctan2 and sin.
     A spec of more than DEFAULT_MODE_LIMIT modes is a DomainError, and so is
     a phase w dtau past float64's range, checked once on the largest |dtau|
-    and w: sin() of it would be NaN.
+    and w: sin() of it would be NaN. So is a mode whose 4 nbar (nbar + 1)
+    overflows (nbar above 6.7e153, hbar w / k_B T below 1.5e-154): it would
+    make log1p NaN at dtau = 0, and such a mode is deep in the high-T limit.
     """
     if len(spec.frequencies) > DEFAULT_MODE_LIMIT:
         raise DomainError(
             f"{len(spec.frequencies)} modes exceeds DEFAULT_MODE_LIMIT={DEFAULT_MODE_LIMIT}"
         )
     omega, nbar = _mode_occupations(spec._omega, spec.temperature, consts)
-    gain = 4.0 * nbar * (nbar + 1.0)
+    with np.errstate(over="ignore"):
+        gain = 4.0 * nbar * (nbar + 1.0)
+    if np.isinf(gain).any():
+        raise DomainError(f"mode w = {omega[np.argmax(nbar)]:.6g} rad/s: 4 nbar (nbar + 1) "
+                          "overflows float64; a mode this warm is in the high-T limit")
     dtau = np.asarray(delta_tau, dtype=float)
     flat = dtau.reshape(-1)
     dtau_max, omega_max = float(np.abs(flat).max(initial=0.0)), float(omega.max(initial=0.0))
@@ -197,4 +208,6 @@ def internal_energy_variance(spec: InternalStateSpec, consts: PhysicalConstants)
     if spec.is_high_temperature:
         return spec.n_modes * power(consts.k_B * spec.temperature, 2)
     omega, nbar = _mode_occupations(spec._omega, spec.temperature, consts)
-    return float(np.sum((consts.hbar * omega) ** 2 * nbar * (nbar + 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # (hbar w)^2 = inf where nbar is 0
+        terms = (consts.hbar * omega) ** 2 * nbar * (nbar + 1.0)
+    return float(np.sum(np.where(nbar > 0, terms, 0.0)))

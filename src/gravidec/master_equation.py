@@ -189,7 +189,7 @@ class CMHamiltonianSpec:
 
     def gravitational_weight(self, consts: PhysicalConstants) -> float:
         """m + E_internal/c^2, the mass that couples to the linear potential."""
-        return self.mass + self.internal_mean_energy / power(consts.c, 2)
+        return self.mass + self.internal_mean_energy / consts.c2
 
 
 @dataclass(frozen=True)
@@ -258,13 +258,12 @@ class MemoryKernelCoefficients:
 def memory_kernel_coefficients(
     spec: InternalStateSpec, consts: PhysicalConstants
 ) -> MemoryKernelCoefficients:
-    e0 = mean_internal_energy(spec, consts)
-    var = internal_energy_variance(spec, consts)
-    return MemoryKernelCoefficients(
-        mean_energy=e0,
-        energy_variance=var,
-        decoherence=var / power(consts.hbar * power(consts.c, 2), 2),
-    )
+    e0, var = mean_internal_energy(spec, consts), internal_energy_variance(spec, consts)
+    divisor = power(consts.hbar_c2, 2)
+    if divisor == 0.0:
+        raise DomainError(f"constants hbar = {consts.hbar:g} and c = {consts.c:g}: "
+                          "(hbar c^2)^2 underflows to 0 in float64")
+    return MemoryKernelCoefficients(mean_energy=e0, energy_variance=var, decoherence=var / divisor)
 
 
 def dephasing_coefficient(
@@ -396,7 +395,10 @@ def _hamiltonian_matrix(
     m = x.size
     dx = float(x[1] - x[0])
     k = 2.0 * math.pi * np.fft.fftfreq(m, d=dx)
-    kin_diag = (consts.hbar * k) ** 2 / (2.0 * ham.mass)
+    with np.errstate(over="ignore"):
+        kin_diag = (consts.hbar * k) ** 2 / (2.0 * ham.mass)
+    if np.isinf(kin_diag).any():
+        raise DomainError("kinetic energy (hbar k)^2 / 2m overflows float64 on this grid")
     # kin_diag is even in k, so the kinetic matrix is real up to rounding
     h = np.fft.ifft(kin_diag[:, None] * np.fft.fft(np.eye(m), axis=0), axis=0).real
     if ham.kind == "free_plus_linear":

@@ -77,7 +77,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constants import PhysicalConstants, power
+from .constants import PhysicalConstants
 from .errors import DomainError
 from .internal_state import InternalStateSpec
 
@@ -138,10 +138,14 @@ def _require_explicit(spec: InternalStateSpec) -> tuple[float, ...]:
 
 
 def _boltzmann_q(omega: float, temperature: float, consts: PhysicalConstants) -> float:
-    # q = exp(-hbar w / k_B T); the mean occupation is q / (1 - q).
+    # q = exp(-hbar w / k_B T); the mean occupation is q / (1 - q), and log q divides.
     if temperature == 0.0:
         return 0.0
-    return math.exp(-consts.hbar * omega / (consts.k_B * temperature))
+    q = math.exp(-consts.hbar * omega / (consts.k_B * temperature))
+    if q == 1.0:
+        raise DomainError(f"mode w = {omega:.6g} rad/s: its Boltzmann factor "
+                          "exp(-hbar w / k_B T) rounds to 1 in float64")
+    return q
 
 
 def _mc_coefficients(
@@ -451,7 +455,9 @@ def two_point_unitary_oracle(
         )
 
     dphi = g * x1 - g * x2
-    rate = dphi * t / (consts.hbar * power(consts.c, 2))  # phase per unit energy
+    rate = dphi * t / consts.hbar_c2  # phase per unit energy
+    if not math.isfinite(rate):
+        raise DomainError(f"phase rate (g x1 - g x2) t / (hbar c^2) is {rate} in float64")
 
     # The trailing modes whose joint block fits in a sixteenth of a shard are
     # broadcast, so the rows a shard spans overrun it by at most an eighth;
@@ -638,7 +644,7 @@ def run_oracle_battery(
             "fock": lambda: fock_visibility(spec, delta_tau, cfg, consts),
             # Static arms with g t (x1 - x2) / c^2 = dtau reproduce the same dtau.
             "tensor": lambda: two_point_unitary_oracle(
-                spec, 0.0, -delta_tau * power(consts.c, 2), 1.0, 1.0, cfg, consts
+                spec, 0.0, -delta_tau * consts.c2, 1.0, 1.0, cfg, consts
             ),
         }
         results = dict.fromkeys(calls, (None, None))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._tables import linear_interpolant, read_table
-from .constants import PhysicalConstants, power
+from .constants import PhysicalConstants
 from .errors import DomainError
 from .internal_state import InternalStateSpec, _highT_log_modulus, _log_mode_product
 
@@ -188,7 +188,7 @@ def proper_time_difference(pair: TrajectoryPair, potential, consts: PhysicalCons
         total = np.sum(terms)
     if not np.isfinite(total):
         raise DomainError("proper-time integral overflows float64: a term or their sum is inf")
-    return float(0.5 * total / power(consts.c, 2))
+    return float(0.5 * total / consts.c2)
 
 
 def internal_characteristic_function(

@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .constants import PhysicalConstants, power
+from .constants import PhysicalConstants
 from .errors import DomainError
 
 _INF_OVER_INF = "tau_dec = sqrt(2/N) hbar c^2 / (k_B T g |dx|) is inf / inf in float64"
@@ -40,7 +40,7 @@ class SchwarzschildSpec:
                 raise DomainError(f"{name} must be > 0")
 
     def schwarzschild_radius(self, consts: PhysicalConstants) -> float:
-        return 2.0 * consts.G * self.central_mass / power(consts.c, 2)
+        return 2.0 * consts.G * self.central_mass / consts.c2
 
     def validate_weak_field(self, consts: PhysicalConstants) -> None:
         """Reject R below the horizon; warn where the weak-field form is marginal."""
@@ -74,12 +74,13 @@ def _tau(n_modes: float, temperature: float, delta_x: float, g: float,
     # answer; abs makes a -0 N or T that zero, and changes no other value.
     # A timescale past float64's range (say N = T = 1e-300) overflows to the
     # same +inf on purpose: no time a float64 holds shows decoherence. The
-    # numerator sqrt(2/N) hbar c^2 is 0 only at N = inf or where hbar c^2
-    # underflows, so NaN arises only where it and the denominator are both 0
-    # (T, g or dx = 0 there) or both inf (N = 0 or below 1.1e-308, or c^2
-    # past float64's range).
+    # numerator sqrt(2/N) hbar c^2 is 0 only at N = inf or where sqrt(2/N)
+    # hbar underflows (PhysicalConstants refuses a zero hbar c^2), so NaN
+    # arises only where it and the denominator are both 0 (T, g or dx = 0
+    # there) or both inf (N = 0 or below 1.1e-308, or c^2 past float64's
+    # range).
     root = math.sqrt(_quotient(2.0, abs(n_modes)))
-    return _quotient(root * consts.hbar * power(consts.c, 2),
+    return _quotient(root * consts.hbar * consts.c2,
                      consts.k_B * abs(temperature) * abs(g) * abs(delta_x))
 
 
@@ -141,7 +142,7 @@ def hawking_temperature(mass: float, consts: PhysicalConstants) -> float:
         raise DomainError("mass must be finite")
     if mass <= 0:
         raise DomainError("mass must be > 0")
-    numerator = consts.hbar * power(consts.c, 3)
+    numerator = consts.hbar * consts.c3
     try:
         return numerator / (8.0 * math.pi * consts.k_B * consts.G * mass)
     except ZeroDivisionError:  # each factor is > 0, so no quotient below divides by 0

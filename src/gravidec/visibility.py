@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import PhysicalConstants, power
+from .constants import PhysicalConstants
 from .errors import DomainError
 from .internal_state import InternalStateSpec, _highT_log_modulus, _log_mode_product
 from .timescales import decoherence_time
@@ -93,9 +93,8 @@ def highT_visibility(n_modes, temperature, delta_x, g, t, consts: PhysicalConsta
     # factors' logs, so V = theta^-N keeps its value down to the least
     # subnormal float64 (it is nonzero there while N <= 1.05).
     with np.errstate(over="ignore"):
-        theta = consts.k_B * temperature * g * delta_x * np.asarray(t, dtype=float) / (
-            consts.hbar * power(consts.c, 2)
-        )
+        theta = (consts.k_B * temperature * g * delta_x * np.asarray(t, dtype=float)
+                 / consts.hbar_c2)
         log_theta = None
         if np.any(np.isinf(theta)):
             with np.errstate(divide="ignore"):  # a zero factor's entries keep a finite theta
@@ -126,7 +125,7 @@ def proper_time_lab(delta_x: float, g: float, t: float, consts: PhysicalConstant
     """Proper-time difference t*g*dx/c^2 between static arms in a homogeneous field."""
     # A product past float64's range is inf; the mode product refuses w * inf by name.
     with np.errstate(over="ignore"):
-        return t * g * delta_x / power(consts.c, 2)
+        return t * g * delta_x / consts.c2
 
 
 def visibility_curve(

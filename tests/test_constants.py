@@ -6,6 +6,7 @@ import math
 import pytest
 
 from gravidec import PhysicalConstants, default_constants
+from gravidec.constants import power
 from gravidec.errors import DomainError
 
 
@@ -36,3 +37,12 @@ def test_nonpositive_constants_rejected(field):
 def test_custom_override():
     c = PhysicalConstants(hbar=1.0, c=2.0, k_B=3.0, G=4.0, g_earth=5.0)
     assert (c.hbar, c.c, c.k_B, c.G, c.g_earth) == (1.0, 2.0, 3.0, 4.0, 5.0)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"hbar": 1e-300}, {"c": 1e200}, {"c": 1e120}])
+def test_derived_powers_are_computed_once_and_are_no_fields(overrides):
+    c = PhysicalConstants(**overrides)
+    assert (c.c2, c.c3, c.hbar_c2) == (power(c.c, 2), power(c.c, 3), c.hbar * power(c.c, 2))
+    assert list(dataclasses.asdict(c)) == ["hbar", "c", "k_B", "G", "g_earth"]
+    twin = dataclasses.replace(c)
+    assert twin == c and hash(twin) == hash(c) and repr(twin) == repr(c)

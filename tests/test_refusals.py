@@ -17,11 +17,15 @@ from gravidec import (
     CMHamiltonianSpec,
     DensityMatrixGrid,
     EmissionModel,
+    InternalStateSpec,
+    OracleConfig,
     VisibilityCurve,
     blackbody_emission_model,
     default_constants,
+    fock_visibility,
     power_law_cross_section,
     save_snapshots,
+    two_point_unitary_oracle,
 )
 from gravidec.cli import main
 from gravidec.emission import compare_timescales
@@ -37,6 +41,8 @@ _FILES = {
     "zero-c.json": '{"constants": {"c": 0}}\n',
     "small-c.json": '{"constants": {"c": 1e-200}}\n',
     "small-hbar.json": '{"constants": {"hbar": 1e-300}}\n',
+    "big-hbar.json": '{"constants": {"hbar": 1e150}}\n',
+    "tiny-mode.csv": "1e-150\n",
     "many-modes.csv": "1e13\n" * (DEFAULT_MODE_LIMIT + 1),
     "unsorted.csv": "0,0\n2,1\n1,2\n",
     "one-row.csv": "0,0,0,1,0\n",
@@ -66,9 +72,20 @@ _CLI_REFUSALS = [
     ([*_CURVE, "--law", "high-T", "--N", "1e23", "--n-times", "3", "--config", "@small-c.json"], 2,
      "configuration error: constant c = 1e-200: c^2 underflows to 0 in float64"),
     (["evolve", "--x1", "0", "--x2", "1e-3", "--n-points", "2", "--N", "1e23", "--T", "300",
-      "--dt", "1e-8", "--t-final", "1e-6", "--config", "@small-hbar.json"], 2,
-     "configuration error: constants hbar = 1e-300 and c = 2.99792e+08: (hbar c^2)^2 "
+      "--dt", "1e-8", "--t-final", "1e-6", "--config", "@small-hbar.json"], 3,
+     "domain error: constants hbar = 1e-300 and c = 2.99792e+08: (hbar c^2)^2 "
      "underflows to 0 in float64"),
+    # a mode or a constant at the float64 edge, refused by the route that cannot compute it
+    ([*_CURVE, "--law", "exact-product", "--frequencies-csv", "@tiny-mode.csv"], 3,
+     "domain error: mode w = 1e-150 rad/s: 4 nbar (nbar + 1) overflows float64; a mode this "
+     "warm is in the high-T limit"),
+    (["visibility", "--dtau", "1e-15", "--T", "300", "--frequencies-csv", "@tiny-mode.csv",
+      "--config", "@small-hbar.json"], 3,
+     "domain error: mode w = 1e-150 rad/s: its occupation 1 / expm1(hbar w / k_B T) overflows "
+     "float64"),
+    ([*_EVOLVE, "--form", "full_memory", "--hamiltonian", "free", "--mass", "1e-25", "--config",
+      "@big-hbar.json"], 3, "domain error: kinetic energy (hbar k)^2 / 2m overflows float64 on "
+     "this grid"),
     ([*_TAU, "--T", "300", "--central-mass", "1e30"], 2,
      "configuration error: central_mass and radius must be given together"),
     ([*_TAU, "--central-mass", "1e30", "--radius", "1e9"], 2,
@@ -144,6 +161,10 @@ def test_cli_refusal_is_its_one_stderr_line(capsys, tmp_path, argv, code, messag
     assert not out.exists() and not (tmp_path / "run.snap").exists()
 
 
+def _one_mode(omega: float) -> InternalStateSpec:
+    return InternalStateSpec.from_frequencies([omega], 300.0)
+
+
 def _flat_model(k_grid) -> EmissionModel:
     return EmissionModel(spectral_density=np.ones_like, cross_section=np.ones_like,
                          k_grid=k_grid, label="flat")
@@ -166,6 +187,11 @@ _LIBRARY_REFUSALS = [
      "snapshot matrices must be square on the grid"),
     (lambda: VisibilityCurve(times=np.array([0.0, 1.0]), values=np.array([1.0]), law="high-T"),
      "times and values must be 1-D arrays of equal length"),
+    (lambda: fock_visibility(_one_mode(1e-4), 1e-15, OracleConfig(), CONSTS),
+     "mode w = 0.0001 rad/s: its Boltzmann factor exp(-hbar w / k_B T) rounds to 1 in float64"),
+    (lambda: two_point_unitary_oracle(_one_mode(1e14), 0.0, -1e200, 1e200, 1.0, OracleConfig(),
+                                      CONSTS),
+     "phase rate (g x1 - g x2) t / (hbar c^2) is inf in float64"),
 ]
 
 

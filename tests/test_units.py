@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ def _run(capsys, tmp_path, argv: list[str], rescaled: bool) -> dict:
     folder = tmp_path / ("mm-ns" if rescaled else "si")
     folder.mkdir()
     constants = {key: _in_units(value, INPUTS[key]) if rescaled else value
-                 for key, value in vars(default_constants()).items()}
+                 for key, value in asdict(default_constants()).items()}
     (folder / "config.json").write_text(json.dumps({"constants": constants}))
     # a frequency is rad/s: times the unit of time
     (folder / "modes.csv").write_text("".join(f"{w * NS if rescaled else w!r}\n"

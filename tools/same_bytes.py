@@ -52,18 +52,26 @@ The list is:
   at c = 1e120, (hbar c^2)^2 in ``evolve`` at hbar = 1e150, and (k_B T)^2 in
   ``evolve --T 1e200``; and ``"constants"`` whose powers underflow to 0: c^2
   in the README's ``tau --hawking`` and in ``visibility`` at c = 1e-200, and
-  (hbar c^2)^2 in ``evolve`` at hbar = 1e-300;
+  (hbar c^2)^2 in ``evolve --N --T`` at hbar = 1e-300;
+* the routes that hbar = 1e-300 leaves open or closes one by one: the
+  README's ``tau --hawking``, ``visibility --law high-T``, ``visibility
+  --law exact-product`` over ``modes.csv`` (4 nbar (nbar + 1) overflows) and
+  ``evolve --lambda-coefficient``; and ``evolve --form full_memory`` with
+  free flight at hbar = 1e150, whose kinetic energy overflows on the grid;
 * a frequency table one mode past ``DEFAULT_MODE_LIMIT`` on each route to
   the mode product: ``visibility --law exact-product``, ``visibility
-  --dtau`` and ``propertime`` with a state;
+  --dtau`` and ``propertime`` with a state; and a table of modes at 1e-150
+  and 1e-200 rad/s, whose 4 nbar (nbar + 1) overflows at 300 K, on the same
+  three routes;
 * ``tau`` at ``--T -0`` and at ``--N -0``, signed zeros that mean no
   decoherence (tau_dec = inf);
 * ``evolve --x1 -1e-3``, a negative flag value in scientific notation;
 * ``--help`` of the program and of every subcommand.
 
 Every invocation starts in a directory that holds only the ``INPUTS`` it
-names: a three-mode frequency table, one of 10^6 + 1 modes, and five
-``"constants"`` files; these inputs are not compared.
+names: a three-mode frequency table, one of 10^6 + 1 modes, one of two
+modes near 0 rad/s, and five ``"constants"`` files; these inputs are not
+compared.
 
 For each invocation the exit codes, stdout, stderr and every file written are
 compared, and one line is printed: ``identical``, or ``DIFFERS`` with the
@@ -99,6 +107,7 @@ SUBCOMMANDS = ("tau", "visibility", "evolve", "regime", "propertime", "oracle-ch
 #: Input tables written into each invocation's directory before it runs.
 INPUTS = {"modes.csv": "# rad/s\n1e13\n2e13\n5e13\n",
           "many-modes.csv": "1e13\n" * (10**6 + 1),
+          "tiny-modes.csv": "# rad/s\n1e-150\n1e-200\n",
           "c200.json": '{"constants": {"c": 1e200}}\n',
           "c120.json": '{"constants": {"c": 1e120}}\n',
           "hbar150.json": '{"constants": {"hbar": 1e150}}\n',
@@ -215,10 +224,22 @@ def invocations() -> list[list[str]]:
              ["visibility", "--law", "high-T", "--N", "1e23", "--T", "300", "--dx", "1e-3",
               "--t-final", "1e-6", "--n-times", "3", "--config", "c-200.json"],
              [*powers, "--T", "300", "--config", "hbar-300.json"]]
-    many = ["--T", "300", "--frequencies-csv", "many-modes.csv"]
-    runs += [["visibility", "--law", "exact-product", "--dx", "1e-3", "--t-final", "1e-6", *many],
-             ["visibility", "--dtau", "1e-15", *many],
-             ["propertime", "--x1", "0", "--x2", "1", "--t-final", "1", *many]]
+    small_hbar = ["--config", "hbar-300.json"]
+    runs += [[*near, "9.945e30", "--radius", "1.5e4", "--hawking", *small_hbar],
+             [*base["visibility"], *small_hbar],
+             ["visibility", "--law", "exact-product", "--frequencies-csv", "modes.csv", "--T", "300",
+              "--dx", "1e-3", "--t-final", "2e-6", "--n-times", "5", *small_hbar],
+             ["evolve", "--x1", "0", "--x2", "1e-3", "--n-points", "2", "--lambda-coefficient",
+              "2e24", "--dt", "1e-8", "--t-final", "1e-6", *small_hbar],
+             ["evolve", "--form", "full_memory", "--hamiltonian", "free", "--mass", "1e-25",
+              "--x1", "0", "--x2", "1e-6", "--n-points", "4", "--lambda-coefficient", "2e24",
+              "--dt", "1e-8", "--t-final", "1e-7", "--config", "hbar150.json"]]
+    for table, dtau in (("many-modes.csv", "1e-15"), ("tiny-modes.csv", "1e-9")):
+        modes = ["--T", "300", "--frequencies-csv", table]
+        runs += [["visibility", "--law", "exact-product", "--dx", "1e-3", "--t-final", "1e-6",
+                  *modes],
+                 ["visibility", "--dtau", dtau, *modes],
+                 ["propertime", "--x1", "0", "--x2", "1", "--t-final", "1", *modes]]
     runs += [["tau", "--N", "1e23", "--T", "-0", "--dx", "1e-3"],
              ["tau", "--N", "-0", "--T", "300", "--dx", "1e-3"]]
     runs.append(["evolve", "--x1", "-1e-3", "--x2", "1e-3", "--N", "1e23", "--T", "300",
