@@ -203,11 +203,19 @@ def internal_energy_variance(spec: InternalStateSpec, consts: PhysicalConstants)
 
     With explicit frequencies the exact thermal-oscillator variance
     (hbar*w)^2 * nbar * (nbar + 1) is summed over the independent modes; the
-    high-T closed form is recovered as hbar*w/k_B*T -> 0.
+    high-T closed form is recovered as hbar*w/k_B*T -> 0. Where (hbar*w)^2
+    underflows below float64's normal range, a mode's term is taken as
+    (hbar*w*nbar) * (hbar*w*(nbar + 1)), which stays near (k_B*T)^2.
     """
     if spec.is_high_temperature:
         return spec.n_modes * power(consts.k_B * spec.temperature, 2)
     omega, nbar = _mode_occupations(spec._omega, spec.temperature, consts)
     with np.errstate(over="ignore", invalid="ignore"):  # (hbar w)^2 = inf where nbar is 0
-        terms = (consts.hbar * omega) ** 2 * nbar * (nbar + 1.0)
+        energy = consts.hbar * omega
+        square = energy**2
+        # where (hbar w)^2 falls below the normal range it has lost its bits,
+        # or all of them at 0; there nbar is about k_B T / hbar w, so the
+        # factors (hbar w nbar) and (hbar w (nbar + 1)) are about k_B T
+        terms = np.where(square < np.finfo(float).tiny,
+                         (energy * nbar) * (energy * (nbar + 1.0)), square * nbar * (nbar + 1.0))
     return float(np.sum(np.where(nbar > 0, terms, 0.0)))

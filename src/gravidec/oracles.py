@@ -28,12 +28,15 @@ recomputed from exp(-hbar w / k_B T) on the spot, so agreement with
 ``visibility.exact_visibility`` is a genuine consistency check and not a
 tautology.
 
-Monte Carlo samples w - sum_i beta_i (E_i - 1), the weight less one control
-per mode: E_i is the mode's standard exponential draw (|alpha|^2 / nbar),
-so each control has mean exactly 0 under the law sampled and the estimate
-stays unbiased for any beta, and no closed form enters here. A pilot of
-2^14 samples per case, from a child seed that no shard uses, fits each
-beta_i and predicts the residual's variance. ``n_samples`` then names a
+Monte Carlo samples w - beta Z, the weight less one control per case:
+Z = sum_i c_i (E_i - 1) is the weight's own exponent less its mean, where
+E_i is mode i's standard exponential draw (|alpha|^2 / nbar) and c_i its
+exponent per unit E_i. Each E_i has mean 1, so Z has mean exactly 0 under
+the law sampled and the estimate stays unbiased for any beta, and no closed
+form enters here. A pilot of 2^14 samples per case, from a child seed that
+no shard uses, fits the one complex beta by least squares and predicts the
+residual's variance (the one-control estimator of Glasserman, Monte Carlo
+Methods in Financial Engineering, section 4.1). ``n_samples`` then names a
 precision, that of n_samples plain samples of w, and a ceiling: the main
 pass draws the fewest multiples of the pilot's 2^14 samples (at least one,
 at most n_samples samples) whose predicted standard error, with a factor-2
@@ -43,8 +46,8 @@ reported standard error is that of the samples the main pass drew.
 Main sampling is split into fixed-size shards of 2^16 samples, each with
 its own child seed derived from (seed, shard index); only a case's last
 shard may be short. A shard draws its standard exponentials one mode at a
-time, in stream order, into one row and adds each mode's terms before
-drawing the next.
+time, in stream order, into one row and adds the mode's two exponent terms
+before drawing the next.
 
 The schedule is one ordered map, run after a battery has drawn all its
 cases (:func:`mc_visibility` is the one-case call of the same map), with
@@ -182,34 +185,35 @@ def _mc_draw(
     m: int,
     c_re: np.ndarray,
     c_im: np.ndarray,
-    beta: np.ndarray,
     rows: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw m samples w - sum_i beta_i (E_i - 1) from ``seq``'s stream.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw m weights w and their controls Z = sum_i c_i (E_i - 1) from ``seq``'s stream.
 
-    E_i is mode i's |alpha|^2 / nbar. ``rows`` is six rows of at least m: the
-    draw of one mode, the log-modulus, the phase, a temporary, and the real
-    and imaginary parts of sum_i beta_i (E_i - 1). Returns views of the
-    samples' real parts (the temporary row) and imaginary parts (the phase
-    row). The generator fills sequentially, so drawing mode by mode reads the
-    stream in the order one (modes, m) draw would. The phase row holds half
-    of each weight's phase, and one tan of it gives the cosine and sine.
-    Only numpy ufuncs are used: no BLAS call, whose threading would change
-    the last bits.
+    E_i is mode i's |alpha|^2 / nbar and c_i = c_re[i] + i c_im[i], so Z is
+    the weight's exponent less its mean, formed from the exponent's two
+    accumulators before exp and tan overwrite them. ``rows`` is six rows of
+    at least m: the draw of one mode, the log-modulus, the phase, a
+    temporary, and the real and imaginary parts of Z. Returns views of w's
+    real parts (the temporary row), its imaginary parts (the phase row) and
+    Z's real and imaginary parts; the draw row is then free. The generator
+    fills sequentially, so drawing mode by mode reads the stream in the
+    order one (modes, m) draw would, and each mode costs one draw and two
+    multiply-adds. The phase row holds half of each weight's phase, and one
+    tan of it gives the cosine and sine. Only numpy ufuncs are used: no BLAS
+    call, whose threading would change the last bits.
     """
-    e, mod_m, arg_m, tmp_m, cv_re, cv_im = (row[:m] for row in rows)
+    e, mod_m, arg_m, tmp_m, z_re, z_im = (row[:m] for row in rows)
     half_im = 0.5 * c_im  # exact, so arg holds exactly half the weight's phase
     rng = np.random.default_rng(seq)
     mod_m.fill(0.0)
     arg_m.fill(0.0)
-    cv_re.fill(-np.sum(beta.real))
-    cv_im.fill(-np.sum(beta.imag))
     for i in range(c_re.size):
         rng.standard_exponential(out=e)
         mod_m += np.multiply(e, c_re[i], out=tmp_m)
         arg_m += np.multiply(e, half_im[i], out=tmp_m)
-        cv_re += np.multiply(e, beta.real[i], out=tmp_m)
-        cv_im += np.multiply(e, beta.imag[i], out=tmp_m)
+    np.subtract(mod_m, np.sum(c_re), out=z_re)
+    np.multiply(arg_m, 2.0, out=z_im)
+    z_im -= np.sum(c_im)
     np.exp(mod_m, out=mod_m)  # |w|
     np.tan(arg_m, out=arg_m)  # tau
     np.multiply(arg_m, arg_m, out=tmp_m)
@@ -218,50 +222,40 @@ def _mc_draw(
     arg_m *= tmp_m  # sin
     tmp_m -= 1.0  # cos
     tmp_m *= mod_m
-    tmp_m -= cv_re
     arg_m *= mod_m
-    arg_m -= cv_im
-    return tmp_m, arg_m
+    return tmp_m, arg_m, z_re, z_im
 
 
 def _mc_pilot(
     seed: int, n_samples: int, c_re: np.ndarray, c_im: np.ndarray, rows: list[np.ndarray]
-) -> tuple[np.ndarray, int]:
-    """Each mode's control coefficient beta_i and the main samples to draw.
+) -> tuple[complex, int]:
+    """The case's control coefficient beta and the main samples to draw.
 
     ``_PILOT`` samples come from ``SeedSequence(seed, spawn_key=(0,))``, the
     first child ``SeedSequence(seed).spawn`` gives: numpy pads a spawned
     sequence's entropy to its pool size before the spawn key, so no shard's
-    ``[seed, shard]`` reaches this stream. beta_i is the least-squares slope
-    of the weight on its mode's centred draw alone (the modes are drawn
-    independently), so a second pass over the same stream, one mode at a
-    time, fits it within the six ``rows`` of :func:`_mc_draw`, whatever the
-    mode count. The main pass then draws the fewest multiples of ``_PILOT``
-    samples, at least one and at most ``n_samples`` samples, whose predicted
-    variance of the mean, doubled as a margin, is no larger than that of
-    ``n_samples`` plain samples; both variances are the pilot's sample
-    variances of the weight and of its control-variate residual. The count
-    need not fill whole shards: a case's last shard is then short. Ufuncs
-    and einsum reductions only, with no BLAS call.
+    ``[seed, shard]`` reaches this stream. One :func:`_mc_draw` pass gives
+    the weights w and controls Z; with both centred, beta = sum conj(Z) w /
+    sum |Z|^2 is the least-squares slope of w on Z, and the residual's sum of
+    squares is sum |w|^2 less |sum conj(Z) w|^2 / sum |Z|^2. The main pass
+    then draws the fewest multiples of ``_PILOT`` samples, at least one and
+    at most ``n_samples`` samples, whose predicted variance of the mean,
+    doubled as a margin, is no larger than that of ``n_samples`` plain
+    samples; both variances are the pilot's sample variances of the weight
+    and of its control-variate residual. The count need not fill whole
+    shards: a case's last shard is then short. Ufuncs and einsum reductions
+    only, with no BLAS call.
     """
     seq = np.random.SeedSequence(seed, spawn_key=(0,))
-    w_re, w_im = _mc_draw(seq, _PILOT, c_re, c_im, np.zeros(c_re.size, dtype=complex), rows)
-    e, tmp, r_re, r_im = (row[:_PILOT] for row in (rows[0], rows[1], rows[4], rows[5]))
-    w_re -= np.mean(w_re)
-    w_im -= np.mean(w_im)
-    np.copyto(r_re, w_re)
-    np.copyto(r_im, w_im)
-    rng = np.random.default_rng(seq)
-    beta = np.empty(c_re.size, dtype=complex)
-    for i in range(c_re.size):
-        rng.standard_exponential(out=e)
-        e -= np.mean(e)  # the centred control
-        beta[i] = complex(np.einsum("i,i->", e, w_re),
-                          np.einsum("i,i->", e, w_im)) / np.einsum("i,i->", e, e)
-        r_re -= np.multiply(e, beta[i].real, out=tmp)
-        r_im -= np.multiply(e, beta[i].imag, out=tmp)
+    w_re, w_im, z_re, z_im = _mc_draw(seq, _PILOT, c_re, c_im, rows)
+    for row in (w_re, w_im, z_re, z_im):
+        row -= np.mean(row)
+    zz = np.einsum("i,i->", z_re, z_re) + np.einsum("i,i->", z_im, z_im)
+    zw = complex(np.einsum("i,i->", z_re, w_re) + np.einsum("i,i->", z_im, w_im),
+                 np.einsum("i,i->", z_re, w_im) - np.einsum("i,i->", z_im, w_re))
+    beta = zw / zz if zz > 0 else 0j  # Z is 0 where every c_i is
     var_plain = np.einsum("i,i->", w_re, w_re) + np.einsum("i,i->", w_im, w_im)
-    var_cv = np.einsum("i,i->", r_re, r_re) + np.einsum("i,i->", r_im, r_im)
+    var_cv = var_plain - (zw * beta.conjugate()).real
     need = 1.0 + _MARGIN * var_cv / var_plain * (n_samples - 1) if var_plain > 0 else 1.0
     return beta, min(max(math.ceil(need / _PILOT), 1) * _PILOT, n_samples)
 
@@ -272,10 +266,10 @@ def _mc_shard(
     n_main: int,
     c_re: np.ndarray,
     c_im: np.ndarray,
-    beta: np.ndarray,
+    beta: complex,
     rows: list[np.ndarray],
 ) -> tuple[complex, float]:
-    """One shard's sums of the samples and of their squared moduli.
+    """One shard's sums of the samples w - beta Z and of their squared moduli.
 
     Shard k covers samples [k * _SHARD, (k + 1) * _SHARD) of ``n_main``
     and draws from ``SeedSequence([seed, k])`` alone (see :func:`_mc_draw`),
@@ -283,7 +277,12 @@ def _mc_shard(
     or on which worker. The sums are einsum reductions, with no BLAS call.
     """
     m = min(_SHARD, n_main - shard * _SHARD)
-    re, im = _mc_draw(np.random.SeedSequence([seed, shard]), m, c_re, c_im, beta, rows)
+    re, im, z_re, z_im = _mc_draw(np.random.SeedSequence([seed, shard]), m, c_re, c_im, rows)
+    tmp = rows[0][:m]  # the draw row, free once the modes are drawn
+    re -= np.multiply(z_re, beta.real, out=tmp)
+    re += np.multiply(z_im, beta.imag, out=tmp)
+    im -= np.multiply(z_im, beta.real, out=tmp)
+    im -= np.multiply(z_re, beta.imag, out=tmp)
     return (complex(np.einsum("i->", re), np.einsum("i->", im)),
             np.einsum("i,i->", re, re) + np.einsum("i,i->", im, im))
 
@@ -339,19 +338,20 @@ def mc_visibility(
     A thermal mode's P distribution is a complex Gaussian in alpha, so
     |alpha|^2 is exponential with mean nbar; each sample draws it per mode and
     carries the weight exp(|alpha|^2 (e^{-i w dtau} - 1)). The visibility is
-    the modulus of the sample mean of the weight less its per-mode controls
-    beta_i (E_i - 1), with E_i = |alpha_i|^2 / nbar_i, whose mean is 0.
+    the modulus of the sample mean of the weight less its one control beta Z,
+    where Z = sum_i c_i (E_i - 1) is the weight's exponent less its mean
+    sum_i c_i, with E_i = |alpha_i|^2 / nbar_i, so Z's mean is 0.
     Returns ``(visibility, standard_error)``.
 
     ``cfg.n_samples`` is the precision asked for, that of n_samples plain
     samples of the weight, and the most main samples drawn: a pilot of 2^14
-    samples on its own child seed fits beta and predicts the residual's
-    variance, and the main pass draws the fewest multiples of 2^14 samples
-    (at least one, at most n_samples samples) whose predicted standard error,
-    with a factor-2 margin in variance, is no larger than that precision.
-    They are drawn in 2^16-sample shards, the last one short where the count
-    is not a whole number of shards. The standard error is that of the
-    samples drawn.
+    samples on its own child seed fits the complex coefficient beta and
+    predicts the residual's variance, and the main pass draws the fewest
+    multiples of 2^14 samples (at least one, at most n_samples samples)
+    whose predicted standard error, with a factor-2 margin in variance, is
+    no larger than that precision. They are drawn in 2^16-sample shards, the
+    last one short where the count is not a whole number of shards. The
+    standard error is that of the samples drawn.
 
     This is the one-case call of the Monte Carlo schedule in the module
     docstring, which :func:`run_oracle_battery` runs for all its cases at

@@ -136,13 +136,18 @@ def hawking_temperature(mass: float, consts: PhysicalConstants) -> float:
     """Hawking temperature hbar c^3 / (8 pi k_B G M) of a mass M.
 
     Where 8 pi k_B G M underflows to 0, the factors divide one at a time,
-    which gives the float64 value (inf, at the SI constants).
+    which gives the float64 value (inf, at the SI constants). Where hbar c^3
+    underflows to 0 (c below about 2.8e-97 at the SI hbar), each factor of c
+    follows a divisor, so the quotient stays in range while its value is.
     """
     if not math.isfinite(mass):
         raise DomainError("mass must be finite")
     if mass <= 0:
         raise DomainError("mass must be > 0")
     numerator = consts.hbar * consts.c3
+    if numerator == 0.0:
+        c = consts.c
+        return consts.hbar / (8.0 * math.pi) / consts.k_B * c / consts.G * c / mass * c
     try:
         return numerator / (8.0 * math.pi * consts.k_B * consts.G * mass)
     except ZeroDivisionError:  # each factor is > 0, so no quotient below divides by 0

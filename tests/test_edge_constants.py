@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,3 +188,28 @@ def test_a_zero_divisor_is_refused_by_name():
     with pytest.raises(DomainError, match=r"^constants hbar = 1.05457e-34 and c = 1e-150: "
                                           r"hbar c\^2 underflows to 0 in float64$"):
         PhysicalConstants(c=1e-150)
+
+
+@pytest.mark.parametrize("omega", [1e-140, 1e-126], ids=["square-0", "square-subnormal"])
+def test_energy_variance_holds_where_the_quantum_squared_underflows(omega):
+    # (hbar w)^2 is 0 at 1e-140 rad/s and subnormal at 1e-126 rad/s, where
+    # the mode's term read 0 and a few digits. hbar w / k_B T is below 1e-138,
+    # so the exact variance (k_B T)^2 (1 - (hbar w / k_B T)^2 / 12 + ...) is
+    # (k_B T)^2 in float64, and memory_kernel_coefficients' Lambda is not 0.
+    consts = PhysicalConstants()
+    spec = InternalStateSpec.from_frequencies((omega,), T)
+    assert math.isclose(gravidec.internal_energy_variance(spec, consts), (consts.k_B * T) ** 2,
+                        rel_tol=1e-12)
+    assert gravidec.memory_kernel_coefficients(spec, consts).decoherence > 0.0
+
+
+def test_hawking_temperature_holds_where_hbar_c_cubed_underflows():
+    # at c = 1e-120, hbar c^3 and 8 pi k_B G M both underflow to 0 at
+    # M = 1e-300 kg; the temperature is the exact quotient, correctly
+    # rounded, within the few ulps that seven float64 operations leave
+    consts = PhysicalConstants(c=1e-120)
+    exact = float(Fraction(consts.hbar) * Fraction(consts.c) ** 3
+                  / (8 * Fraction(math.pi) * Fraction(consts.k_B) * Fraction(consts.G)
+                     * Fraction(1e-300)))
+    assert math.isclose(exact, 4.5535e-63, rel_tol=1e-4)
+    assert abs(gravidec.hawking_temperature(1e-300, consts) - exact) <= 4 * math.ulp(exact)

@@ -860,6 +860,42 @@ def test_lawson_rk4_is_fourth_order():
     assert all(3.8 < p < 4.5 for p in orders), orders
 
 
+def _ladder_orders(form: str, ladder: tuple[int, ...]) -> list[float]:
+    """Observed orders in dt from successive differences of the final coherence.
+
+    H is free on 64 points, Lambda = 2e17 and t = 2 us, and each rung of the
+    ladder doubles the step count. At 3e-31 kg the kinetic phase
+    hbar k^2 t / 2m is about 3.4 rad at the grid's largest k, so the time
+    step's error is far above round-off; at 1e-27 kg it is about 1e-3 rad
+    and both integrators' errors sit at round-off.
+    """
+    grid = DensityMatrixGrid.two_point_superposition(0.0, 1e-3, n_points=64)
+    ham = CMHamiltonianSpec(kind="free", mass=3e-31)
+    final = [evolve(grid, ham, EvolutionConfig(dt=2e-6 / n, t_final=2e-6, lambda_coefficient=2e17,
+                                               form=form), CONSTS).coherence[-1]
+             for n in ladder]
+    steps = [abs(a - b) for a, b in zip(final, final[1:])]
+    return [math.log2(a / b) for a, b in zip(steps, steps[1:])]
+
+
+def test_strang_is_second_order_in_dt():
+    # 16 to 256 steps give orders within 0.003 of 2, and a Lie splitting
+    # gives 0.96 to 0.99. The margin of 0.1 allows a change in rounding and
+    # no change of order.
+    orders = _ladder_orders("markovian", (16, 32, 64, 128, 256))
+    assert all(abs(p - 2.0) < 0.1 for p in orders), orders
+
+
+def test_lawson_rk4_is_fourth_order_in_dt_with_free_hamiltonian():
+    # 16 to 128 steps give orders 3.96 and 3.98. The kernel that propagates
+    # x alone, [x, [U_s x U_s+, rho]], gives 3.86 and 3.94, because its
+    # ladder is still approaching the asymptote at 16 steps. The margin of
+    # 0.25 holds both. An RK4 stage weight of 1/3 in place of 1/6 gives
+    # orders near 1.
+    orders = _ladder_orders("full_memory", (16, 32, 64, 128))
+    assert all(abs(p - 4.0) < 0.25 for p in orders), orders
+
+
 def test_lawson_rk4_matches_position_basis_rk4_at_small_dt():
     grid, ham, cfg = _lawson_case(400, 5.0)
     result = evolve_full_memory(grid, ham, cfg, CONSTS)

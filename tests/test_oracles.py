@@ -117,14 +117,13 @@ def test_mc_shard_sums_match_libm_phase_on_the_same_draws(nbars, phase):
     # crosses its poles. Per sample the half-angle cos and sin are within
     # 1.5 ulp of libm (measured); the sums are held to 4 eps * sum |w|.
     # At theta = 0 and |theta| < 1e-9 the two forms agree bit for bit.
-    # With no controls (beta = 0) the kernel's samples are the weights.
+    # With no control (beta = 0) the kernel's samples are the weights.
     spec = _spec(nbars)
     c_re, c_im = _mc_coefficients(spec, phase / max(spec.frequencies), CONSTS)
     eps = np.finfo(float).eps
     m, seed = 50_000, 3
     for scale in (1.0, 0.0, 1e-12):
-        total, _ = _mc_shard(seed, 0, m, c_re, scale * c_im, np.zeros(c_re.size, dtype=complex),
-                             [np.empty(m) for _ in range(6)])
+        total, _ = _mc_shard(seed, 0, m, c_re, scale * c_im, 0j, [np.empty(m) for _ in range(6)])
         ref, moduli = _libm_shard(seed, m, c_re, scale * c_im)
         if scale == 1.0:
             assert abs(total.real - ref.real) <= 4.0 * eps * moduli
@@ -138,22 +137,21 @@ def _one_draw_shards(seed, shards, n_samples, c_re, c_im, beta, sums, abs2) -> N
     """The shard kernel with every mode drawn at once into one (modes, m)
     array: the reference the row-by-row kernel must match bit for bit."""
     modes = c_re.size
-    draw, (mod, arg, tmp, cv_re, cv_im) = np.empty((modes, _SHARD)), np.empty((5, _SHARD))
+    draw, (mod, arg, tmp, z_re, z_im) = np.empty((modes, _SHARD)), np.empty((5, _SHARD))
     half_im = 0.5 * c_im
     for shard in shards:
         m = min(_SHARD, n_samples - shard * _SHARD)
         e = draw.reshape(-1)[: modes * m].reshape(modes, m)
         np.random.default_rng(np.random.SeedSequence([seed, shard])).standard_exponential(out=e)
-        mod_m, arg_m, tmp_m, cv_re_m, cv_im_m = mod[:m], arg[:m], tmp[:m], cv_re[:m], cv_im[:m]
+        mod_m, arg_m, tmp_m, z_re_m, z_im_m = mod[:m], arg[:m], tmp[:m], z_re[:m], z_im[:m]
         mod_m.fill(0.0)
         arg_m.fill(0.0)
-        cv_re_m.fill(-np.sum(beta.real))
-        cv_im_m.fill(-np.sum(beta.imag))
         for i in range(modes):
             mod_m += np.multiply(e[i], c_re[i], out=tmp_m)
             arg_m += np.multiply(e[i], half_im[i], out=tmp_m)
-            cv_re_m += np.multiply(e[i], beta.real[i], out=tmp_m)
-            cv_im_m += np.multiply(e[i], beta.imag[i], out=tmp_m)
+        np.subtract(mod_m, np.sum(c_re), out=z_re_m)
+        np.multiply(arg_m, 2.0, out=z_im_m)
+        z_im_m -= np.sum(c_im)
         np.exp(mod_m, out=mod_m)
         np.tan(arg_m, out=arg_m)
         np.multiply(arg_m, arg_m, out=tmp_m)
@@ -162,9 +160,12 @@ def _one_draw_shards(seed, shards, n_samples, c_re, c_im, beta, sums, abs2) -> N
         arg_m *= tmp_m
         tmp_m -= 1.0
         tmp_m *= mod_m
-        tmp_m -= cv_re_m
         arg_m *= mod_m
-        arg_m -= cv_im_m
+        spare = e[0]
+        tmp_m -= np.multiply(z_re_m, beta.real, out=spare)
+        tmp_m += np.multiply(z_im_m, beta.imag, out=spare)
+        arg_m -= np.multiply(z_im_m, beta.real, out=spare)
+        arg_m -= np.multiply(z_re_m, beta.imag, out=spare)
         sums[shard] = complex(np.einsum("i->", tmp_m), np.einsum("i->", arg_m))
         abs2[shard] = np.einsum("i,i->", tmp_m, tmp_m) + np.einsum("i,i->", arg_m, arg_m)
 
@@ -279,11 +280,13 @@ def test_single_shard_mc_starts_no_thread_pool():
 def test_mc_standard_error_matches_theory():
     # Per mode the weight is exp(a E) with E standard exponential and
     # a = nbar (e^{-i d} - 1), so E w = prod 1/(1 - a_i), E|w|^2 = prod
-    # 1/(1 + 2 nbar (1 - cos d)) and Cov(E_i, w) = E w a_i / (1 - a_i). At
-    # the pilot's beta, a sample w - sum beta_i (E_i - 1) has the variance
-    # Var w - 2 Re sum conj(beta_i) Cov(E_i, w) + sum |beta_i|^2, and the
-    # main pass draws the samples the pilot chose; a mis-scaled |alpha|^2
-    # draw (nbar/2 per mode) moves the ratio of se to theory far from 1.
+    # 1/(1 + 2 nbar (1 - cos d)) and Cov(E_i, w) = E w a_i / (1 - a_i). The
+    # control is Z = sum a_i (E_i - 1), with E|Z|^2 = sum |a_i|^2 and
+    # E conj(Z) w = sum conj(a_i) Cov(E_i, w). At the pilot's beta, a sample
+    # w - beta Z has the variance Var w - 2 Re conj(beta) E conj(Z) w
+    # + |beta|^2 E|Z|^2, and the main pass draws the samples the pilot
+    # chose; a mis-scaled |alpha|^2 draw (nbar/2 per mode) moves the ratio
+    # of se to theory far from 1.
     nbars = np.array([1.0, 0.3, 2.0])
     spec = _spec(tuple(nbars))
     dtau = 0.8 / max(spec.frequencies)
@@ -296,8 +299,8 @@ def test_mc_standard_error_matches_theory():
     n = 400_000
     for seed in range(4):
         beta, n_main = _mc_pilot(seed, n, c_re, c_im)
-        var = second - abs(mean) ** 2 - 2.0 * np.sum(np.conj(beta) * cov).real + np.sum(
-            np.abs(beta) ** 2)
+        var = (second - abs(mean) ** 2 - 2.0 * (np.conj(beta) * np.sum(np.conj(a) * cov)).real
+               + abs(beta) ** 2 * np.sum(np.abs(a) ** 2))
         se_theory = math.sqrt(var / (n_main - 1))
         _, se = mc_visibility(spec, dtau, OracleConfig(n_samples=n, seed=seed), CONSTS)
         assert se == pytest.approx(se_theory, rel=0.05), seed
@@ -332,8 +335,8 @@ def test_standard_preset_is_as_precise_as_plain_sampling_from_a_quarter_of_the_s
     # oracle-check --preset standard: 50 sets per oracle, 10^6 samples. Each
     # MC-valid case's se is no larger than n_samples plain samples give, and
     # the main passes draw at most a quarter of the 10^6 per case that plain
-    # sampling drew; in steps of the pilot's size, about a tenth (6.82e6 and
-    # 6.88e6 of the 7e7 at seeds 0 and 7).
+    # sampling drew; in steps of the pilot's size, about a tenth (6.83e6 and
+    # 6.93e6 of the 7e7 at seeds 0 and 7).
     cfg = OracleConfig(n_samples=1_000_000, seed=mc_seed)
     cases = [case for case in run_oracle_battery(50, cfg, CONSTS) if case.v_mc is not None]
     assert len(cases) == 70

@@ -147,6 +147,7 @@ LISTED: tuple[tuple[str, str, str], ...] = (
     ("timescales.py", "if self.radius < 10.0 * r_s:", "documented flag"),
     ("timescales.py", "def _quotient(", "library input"),
     ("timescales.py", "g = g / sw.radius / sw.radius", "float64 edge"),
+    ("timescales.py", "if numerator == 0.0:", "float64 edge"),
     ("timescales.py", "return numerator / (8.0 * math.pi) /", "float64 edge"),
     ("visibility.py", "if np.any(np.isinf(theta)):", "float64 edge"),
 )
