@@ -19,7 +19,7 @@ from gravidec import (
     regime_scan,
     tabulated_emission_model,
 )
-from gravidec.emission import compare_timescales
+from gravidec.emission import blackbody_spectral_density, compare_timescales
 from gravidec.errors import DomainError
 
 CONSTS = default_constants()
@@ -98,6 +98,23 @@ def test_blackbody_grid_refinement_is_converged():
     fine = emission_rate_integral(refined, CONSTS)
     assert abs(coarse - fine) <= 1e-4 * abs(fine)
     assert model.label == "blackbody-standin"
+
+
+def test_rate_integral_is_second_order_in_the_k_grid():
+    # nested geometric grids of 2^j + 1 points, j = 6 to 11, over the
+    # blackbody stand-in's band at 300 K with sigma linear in k: successive
+    # differences read orders 2.002, 2.000, 2.000 and 2.000, and a
+    # left-Riemann sum reads 1.06 down to 1.007. The margin of 0.1 allows a
+    # change in rounding and no change of order.
+    k_thermal = CONSTS.k_B * 300.0 / (CONSTS.hbar * CONSTS.c)
+    g = blackbody_spectral_density(300.0, CONSTS)
+    sigma = power_law_cross_section(1e-28, k_thermal, 1.0)
+    rates = [emission_rate_integral(EmissionModel(
+        g, sigma, np.geomspace(1e-3 * k_thermal, 40.0 * k_thermal, 2**j + 1), "ladder"), CONSTS)
+        for j in range(6, 12)]
+    steps = [abs(a - b) for a, b in zip(rates, rates[1:])]
+    orders = [math.log2(a / b) for a, b in zip(steps, steps[1:])]
+    assert all(abs(p - 2.0) < 0.1 for p in orders), orders
 
 
 def test_compare_timescales_covers_all_outcomes():

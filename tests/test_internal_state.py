@@ -139,9 +139,9 @@ def test_from_frequency_csv(tmp_path):
 def test_high_t_moments_closed_form():
     """Marker-state energy moments are N k_B T and N (k_B T)^2."""
     spec = InternalStateSpec.high_temperature_limit(1e23, 300.0)
-    assert mean_internal_energy(spec, CONSTS) == pytest.approx(414.1947, rel=1e-12)
+    assert mean_internal_energy(spec, CONSTS) == pytest.approx(414.1947, rel=1e-12, abs=0)
     assert internal_energy_variance(spec, CONSTS) == pytest.approx(
-        1e23 * (CONSTS.k_B * 300.0) ** 2, rel=1e-12
+        1e23 * (CONSTS.k_B * 300.0) ** 2, rel=1e-12, abs=0
     )
 
 
@@ -150,9 +150,9 @@ def test_explicit_moments_single_mode():
     spec = InternalStateSpec.from_frequencies((w,), t)
     n = thermal_occupation(w, t, CONSTS)
     e = CONSTS.hbar * w
-    assert mean_internal_energy(spec, CONSTS) == pytest.approx(e * n, rel=1e-12)
+    assert mean_internal_energy(spec, CONSTS) == pytest.approx(e * n, rel=1e-12, abs=0)
     assert internal_energy_variance(spec, CONSTS) == pytest.approx(
-        e * e * n * (n + 1.0), rel=1e-12
+        e * e * n * (n + 1.0), rel=1e-12, abs=0
     )
 
 
@@ -163,8 +163,8 @@ def test_explicit_moments_approach_high_t():
     spec = InternalStateSpec.from_frequencies((w,) * 5, t)
     marker = InternalStateSpec.high_temperature_limit(5, t)
     assert mean_internal_energy(spec, CONSTS) == pytest.approx(
-        mean_internal_energy(marker, CONSTS), rel=1e-3
+        mean_internal_energy(marker, CONSTS), rel=1e-3, abs=0
     )
     assert internal_energy_variance(spec, CONSTS) == pytest.approx(
-        internal_energy_variance(marker, CONSTS), rel=1e-3
+        internal_energy_variance(marker, CONSTS), rel=1e-3, abs=0
     )

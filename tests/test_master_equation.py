@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import struct
 
@@ -938,3 +939,80 @@ def test_full_memory_agrees_with_strang_where_omega_t_is_large():
     v_full = 2.0 * abs(_heavy_mass_run("full_memory").coherence[-1])
     v_strang = 2.0 * abs(_heavy_mass_run("markovian").coherence[-1])
     assert abs(v_full - v_strang) < 1e-4
+
+
+# The exact witness. In the paper's model the internal Hamiltonian commutes
+# with everything, so on each internal energy level the centre of mass
+# evolves unitarily under H + dE g x / c^2, and the exact reduced state is
+# the mixture over the energy distribution. For the Gaussian one that Lambda
+# encodes, rho(t) = sum_k w_k U_k rho0 U_k+, U_k = exp(-i (H + hbar sqrt(Lambda)
+# z_k x) t / hbar), over probabilists' Gauss-Hermite nodes z_k with weights
+# w_k normalised to sum to 1: at H = 0 it is the Gaussian law
+# exp(-Lambda (x - x')^2 t^2 / 2). 80 and 120 nodes agree to 1.6e-16 in V
+# on the runs below.
+
+#: (mass kg, separation m, dt s, T K, N modes) of the first three full-memory
+#: runs the benchmark draws: 64 points, free_plus_linear, 400 steps of
+#: |w dt| = 0.05.
+_MIXTURE_RUNS = [
+    (2.5697428407387943e-24, 1.1740537289031114e-06, 7.112552886058679e-08,
+     177.36442692967853, 3.046695595434789e26),
+    (5.544822991373614e-25, 8.08952002326077e-07, 3.224187406157295e-08,
+     725.0332069088927, 2.0939445414449883e26),
+    (1.2295508186145755e-24, 7.615751031446521e-07, 5.442145751397065e-08,
+     253.14467548824595, 1.0491912532037653e27),
+]
+
+
+def _mixture_setup(index: int):
+    mass, sep, dt, temperature, n_modes = _MIXTURE_RUNS[index]
+    grid = DensityMatrixGrid.two_point_superposition(0.0, sep, n_points=64)
+    return grid, mass, dephasing_coefficient(n_modes, temperature, CONSTS.g_earth, CONSTS), dt
+
+
+@functools.lru_cache
+def _mixture_visibility(index: int) -> float:
+    """V of the exact mixture at the run's t_final, from H built here."""
+    grid, mass, lam, dt = _mixture_setup(index)
+    m, x, t = grid.x.size, grid.x, 400 * dt
+    k = 2.0 * math.pi * np.fft.fftfreq(m, d=grid.dx)
+    column = np.fft.ifft(CONSTS.hbar**2 * k**2 / (2.0 * mass)).real  # circulant kinetic term
+    h = (column[np.subtract.outer(np.arange(m), np.arange(m)) % m]
+         + np.diag(mass * CONSTS.g_earth * x))
+    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+    i, j = grid.pair
+    coherence = 0j
+    for z, w in zip(nodes, weights / weights.sum()):
+        e, q = np.linalg.eigh(h + np.diag(CONSTS.hbar * math.sqrt(lam) * z * x))
+        u = (q * np.exp(-1j * e * t / CONSTS.hbar)) @ q.T
+        coherence += w * (u[i] @ grid.rho @ u[j].conj())
+    return 2.0 * abs(coherence)
+
+
+def _mixture_gap(index: int, form: str) -> float:
+    """|V from ``evolve`` in ``form`` - V of the exact mixture| at t_final."""
+    grid, mass, lam, dt = _mixture_setup(index)
+    cfg = EvolutionConfig(dt=dt, t_final=400 * dt, lambda_coefficient=lam, form=form)
+    ham = CMHamiltonianSpec(kind="free_plus_linear", mass=mass, g=CONSTS.g_earth)
+    return abs(2.0 * abs(evolve(grid, ham, cfg, CONSTS).coherence[-1]) - _mixture_visibility(index))
+
+
+def test_strang_agrees_with_the_exact_mixture():
+    # Strang reads 1.2e-5, 3.5e-4 and 7.4e-5 from the mixture. That is the
+    # Markovian model's own error, not the time step's: it dephases at the
+    # rate Lambda t (x - x')^2 of the positions of the moment and forgets
+    # that the kinetic term moved the particle during the run. The bound of
+    # 1e-3 is about three times the largest.
+    gaps = [_mixture_gap(n, "markovian") for n in range(3)]
+    assert max(gaps) < 1e-3, gaps
+
+
+@pytest.mark.xfail(
+    reason="the full-memory kernel propagates [x, rho] (U_s [x, rho] U_s+) where TCL2 "
+    "propagates x alone; it reads 0.097, 8.9e-4 and 0.012 from the mixture",
+)
+def test_full_memory_agrees_with_the_exact_mixture():
+    # TCL2 is second order in the coupling, and its model error against the
+    # mixture is 2.5e-6 to 3.3e-5 here with the kernel fixed
+    gaps = [_mixture_gap(n, "full_memory") for n in range(3)]
+    assert max(gaps) < 1e-3, gaps

@@ -330,6 +330,11 @@ def _plain_se(case: oracles.OracleCase, n: int) -> float:
     return math.sqrt((second - v * v) / (n - 1))
 
 
+#: The 0.999 quantile of chi^2 with 70 degrees of freedom, one per MC-valid
+#: case of the standard preset.
+_CHI2_70_999 = 112.32
+
+
 @pytest.mark.parametrize("mc_seed", [0, 7])
 def test_standard_preset_is_as_precise_as_plain_sampling_from_a_quarter_of_the_samples(mc_seed):
     # oracle-check --preset standard: 50 sets per oracle, 10^6 samples. Each
@@ -337,6 +342,15 @@ def test_standard_preset_is_as_precise_as_plain_sampling_from_a_quarter_of_the_s
     # the main passes draw at most a quarter of the 10^6 per case that plain
     # sampling drew; in steps of the pilot's size, about a tenth (6.83e6 and
     # 6.93e6 of the 7e7 at seeds 0 and 7).
+    #
+    # se is not too small either: sum z^2, z = (v_mc - v_exact) / se_mc,
+    # stays at or below chi^2_70's 0.999 quantile. se_mc is the standard error
+    # of the complex mean, at least the radial error that |mean| carries, so
+    # each z has variance at most 1 and a correct build fails this check
+    # with probability at most 1e-3 per seed. It is one-sided on purpose: the
+    # z have a variance of about 0.81 (sum z^2 = 57.68 and 60.39 at seeds 0
+    # and 7), so a lower bound would not have that size. Halving se_mc gives
+    # about 231 and 242.
     cfg = OracleConfig(n_samples=1_000_000, seed=mc_seed)
     cases = [case for case in run_oracle_battery(50, cfg, CONSTS) if case.v_mc is not None]
     assert len(cases) == 70
@@ -346,6 +360,8 @@ def test_standard_preset_is_as_precise_as_plain_sampling_from_a_quarter_of_the_s
         assert case.n_samples % _PILOT == 0 or case.n_samples == cfg.n_samples
     assert sum(case.n_samples for case in cases) <= 0.25 * len(cases) * cfg.n_samples
     assert sum(case.n_samples for case in cases) <= 7.0e6
+    sum_z2 = sum(((case.v_mc - case.v_exact) / case.se_mc) ** 2 for case in cases)
+    assert sum_z2 <= _CHI2_70_999, f"sum z^2 = {sum_z2:.2f} over {len(cases)} cases"
 
 
 @pytest.mark.parametrize("n_samples", [2, 1000, _PILOT - 1, _PILOT, _PILOT + 1, 100_000,
