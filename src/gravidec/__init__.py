@@ -21,10 +21,7 @@ of the first that holds the name: ``gravidec.evolve`` so also loads
 ``visibility``, ``proper_time`` and ``emission``. Any other name is refused
 with ``AttributeError`` before anything loads. ``gravidec.cli`` is never
 deferred: ``python -m gravidec.cli`` would load it once before running it as
-``__main__``. No deferred module may be touched first on an oracle-pool
-thread, since the ``LazyLoader`` of Python 3.11 is not thread-safe on a first
-load: the battery's modules load on the calling thread, before its pool
-starts.
+``__main__``.
 """
 
 import importlib.util

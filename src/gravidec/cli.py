@@ -55,10 +55,7 @@ an in-process caller keeps its normal exit.
 This module imports nothing that needs numpy: each subcommand's handler
 imports the modules it calls, so ``tau`` runs without numpy. The package
 registers those modules unloaded, and each loads on its first use (see
-:mod:`gravidec`). This module is never deferred, and a handler first touches
-every deferred module it uses on the calling thread, before oracle-check's
-pool starts: the ``LazyLoader`` of Python 3.11 is not thread-safe on a first
-load.
+:mod:`gravidec`). This module is never deferred.
 """
 
 from __future__ import annotations
@@ -771,11 +768,10 @@ def console() -> None:
     """Exit with what ``main`` returns: the ``gravidec`` command and ``python -m gravidec.cli``.
 
     Once ``main`` returns, the command is over: every file it opened is
-    closed, because each write sits in a ``with``, and no thread but the
-    caller's is alive, because the oracle pool is joined by its ``with``.
-    So the process flushes stdout (not after 141: its reader is gone, and
-    what stdout still buffers is dropped), flushes stderr, runs the
-    ``atexit`` callbacks and ends with ``os._exit``, skipping the
+    closed, because each write sits in a ``with``, and the command starts
+    no thread. So the process flushes stdout (not after 141: its reader is
+    gone, and what stdout still buffers is dropped), flushes stderr, runs
+    the ``atexit`` callbacks and ends with ``os._exit``, skipping the
     interpreter's teardown of its modules and its last garbage collection. A
     ``SystemExit`` from argparse and an escaping exception keep Python's
     normal exit, and so does every in-process caller of ``main``.

@@ -49,21 +49,16 @@ shard may be short. A shard draws its standard exponentials one mode at a
 time, in stream order, into one row and adds the mode's two exponent terms
 before drawing the next.
 
-The schedule is one ordered map, run after a battery has drawn all its
-cases (:func:`mc_visibility` is the one-case call of the same map), with
-one unit per case: the unit runs the case's pilot and then its shards in
-shard order, all on one row set, and combines the shard sums with a single
-np.sum in shard order. The map runs on one worker per CPU the process may
-use and at most one per case: a thread pool's map, or the builtin map, in
-the calling thread and with no ``concurrent.futures`` import, when there
-is one worker. The calling thread makes one row set per worker, six rows of
-max(2^14, min(2^16, n_samples)) samples, 3 MiB at full shards, whatever the
-case and mode counts; a unit takes a set from that free list and returns it
-when its case is done. A single case's shards thus run on one worker. The
-pilot and the shard kernel are numpy ufuncs and einsum reductions only,
-with no BLAS call, so the result is bit-identical at fixed (seed,
-n_samples) whatever the worker count, the thread that runs a unit, the
-other cases in the pass, or the BLAS thread count.
+The schedule is one ordered pass, run in the calling thread after a
+battery has drawn all its cases (:func:`mc_visibility` is the one-case
+call of the same pass), with one unit per case: the unit runs the case's
+pilot and then its shards in shard order and combines the shard sums with
+a single np.sum in shard order. Every unit uses one row set, six rows of
+max(2^14, min(2^16, n_samples)) samples, 3 MiB at full shards, whatever
+the case and mode counts. The pilot and the shard kernel are numpy ufuncs
+and einsum reductions only, with no BLAS call, so the result is
+bit-identical at fixed (seed, n_samples) whatever the other cases in the
+pass or the BLAS thread count.
 
 Every phase e^{i theta} here, per Monte Carlo sample or per joint Fock
 state, comes from one tau = tan(theta/2) through the half-angle identities
@@ -75,7 +70,6 @@ scalar libm for each value.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -173,13 +167,6 @@ def _mc_coefficients(
     return -strain, -nbars * np.sin(deltas)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _mc_draw(
     seq: np.random.SeedSequence,
     m: int,
@@ -273,8 +260,8 @@ def _mc_shard(
 
     Shard k covers samples [k * _SHARD, (k + 1) * _SHARD) of ``n_main``
     and draws from ``SeedSequence([seed, k])`` alone (see :func:`_mc_draw`),
-    so its result does not depend on which other shards run, in what order,
-    or on which worker. The sums are einsum reductions, with no BLAS call.
+    so its result does not depend on which other shards run or in what
+    order. The sums are einsum reductions, with no BLAS call.
     """
     m = min(_SHARD, n_main - shard * _SHARD)
     re, im, z_re, z_im = _mc_draw(np.random.SeedSequence([seed, shard]), m, c_re, c_im, rows)
@@ -292,39 +279,28 @@ def _mc_estimates(
 ) -> list[tuple[float, float, int]]:
     """``(visibility, standard_error, main_samples)`` of each ``(seed, c_re, c_im)`` task.
 
-    Runs the one ordered map of the module docstring, one unit per task.
+    Runs the one ordered pass of the module docstring, one unit per task.
     """
-    workers = min(_usable_cpus(), len(tasks))
-    # Six separate rows per worker, not one (workers, 6, m) block: glibc
-    # raises its mmap threshold to the size of each large block it frees, and
-    # later mid-size arrays then stay on the heap. On Linux with glibc, one
-    # 4 MiB block left the library benchmark's peak RSS about 0.5 MB above
-    # what 512 KiB rows leave. The rows are made here, in the calling
-    # thread, and the passes allocate no sample-length array: blocks a
-    # worker thread frees stay in its own malloc arena. Pilots that drew
-    # into arrays of their own raised that peak by about 4 MB.
+    # Six separate rows, not one (6, m) block: glibc raises its mmap
+    # threshold to the size of each large block it frees, and later
+    # mid-size arrays then stay on the heap. On Linux with glibc, one 4 MiB
+    # block left the library benchmark's peak RSS about 0.5 MB above what
+    # 512 KiB rows leave. The passes allocate no sample-length array:
+    # pilots that drew into arrays of their own raised that peak by about
+    # 4 MB.
     length = max(_PILOT, min(_SHARD, n_samples))
-    spare = [[np.empty(length) for _ in range(6)] for _ in range(workers)]
+    rows = [np.empty(length) for _ in range(6)]
 
     def estimate(task) -> tuple[float, float, int]:
         seed, c_re, c_im = task
-        # at most `workers` units run at once, each on a set it alone holds;
-        # list.pop and list.append are each one atomic call
-        rows = spare.pop()
         beta, n_main = _mc_pilot(seed, n_samples, c_re, c_im, rows)
         sums, abs2 = zip(*(_mc_shard(seed, k, n_main, c_re, c_im, beta, rows)
                            for k in range(math.ceil(n_main / _SHARD))))
-        spare.append(rows)
         mean = complex(np.sum(sums)) / n_main
         var = max(float(np.sum(abs2)) / n_main - abs(mean) ** 2, 0.0)
         return abs(mean), math.sqrt(var / (n_main - 1)), n_main
 
-    if workers == 1:
-        return list(map(estimate, tasks))
-    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(estimate, tasks))
+    return list(map(estimate, tasks))
 
 
 def mc_visibility(
@@ -355,8 +331,9 @@ def mc_visibility(
 
     This is the one-case call of the Monte Carlo schedule in the module
     docstring, which :func:`run_oracle_battery` runs for all its cases at
-    once, so the result is bit-identical at fixed (seed, n_samples) whatever
-    the worker count, the schedule or the BLAS thread count.
+    once in the calling thread, so the result is bit-identical at fixed
+    (seed, n_samples) whatever the other cases in the pass or the BLAS
+    thread count.
 
     Raises DomainError when any mode has nbar * (1 - cos(w dtau)) above
     ``MC_WEIGHT_BOUND``: past that point the estimator's relative error grows

@@ -140,8 +140,8 @@ def test_oracle_check_output_does_not_depend_on_blas_threads(tmp_path):
     reason="needs os.sched_setaffinity and at least 2 usable CPUs to compare 1 CPU against more",
 )
 def test_oracle_check_output_does_not_depend_on_cpu_count(tmp_path):
-    # The Monte Carlo pass runs one worker per usable CPU; a child pinned to
-    # one CPU runs it serially, and the README promises the same bytes.
+    # The Monte Carlo pass runs in the calling thread, so nothing in it reads
+    # the CPU count: a child pinned to one CPU writes what an unpinned one does.
     argv = ["oracle-check", "--cases", "3", "--samples", "300000"]
     cpu = min(os.sched_getaffinity(0))
     pinned = _cli_output(tmp_path, argv, "one_cpu", (0, 1),  # 1 is a statistical MC miss

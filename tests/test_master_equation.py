@@ -55,7 +55,7 @@ def test_two_point_superposition_wide_grid_places_nodes():
     grid = DensityMatrixGrid.two_point_superposition(0.0, 1e-3, n_points=33)
     i, j = grid.pair
     assert grid.x[i] == pytest.approx(0.0, abs=1e-18)
-    assert grid.x[j] == pytest.approx(1e-3, rel=1e-12)
+    assert grid.x[j] == pytest.approx(1e-3, rel=1e-12, abs=0)
     assert float(np.sum(grid.rho.diagonal()).real) == pytest.approx(1.0, abs=1e-14)
 
 

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -65,39 +64,24 @@ def test_mc_is_bit_identical_under_any_shard_schedule(monkeypatch):
     assert n_main == cfg.n_samples and np.all(beta != 0)
     assert n_shards == 4 and cfg.n_samples - (n_shards - 1) * _SHARD < _SHARD
 
-    def run(shard_sets, mapper=map):
+    def run(shards):
         sums, abs2 = np.zeros(n_shards, dtype=complex), np.zeros(n_shards)
-
-        def work(shards):
-            buffers = [np.empty(_SHARD) for _ in range(6)]
-            for k in shards:
-                sums[k], abs2[k] = _mc_shard(cfg.seed, k, cfg.n_samples, c_re, c_im, beta, buffers)
-
-        list(mapper(work, shard_sets))
+        buffers = [np.empty(_SHARD) for _ in range(6)]
+        for k in shards:
+            sums[k], abs2[k] = _mc_shard(cfg.seed, k, cfg.n_samples, c_re, c_im, beta, buffers)
         return sums, abs2
 
-    # each shard alone, in fresh buffers, is the reference for every schedule
-    alone = [run([range(k, k + 1)]) for k in range(n_shards)]
+    # each shard alone, in fresh buffers, is the reference
+    alone = [run([k]) for k in range(n_shards)]
     ref_sums = np.array([sums[k] for k, (sums, _) in enumerate(alone)])
     ref_abs2 = np.array([abs2[k] for k, (_, abs2) in enumerate(alone)])
-    schedules = {"reversed, short shard first": run([range(n_shards - 1, -1, -1)])}
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        schedules["2-thread pool"] = run([range(0, n_shards, 2), range(1, n_shards, 2)], pool.map)
-    for name, (sums, abs2) in schedules.items():
-        assert np.array_equal(sums, ref_sums) and np.array_equal(abs2, ref_abs2), name
+    sums, abs2 = run(range(n_shards - 1, -1, -1))  # reversed, short shard first
+    assert np.array_equal(sums, ref_sums) and np.array_equal(abs2, ref_abs2)
 
     mean = complex(np.sum(ref_sums)) / cfg.n_samples
     var = max(float(np.sum(ref_abs2)) / cfg.n_samples - abs(mean) ** 2, 0.0)
     expected = (abs(mean), math.sqrt(var / (cfg.n_samples - 1)))
-    # up to one worker per shard, more than the cores, switching threads often
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 3, 4):
-            monkeypatch.setattr(oracles, "_usable_cpus", lambda workers=workers: workers)
-            assert mc_visibility(spec, dtau, cfg, CONSTS) == expected, workers
-    finally:
-        sys.setswitchinterval(interval)
+    assert mc_visibility(spec, dtau, cfg, CONSTS) == expected
 
 
 def _libm_shard(seed: int, m: int, c_re: np.ndarray, c_im: np.ndarray) -> tuple[complex, float]:
@@ -193,13 +177,12 @@ def test_row_by_row_draws_give_the_one_draw_kernel_bits(nbars):
 
 @pytest.mark.parametrize("n_samples", [1_000, 200_001])
 @pytest.mark.parametrize("nbars", [(1.0,), (1.0, 0.3, 2.0, 0.05)])
-def test_mc_worker_scratch_is_six_rows_whatever_the_mode_count(monkeypatch, nbars, n_samples):
+def test_mc_scratch_is_six_rows_whatever_the_mode_count(monkeypatch, nbars, n_samples):
     # One case alone, then a battery of 1-, 2- and 4-mode cases: each case
     # runs its pilot and then every shard of the main samples its pilot
     # chose, in shard order, on one thread and one set of six rows of
     # max(_PILOT, min(_SHARD, n_samples)), whatever the case and mode
-    # counts. At most one set per worker and per case serves a call, and no
-    # set serves two cases at once.
+    # counts. One set serves every case of a call, one case after another.
     calls = []  # holds every row it saw, so no id is reused while recorded
     # a margin no pilot meets, so the main pass draws all n_samples: the
     # 200_001-sample runs then have four shards per case
@@ -222,7 +205,7 @@ def test_mc_worker_scratch_is_six_rows_whatever_the_mode_count(monkeypatch, nbar
     n_shards = math.ceil(n_samples / _SHARD)
     spec = _spec(nbars)
 
-    def check(n_cases: int, most: int) -> None:
+    def check(n_cases: int) -> None:
         assert all([row.shape for row in rows] == [(length,)] * 6 for *_, rows in calls)
         by_case: dict[int, list] = {}
         for index, (seed, shard, thread, rows) in enumerate(calls):
@@ -233,43 +216,36 @@ def test_mc_worker_scratch_is_six_rows_whatever_the_mode_count(monkeypatch, nbar
             assert [shard for _, shard, _, _ in records] == [None, *range(n_shards)]
             assert len({(thread, ids) for _, _, thread, ids in records}) == 1
             spans.setdefault(records[0][3], []).append((records[0][0], records[-1][0]))
-        assert len(spans) <= most
+        assert len(spans) == 1
         for cases in spans.values():
             cases.sort()
             assert all(last < first for (_, last), (first, _) in zip(cases, cases[1:]))
 
-    # up to more workers than cores, switching threads often
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(oracles, "_usable_cpus", lambda workers=workers: workers)
-            calls.clear()
-            mc_visibility(spec, 0.3 / max(spec.frequencies), cfg, CONSTS)
-            check(1, 1)
-            calls.clear()
-            cases = [case for case in run_oracle_battery(2, cfg, CONSTS, seed=3)
-                     if case.v_mc is not None]
-            assert len({len(case.frequencies) for case in cases}) == 3
-            assert all(case.n_samples == n_samples for case in cases)
-            check(len(cases), workers)
-    finally:
-        sys.setswitchinterval(interval)
+    mc_visibility(spec, 0.3 / max(spec.frequencies), cfg, CONSTS)
+    check(1)
+    calls.clear()
+    cases = [case for case in run_oracle_battery(2, cfg, CONSTS, seed=3) if case.v_mc is not None]
+    assert len({len(case.frequencies) for case in cases}) == 3
+    assert all(case.n_samples == n_samples for case in cases)
+    check(len(cases))
 
 
-def test_single_shard_mc_starts_no_thread_pool():
-    # a one-shard call, and a battery of one case of one shard, stay serial
-    # and leave concurrent.futures unimported, so CLI start-up pays nothing
-    # for the pool
+def test_oracle_check_starts_no_thread():
+    # several Monte Carlo cases of up to four shards each: the pass runs
+    # them in the calling thread, so no thread starts and
+    # concurrent.futures is never imported
     code = (
-        "import sys\n"
-        "import gravidec.cli\n"
-        "from gravidec import (InternalStateSpec, OracleConfig, default_constants,\n"
-        "                      mc_visibility, run_oracle_battery)\n"
-        "spec = InternalStateSpec.from_frequencies((1e13, 3e13), 300.0)\n"
-        "mc_visibility(spec, 1e-14, OracleConfig(n_samples=64), default_constants())\n"
-        "cases = run_oracle_battery(1, OracleConfig(n_samples=64), default_constants())\n"
-        "assert len(cases) == 1 and cases[0].v_mc is not None, cases\n"
+        "import sys, threading\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "def counting_start(thread):\n"
+        "    started.append(thread.name)\n"
+        "    start(thread)\n"
+        "threading.Thread.start = counting_start\n"
+        "from gravidec.cli import main\n"
+        "code = main(['oracle-check', '--cases', '3', '--samples', '200001'])\n"
+        "assert code in (0, 1), code  # 1 is a statistical MC miss\n"
+        "assert started == [], started\n"
         "assert 'concurrent.futures' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(gravidec.__file__).resolve().parents[1]))
@@ -652,28 +628,15 @@ def test_battery_small_run_is_deterministic_and_consistent():
     assert min(per_oracle.values()) >= 5
 
 
-def test_battery_mc_is_bit_identical_at_any_worker_count_and_to_each_case_alone(monkeypatch):
-    # 18 cases, one skipped by MC, of 4 shards each with a short last one:
-    # 17 case units that 1, 2 and 3 workers claim in different
-    # interleavings, switching threads often. Each case must also equal
-    # mc_visibility on its own stream, so an estimate moved to its
-    # neighbour's case fails.
+def test_battery_mc_is_bit_identical_to_each_case_alone():
+    # 18 cases, one skipped by MC, of 4 shards each with a short last one.
+    # Each case must equal mc_visibility on its own stream, so an estimate
+    # moved to its neighbour's case fails.
     cfg = OracleConfig(n_samples=200_001)
     assert cfg.n_samples % _SHARD != 0
-    runs = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(oracles, "_usable_cpus", lambda workers=workers: workers)
-            runs[workers] = run_oracle_battery(8, cfg, CONSTS, seed=137)
-    finally:
-        sys.setswitchinterval(interval)
-    cases = runs[1]
-    assert runs[2] == cases and runs[3] == cases
+    cases = run_oracle_battery(8, cfg, CONSTS, seed=137)
     assert len(cases) == 18 and sum(case.v_mc is None for case in cases) == 1
 
-    monkeypatch.setattr(oracles, "_usable_cpus", lambda: 1)  # a serial reference
     for case in cases:
         if case.v_mc is None:
             assert case.se_mc is None
@@ -697,7 +660,7 @@ def test_tally_verdicts_counts_each_oracle_and_fails_a_case_on_any_disagreement(
     assert {name: (row["valid"], row["agree"]) for name, row in summary.items()} == {
         "mc": (2, 1), "fock": (3, 2), "tensor": (2, 2)}
     assert summary["mc"]["max_abs_err"] == pytest.approx(0.01)
-    assert summary["tensor"]["max_abs_err"] == pytest.approx(1e-7)
+    assert summary["tensor"]["max_abs_err"] == pytest.approx(1e-7, rel=1e-6, abs=0)
     assert summary["mc"]["false_alarm_rate"] == pytest.approx(
         1.0 - (1.0 - math.erfc(3.0 / math.sqrt(2.0))) ** 2)
 

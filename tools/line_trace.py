@@ -3,8 +3,7 @@
 Usage: python3 tools/line_trace.py [--tests] [--check]
 
 The traffic is what the program is for, run in this process under
-``sys.settrace`` and ``threading.settrace`` (the Monte Carlo pass runs on
-pool threads), from an empty temporary directory:
+``sys.settrace``, from an empty temporary directory:
 
 * each ```python block of README.md, in its own namespace;
 * each ``gravidec ...`` example of README.md's ``sh`` blocks, through
@@ -61,7 +60,6 @@ import re
 import shlex
 import sys
 import tempfile
-import threading
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -137,8 +135,6 @@ LISTED: tuple[tuple[str, str, str], ...] = (
     ("master_equation.py", 'if ham.kind == "free_plus_linear":\n        h = h', "documented flag"),
     ("master_equation.py", 'if ham.kind == "free_plus_linear":\n        exponent.imag',
      "documented flag"),
-    ("oracles.py", "def _usable_cpus(", "platform"),
-    ("oracles.py", "if workers == 1:", "platform"),
     ("oracles.py", "def mc_visibility(", "named by perfbench"),
     ("oracles.py", "if temperature == 0.0:", "library input"),
     ("oracles.py", 'skipped.append(f"mc: {exc}")', "documented flag"),
@@ -172,7 +168,7 @@ class Hits:
 
 @contextlib.contextmanager
 def traced(hits: Hits):
-    """Record hits in the package's files, on this thread and on threads started inside."""
+    """Record hits in the package's files."""
     prefix = str(PACKAGE) + os.sep
 
     def call(frame, event, arg):
@@ -197,13 +193,11 @@ def traced(hits: Hits):
 
         return local
 
-    threading.settrace(call)
     sys.settrace(call)
     try:
         yield
     finally:
         sys.settrace(None)
-        threading.settrace(None)
 
 
 def trace_traffic() -> tuple[Hits, list[str]]:

@@ -66,6 +66,10 @@ MUTANTS = [
            "return float(np.sum(np.where(nbar > 0, terms, 0.0)))",
            "return float(np.sum(np.where(nbar > 0, terms, 0.0))) * (1.0 + 1e-9)",
            "moments near 1e-42 J^2 hide under an absolute tolerance; the checks must be relative"),
+    Mutant("one-sided trapezoid end", "src/gravidec/proper_time.py",
+           "np.add(f[1:], f[:-1], out=out)",
+           "np.add(f[:-1], f[:-1], out=out)",
+           "the left end doubled is the left-Riemann sum: first order in the step"),
 ]
 
 

@@ -14,7 +14,7 @@ The list is:
   JSON report written to a file, and ``oracle-check --seed 137 --cases 8
   --samples 200001``: 18 sets, one skipped by Monte Carlo, each of four
   shards with a short last one; and ``oracle-check --cases 1 --samples 64``,
-  whose Monte Carlo pass runs on one worker with no thread pool;
+  whose one case draws fewer main samples than its pilot;
 * ``evolve`` in both forms, for every Hamiltonian kind, at 2 and 64 grid
   points, and with the tilt at 256 (the benchmark's largest Strang grid),
   with snapshots: its CSV prints every coherence with ``repr``, so equal
