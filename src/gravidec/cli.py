@@ -97,7 +97,7 @@ _REQUIRED = object()
 
 #: --preset bundles for oracle-check; explicit flags still override.
 _PRESETS: dict[str, dict[str, object]] = {
-    "standard": {"cases": 50, "samples": 1_000_000, "mc_sigmas": 3.0, "atol": 1e-6},
+    "standard": {"cases": 50, "samples": 1_000_000, "atol": 1e-6},
 }
 
 #: Short flags that name the same parameter wherever it appears.
@@ -189,7 +189,6 @@ _COMMANDS: dict[str, tuple[str, str | None, tuple]] = {
          "most samples a case draws after its pilot"),
         ("seed", int, 20240811, "battery seed (draws the parameter sets)"),
         ("mc_seed", int, 0, "base seed of the sampling streams"),
-        ("mc_sigmas", float, 5.0, "MC agreement window in standard errors"),
         ("atol", float, 1e-6, "deterministic-oracle agreement window"),
         ("verbose", bool, None, "print every case, not just the summary"),
     )),
@@ -644,13 +643,11 @@ def _cmd_oracle_check(params: dict, consts: PhysicalConstants) -> _Record:
         if params[name] < 0:
             raise ConfigError(f"{_long_flags([name])} must be >= 0, got {params[name]}")
     # exit 1 means the oracles disagree, so a window that no estimate can meet is refused
-    if params["mc_sigmas"] <= 0:
-        raise ConfigError(f"--mc-sigmas must be > 0, got {params['mc_sigmas']!r}")
     if params["atol"] < 0:
         raise ConfigError(f"--atol must be >= 0, got {params['atol']!r}")
     cfg = OracleConfig(n_samples=params["samples"], seed=params["mc_seed"])
     cases = run_oracle_battery(params["cases"], cfg, consts, seed=params["seed"])
-    summary, per_case = tally_verdicts(cases, params["mc_sigmas"], params["atol"])
+    summary, per_case = tally_verdicts(cases, params["atol"])
     verbose = params["verbose"]
     all_ok = all(case_ok for _, case_ok in per_case)
     lines = []

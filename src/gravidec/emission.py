@@ -97,8 +97,12 @@ def blackbody_emission_model(
     """Thermal stand-in model on a grid spanning the occupied band.
 
     The grid is ``BLACKBODY_K_POINTS`` geometrically spaced wavenumbers
-    covering hbar c k / k_B T from 1e-3 to 40, which holds the whole
-    integrand for any cross-section of sub-exponential growth. A temperature
+    covering hbar c k / k_B T from 1e-3 to 40. With a power-law
+    cross-section k^alpha, :func:`emission_rate_integral` on this grid is
+    within about 1.1e-6 of the exact Gamma(5 + alpha) zeta(5 + alpha) rate
+    for alpha from 0 to 10, at any temperature. Outside that range the band
+    edges cut off the integrand: the rate is 2.7% low at alpha = -3.5 and
+    19% low at alpha = 30. A temperature
     whose grid leaves float64's range, where hbar c k is subnormal or k^2
     overflows, is refused by name.
     """

@@ -7,7 +7,8 @@ Three independent routes to the same number:
   the dephasing weight exp(|alpha|^2 (e^{-i d} - 1)).
 * :func:`fock_visibility` sums the geometric number-state populations of each
   mode up to the smallest cutoff whose tail mass is below ``tail_epsilon``
-  and reports the truncation bound; a mode that needs more than
+  and reports a proven bound on the truncation error, twice that tail mass
+  summed over modes; a mode that needs more than
   ``FOCK_MAX_CUTOFF`` quanta is refused. The joint-spectrum oracle below
   truncates by the same rule under its own cap, ``TENSOR_MAX_CUTOFF``.
 * :func:`two_point_unitary_oracle` enumerates the joint Fock spectrum of all
@@ -71,6 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from statistics import NormalDist
 
 import numpy as np
 
@@ -84,6 +86,10 @@ _SHARD = 1 << 16
 #: draws beyond the pilot's prediction of the samples its precision needs.
 _PILOT = 1 << 14
 _MARGIN = 2.0
+
+#: Family-wise size of the Monte Carlo gate: the chance that a correct build
+#: fails it on some case of a battery (see :func:`tally_verdicts`).
+MC_SIZE = 1e-3
 
 #: Monte Carlo relative-variance precondition: nbar*(1-cos d) above this makes
 #: the P-representation estimator too noisy to certify anything.
@@ -370,10 +376,15 @@ def fock_visibility(
     """Number-basis visibility: per mode, |sum_n p_n exp(-i n w dtau)|.
 
     Thermal populations p_n = (1-q) q^n are truncated at the smallest cutoff
-    whose tail mass is below ``tail_epsilon`` and renormalized, so the value
-    at dtau = 0 is exactly 1; a cutoff above ``FOCK_MAX_CUTOFF`` is refused
-    with the required value named. Returns ``(visibility, tail_bound)`` where
-    ``tail_bound`` sums the discarded mass over modes.
+    whose tail mass t = q^(c+1) is below ``tail_epsilon`` and renormalized,
+    so the value at dtau = 0 is exactly 1; a cutoff above ``FOCK_MAX_CUTOFF``
+    is refused with the required value named. Returns ``(visibility,
+    tail_bound)``, where ``tail_bound`` = 2 sum_i t_i over modes bounds
+    |visibility - V| for the untruncated V. Renormalizing scales the kept
+    mass 1 - t by 1 / (1 - t), which moves a mode's characteristic function
+    by at most t, and the dropped tail moves it by at most t more. Every
+    factor has modulus at most 1, and then |prod a_i - prod b_i| <= sum
+    |a_i - b_i|, so the moduli's product moves by at most 2 sum_i t_i.
     """
     freqs = _require_explicit(spec)
     log_v = 0.0
@@ -384,7 +395,7 @@ def fock_visibility(
         tail += lost
         chi = np.sum(p * np.exp(-1j * np.arange(p.size) * w * delta_tau))
         log_v += math.log(abs(chi)) if abs(chi) > 0 else -math.inf
-    return math.exp(log_v), tail
+    return math.exp(log_v), 2.0 * tail
 
 
 def two_point_unitary_oracle(
@@ -508,23 +519,20 @@ class OracleCase:
         return {name: None if v is None else abs(v - self.v_exact)
                 for name, v in self.estimates().items()}
 
-    def agreements(self, mc_sigmas: float, det_atol: float) -> dict[str, bool | None]:
+    def agreements(self, window_sigmas: float, det_atol: float) -> dict[str, bool | None]:
         """Per-oracle verdicts; None where the oracle skipped this set.
 
-        MC agrees within ``mc_sigmas`` standard errors, the number-basis
-        oracle within 10x its own truncation bound, the joint-spectrum
-        oracle within ``det_atol`` absolute.
-
-        The MC window is a two-sided Gaussian test, so over ``k`` MC-valid
-        cases a correct build fails it somewhere with probability
-        1 - (1 - erfc(mc_sigmas / sqrt 2))^k: about 17% at 3 sigma and the
-        standard preset's 70 cases. ``oracle-check`` reports this as the MC
-        row's ``false_alarm_rate``; that is how often its exit 1 is a false
-        alarm.
+        MC agrees within ``window_sigmas`` standard errors; :func:`tally_verdicts`
+        sets that window from the battery's count of MC-valid cases, so that a
+        correct build fails it on some case with chance at most ``MC_SIZE``.
+        The number-basis oracle agrees within its own ``fock_bound`` plus 1e-12
+        for rounding: the bound is proven (see :func:`fock_visibility`), so a
+        correct build never fails it. The joint-spectrum oracle agrees within
+        ``det_atol`` absolute.
         """
         windows = {
-            "mc": mc_sigmas * (self.se_mc or 0.0) + 1e-12,
-            "fock": 10.0 * (self.fock_bound or 0.0) + 1e-12,
+            "mc": window_sigmas * (self.se_mc or 0.0) + 1e-12,
+            "fock": (self.fock_bound or 0.0) + 1e-12,
             "tensor": det_atol,
         }
         return {name: None if err is None else bool(err <= windows[name])
@@ -532,21 +540,34 @@ class OracleCase:
 
 
 def tally_verdicts(
-    cases: list[OracleCase], mc_sigmas: float, det_atol: float
+    cases: list[OracleCase], det_atol: float
 ) -> tuple[dict[str, dict], list[tuple[dict[str, bool | None], bool]]]:
     """Score a battery: per-oracle tallies and per-case verdicts.
 
     Returns ``(summary, per_case)``. ``summary`` maps each oracle to its
     count of valid cases, of cases within tolerance (see
-    :meth:`OracleCase.agreements`) and its largest |V - V_exact|; the MC row
-    also carries ``false_alarm_rate``, the chance that a correct build fails
-    its window on some valid case. ``per_case`` holds each case's verdicts
-    and whether every oracle that ran on it agreed.
+    :meth:`OracleCase.agreements`) and its largest |V - V_exact|.
+    ``per_case`` holds each case's verdicts and whether every oracle that
+    ran on it agreed.
+
+    The MC window is a Bonferroni window over the k MC-valid cases: each
+    case is held to z_k standard errors, z_k = Phi^-1(1 - MC_SIZE / 2k)
+    (4.34 at the standard preset's 70 cases). Each z = (v_mc - v_exact) /
+    se_mc is close to Gaussian with variance at most 1, so a case of a
+    correct build fails its two-sided window with chance at most
+    MC_SIZE / k, and the battery fails some case with chance at most
+    MC_SIZE, whatever the dependence between cases. The MC row reports
+    that ``size`` and its ``window_sigmas``. The number-basis window is
+    its proven bound, so a correct build never fails it.
     """
+    k = sum(case.v_mc is not None for case in cases)
+    # Phi^-1(1 - p) as -Phi^-1(p), which keeps p's digits; a battery with no
+    # MC-valid case applies no window, and reports the one-case window
+    window_sigmas = -NormalDist().inv_cdf(MC_SIZE / (2 * max(k, 1)))
     summary = {name: {"valid": 0, "agree": 0, "max_abs_err": 0.0} for name in _ORACLES}
     per_case = []
     for case in cases:
-        verdicts = case.agreements(mc_sigmas, det_atol)
+        verdicts = case.agreements(window_sigmas, det_atol)
         errors = case.errors()
         for name, ok in verdicts.items():
             if ok is None:
@@ -556,8 +577,7 @@ def tally_verdicts(
             row["agree"] += int(ok)
             row["max_abs_err"] = max(row["max_abs_err"], errors[name])
         per_case.append((verdicts, all(ok is not False for ok in verdicts.values())))
-    mc = summary["mc"]
-    mc["false_alarm_rate"] = 1.0 - (1.0 - math.erfc(mc_sigmas / math.sqrt(2.0))) ** mc["valid"]
+    summary["mc"].update(size=MC_SIZE, window_sigmas=window_sigmas)
     return summary, per_case
 
 

@@ -72,9 +72,13 @@ def test_criterion_03_oracle_equivalence_on_fifty_sets():
     cases = run_oracle_battery(50, OracleConfig(n_samples=1_000_000, seed=0), CONSTS)
     elapsed = time.perf_counter() - start
 
-    summary, per_case = tally_verdicts(cases, mc_sigmas=3.0, det_atol=1e-6)
+    summary, per_case = tally_verdicts(cases, det_atol=1e-6)
     for case, (verdicts, case_ok) in zip(cases, per_case):
         assert case_ok, (verdicts, case.frequencies, case.temperature, case.delta_tau)
+        # at this seed each MC estimate also lies within 3 standard errors,
+        # inside the gate's own 4.34
+        if case.v_mc is not None:
+            assert abs(case.v_mc - case.v_exact) <= 3.0 * case.se_mc, case
     valid = {name: row["valid"] for name, row in summary.items()}
     print(
         f"{len(cases)} sets in {elapsed:.1f} s; valid per oracle {valid}; "

@@ -798,8 +798,6 @@ def test_oracle_check_refuses_an_empty_battery(capsys, tmp_path, cases):
 @pytest.mark.parametrize("flag, value, message", [
     ("--seed", "-1", "--seed must be >= 0, got -1"),
     ("--mc-seed", "-5", "--mc-seed must be >= 0, got -5"),
-    ("--mc-sigmas", "0", "--mc-sigmas must be > 0, got 0.0"),
-    ("--mc-sigmas", "-1", "--mc-sigmas must be > 0, got -1.0"),
     ("--atol", "-1", "--atol must be >= 0, got -1.0"),
 ])
 def test_oracle_check_refuses_a_negative_seed_or_an_empty_window(capsys, tmp_path, flag, value,
@@ -1093,7 +1091,6 @@ def test_oracle_check_preset_is_overridable(capsys, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["parameters"]["preset"] == "standard"
     assert payload["parameters"]["cases"] == 2
-    assert payload["parameters"]["mc_sigmas"] == 3.0
 
 
 def test_oracle_check_preset_as_config_key(capsys, tmp_path):
@@ -1106,10 +1103,12 @@ def test_oracle_check_preset_as_config_key(capsys, tmp_path):
     params = json.loads(out.read_text())["parameters"]
     assert params["preset"] == "standard"
     assert params["cases"] == 2
-    assert params["mc_sigmas"] == 3.0
 
 
 def test_oracle_check_states_mc_false_alarm_rate(capsys, tmp_path):
+    # the MC window is Bonferroni over the run's MC-valid cases: 70 cases of
+    # a two-sided window of z standard errors fail somewhere with chance at
+    # most 70 erfc(z / sqrt 2), the stated size
     out = tmp_path / "battery_out.json"
     code = main(["oracle-check", "--preset", "standard", "--samples", "2000",
                  "--output", str(out)])
@@ -1117,9 +1116,34 @@ def test_oracle_check_states_mc_false_alarm_rate(capsys, tmp_path):
     assert code in (0, 1)
     mc = json.loads(out.read_text())["summary"]["mc"]
     assert mc["valid"] == 70
-    per_case = math.erfc(3.0 / math.sqrt(2.0))  # two-sided 3 sigma, ~0.0027
-    assert mc["false_alarm_rate"] == pytest.approx(1.0 - (1.0 - per_case) ** 70, rel=1e-12)
-    assert mc["false_alarm_rate"] == pytest.approx(0.172, abs=5e-4)
+    assert mc["size"] == 1e-3
+    assert 70 * math.erfc(mc["window_sigmas"] / math.sqrt(2.0)) == pytest.approx(1e-3, rel=1e-9)
+    assert mc["window_sigmas"] == pytest.approx(4.3394, abs=1e-4)
+
+
+def test_oracle_check_standard_preset_passes_at_mc_seed_3(capsys, tmp_path):
+    # one case of this correct run lies 3.015 standard errors out: a 3-sigma
+    # window fails it, and the window of stated size 1e-3 holds it
+    out = tmp_path / "battery_out.json"
+    code = main(["oracle-check", "--preset", "standard", "--mc-seed", "3", "--output", str(out)])
+    capsys.readouterr()
+    payload = json.loads(out.read_text())
+    z = max(abs(case["errors"]["mc"]) / case["se_mc"]
+            for case in payload["cases"] if case["v_mc"] is not None)
+    assert code == 0 and payload["all_within_tolerance"] is True
+    assert 3.0 < z < payload["summary"]["mc"]["window_sigmas"]
+
+
+def test_oracle_check_has_no_mc_sigmas_window(capsys, tmp_path):
+    # the MC window follows from the case count; a user window is refused
+    # as an unknown flag or config key, with exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "--mc-sigmas", "3"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "battery.json"
+    cfg.write_text(json.dumps({"mc_sigmas": 3.0}))
+    code, stdout, err = _run(capsys, "oracle-check", "--config", str(cfg))
+    assert code == 2 and stdout == "" and "mc_sigmas" in err
 
 
 def test_version_flag(capsys):

@@ -70,6 +70,19 @@ MUTANTS = [
            "np.add(f[1:], f[:-1], out=out)",
            "np.add(f[:-1], f[:-1], out=out)",
            "the left end doubled is the left-Riemann sum: first order in the step"),
+    Mutant("MC nbar/2", "src/gravidec/oracles.py",
+           "np.array([q / (1.0 - q) for q in qs])",
+           "np.array([0.5 * q / (1.0 - q) for q in qs])",
+           "a mis-scaled |alpha|^2 draw samples a colder state; the MC window must trip"),
+    Mutant("MC bias x 1.002", "src/gravidec/oracles.py",
+           "mean = complex(np.sum(sums)) / n_main",
+           "mean = 1.002 * complex(np.sum(sums)) / n_main",
+           "a 0.2% bias is several standard errors at 1e6 samples; the MC window must trip"),
+    Mutant("Fock bound halved", "src/gravidec/oracles.py",
+           "return math.exp(log_v), 2.0 * tail",
+           "return math.exp(log_v), tail",
+           "the discarded mass alone is no bound on the error; the standard battery's "
+           "Fock-bound check must trip"),
 ]
 
 

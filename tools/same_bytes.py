@@ -24,7 +24,7 @@ The list is:
   ``--g`` beside ``--central-mass`` inside 10 R_s, whose discarded timescale
   warns;
 * runs refused for a value out of range: ``oracle-check`` with a negative
-  ``--seed`` or ``--mc-seed``, ``--mc-sigmas 0`` or ``--atol -1``, and
+  ``--seed`` or ``--mc-seed``, or ``--atol -1``, and
   ``evolve`` with more time steps than ``EvolutionConfig`` allows;
 * every output mode of the one writer: ``--format json`` on ``visibility``,
   ``evolve`` and ``regime``, ``--format csv`` on ``tau`` and ``propertime``,
@@ -149,8 +149,7 @@ def invocations() -> list[list[str]]:
                  "--radius", "1.5e4", "--T", "300", "--g", "3"])
     runs += [["oracle-check", "--cases", "1", "--samples", "64", flag, value,
               "--output", "report.json"]
-             for flag, value in (("--seed", "-1"), ("--mc-seed", "-5"), ("--mc-sigmas", "0"),
-                                 ("--atol", "-1"))]
+             for flag, value in (("--seed", "-1"), ("--mc-seed", "-5"), ("--atol", "-1"))]
     runs.append(["evolve", "--x1", "0", "--x2", "1e-9", "--N", "1e-6", "--T", "1e23",
                  "--dt", "1e-300", "--t-final", "1e-2", "--output", "evolve.csv"])
     base = {"visibility": ["visibility", "--law", "high-T", "--N", "1e23", "--T", "300",
