@@ -115,7 +115,6 @@ __all__ = [
     "semiclassical_visibility",
     "tabulated_emission_model",
     "TabulatedPotential",
-    "thermal_occupation",
     "TrajectoryPair",
     "two_point_unitary_oracle",
     "visibility_curve",

@@ -21,7 +21,8 @@ Hamiltonian, or ``--sigma0`` beside ``regime --emission-csv``): the message
 names the ignored flags and then the flags the run did use, by their long
 names, and nothing is written. Defaults and ``preset`` do not count.
 For oracle-check, values resolve in the order defaults, preset, file, flags;
-its number-state oracles truncate at ``OracleConfig``'s default tail mass.
+its number-state oracles truncate at the constant tail mass
+``OracleConfig.tail_epsilon``.
 A ``"constants"`` object inside the file overrides individual physical
 constants, each checked as a real-valued parameter is; a set that
 :class:`~gravidec.constants.PhysicalConstants` refuses (c^2 or hbar c^2
@@ -171,7 +172,6 @@ _COMMANDS: dict[str, tuple[str, str | None, tuple]] = {
         ("x1", float, None, "static arm position (alternative to CSV)"),
         ("x2", float, None, None),
         ("t_final", float, None, None),
-        ("n_samples", int, 201, None),
         ("potential", ("homogeneous", "schwarzschild", "tabulated"), "homogeneous", None),
         ("g", float, None, None),
         ("central_mass", float, None, None),
@@ -559,6 +559,9 @@ def _cmd_regime(params: dict, consts: PhysicalConstants) -> _Record:
         if params["sigma0"] is None or params["k0"] is None:
             raise ConfigError("need --emission-csv or --sigma0 with --k0")
         sigma = power_law_cross_section(params["sigma0"], params["k0"], params["alpha"])
+        if params["sigma0"] > 0 and params["alpha"] <= -4:
+            raise DomainError(f"emission integral diverges at alpha = {params['alpha']:g} (<= -4):"
+                              " the stand-in's integrand goes as k^(3 + alpha) at small k")
         label = "blackbody-standin"
 
         def model_factory(temp: float):
@@ -611,9 +614,8 @@ def _cmd_propertime(params: dict, consts: PhysicalConstants) -> _Record:
         needed = ("x1", "x2", "t_final")
         if any(params[k] is None for k in needed):
             raise ConfigError("need --trajectories or all of --x1, --x2, --t-final")
-        pair = TrajectoryPair.static(
-            params["x1"], params["x2"], params["t_final"], params["n_samples"]
-        )
+        # phi(x) - v^2/2 is constant on a static arm, so the trapezoid is exact on two samples
+        pair = TrajectoryPair.static(params["x1"], params["x2"], params["t_final"], 2)
     kind = params["potential"]
     if kind == "homogeneous":
         potential = HomogeneousPotential(_g(params, consts))

@@ -88,7 +88,10 @@ class InternalStateSpec:
 def thermal_occupation(omega: float, temperature: float, consts: PhysicalConstants) -> float:
     """Mean occupation 1/(exp(hbar*omega/k_B*T) - 1) of a harmonic mode.
 
-    Returns 0 at T = 0 (no thermal excitation at absolute zero).
+    Returns 0 at T = 0 (no thermal excitation at absolute zero). Not public:
+    the package computes occupations with :func:`_mode_occupations`, and
+    this wrapper stays only because ``perfbench/tracing.py`` counts its
+    calls by name (``COUNTED``).
     """
     if not omega > 0:
         raise DomainError("omega must be > 0")

@@ -6,11 +6,12 @@ Three independent routes to the same number:
   Glauber-Sudarshan P distribution (exponential with mean nbar) and averages
   the dephasing weight exp(|alpha|^2 (e^{-i d} - 1)).
 * :func:`fock_visibility` sums the geometric number-state populations of each
-  mode up to the smallest cutoff whose tail mass is below ``tail_epsilon``
-  and reports a proven bound on the truncation error, twice that tail mass
-  summed over modes; a mode that needs more than
-  ``FOCK_MAX_CUTOFF`` quanta is refused. The joint-spectrum oracle below
-  truncates by the same rule under its own cap, ``TENSOR_MAX_CUTOFF``.
+  mode up to the smallest cutoff whose tail mass is below the constant
+  ``OracleConfig.tail_epsilon`` = 1e-9 and reports a proven bound on the
+  truncation error, twice that tail mass summed over modes; a mode that
+  needs more than ``FOCK_MAX_CUTOFF`` quanta is refused. The joint-spectrum
+  oracle below truncates by the same rule under its own cap,
+  ``TENSOR_MAX_CUTOFF``.
 * :func:`two_point_unitary_oracle` enumerates the joint Fock spectrum of all
   modes, applies the diagonal two-arm evolution, and reads the off-diagonal
   element of the reduced centre-of-mass state directly. Unlike the other two
@@ -73,6 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
+from typing import ClassVar
 
 import numpy as np
 
@@ -115,23 +117,19 @@ class OracleConfig:
     ``n_samples`` and ``seed`` drive the Monte Carlo oracle: ``n_samples``
     is the precision of that many plain samples, and the most main samples
     a case draws, in steps of 2^14 (see :func:`mc_visibility`).
-    ``tail_epsilon`` is the thermal tail mass each number-state truncation
-    may drop: a mode that needs more quanta than its oracle's cap
-    (``FOCK_MAX_CUTOFF`` or ``TENSOR_MAX_CUTOFF``) is refused with the
-    required cutoff named rather than silently truncated. The caps are
-    module constants, not knobs, and ``oracle-check`` runs at the default
-    ``tail_epsilon``; no flag sets it.
+    ``tail_epsilon`` is a class constant, not a field: the thermal tail mass
+    each number-state truncation may drop. A mode that needs more quanta
+    than its oracle's cap (``FOCK_MAX_CUTOFF`` or ``TENSOR_MAX_CUTOFF``) is
+    refused with the required cutoff named rather than silently truncated.
     """
 
     n_samples: int = 200_000
     seed: int = 0
-    tail_epsilon: float = 1e-9
+    tail_epsilon: ClassVar[float] = 1e-9
 
     def __post_init__(self) -> None:
         if self.n_samples < 2:
             raise DomainError("n_samples must be >= 2")
-        if not 0 < self.tail_epsilon < 1:
-            raise DomainError("tail_epsilon must lie in (0, 1)")
 
 
 def _require_explicit(spec: InternalStateSpec) -> tuple[float, ...]:

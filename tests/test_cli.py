@@ -307,6 +307,18 @@ def test_propertime_static_arms(capsys, tmp_path):
     assert payload["results"]["potential"] == "homogeneous"
 
 
+def test_propertime_has_no_sample_count(capsys, tmp_path):
+    # static arms integrate on two samples, exact for their constant
+    # integrand; a sample count is refused as an unknown flag or config key
+    with pytest.raises(SystemExit) as exc:
+        main(["propertime", "--x1", "0", "--x2", "1", "--t-final", "1", "--n-samples", "5"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "arms.json"
+    cfg.write_text(json.dumps({"x1": 0.0, "x2": 1.0, "t_final": 1.0, "n_samples": 5}))
+    code, stdout, err = _run(capsys, "propertime", "--config", str(cfg))
+    assert code == 2 and stdout == "" and "n_samples" in err
+
+
 def test_propertime_attaches_visibility(capsys, tmp_path):
     out = tmp_path / "pt.json"
     code, _, _ = _run(
@@ -1227,6 +1239,36 @@ def test_regime_with_no_cross_section_has_no_emission_where_its_terms_overflow(c
     payload = json.loads(stdout)
     assert payload["tau_em"] == [["inf", "inf"]] * 3
     assert payload["flags"] == [["time_dilation", "time_dilation"]] * 3
+
+
+_ONE_CELL = ["regime", "--axis1", "delta-x", "--axis1-min", "1e-6", "--axis1-max", "1e-6",
+             "--n-axis1", "1", "--t-min", "300", "--t-max", "300", "--n-temps", "1",
+             "--n-modes", "1e23", "--k0", "1e7"]
+
+
+@pytest.mark.parametrize("alpha", ["-4", "-5"])
+def test_regime_refuses_an_emission_integral_that_diverges(capsys, tmp_path, alpha):
+    # the stand-in's integrand goes as k^(3 + alpha) at small k; the k grid's
+    # 1e-3 k_B T / (hbar c) edge made tau_em finite (1.21e-8 s at -4, 1.10e-12 s at -5)
+    out = tmp_path / "regime.csv"
+    code, stdout, err = _run(capsys, *_ONE_CELL, "--sigma0", "3e-22", "--alpha", alpha,
+                             "--output", str(out))
+    assert (code, stdout) == (3, "")
+    assert err == (f"gravidec: domain error: emission integral diverges at alpha = {alpha} "
+                   "(<= -4): the stand-in's integrand goes as k^(3 + alpha) at small k\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma0, alpha", [("3e-22", "-3.9"), ("0", "-5")])
+def test_regime_runs_where_the_emission_integral_converges_or_is_zero(capsys, sigma0, alpha):
+    code, stdout, err = _run(capsys, *_ONE_CELL, "--sigma0", sigma0, "--alpha", alpha,
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    tau_em = json.loads(stdout)["tau_em"][0][0]
+    if sigma0 == "0":
+        assert tau_em == "inf"
+    else:
+        assert 0.0 < tau_em < math.inf
 
 
 @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-1.e-3", "-.1e-2", "-0.001"])

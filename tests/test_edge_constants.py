@@ -119,7 +119,8 @@ MODE_CALLS = {
     "semiclassical_visibility":
         lambda spec, consts: gravidec.semiclassical_visibility(spec, DTAU, consts),
     "thermal_occupation":
-        lambda spec, consts: gravidec.thermal_occupation(spec.frequencies[0], T, consts),
+        lambda spec, consts: gravidec.internal_state.thermal_occupation(
+            spec.frequencies[0], T, consts),
     "two_point_unitary_oracle": lambda spec, consts: gravidec.two_point_unitary_oracle(
         spec, 0.0, 1.0, 1.0, G, ORACLE, consts),
     "visibility_curve": lambda spec, consts: gravidec.visibility_curve(
@@ -158,7 +159,8 @@ def test_the_sweep_covers_every_public_function_that_takes_consts():
         for member, fn in members:
             if inspect.isfunction(fn) and "consts" in inspect.signature(fn).parameters:
                 taking.add(name if member is None else f"{name}.{member}")
-    assert taking == set(CALLS) | set(MODE_CALLS)
+    # thermal_occupation is not public but keeps its sweep row: perfbench counts its calls
+    assert taking | {"thermal_occupation"} == set(CALLS) | set(MODE_CALLS)
 
 
 @pytest.mark.parametrize("overrides", CONSTANTS.values(), ids=CONSTANTS)

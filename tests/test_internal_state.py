@@ -10,10 +10,9 @@ from gravidec import (
     default_constants,
     internal_energy_variance,
     mean_internal_energy,
-    thermal_occupation,
 )
 from gravidec.errors import DomainError
-from gravidec.internal_state import _log_mode_product
+from gravidec.internal_state import _log_mode_product, thermal_occupation
 
 CONSTS = default_constants()
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import os
@@ -567,25 +568,28 @@ def _large_phase_cases():
     return cases
 
 
-def test_deterministic_oracles_match_product_law_at_large_phase():
+def test_deterministic_oracles_match_product_law_at_large_phase(monkeypatch):
     # Both oracles truncate each mode at tail mass t_i and renormalize; with
     # chi_i the untruncated factor, |ln|chi~_i| - ln|chi_i|| <=
     # -ln(1 - t_i) - ln(1 - t_i / |chi_i|), and |chi_i| >= V, so
     # |d ln V| <= 2 tail / (V - tail) with tail = sum t_i, the number-basis
     # oracle's reported bound (the joint-spectrum oracle truncates by the
-    # same rule, so the number-basis oracle at its cfg reports its tail).
-    # Rounding adds at most 16 eps per unit of phase per quantum, about
-    # 16 eps (1 + sum nbar_i |w_i dtau|) in |chi|, over V.
+    # same rule, so the number-basis oracle at the same tail_epsilon reports
+    # its tail). Rounding adds at most 16 eps per unit of phase per quantum,
+    # about 16 eps (1 + sum nbar_i |w_i dtau|) in |chi|, over V.
+    # One pass per oracle: the number-basis oracle at tail_epsilon 1e-12,
+    # which reaches V near 1e-6, and the joint-spectrum oracle at the
+    # constant 1e-9, since 1e-12 would push its cutoffs past its cap.
     eps = np.finfo(float).eps
-    fock_cfg = OracleConfig(tail_epsilon=1e-12)
-    tensor_cfg = OracleConfig()
+    cfg = OracleConfig()
     reached = {"fock": [], "tensor": []}
-    for nbars, phase in _large_phase_cases():
-        spec = _spec(nbars)
-        dtau = phase / max(spec.frequencies)
-        v_exact = exact_visibility(spec, dtau, CONSTS)
-        quanta_phase = sum(nb * w * dtau for nb, w in zip(nbars, spec.frequencies))
-        for name, cfg in (("fock", fock_cfg), ("tensor", tensor_cfg)):
+    for name, tail_epsilon in (("fock", 1e-12), ("tensor", OracleConfig.tail_epsilon)):
+        monkeypatch.setattr(OracleConfig, "tail_epsilon", tail_epsilon)
+        for nbars, phase in _large_phase_cases():
+            spec = _spec(nbars)
+            dtau = phase / max(spec.frequencies)
+            v_exact = exact_visibility(spec, dtau, CONSTS)
+            quanta_phase = sum(nb * w * dtau for nb, w in zip(nbars, spec.frequencies))
             try:
                 v, tail = fock_visibility(spec, dtau, cfg, CONSTS)
                 if name == "tensor":
@@ -719,5 +723,10 @@ def test_battery_refuses_to_certify_no_sets(n_cases):
 def test_config_validation():
     with pytest.raises(DomainError):
         OracleConfig(n_samples=1)
-    with pytest.raises(DomainError):
-        OracleConfig(tail_epsilon=0.0)
+
+
+def test_tail_epsilon_is_a_constant_not_a_field():
+    assert [f.name for f in dataclasses.fields(OracleConfig)] == ["n_samples", "seed"]
+    assert OracleConfig().tail_epsilon == 1e-9
+    with pytest.raises(TypeError):
+        OracleConfig(tail_epsilon=1e-12)

@@ -234,6 +234,13 @@ def test_a_name_loads_no_deferred_module_after_its_home():
     )
 
 
+def test_thermal_occupation_is_not_public():
+    # it stays in internal_state only for perfbench's call counter
+    assert "thermal_occupation" not in gravidec.__all__
+    with pytest.raises(AttributeError):
+        gravidec.thermal_occupation
+
+
 def test_an_unknown_name_is_refused_before_anything_loads():
     _in_a_fresh_interpreter(
         _unloaded_around(

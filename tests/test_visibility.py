@@ -23,10 +23,10 @@ from gravidec import (
     hawking_temperature,
     highT_visibility,
     internal_characteristic_function,
-    thermal_occupation,
     visibility_curve,
 )
 from gravidec.errors import DomainError
+from gravidec.internal_state import thermal_occupation
 from gravidec.visibility import proper_time_lab
 
 CONSTS = default_constants()

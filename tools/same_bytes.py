@@ -46,8 +46,10 @@ The list is:
   and without emission, and where r^3, a temperature's blackbody
   wavenumbers, the power-law cross-section or the emission integrand leave
   float64's range, the last two also at ``--sigma0 0``, where a zero
-  cross-section leaves no emission (tau_em = inf); and a power of a Python
-  float past float64's range, through a ``"constants"`` file: c^2 in ``tau``
+  cross-section leaves no emission (tau_em = inf); ``regime`` at ``--alpha
+  -4`` and ``-5``, where the stand-in's emission integral diverges in the
+  infrared (refused); and a power of a Python float past float64's range,
+  through a ``"constants"`` file: c^2 in ``tau``
   and in ``visibility`` at c = 1e200, c^3 in the README's ``tau --hawking``
   at c = 1e120, (hbar c^2)^2 in ``evolve`` at hbar = 1e150, and (k_B T)^2 in
   ``evolve --T 1e200``; and ``"constants"`` whose powers underflow to 0: c^2
@@ -209,6 +211,10 @@ def invocations() -> list[list[str]]:
     runs += [[*separations, "--sigma0", "0", "--k0", k0, "--alpha", alpha,
               "--axis1-max", "1e-2", "--t-min", "100", "--t-max", t_max]
              for k0, alpha, t_max in (("1e7", "0", "1e100"), ("1e-300", "2", "600"))]
+    runs += [["regime", "--axis1", "delta-x", "--axis1-min", "1e-6", "--axis1-max", "1e-6",
+              "--n-axis1", "1", "--t-min", "300", "--t-max", "300", "--n-temps", "1",
+              "--n-modes", "1e23", "--sigma0", "3e-22", "--k0", "1e7", "--alpha", alpha]
+             for alpha in ("-4", "-5")]
     runs.append([*edge, "--sigma0", "3e-22", "--k0", "1e7", "--axis1", "radius",
                  "--axis1-max", "1e200", "--mode-density", "1e28", "--delta-x", "1e-3",
                  "--t-min", "100", "--t-max", "600"])
